@@ -254,7 +254,7 @@ func main() {
 				continue
 			}
 			start := time.Now()
-			gr.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
+			gr.Scores()
 			log.Printf("graph %q: scores precomputed in %v", name, time.Since(start).Round(time.Millisecond))
 		}
 	}

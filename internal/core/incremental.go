@@ -82,18 +82,21 @@ type topCert struct {
 
 // searchFlight deduplicates concurrent full searches for one constraint:
 // followers wait for the owner's result instead of re-running a
-// seconds-long Apriori.
+// seconds-long Apriori. landed is false when done closes because the
+// owner's search panicked; p and err are then empty and waiters retry.
 type searchFlight struct {
-	epoch uint64
-	done  chan struct{}
-	p     Preview
-	err   error
+	epoch  uint64
+	done   chan struct{}
+	landed bool
+	p      Preview
+	err    error
 }
 
-// Maintained carries a Discoverer forward across the epochs of one live
-// graph for one (key measure, non-key measure) pair. All methods are safe
-// for concurrent use; full searches run outside the state lock so cheap
-// certificate hits (and anytime answers) are never blocked behind one.
+// Maintained carries a Discoverer forward across the epochs of one graph
+// (a static graph has only epoch 0) for one (key measure, non-key
+// measure) pair. All methods are safe for concurrent use; full searches
+// run outside the state lock so cheap certificate hits (and anytime
+// answers) are never blocked behind one.
 type Maintained struct {
 	opts Options
 
@@ -284,39 +287,55 @@ func (m *Maintained) DiscoverAt(epoch uint64, c Constraint) (Preview, error) {
 	if f := m.inflight[c]; f != nil && f.epoch == epoch {
 		m.mu.Unlock()
 		<-f.done
+		if !f.landed {
+			// The owner's search panicked and withdrew the flight: serve
+			// or search afresh.
+			return m.DiscoverAt(epoch, c)
+		}
 		return f.p, f.err
 	}
 	f := &searchFlight{epoch: epoch, done: make(chan struct{})}
 	m.inflight[c] = f
 	m.mu.Unlock()
+	return m.fly(d, c, f)
+}
 
-	m.fullSearches.Add(1)
-	p, runnerUp, err := d.aprioriParallelTop2(c, par.Workers(m.opts.Parallelism))
-
-	m.mu.Lock()
-	if m.inflight[c] == f {
-		delete(m.inflight, c)
-	}
-	// Install the certificate only if no refresh moved the state while
-	// the search ran; a newer epoch's answer must come from a newer
-	// search (or an uplift-adjusted certificate, which this is not).
-	if m.init && m.epoch == epoch {
-		if len(m.certs) >= maxCerts {
-			for k := range m.certs {
-				delete(m.certs, k)
-				break
+// fly runs the full search for the flight f the caller just installed,
+// then withdraws f, installs the certificate and releases f's waiters.
+// The deferred landing also runs when the search panics: f is withdrawn
+// without a certificate and its waiters retry, so a static graph, which
+// never leaves its epoch, is not wedged behind a flight that never lands.
+func (m *Maintained) fly(d *Discoverer, c Constraint, f *searchFlight) (p Preview, err error) {
+	var runnerUp float64
+	defer func() {
+		m.mu.Lock()
+		if m.inflight[c] == f {
+			delete(m.inflight, c)
+		}
+		// Install the certificate only if no refresh moved the state while
+		// the search ran; a newer epoch's answer must come from a newer
+		// search (or an uplift-adjusted certificate, which this is not).
+		if f.landed && m.init && m.epoch == f.epoch {
+			if len(m.certs) >= maxCerts {
+				for k := range m.certs {
+					delete(m.certs, k)
+					break
+				}
+			}
+			switch {
+			case err == nil:
+				m.certs[c] = &topCert{keys: p.Keys(), rival: runnerUp}
+			case errors.Is(err, ErrNoPreview) || errors.Is(err, ErrSearchBudget):
+				m.certs[c] = &topCert{err: err}
 			}
 		}
-		switch {
-		case err == nil:
-			m.certs[c] = &topCert{keys: p.Keys(), rival: runnerUp}
-		case errors.Is(err, ErrNoPreview) || errors.Is(err, ErrSearchBudget):
-			m.certs[c] = &topCert{err: err}
-		}
-	}
-	m.mu.Unlock()
-	f.p, f.err = p, err
-	close(f.done)
+		m.mu.Unlock()
+		f.p, f.err = p, err
+		close(f.done)
+	}()
+	m.fullSearches.Add(1)
+	p, runnerUp, err = d.aprioriParallelTop2(c, par.Workers(m.opts.Parallelism))
+	f.landed = true
 	return p, err
 }
 

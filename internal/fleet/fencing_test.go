@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // directPost writes straight at a node — around the router, the way a
@@ -29,7 +31,7 @@ func directPost(t *testing.T, base, graph, body, fence string) (int, string) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if fence != "" {
-		req.Header.Set(fenceHeader, fence)
+		req.Header.Set(wire.FenceHeader, fence)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -37,7 +39,7 @@ func directPost(t *testing.T, base, graph, body, fence string) (int, string) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header.Get(fenceHeader) + "\n" + string(raw)
+	return resp.StatusCode, resp.Header.Get(wire.FenceHeader) + "\n" + string(raw)
 }
 
 func TestFleetFencing(t *testing.T) {

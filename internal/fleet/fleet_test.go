@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,11 +40,13 @@ import (
 
 // leaderProc is one leader "process": a registry of durable live graphs
 // (each WAL-backed, origin-pinned for follower bootstrap) behind its own
-// listener.
+// listener. dead is set by crash: from then on the listener's handler
+// aborts every request, as a killed process would.
 type leaderProc struct {
 	id      string
 	reg     *service.Registry
 	ts      *httptest.Server
+	dead    atomic.Bool
 	lives   map[string]*dynamic.Live
 	wals    map[string]*storage.WAL
 	walRoot string
@@ -88,18 +91,28 @@ func startLeaderProc(t testing.TB, shardID string, graphs []string, root string)
 	srv.OnAdopt = adopter.Adopt
 	srv.OnGraphPromote = adopter.Promote
 	srv.OnDrop = adopter.Drop
-	lp.ts = httptest.NewServer(srv)
+	lp.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if lp.dead.Load() {
+			panic(http.ErrAbortHandler) // severs the connection, no response
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(lp.ts.Close)
 	return lp
 }
 
-// crash kills the process SIGKILL-style: established connections are
-// severed mid-flight and the listener stops accepting, but nothing is
-// flushed or closed cleanly — whatever the WAL holds on disk is exactly
-// what a crashed process would leave behind.
+// crash kills the process SIGKILL-style: nothing is flushed or closed
+// cleanly — whatever the WAL holds on disk is exactly what a crashed
+// process would leave behind. The order matters. Marking the process
+// dead first means no request answers from here on, even one arriving
+// on a keep-alive connection accepted while the listener was closing;
+// closing client connections before the listener would let such a
+// connection outlive the crash and keep answering probes, proxied
+// writes and replication polls.
 func (lp *leaderProc) crash() {
-	lp.ts.CloseClientConnections()
+	lp.dead.Store(true)
 	lp.ts.Listener.Close()
+	lp.ts.CloseClientConnections()
 }
 
 // followerProc is one replica "process": a registry hosting one durable

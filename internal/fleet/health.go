@@ -31,6 +31,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // nodeEpochs probes one node's /v1/graphs and returns name → published
@@ -229,7 +231,7 @@ func (rt *Router) failover(sh *shard, followers []*backend, results []probeResul
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if newFence != 0 {
-		req.Header.Set(fenceHeader, strconv.FormatUint(newFence, 10))
+		req.Header.Set(wire.FenceHeader, strconv.FormatUint(newFence, 10))
 	}
 	resp, err := rt.probe.Do(req)
 	if err != nil {

@@ -39,6 +39,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // migrateTimeout bounds each moved graph's catch-up waits. Generous:
@@ -329,7 +331,7 @@ func (rt *Router) stampFence(req *http.Request, url string) {
 	for _, sh := range rt.shards {
 		if sh.leader.url == url {
 			if f := sh.fence.Load(); f != 0 {
-				req.Header.Set(fenceHeader, fmt.Sprintf("%d", f))
+				req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", f))
 			}
 			return
 		}
@@ -343,7 +345,7 @@ func (rt *Router) stampedPost(url string, fence uint64) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if fence != 0 {
-		req.Header.Set(fenceHeader, fmt.Sprintf("%d", fence))
+		req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", fence))
 	}
 	return rt.doAdmin(req)
 }
@@ -354,7 +356,7 @@ func (rt *Router) stampedDelete(url string, fence uint64) error {
 		return err
 	}
 	if fence != 0 {
-		req.Header.Set(fenceHeader, fmt.Sprintf("%d", fence))
+		req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", fence))
 	}
 	return rt.doAdmin(req)
 }
@@ -417,12 +419,12 @@ func (e *memberErr) Unwrap() error { return e.err }
 func (rt *Router) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		rt.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	var spec ShardSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil {
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad shard spec: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad shard spec: %w", err))
 		return
 	}
 	moved, err := rt.AddShard(spec)
@@ -436,12 +438,12 @@ func (rt *Router) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 // handleShardRemove answers DELETE /v1/fleet/shards/{id}.
 func (rt *Router) handleShardRemove(w http.ResponseWriter, r *http.Request, id string) {
 	if id == "" || strings.Contains(id, "/") {
-		rt.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
 		return
 	}
 	if r.Method != http.MethodDelete {
 		w.Header().Set("Allow", "DELETE")
-		rt.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	moved, err := rt.RemoveShard(id)
@@ -457,13 +459,13 @@ func (rt *Router) writeMemberErr(w http.ResponseWriter, err error) {
 	if me, ok := err.(*memberErr); ok {
 		status = me.status
 	}
-	rt.writeError(w, status, err)
+	wire.WriteError(w, status, err)
 }
 
 func (rt *Router) writeMoved(w http.ResponseWriter, doc map[string]any) {
-	body, err := marshalJSONBody(doc)
+	body, err := wire.MarshalJSON(doc)
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, err)
+		wire.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

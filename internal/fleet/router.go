@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,19 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Header names shared with internal/service. The router mints no epochs
-// and names no leaders itself — those headers arrive from the backends
-// and are copied through verbatim — but it does stamp elapsed time on
-// the responses it synthesizes (the merged list, /v1/fleet), and it
-// mints fences: every proxied POST write carries the owning shard's
-// fencing epoch, and every forwarded replication response carries it
-// too so followers keep their persisted fences current (see fence.go).
-const (
-	elapsedHeader = "X-Previewtables-Elapsed"
-	leaderHeader  = "X-Previewtables-Leader"
-	fenceHeader   = "X-Previewtables-Fence"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // DefaultFailAfter is how many consecutive failed leader probes trigger
@@ -215,13 +202,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	switch {
 	case path == "/healthz":
-		if !rt.requireRead(w, r) {
+		if !wire.RequireRead(w, r) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	case path == "/v1/fleet":
-		if !rt.requireRead(w, r) {
+		if !wire.RequireRead(w, r) {
 			return
 		}
 		rt.handleFleet(w, r)
@@ -230,7 +217,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/v1/fleet/shards/"):
 		rt.handleShardRemove(w, r, strings.TrimPrefix(path, "/v1/fleet/shards/"))
 	case path == "/v1/graphs" || path == "/v1/graphs/":
-		if !rt.requireRead(w, r) {
+		if !wire.RequireRead(w, r) {
 			return
 		}
 		rt.handleMergedList(w, r)
@@ -240,13 +227,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case path == "/v1/replication/promote":
 		// The node-level promote action exists on follower processes, not
 		// on the router: the router is nobody's replica.
-		rt.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("the router is not a follower; promote a shard's replica directly"))
 	case strings.HasPrefix(path, "/v1/replication/"):
 		graph, _, _ := strings.Cut(strings.TrimPrefix(path, "/v1/replication/"), "/")
 		rt.forwardRepl(w, r, graph)
 	default:
-		rt.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", path))
 	}
 }
 
@@ -261,7 +248,7 @@ func (rt *Router) forwardGraph(w http.ResponseWriter, r *http.Request, graph str
 	if sh == nil {
 		// Unreachable with a non-empty ring, but never answer with a nil
 		// dereference if the shard map and ring ever disagree.
-		rt.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard owns graph %q", graph))
+		wire.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard owns graph %q", graph))
 		return
 	}
 	if r.Method == http.MethodPost {
@@ -274,7 +261,7 @@ func (rt *Router) forwardGraph(w http.ResponseWriter, r *http.Request, graph str
 		// instead of acknowledging a write the router no longer stands
 		// behind.
 		if f := sh.fence.Load(); f != 0 {
-			r.Header.Set(fenceHeader, strconv.FormatUint(f, 10))
+			r.Header.Set(wire.FenceHeader, strconv.FormatUint(f, 10))
 		}
 	}
 	if spread {
@@ -290,7 +277,7 @@ func (rt *Router) forwardGraph(w http.ResponseWriter, r *http.Request, graph str
 	leaderURL := sh.leader.url
 	rt.mu.RUnlock()
 	if !rt.proxyTo(w, r, leaderURL) {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("shard %q is unreachable", owner))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %q is unreachable", owner))
 	}
 }
 
@@ -314,7 +301,7 @@ func (rt *Router) forwardRepl(w http.ResponseWriter, r *http.Request, graph stri
 	}
 	rt.mu.RUnlock()
 	if sh == nil {
-		rt.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard owns graph %q", graph))
+		wire.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard owns graph %q", graph))
 		return
 	}
 	// Stamp the shard's fence on the forwarded RESPONSE (proxyTo copies
@@ -324,10 +311,10 @@ func (rt *Router) forwardRepl(w http.ResponseWriter, r *http.Request, graph stri
 	// keeps every replica's persisted fence current without another
 	// round trip.
 	if f := sh.fence.Load(); f != 0 {
-		w.Header().Set(fenceHeader, strconv.FormatUint(f, 10))
+		w.Header().Set(wire.FenceHeader, strconv.FormatUint(f, 10))
 	}
 	if !rt.proxyTo(w, r, target) {
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("shard %q replication source is unreachable", owner))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %q replication source is unreachable", owner))
 	}
 }
 
@@ -368,7 +355,7 @@ func (rt *Router) pickFollower(sh *shard, graph string) string {
 func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, base string) bool {
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		rt.writeError(w, http.StatusBadGateway, err)
+		wire.WriteError(w, http.StatusBadGateway, err)
 		return true
 	}
 	out.Header = r.Header.Clone()
@@ -429,26 +416,26 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, tg.url+"/v1/graphs", nil)
 		if err != nil {
 			cancel()
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
+			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
 			return
 		}
 		resp, err := rt.proxy.Do(req)
 		if err != nil {
 			cancel()
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
+			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
 			return
 		}
 		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		cancel()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			rt.writeError(w, http.StatusBadGateway,
+			wire.WriteError(w, http.StatusBadGateway,
 				fmt.Errorf("listing shard %q: status %d (%v)", tg.id, resp.StatusCode, err))
 			return
 		}
 		var doc shardList
 		if err := json.Unmarshal(raw, &doc); err != nil {
-			rt.writeError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
+			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
 			return
 		}
 		for _, g := range doc.Graphs {
@@ -456,7 +443,7 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 				Name string `json:"name"`
 			}
 			if err := json.Unmarshal(g, &peek); err != nil {
-				rt.writeError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
+				wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
 				return
 			}
 			if ring.Owner(peek.Name) != tg.id {
@@ -475,12 +462,11 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 
-	sum := sha256.Sum256([]byte(scope.String()))
-	etag := `"` + hex.EncodeToString(sum[:16]) + `"`
+	etag := wire.StrongETag([]byte(scope.String()))
 	h := w.Header()
 	h.Set("ETag", etag)
-	setElapsed(h, start)
-	if inm := r.Header.Get("If-None-Match"); inm == "*" || (inm != "" && etagMatches(inm, etag)) {
+	wire.SetElapsed(h, start)
+	if inm := r.Header.Get("If-None-Match"); inm == "*" || (inm != "" && wire.ETagMatches(inm, etag)) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -488,9 +474,9 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 	for _, e := range entries {
 		merged.Graphs = append(merged.Graphs, e.raw)
 	}
-	body, err := marshalJSONBody(merged)
+	body, err := wire.MarshalJSON(merged)
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, err)
+		wire.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	h.Set("Content-Type", "application/json; charset=utf-8")
@@ -551,68 +537,18 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	rt.mu.RUnlock()
 	sort.Slice(doc.Shards, func(i, j int) bool { return doc.Shards[i].ID < doc.Shards[j].ID })
 
-	body, err := marshalJSONBody(doc)
+	body, err := wire.MarshalJSON(doc)
 	if err != nil {
-		rt.writeError(w, http.StatusInternalServerError, err)
+		wire.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json; charset=utf-8")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
-	setElapsed(h, start)
+	wire.SetElapsed(h, start)
 	if r.Method == http.MethodHead {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
 	_, _ = w.Write(body)
-}
-
-// requireRead admits GET and HEAD, mirroring internal/service.
-func (rt *Router) requireRead(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	rt.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-	return false
-}
-
-// writeError mirrors internal/service's error shape so clients see one
-// error dialect whether a response came from a shard or the router.
-func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{Error: err.Error()})
-}
-
-// etagMatches mirrors internal/service's weak comparison (RFC 9110
-// §8.8.3.2): a W/ prefix is ignored; "*" is the caller's decision.
-func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		t := strings.TrimSpace(part)
-		t = strings.TrimPrefix(t, "W/")
-		if t == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// marshalJSONBody mirrors internal/service's body encoding — no HTML
-// escaping, trailing newline — so spliced documents stay byte-identical
-// to what a single node would stream.
-func marshalJSONBody(v any) ([]byte, error) {
-	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return []byte(buf.String()), nil
-}
-
-func setElapsed(h http.Header, start time.Time) {
-	h.Set(elapsedHeader, strconv.FormatFloat(float64(time.Since(start).Microseconds())/1000, 'f', -1, 64))
 }

@@ -17,11 +17,11 @@ package service
 // graphs, so it gets a one-slot cache keyed by the composite (name,
 // epoch) vector of every registered graph (listCache).
 //
-// Misses are deduplicated singleflight-style, like the Discoverer cache:
-// a thundering herd racing for one uncached key performs one discovery +
-// render while everyone else blocks for the finished bytes. Failed
-// builds are never cached — errors are cheap to recompute and must not
-// shadow a later success (the search budget, for one, is configurable).
+// Misses are deduplicated singleflight-style: a thundering herd racing
+// for one uncached key performs one discovery + render while everyone
+// else blocks for the finished bytes. Failed builds are never cached —
+// errors are cheap to recompute and must not shadow a later success (the
+// search budget, for one, is configurable).
 //
 // ETags are epoch-derived and strong: a hash of (graph, epoch, mutable,
 // endpoint, canonical params). Two consequences fall out of bodies being
@@ -37,25 +37,15 @@ package service
 // well-formed yet 422), so it is honored only after a successful build.
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
-)
 
-// elapsedHeader carries the wall time one request actually cost, in
-// milliseconds. It replaces the old elapsed_ms body field: timing is a
-// per-request datum, and keeping it in the body would make two renders
-// of the same epoch differ — destroying both the cache's byte-identity
-// contract and the replication differential's literal comparison.
-const elapsedHeader = "X-Previewtables-Elapsed"
+	"github.com/uta-db/previewtables/internal/wire"
+)
 
 // cacheEntry is one immutable rendered response: the exact bytes of a
 // 200 body plus the headers that describe them. Entries are never
@@ -184,31 +174,6 @@ func (c *listCache) cachedResponse(key string, build func() (*cacheEntry, error)
 	return slot.ent, false, slot.err
 }
 
-// etagFor mints the strong ETag for one (scope, key) pair. Minting is a
-// pure function, which is what makes the pre-render 304 fast path and
-// cross-replica validator stability work; the hash keeps graph names and
-// parameters out of the wire format and makes the tag's length uniform.
-func etagFor(scope, key string) string {
-	sum := sha256.Sum256([]byte(scope + "\x00" + key))
-	return `"` + hex.EncodeToString(sum[:16]) + `"`
-}
-
-// etagMatches reports whether an If-None-Match header names etag. Weak
-// comparison (RFC 9110 §8.8.3.2): a W/ prefix is ignored, so a client
-// that downgraded the tag still revalidates successfully. The "*" form
-// is NOT handled here — see the file comment; callers decide it with
-// knowledge of whether a representation exists.
-func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		t := strings.TrimSpace(part)
-		t = strings.TrimPrefix(t, "W/")
-		if t == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // httpError pairs a build failure with the status it maps to, so error
 // mapping survives the trip through a build closure.
 type httpError struct {
@@ -219,19 +184,6 @@ type httpError struct {
 func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
 
-// marshalJSONBody serializes one document exactly as writeJSON streams
-// it (no HTML escaping, trailing newline), so cached bodies are
-// byte-identical to what the uncached encoder would have produced.
-func marshalJSONBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // serveCached answers one read request from cache: mint the ETag, try
 // the conditional fast path, then look up (or build) the rendered bytes
 // and write them with full conditional-GET and HEAD semantics. All four
@@ -240,14 +192,14 @@ func marshalJSONBody(v any) ([]byte, error) {
 // is uniform by construction.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, scope, key string, cache responseCacher, build func() (*cacheEntry, error)) {
 	start := time.Now()
-	etag := etagFor(scope, key)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm != "*" && etagMatches(inm, etag) {
+	etag := wire.StrongETag([]byte(scope + "\x00" + key))
+	if inm := r.Header.Get("If-None-Match"); inm != "" && inm != "*" && wire.ETagMatches(inm, etag) {
 		// The client already holds this epoch's bytes: 304 without
 		// rendering, looking up, or even holding the cache lock.
 		s.cacheHits.Add(1)
 		h := w.Header()
 		h.Set("ETag", etag)
-		setElapsed(h, start)
+		wire.SetElapsed(h, start)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -272,9 +224,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, scope, key 
 	if err != nil {
 		var he *httpError
 		if errors.As(err, &he) {
-			s.writeError(w, he.status, he.err)
+			wire.WriteError(w, he.status, he.err)
 		} else {
-			s.writeError(w, http.StatusInternalServerError, err)
+			wire.WriteError(w, http.StatusInternalServerError, err)
 		}
 		return
 	}
@@ -286,10 +238,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, scope, key 
 	h := w.Header()
 	h.Set("ETag", ent.etag)
 	h.Set("Content-Type", ent.contentType)
-	setElapsed(h, start)
+	wire.SetElapsed(h, start)
 	// Post-build conditional check: covers "*" (a representation
 	// provably exists now) and clients that raced the fast path.
-	if inm := r.Header.Get("If-None-Match"); inm == "*" || (inm != "" && etagMatches(inm, ent.etag)) {
+	if inm := r.Header.Get("If-None-Match"); inm == "*" || (inm != "" && wire.ETagMatches(inm, ent.etag)) {
 		h.Del("Content-Type")
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -303,12 +255,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, scope, key 
 		return
 	}
 	_, _ = w.Write(ent.body)
-}
-
-// setElapsed stamps the per-request wall time on the response headers,
-// in fractional milliseconds (the old body field's unit).
-func setElapsed(h http.Header, start time.Time) {
-	h.Set(elapsedHeader, strconv.FormatFloat(float64(time.Since(start).Microseconds())/1000, 'f', -1, 64))
 }
 
 // CacheStats reports the response cache's cumulative hit and miss

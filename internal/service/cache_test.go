@@ -29,9 +29,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/fig1"
-	"github.com/uta-db/previewtables/internal/score"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // readCombos is every read endpoint × a spread of param combinations:
@@ -477,8 +476,8 @@ func TestElapsedHeader(t *testing.T) {
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.Header.Get(elapsedHeader) == "" {
-			t.Errorf("GET %s: no %s header", u, elapsedHeader)
+		if resp.Header.Get(wire.ElapsedHeader) == "" {
+			t.Errorf("GET %s: no %s header", u, wire.ElapsedHeader)
 		}
 		if strings.Contains(string(raw), "elapsed_ms") {
 			t.Errorf("GET %s body still carries elapsed_ms: %s", u, raw)
@@ -652,85 +651,5 @@ func TestCacheAtCapacityHerd(t *testing.T) {
 	}
 	if hits2, misses2 := srv.CacheStats(); misses2 != misses || hits2 != hits+1 {
 		t.Fatalf("repeat request rendered again: hits %d→%d misses %d→%d", hits, hits2, misses, misses2)
-	}
-}
-
-// TestDiscovererBuildNotSticky pins the registry bugfix: a Discoverer
-// construction that panics must not leave a completed slot holding nil —
-// the panicking request fails alone, waiters retry, and the next request
-// builds successfully.
-func TestDiscovererBuildNotSticky(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Add("fig1", fig1.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	gr, _ := reg.Get("fig1")
-	v := gr.view()
-
-	var mu sync.Mutex
-	fails := 2 // first two builds die; the third succeeds
-	v.buildDisc = func(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-		mu.Lock()
-		failNow := fails > 0
-		if failNow {
-			fails--
-		}
-		mu.Unlock()
-		if failNow {
-			panic("injected Discoverer construction failure")
-		}
-		return core.New(v.Scores(), core.Options{Key: km, NonKey: nm, Parallelism: v.par})
-	}
-
-	// A herd races the poisoned build: the requests that draw a failing
-	// build panic (their goroutines recover, like net/http would); every
-	// other request must end with a real Discoverer — never a nil
-	// dereference, never a permanent failure.
-	const workers = 8
-	var wg sync.WaitGroup
-	got := make([]*core.Discoverer, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ok := func() (ok bool) {
-					defer func() {
-						if r := recover(); r != nil {
-							ok = false // this request 500s; try again like a fresh request
-						}
-					}()
-					got[w] = v.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
-					return true
-				}()
-				if ok {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for w, d := range got {
-		if d == nil {
-			t.Fatalf("worker %d ended with a nil Discoverer", w)
-		}
-		if d != got[0] {
-			t.Fatalf("worker %d got a different Discoverer instance; the successful build should be shared", w)
-		}
-	}
-	mu.Lock()
-	remaining := fails
-	mu.Unlock()
-	if remaining != 0 {
-		t.Fatalf("only %d of 2 injected failures consumed", 2-remaining)
-	}
-	// The successful build is cached: one more call, no new build.
-	v.buildDisc = func(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-		t.Fatal("rebuilt after success")
-		return nil
-	}
-	if d := v.Discoverer(score.KeyCoverage, score.NonKeyCoverage); d != got[0] {
-		t.Fatal("cached Discoverer not returned")
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/storage"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // FollowerOptions configures replication from one leader.
@@ -400,14 +401,14 @@ func (f *Follower) poll(ctx context.Context) error {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if e, err := strconv.ParseUint(resp.Header.Get(epochHeader), 10, 64); err == nil {
+	if e, err := strconv.ParseUint(resp.Header.Get(wire.EpochHeader), 10, 64); err == nil {
 		f.publishStatus(func(st *FollowStatus) { st.LeaderEpoch = e })
 	}
 	// Followers that tail through a fleet router see the shard's fence
 	// stamped on every forwarded replication response; adopting it keeps
 	// their persisted fence current, so a follower promoted later starts
 	// from a fence the router's next mint strictly exceeds.
-	if fence, err := strconv.ParseUint(resp.Header.Get(fenceHeader), 10, 64); err == nil {
+	if fence, err := strconv.ParseUint(resp.Header.Get(wire.FenceHeader), 10, 64); err == nil {
 		f.reg.adoptFence(fence)
 	}
 	switch resp.StatusCode {
@@ -530,9 +531,9 @@ func (f *Follower) fetchBootstrap(ctx context.Context) (*graph.EntityGraph, uint
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, fmt.Errorf("bootstrap: leader answered %d: %s", resp.StatusCode, readError(resp))
 	}
-	epoch, err := strconv.ParseUint(resp.Header.Get(epochHeader), 10, 64)
+	epoch, err := strconv.ParseUint(resp.Header.Get(wire.EpochHeader), 10, 64)
 	if err != nil {
-		return nil, 0, fmt.Errorf("bootstrap: bad %s header: %v", epochHeader, err)
+		return nil, 0, fmt.Errorf("bootstrap: bad %s header: %v", wire.EpochHeader, err)
 	}
 	g, err := storage.Read(resp.Body)
 	if err != nil {

@@ -1,24 +1,30 @@
 package service
 
-// Serving-layer differential for incremental discovery: a maintained
-// server (the default) must serve byte-identical preview bodies to a
-// forceCold reference server sharing the same registry, at every epoch
-// of a write workload, on the leader AND on a WAL-shipping follower.
-// Plus the anytime contract: ?anytime=1 answers immediately, converges
-// to the exact bytes, and surfaces convergence in the stats doc.
+// Serving-layer differential for incremental discovery: a server must
+// serve byte-identical preview bodies to a cold reference (coldMirror)
+// over the same graphs — on a static graph, and at every epoch of a write
+// workload on the leader AND on a WAL-shipping follower. Plus the
+// stale-view fallback, and the anytime contract: ?anytime=1 answers
+// immediately, converges to the exact bytes, and surfaces convergence in
+// the stats doc.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/score"
 )
 
 // incrementalReadURLs exercises every discovery mode the incremental
@@ -61,67 +67,56 @@ func readBodies(t testing.TB, base string, urls []string) map[string]string {
 	return out
 }
 
-// coldMirror wraps a second Server over the same registry with the
-// incremental path disabled and the response cache off: its bodies are
-// what the pre-incremental serving stack would have produced.
-func coldMirror(reg *Registry) *httptest.Server {
-	ref := New(reg)
-	ref.forceCold = true
-	ref.NoCache = true
-	return httptest.NewServer(ref)
-}
-
-// TestIncrementalServingDifferential is the acceptance test for the
-// tentpole: at every epoch of a write workload — including a structural
-// batch (new type) — the maintained leader and a caught-up follower each
-// serve bytes identical to their cold reference, and the maintained
-// state demonstrably served from certificates rather than re-searching
-// every request.
-func TestIncrementalServingDifferential(t *testing.T) {
-	root := t.TempDir()
-	leader := startDurable(t, "", filepath.Join(root, "leader-wal"))
-	leaderRef := coldMirror(leader.srv.reg)
-	t.Cleanup(leaderRef.Close)
-
-	node := startFollowerNode(t, leader.ts.URL, "", "")
-	followerRef := coldMirror(node.reg)
-	t.Cleanup(followerRef.Close)
-
-	compare := func(what, mainBase, refBase string) {
-		t.Helper()
-		got := readBodies(t, mainBase, incrementalReadURLs)
-		want := readBodies(t, refBase, incrementalReadURLs)
-		for u, w := range want {
-			if g := got[u]; g != w {
-				t.Fatalf("%s: GET %s diverged from cold reference:\ncold:        %s\nincremental: %s", what, u, w, g)
+// coldMirror serves each request from a fresh NoCache registry over the
+// same graphs as src: the same dynamic.Live for a live graph, the same
+// entity graph for a static one. With no earlier discovery state, every
+// answer is a cold core.New plus a full search — the bytes the serving
+// stack produced before discovery became incremental.
+func coldMirror(t testing.TB, src *Registry) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reg := NewRegistry()
+		for _, name := range src.Names() {
+			gr, _ := src.Get(name)
+			var err error
+			if live := gr.Live(); live != nil {
+				err = reg.AddLive(name, live)
+			} else {
+				err = reg.Add(name, gr.Entity())
+			}
+			if err != nil {
+				t.Errorf("cold mirror of %q: %v", name, err)
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
 			}
 		}
-	}
+		ref := New(reg)
+		ref.NoCache = true
+		ref.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
 
-	compare("leader epoch 0", leader.ts.URL, leaderRef.URL)
-	for i, b := range crashBatches {
-		postBatch(t, leader.ts, b.route, b.body)
-		// Double-read: the second pass hits the epoch's certificates and
-		// response cache and must not change a byte.
-		compare(fmt.Sprintf("leader epoch %d", i+1), leader.ts.URL, leaderRef.URL)
-		compare(fmt.Sprintf("leader epoch %d (warm)", i+1), leader.ts.URL, leaderRef.URL)
+// compareCold requires every incrementalReadURLs response from mainBase
+// to equal the cold reference's.
+func compareCold(t *testing.T, what, mainBase, refBase string) {
+	t.Helper()
+	got := readBodies(t, mainBase, incrementalReadURLs)
+	want := readBodies(t, refBase, incrementalReadURLs)
+	for u, w := range want {
+		if g := got[u]; g != w {
+			t.Fatalf("%s: GET %s diverged from cold reference:\ncold:        %s\nincremental: %s", what, u, w, g)
+		}
 	}
+}
 
-	wantEpoch := uint64(len(crashBatches))
-	if err := node.f.WaitCaughtUp(wantEpoch, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	compare("follower caught up", node.ts.URL, followerRef.URL)
-	// Cross-node: a caught-up follower's maintained bodies must also
-	// equal the leader's (replication byte-identity survives the
-	// incremental path).
-	compare("leader vs follower", leader.ts.URL, node.ts.URL)
-
-	// The machinery must have engaged: some queries were served from
-	// carried-forward certificates instead of full searches.
-	gr, ok := leader.srv.reg.Get("fig1")
+// requireCertServes fails unless the graph's maintained state served some
+// discovery from a certificate instead of a full search.
+func requireCertServes(t *testing.T, reg *Registry, name string) {
+	t.Helper()
+	gr, ok := reg.Get(name)
 	if !ok {
-		t.Fatal("fig1 not registered")
+		t.Fatalf("%s not registered", name)
 	}
 	gr.maintMu.Lock()
 	var certServes, fullSearches int64
@@ -131,7 +126,103 @@ func TestIncrementalServingDifferential(t *testing.T) {
 	}
 	gr.maintMu.Unlock()
 	if certServes == 0 {
-		t.Fatalf("no certificate serves on the leader (full searches: %d): incremental path never engaged", fullSearches)
+		t.Fatalf("no certificate serves on %s (full searches: %d): the maintained path never engaged", name, fullSearches)
+	}
+}
+
+// TestIncrementalServingDifferential is the acceptance test for the
+// one discovery path. On a static graph, two passes over every URL equal
+// the cold reference, and certificates spare searches: for URLs that
+// share a constraint, and for the second pass of the infeasible one,
+// whose 422 the response cache does not keep. At every epoch of a write
+// workload — including a structural batch (new type) — the maintained
+// leader and a caught-up follower each serve bytes identical to their
+// cold reference, and the maintained state demonstrably served from
+// certificates rather than re-searching every request.
+func TestIncrementalServingDifferential(t *testing.T) {
+	t.Run("static", func(t *testing.T) {
+		reg, ts := newTestServer(t)
+		ref := coldMirror(t, reg)
+		compareCold(t, "static", ts.URL, ref.URL)
+		compareCold(t, "static (warm)", ts.URL, ref.URL)
+		requireCertServes(t, reg, "fig1")
+	})
+
+	t.Run("live", func(t *testing.T) {
+		root := t.TempDir()
+		leader := startDurable(t, "", filepath.Join(root, "leader-wal"))
+		leaderRef := coldMirror(t, leader.srv.reg)
+		node := startFollowerNode(t, leader.ts.URL, "", "")
+		followerRef := coldMirror(t, node.reg)
+
+		compareCold(t, "leader epoch 0", leader.ts.URL, leaderRef.URL)
+		for i, b := range crashBatches {
+			postBatch(t, leader.ts, b.route, b.body)
+			// Double-read: the second pass hits the epoch's certificates and
+			// response cache and must not change a byte.
+			compareCold(t, fmt.Sprintf("leader epoch %d", i+1), leader.ts.URL, leaderRef.URL)
+			compareCold(t, fmt.Sprintf("leader epoch %d (warm)", i+1), leader.ts.URL, leaderRef.URL)
+		}
+
+		wantEpoch := uint64(len(crashBatches))
+		if err := node.f.WaitCaughtUp(wantEpoch, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		compareCold(t, "follower caught up", node.ts.URL, followerRef.URL)
+		// Cross-node: a caught-up follower's maintained bodies must also
+		// equal the leader's (replication byte-identity survives the
+		// incremental path).
+		compareCold(t, "leader vs follower", leader.ts.URL, node.ts.URL)
+		requireCertServes(t, leader.srv.reg, "fig1")
+	})
+}
+
+// TestStaleViewFallback: a request holding a view older than the graph's
+// maintained state answers, exactly and anytime alike, as a fresh
+// core.New over its own view's scores — and leaves the shared state where
+// it was.
+func TestStaleViewFallback(t *testing.T) {
+	reg, _, srv, ts := newMutableServer(t)
+	gr, _ := reg.Get("fig1")
+	held := gr.view()
+	postBatch(t, ts, "edges", `{"edges":[{"from":"Alex Proyas","rel":"Director","to":"Hancock"}]}`)
+	// A read at the new epoch moves the coverage/coverage state past the
+	// held view.
+	if status, raw := get(t, ts.URL+"/v1/graphs/fig1/preview?k=2&n=4&mode=diverse&d=2"); status != http.StatusOK {
+		t.Fatalf("read at the new epoch: status %d body %s", status, raw)
+	}
+	for _, q := range []string{"k=2&n=3", "k=2&n=4&mode=tight&d=2", "k=2&n=4&mode=diverse&d=2", "k=2&n=4&mode=diverse&d=9"} {
+		vals, err := url.ParseQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := parsePreviewParams(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.maintainedFor(held, p.Key, p.NonKey) != nil {
+			t.Fatalf("%s: the maintained state is not past the held view's epoch %d", q, held.epoch)
+		}
+		cold := core.New(held.Scores(), core.Options{Key: p.Key, NonKey: p.NonKey})
+
+		c := p.Constraint
+		c.MaxCandidates = srv.SearchBudget
+		want, wantErr := cold.Discover(c)
+		got, err := srv.discover(held, p)
+		if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s exact: got (%+v, %v), want (%+v, %v)", q, got, err, want, wantErr)
+		}
+
+		ac := p.Constraint
+		ac.MaxCandidates = srv.AnytimeBudget
+		want, _, wantErr = cold.AnytimeBest(ac)
+		got, err = srv.anytimeDiscover(gr, held, p, false)
+		if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s anytime: got (%+v, %v), want (%+v, %v)", q, got, err, want, wantErr)
+		}
+	}
+	if gr.maintainedFor(held, score.KeyCoverage, score.NonKeyCoverage) != nil {
+		t.Fatal("the stale view rolled the shared state back to its epoch")
 	}
 }
 

@@ -7,19 +7,19 @@
 // schema graph and the scoring measures ... are computed before optimal
 // preview discovery"): the dominant cost of answering a preview request
 // is obtaining the score.Set — one pass over every edge of the entity
-// graph plus power iteration for the random-walk measure — while the
-// discovery search itself is bounded by the (small, display-sized)
-// constraint. The unit of caching is the epoch view: one immutable
-// bundle of (entity graph, score set, Discoverer cache). A static graph
-// keeps one view forever, computing its score.Set at most once and a
-// core.Discoverer at most once per (key measure, non-key measure) no
-// matter how many requests race for them — dedup is singleflight-style:
-// a map lookup under a short mutex hands every racing request the same
-// slot, and the slot's sync.Once makes exactly one of them build while
-// the rest block for the result. A mutable graph gets a fresh view per
-// mutation epoch, its score set produced by the incremental refresh
-// (package dynamic) rather than score.Compute; swapping the view is what
-// invalidates every cached Discoverer at once.
+// graph plus power iteration for the random-walk measure — and, for
+// tight and diverse previews, the Apriori search over it. The score set
+// is cached in the epoch view: one immutable bundle of (entity graph,
+// score set, response cache). A static graph keeps one view forever and
+// computes its score.Set at most once however many requests race for it
+// (a sync.Once); a mutable graph gets a fresh view per mutation epoch,
+// its score set produced by the incremental refresh (package dynamic)
+// rather than score.Compute. Search results are cached one level up, on
+// the Graph: one core.Maintained per (key measure, non-key measure) pair,
+// which a static graph builds once at epoch 0 and a mutable graph carries
+// forward across epochs. Its certificates let later requests for a
+// searched constraint skip the search, and it collapses concurrent
+// searches for one constraint into one (see view.search).
 package service
 
 import (
@@ -92,7 +92,6 @@ func (r *Registry) Add(name string, g *graph.EntityGraph) error {
 		g:     g,
 		gr:    gr,
 		par:   workers,
-		discs: make(map[measureKey]*discSlot),
 		compute: func() *score.Set {
 			r.scoreComputes.Add(1)
 			opts := score.DefaultWalkOptions()
@@ -299,40 +298,26 @@ func (r *Registry) Names() []string {
 // of static graphs that have served at least one preview request.
 func (r *Registry) ScoreComputes() int64 { return r.scoreComputes.Load() }
 
-// measureKey identifies one cached Discoverer configuration.
+// measureKey identifies one maintained discovery state.
 type measureKey struct {
 	key    score.KeyMeasure
 	nonKey score.NonKeyMeasure
 }
 
-// discSlot is the singleflight slot for one measure pair: the request
-// that created the slot builds, everyone else blocks on done. Like the
-// response cache's respSlot — and unlike a sync.Once — construction
-// failure is not sticky: a build that panics withdraws the slot, so the
-// next request retries instead of finding a completed slot with a nil
-// Discoverer.
-type discSlot struct {
-	done chan struct{}
-	disc *core.Discoverer
-}
-
 // view is one epoch's consistent read surface: the (frozen) entity graph,
-// its score set, and the Discoverer cache keyed by measure pair. A static
-// graph has exactly one view for its lifetime; a mutable graph gets a
-// fresh view per mutation epoch — swapping the view is what invalidates
-// every cached Discoverer at once, because the cache lives inside it.
-// Handlers resolve the view once per request and use it throughout, so a
-// request started at epoch e keeps e's graph, scores and discoverers even
-// if writers publish newer epochs meanwhile.
+// its score set and its response cache. A static graph has exactly one
+// view for its lifetime; a mutable graph gets a fresh view per mutation
+// epoch. Handlers resolve the view once per request and use it
+// throughout, so a request started at epoch e keeps e's graph and scores
+// even if writers publish newer epochs meanwhile.
 type view struct {
 	epoch   uint64
 	mutable bool
 	stats   graph.Stats
 	g       *graph.EntityGraph
 
-	// gr points back to the owning Graph, where the cross-epoch
-	// incremental discovery state lives (a view is one epoch; the
-	// maintained Discoverers outlive it).
+	// gr points back to the owning Graph, where the discovery state lives
+	// (a view is one epoch; the maintained Discoverers outlive it).
 	gr *Graph
 
 	// par is the worker count for this view's score computation,
@@ -340,19 +325,12 @@ type view struct {
 	// creation).
 	par int
 
-	// buildDisc overrides cold Discoverer construction in tests (failure
-	// injection for the non-sticky build discipline); nil means core.New.
-	buildDisc func(score.KeyMeasure, score.NonKeyMeasure) *core.Discoverer
-
 	// scores is set eagerly for mutable views (the incremental refresh
 	// already produced it) and computed on first use through scoreOnce for
 	// static views.
 	scoreOnce sync.Once
 	scores    *score.Set
 	compute   func() *score.Set
-
-	mu    sync.Mutex
-	discs map[measureKey]*discSlot
 
 	// resp caches rendered response bytes keyed by endpoint + canonical
 	// params (cache.go). It lives inside the view on purpose: the view
@@ -373,67 +351,6 @@ func (v *view) Scores() *score.Set {
 		}
 	})
 	return v.scores
-}
-
-// Discoverer returns the view's cached Discoverer for the measure pair,
-// building it (and, transitively, the score set) on first use.
-// Concurrent callers for the same pair share one build; different pairs
-// build independently and concurrently. A build that panics propagates
-// to its own request only: the slot is withdrawn, waiters retry, and the
-// next request builds afresh (failure is not sticky).
-func (v *view) Discoverer(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-	k := measureKey{key: km, nonKey: nm}
-	for {
-		v.mu.Lock()
-		if slot, ok := v.discs[k]; ok {
-			v.mu.Unlock()
-			<-slot.done
-			if slot.disc != nil {
-				return slot.disc
-			}
-			// The builder panicked and withdrew the slot; race for a
-			// fresh one.
-			continue
-		}
-		slot := &discSlot{done: make(chan struct{})}
-		v.discs[k] = slot
-		v.mu.Unlock()
-
-		var d *core.Discoverer
-		func() {
-			defer func() {
-				if d == nil {
-					// Construction panicked (or produced nothing): withdraw
-					// the slot and release waiters so they retry; a panic
-					// keeps unwinding this request's goroutine.
-					v.mu.Lock()
-					if v.discs[k] == slot {
-						delete(v.discs, k)
-					}
-					v.mu.Unlock()
-					close(slot.done)
-				}
-			}()
-			d = v.buildDiscoverer(km, nm)
-		}()
-		if d == nil {
-			// The slot is already withdrawn and closed by the deferred
-			// cleanup; race for a fresh build.
-			continue
-		}
-		slot.disc = d
-		close(slot.done)
-		return d
-	}
-}
-
-// buildDiscoverer constructs the cold Discoverer for a measure pair,
-// through the test hook when one is installed.
-func (v *view) buildDiscoverer(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-	if v.buildDisc != nil {
-		return v.buildDisc(km, nm)
-	}
-	return core.New(v.Scores(), core.Options{Key: km, NonKey: nm, Parallelism: v.par})
 }
 
 // replSource is what one graph can ship to followers: its WAL plus the
@@ -482,10 +399,10 @@ type Graph struct {
 	notifyMu sync.Mutex
 	notifyCh chan struct{}
 
-	// maintained carries discovery state across epochs, one per measure
-	// pair (see core.Maintained). It lives on the Graph, not the view:
-	// the view swap that invalidates the per-epoch cold caches is exactly
-	// what the maintained state survives.
+	// maintained is the graph's discovery state, one per measure pair
+	// (see core.Maintained). It lives on the Graph, not the view: a
+	// mutable graph carries it forward across the view swaps that
+	// abandon each epoch's response cache.
 	maintMu    sync.Mutex
 	maintained map[measureKey]*core.Maintained
 
@@ -592,7 +509,6 @@ func (gr *Graph) publish(snap *dynamic.Snapshot) *view {
 		gr:      gr,
 		par:     gr.reg.Parallelism,
 		scores:  snap.Scores,
-		discs:   make(map[measureKey]*discSlot),
 	}
 	for {
 		old := gr.cur.Load()
@@ -656,9 +572,10 @@ func (gr *Graph) deltaSince(from uint64, haveBase bool, to uint64) ([]graph.Type
 
 // maintainedFor returns the graph's maintained discovery state for a
 // measure pair, refreshed to v's epoch (creating it, cold, on first
-// use). Returns nil when the state has already moved past v's epoch —
-// the caller's view is stale and must fall back to its own cold
-// Discoverer rather than roll the shared state backwards.
+// use; a static graph's state is refreshed only then, at epoch 0).
+// Returns nil when the state has already moved past v's epoch — the
+// caller's view is stale and must fall back to view.cold rather than
+// roll the shared state backwards.
 func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeasure) *core.Maintained {
 	mk := measureKey{key: km, nonKey: nm}
 	gr.maintMu.Lock()
@@ -702,22 +619,27 @@ func (gr *Graph) noteRefined(epoch uint64) {
 	}
 }
 
-// search runs one discovery at the view's epoch. Mutable graphs go
-// through the carried-forward incremental state — a certificate hit
-// skips the Apriori search entirely — and fall back to the view's own
-// cold Discoverer when the shared state has moved past this view's
-// epoch. Static graphs always use the cold path (their single view's
-// Discoverer cache already makes repeat discovery free).
+// search runs one exact discovery at the view's epoch through the
+// graph's maintained state: a certificate hit skips the Apriori search,
+// and concurrent full searches for one constraint collapse into one.
+// When the shared state has already moved past this view's epoch, the
+// view answers from its own uncached Discoverer instead.
 func (v *view) search(km score.KeyMeasure, nm score.NonKeyMeasure, c core.Constraint) (core.Preview, error) {
-	if v.mutable && v.gr != nil {
-		if m := v.gr.maintainedFor(v, km, nm); m != nil {
-			p, err := m.DiscoverAt(v.epoch, c)
-			if !errors.Is(err, core.ErrStaleEpoch) {
-				return p, err
-			}
+	if m := v.gr.maintainedFor(v, km, nm); m != nil {
+		p, err := m.DiscoverAt(v.epoch, c)
+		if !errors.Is(err, core.ErrStaleEpoch) {
+			return p, err
 		}
 	}
-	return v.Discoverer(km, nm).Discover(c)
+	return v.cold(km, nm).Discover(c)
+}
+
+// cold builds an uncached Discoverer over the view's own scores: the
+// fallback, exact and anytime alike, for a view older than the graph's
+// maintained state. It is bit-identical to the maintained Discoverer at
+// this epoch, so it answers with the same bytes.
+func (v *view) cold(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
+	return core.New(v.Scores(), core.Options{Key: km, NonKey: nm, Parallelism: v.par})
 }
 
 // Entity returns the graph behind the current view (for mutable graphs,
@@ -729,10 +651,3 @@ func (gr *Graph) Stats() graph.Stats { return gr.view().stats }
 
 // Scores returns the current view's score set.
 func (gr *Graph) Scores() *score.Set { return gr.view().Scores() }
-
-// Discoverer returns the current view's Discoverer for the measure pair.
-// Callers needing epoch consistency across several calls should resolve
-// the view once instead.
-func (gr *Graph) Discoverer(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-	return gr.view().Discoverer(km, nm)
-}

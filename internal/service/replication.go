@@ -47,20 +47,8 @@ import (
 	"time"
 
 	"github.com/uta-db/previewtables/internal/storage"
+	"github.com/uta-db/previewtables/internal/wire"
 )
-
-// epochHeader carries an epoch out of band: the durable epoch on wal
-// responses, the snapshot's epoch on checkpoint responses.
-const epochHeader = "X-Previewtables-Epoch"
-
-// leaderHeader names the leader on a follower's 503 write refusals.
-const leaderHeader = "X-Previewtables-Leader"
-
-// fenceHeader carries a fencing epoch: the router stamps it on proxied
-// writes and on forwarded replication responses (followers adopt it
-// from there), carries it on promote requests, and 409 refusals echo
-// the node's own fence in it. See Registry.InstallFence.
-const fenceHeader = "X-Previewtables-Fence"
 
 // DefaultReplicationWait bounds the wal route's long poll; a follower's
 // request-level wait parameter can only shorten it.
@@ -114,7 +102,7 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 	}
 	name, action, ok := strings.Cut(rest, "/")
 	if !ok || name == "" || strings.Contains(action, "/") {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
 		return
 	}
 	if action == "adopt" {
@@ -125,7 +113,7 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 	}
 	gr, ok := s.reg.Get(name)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
 		return
 	}
 	switch action {
@@ -134,18 +122,18 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 		s.handleGraphPromote(w, r, gr)
 		return
 	default:
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("no such replication action %q: want status, wal, checkpoint, adopt or promote", action))
 		return
 	}
-	if !s.requireRead(w, r) {
+	if !wire.RequireRead(w, r) {
 		return
 	}
 	// A volatile follower has replication status but no WAL of its own to
 	// ship; only the shipping routes require one.
 	src := gr.replSrc()
 	if src == nil && !(action == "status" && gr.FollowState() != nil) {
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("graph %q is not replicated: it has no write-ahead log (previewd -mutable -wal-dir)", name))
 		return
 	}
@@ -166,32 +154,32 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 // every other nonexistent resource.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.OnPromote == nil {
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node is not a follower; there is nothing to promote"))
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	// The router carries the shard's new fence on the promote request;
 	// installing it BEFORE the flip means that from the very first write
 	// this node acknowledges as leader, it is fenced against the router
 	// ever re-issuing the old configuration's stamps.
-	if stamp := r.Header.Get(fenceHeader); stamp != "" {
+	if stamp := r.Header.Get(wire.FenceHeader); stamp != "" {
 		f, err := strconv.ParseUint(stamp, 10, 64)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", fenceHeader, stamp, err))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
 			return
 		}
 		if err := s.reg.InstallFence(f); err != nil {
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", f, err))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", f, err))
 			return
 		}
 	}
 	if err := s.OnPromote(); err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("promoting: %w", err))
+		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting: %w", err))
 		return
 	}
 	s.writeJSON(w, struct {
@@ -211,25 +199,25 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	cur, on := s.reg.Fencing()
 	if !on {
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node does not persist a fence; start previewd with -wal-dir to join a fleet"))
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	var req struct {
 		Fence uint64 `json:"fence"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad fence body: %v", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad fence body: %v", err))
 		return
 	}
 	if req.Fence > cur {
 		if err := s.reg.InstallFence(req.Fence); err != nil {
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", req.Fence, err))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", req.Fence, err))
 			return
 		}
 	}
@@ -248,13 +236,13 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // the status route, not start over).
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string) {
 	if s.OnAdopt == nil {
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node does not adopt graphs at runtime; start previewd with -mutable -wal-dir to be a migration target"))
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	if !s.adminFenceOK(w, r) {
@@ -264,16 +252,16 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 		Source string `json:"source"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil || req.Source == "" {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("adopt body must name a source leader URL: %v", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("adopt body must name a source leader URL: %v", err))
 		return
 	}
 	if _, ok := s.reg.Get(name); ok {
-		s.writeError(w, http.StatusConflict,
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("graph %q is already registered on this node", name))
 		return
 	}
 	if err := s.OnAdopt(name, req.Source); err != nil {
-		s.writeError(w, http.StatusBadGateway, fmt.Errorf("adopting %q from %s: %w", name, req.Source, err))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("adopting %q from %s: %w", name, req.Source, err))
 		return
 	}
 	s.writeJSON(w, struct {
@@ -289,20 +277,20 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 // node. Fence-gated.
 func (s *Server) handleGraphPromote(w http.ResponseWriter, r *http.Request, gr *Graph) {
 	if s.OnGraphPromote == nil {
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node does not promote single graphs; see POST /v1/replication/promote for whole-node promotion"))
 		return
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	if !s.adminFenceOK(w, r) {
 		return
 	}
 	if err := s.OnGraphPromote(gr.Name()); err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("promoting %q: %w", gr.Name(), err))
+		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting %q: %w", gr.Name(), err))
 		return
 	}
 	s.writeJSON(w, struct {
@@ -359,14 +347,14 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("from must be the last applied epoch: %v", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("from must be the last applied epoch: %v", err))
 		return
 	}
 	wait := s.replicationWait()
 	if ws := q.Get("wait"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", ws))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", ws))
 			return
 		}
 		if d < wait {
@@ -384,11 +372,11 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph
 		horizon, durable := walRange(src)
 		switch {
 		case from > durable:
-			s.writeError(w, http.StatusConflict, fmt.Errorf(
+			wire.WriteError(w, http.StatusConflict, fmt.Errorf(
 				"follower epoch %d is ahead of the leader's durable epoch %d; the nodes have diverged", from, durable))
 			return
 		case from < horizon:
-			s.writeError(w, http.StatusGone, fmt.Errorf(
+			wire.WriteError(w, http.StatusGone, fmt.Errorf(
 				"epoch %d is behind the truncation horizon %d; bootstrap from /v1/replication/%s/checkpoint", from, horizon, gr.Name()))
 			return
 		case from < durable:
@@ -401,7 +389,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph
 		select {
 		case <-changed:
 		case <-deadline.C:
-			w.Header().Set(epochHeader, strconv.FormatUint(durable, 10))
+			w.Header().Set(wire.EpochHeader, strconv.FormatUint(durable, 10))
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.WriteHeader(http.StatusOK) // empty body: nothing new
 			return
@@ -432,19 +420,19 @@ func (s *Server) shipWAL(w http.ResponseWriter, gr *Graph, src *replSource, from
 		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, storage.ErrCorrupt) {
 			// A checkpoint truncated segments between our horizon check and
 			// the read; the follower re-requests and gets the 410 properly.
-			s.writeError(w, http.StatusGone, fmt.Errorf(
+			wire.WriteError(w, http.StatusGone, fmt.Errorf(
 				"log moved while reading from epoch %d; retry (%v)", from, err))
 		} else {
-			s.writeError(w, http.StatusInternalServerError, err)
+			wire.WriteError(w, http.StatusInternalServerError, err)
 		}
 		return
 	}
 	if len(recs) == 0 || recs[0].Epoch != from+1 {
-		s.writeError(w, http.StatusGone, fmt.Errorf(
+		wire.WriteError(w, http.StatusGone, fmt.Errorf(
 			"epoch %d is no longer contiguous with the log; bootstrap from /v1/replication/%s/checkpoint", from, gr.Name()))
 		return
 	}
-	w.Header().Set(epochHeader, strconv.FormatUint(durable, 10))
+	w.Header().Set(wire.EpochHeader, strconv.FormatUint(durable, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	var buf []byte
 	for _, rec := range recs {
@@ -460,7 +448,7 @@ func (s *Server) shipWAL(w http.ResponseWriter, gr *Graph, src *replSource, from
 func (s *Server) handleReplCheckpoint(w http.ResponseWriter, gr *Graph, src *replSource) {
 	horizon, durable := walRange(src)
 	if src.origin != nil && src.originEpoch >= horizon {
-		w.Header().Set(epochHeader, strconv.FormatUint(src.originEpoch, 10))
+		w.Header().Set(wire.EpochHeader, strconv.FormatUint(src.originEpoch, 10))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if err := storage.Write(w, src.origin); err != nil {
 			return // headers are out; the follower's decoder rejects the tear
@@ -469,18 +457,18 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, gr *Graph, src *rep
 	}
 	live := gr.Live()
 	if live == nil { // unreachable: replSrc implies live
-		s.writeError(w, http.StatusInternalServerError, errors.New("replicated graph has no live facade"))
+		wire.WriteError(w, http.StatusInternalServerError, errors.New("replicated graph has no live facade"))
 		return
 	}
 	snap := live.Snapshot()
 	if snap.Epoch < horizon || snap.Epoch > durable {
 		// Published and durable state are reconciling (a write is between
 		// its log append and its publish); the follower just retries.
-		s.writeError(w, http.StatusServiceUnavailable,
+		wire.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("snapshot epoch %d outside shippable range [%d,%d]; retry", snap.Epoch, horizon, durable))
 		return
 	}
-	w.Header().Set(epochHeader, strconv.FormatUint(snap.Epoch, 10))
+	w.Header().Set(wire.EpochHeader, strconv.FormatUint(snap.Epoch, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_ = storage.Write(w, snap.Frozen)
 }

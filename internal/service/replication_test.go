@@ -28,6 +28,7 @@ import (
 	"github.com/uta-db/previewtables/internal/fig1"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/storage"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // followerNode is one follower "process": its own registry, HTTP server
@@ -629,8 +630,8 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 			}
 		}
 		if tc.want.leader {
-			if got := resp.Header.Get(leaderHeader); got != leader.ts.URL {
-				t.Errorf("%s: %s = %q, want %q", tc.name, leaderHeader, got, leader.ts.URL)
+			if got := resp.Header.Get(wire.LeaderHeader); got != leader.ts.URL {
+				t.Errorf("%s: %s = %q, want %q", tc.name, wire.LeaderHeader, got, leader.ts.URL)
 			}
 		}
 	}

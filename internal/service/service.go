@@ -14,6 +14,7 @@ import (
 
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/render"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // Server serves a Registry over HTTP. Routes:
@@ -110,12 +111,6 @@ type Server struct {
 	OnGraphPromote func(graph string) error
 	OnDrop         func(graph string) error
 
-	// forceCold routes every discovery through the per-view cold
-	// Discoverer, bypassing the carried-forward incremental state. Test
-	// hook: the differential suite uses a forceCold server as the
-	// byte-reference for a maintained one.
-	forceCold bool
-
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	list        listCache
@@ -153,11 +148,6 @@ func New(reg *Registry) *Server {
 		MaxBodyBytes:  DefaultMaxBodyBytes,
 		AnytimeBudget: DefaultAnytimeBudget,
 	}
-}
-
-// errorDoc is the JSON error body for every non-2xx response.
-type errorDoc struct {
-	Error string `json:"error"`
 }
 
 // graphsDoc is the JSON body of GET /v1/graphs.
@@ -205,13 +195,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	switch {
 	case path == "/healthz":
-		if !s.requireRead(w, r) {
+		if !wire.RequireRead(w, r) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	case path == "/v1/graphs" || path == "/v1/graphs/":
-		if !s.requireRead(w, r) {
+		if !wire.RequireRead(w, r) {
 			return
 		}
 		s.handleList(w, r)
@@ -220,18 +210,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/v1/replication/"):
 		s.handleReplication(w, r, strings.TrimPrefix(path, "/v1/replication/"))
 	default:
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", path))
 	}
-}
-
-// requireRead admits GET and HEAD, answering anything else with 405.
-func (s *Server) requireRead(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-	return false
 }
 
 // requireWritable gates the write routes with one fixed ordering, shared
@@ -256,23 +236,23 @@ func (s *Server) requireRead(w http.ResponseWriter, r *http.Request) bool {
 func (s *Server) requireWritable(w http.ResponseWriter, r *http.Request, gr *Graph) bool {
 	if !gr.Mutable() {
 		w.Header().Set("Allow", "")
-		s.writeError(w, http.StatusMethodNotAllowed,
+		wire.WriteError(w, http.StatusMethodNotAllowed,
 			fmt.Errorf("graph %q is read-only; register it mutable (previewd -mutable) to accept writes", gr.Name()))
 		return false
 	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return false
 	}
 	if leader := s.reg.Leader(); leader != "" {
-		w.Header().Set(leaderHeader, leader)
-		s.writeError(w, http.StatusServiceUnavailable,
+		w.Header().Set(wire.LeaderHeader, leader)
+		wire.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("graph %q is a read replica; write to the leader at %s", gr.Name(), leader))
 		return false
 	}
 	if gr.FollowState() != nil {
-		s.writeError(w, http.StatusServiceUnavailable,
+		wire.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("graph %q is being adopted from another shard (migration in flight); write through the fleet router", gr.Name()))
 		return false
 	}
@@ -295,28 +275,28 @@ func (s *Server) writeFenceOK(w http.ResponseWriter, r *http.Request) bool {
 	if !on {
 		return true
 	}
-	stamp := r.Header.Get(fenceHeader)
+	stamp := r.Header.Get(wire.FenceHeader)
 	if stamp == "" {
 		if cur == 0 {
 			return true
 		}
-		w.Header().Set(fenceHeader, strconv.FormatUint(cur, 10))
-		s.writeError(w, http.StatusConflict,
+		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("this node is fenced at epoch %d and accepts only writes stamped by its fleet router", cur))
 		return false
 	}
 	f, err := strconv.ParseUint(stamp, 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", fenceHeader, stamp, err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
 		return false
 	}
 	if f != cur {
-		w.Header().Set(fenceHeader, strconv.FormatUint(cur, 10))
+		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
 		verdict := "stale: the fleet configuration has moved on"
 		if f > cur {
 			verdict = "unknown here: this node was deposed while unreachable"
 		}
-		s.writeError(w, http.StatusConflict,
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("write fence %d is %s (node fence %d); this node cannot acknowledge the write", f, verdict, cur))
 		return false
 	}
@@ -334,30 +314,30 @@ func (s *Server) adminFenceOK(w http.ResponseWriter, r *http.Request) bool {
 	if !on {
 		return true
 	}
-	stamp := r.Header.Get(fenceHeader)
+	stamp := r.Header.Get(wire.FenceHeader)
 	if stamp == "" {
 		if cur == 0 {
 			return true
 		}
-		w.Header().Set(fenceHeader, strconv.FormatUint(cur, 10))
-		s.writeError(w, http.StatusConflict,
+		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("this node is fenced at epoch %d; admin actions must carry a current fence stamp", cur))
 		return false
 	}
 	f, err := strconv.ParseUint(stamp, 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", fenceHeader, stamp, err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
 		return false
 	}
 	if f < cur {
-		w.Header().Set(fenceHeader, strconv.FormatUint(cur, 10))
-		s.writeError(w, http.StatusConflict,
+		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("admin fence %d is stale (node fence %d); a newer router owns this node", f, cur))
 		return false
 	}
 	if f > cur {
 		if err := s.reg.InstallFence(f); err != nil {
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", f, err))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", f, err))
 			return false
 		}
 	}
@@ -374,25 +354,25 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, rest string
 		return
 	}
 	if !ok || name == "" || strings.Contains(action, "/") {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
 		return
 	}
 	gr, ok := s.reg.Get(name)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
 		return
 	}
 	switch action {
 	case "stats":
-		if s.requireRead(w, r) {
+		if wire.RequireRead(w, r) {
 			s.handleStats(w, r, gr)
 		}
 	case "preview":
-		if s.requireRead(w, r) {
+		if wire.RequireRead(w, r) {
 			s.handlePreview(w, r, gr)
 		}
 	case "render":
-		if s.requireRead(w, r) {
+		if wire.RequireRead(w, r) {
 			s.handleRender(w, r, gr)
 		}
 	case "edges":
@@ -404,7 +384,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, rest string
 			s.handleTriples(w, r, gr)
 		}
 	default:
-		s.writeError(w, http.StatusNotFound,
+		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("no such action %q: want stats, preview, render, edges or triples", action))
 	}
 }
@@ -418,23 +398,23 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, rest string
 // serving.
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, name string) {
 	if s.OnDrop == nil {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
 		return
 	}
 	if _, ok := s.reg.Get(name); !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no graph %q; see /v1/graphs", name))
 		return
 	}
 	if r.Method != http.MethodDelete {
 		w.Header().Set("Allow", "DELETE")
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 		return
 	}
 	if !s.adminFenceOK(w, r) {
 		return
 	}
 	if err := s.OnDrop(name); err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("dropping %q: %w", name, err))
+		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("dropping %q: %w", name, err))
 		return
 	}
 	s.writeJSON(w, struct {
@@ -474,7 +454,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 				doc.Graphs = append(doc.Graphs, statsFor(name, views[i], refined[i]))
 			}
 		}
-		body, err := marshalJSONBody(doc)
+		body, err := wire.MarshalJSON(doc)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +473,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, gr *Graph) 
 		key = fmt.Sprintf("stats&refined=%d", *refined)
 	}
 	s.serveCached(w, r, v.etagScope(gr.Name()), key, v, func() (*cacheEntry, error) {
-		body, err := marshalJSONBody(statsFor(gr.Name(), v, refined))
+		body, err := wire.MarshalJSON(statsFor(gr.Name(), v, refined))
 		if err != nil {
 			return nil, err
 		}
@@ -521,21 +501,11 @@ func statsFor(name string, v *view, refined *uint64) render.GraphStatsDoc {
 // mapping failures to HTTP statuses via httpError: empty preview space
 // is 422 (the request was well formed; the graph just cannot satisfy
 // it). Failures pass through the cache layer uncached — only successful
-// renders are retained. Mutable graphs route through the carried-forward
-// incremental state (view.search); forceCold pins the per-view cold
-// Discoverer for the differential tests.
+// renders are retained.
 func (s *Server) discover(v *view, p previewParams) (core.Preview, error) {
 	c := p.Constraint
 	c.MaxCandidates = s.SearchBudget
-	var (
-		pv  core.Preview
-		err error
-	)
-	if s.forceCold {
-		pv, err = v.Discoverer(p.Key, p.NonKey).Discover(c)
-	} else {
-		pv, err = v.search(p.Key, p.NonKey, c)
-	}
+	pv, err := v.search(p.Key, p.NonKey, c)
 	if err != nil {
 		return core.Preview{}, mapDiscoveryError(err)
 	}
@@ -562,10 +532,6 @@ func mapDiscoveryError(err error) error {
 // false→true, so it is usable as a cache-key bit. A true answer also
 // marks the epoch refined (the exact answer is about to be served).
 func (s *Server) anytimeCertified(gr *Graph, v *view, p previewParams) bool {
-	if s.forceCold {
-		// The differential reference serves exact answers only.
-		return true
-	}
 	c := p.Constraint
 	c.MaxCandidates = s.SearchBudget
 	if c.Mode == core.Concise {
@@ -600,10 +566,9 @@ func (s *Server) anytimeDiscover(gr *Graph, v *view, p previewParams, certified 
 		err = core.ErrStaleEpoch
 	}
 	if errors.Is(err, core.ErrStaleEpoch) {
-		// The shared state moved past this view's epoch; the view's own
-		// cold Discoverer is bit-identical to the maintained one at this
-		// epoch, so the bounded answer is the same bytes either way.
-		pv, _, err = v.Discoverer(p.Key, p.NonKey).AnytimeBest(ac)
+		// The shared state moved past this view's epoch: the same
+		// fallback as view.search, with the same bytes.
+		pv, _, err = v.cold(p.Key, p.NonKey).AnytimeBest(ac)
 	}
 	go s.refineAnytime(gr, v, p)
 	if err != nil {
@@ -634,7 +599,7 @@ func (s *Server) refineAnytime(gr *Graph, v *view, p previewParams) {
 func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph) {
 	p, err := parsePreviewParams(r.URL.Query())
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	v := gr.view()
@@ -687,7 +652,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 			epoch := v.epoch
 			resp.Epoch = &epoch
 		}
-		body, err := marshalJSONBody(resp)
+		body, err := wire.MarshalJSON(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -701,13 +666,13 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph)
 		format = "text"
 	}
 	if format != "text" && format != "markdown" {
-		s.writeError(w, http.StatusBadRequest,
+		wire.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown format %q: want text or markdown", format))
 		return
 	}
 	p, err := parsePreviewParams(r.URL.Query())
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	v := gr.view()
@@ -751,10 +716,4 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorDoc{Error: err.Error()})
 }

@@ -332,7 +332,9 @@ func TestSearchBudgetExceeded(t *testing.T) {
 
 // TestConcurrentRequestsShareOneCompute is the cache-concurrency test:
 // many goroutines race preview and render requests across measure pairs,
-// yet score.Compute runs exactly once for the graph.
+// yet score.Compute runs exactly once for the graph. The tight and
+// diverse URLs come two per constraint, so distinct response-cache keys
+// race into one maintained search flight and its certificate.
 func TestConcurrentRequestsShareOneCompute(t *testing.T) {
 	reg, ts := newTestServer(t)
 	urls := []string{
@@ -340,6 +342,10 @@ func TestConcurrentRequestsShareOneCompute(t *testing.T) {
 		ts.URL + "/v1/graphs/fig1/preview?k=2&n=3&key=walk",
 		ts.URL + "/v1/graphs/fig1/preview?k=2&n=3&nonkey=entropy",
 		ts.URL + "/v1/graphs/fig1/render?k=1&n=1",
+		ts.URL + "/v1/graphs/fig1/preview?k=2&n=4&mode=tight&d=2",
+		ts.URL + "/v1/graphs/fig1/render?k=2&n=4&mode=tight&d=2",
+		ts.URL + "/v1/graphs/fig1/preview?k=2&n=4&mode=diverse&d=2",
+		ts.URL + "/v1/graphs/fig1/preview?k=2&n=4&mode=diverse&d=2&tuples=2",
 	}
 	const workers = 16
 	var wg sync.WaitGroup
@@ -372,9 +378,10 @@ func TestConcurrentRequestsShareOneCompute(t *testing.T) {
 	}
 }
 
-// TestDiscovererIdentity pins the cache contract at the registry level:
-// the same measure pair yields the same *core.Discoverer, distinct pairs
-// distinct ones, and everything shares one score set.
+// TestDiscovererIdentity pins the discovery-state contract at the
+// registry level: a static graph's state for one measure pair is one
+// core.Maintained, built once at epoch 0 and handed to every request;
+// distinct pairs get distinct states, and all of them share one score set.
 func TestDiscovererIdentity(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Add("g", fig1.Graph()); err != nil {
@@ -384,17 +391,20 @@ func TestDiscovererIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("registered graph not found")
 	}
-	a := gr.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
-	b := gr.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
-	c := gr.Discoverer(score.KeyRandomWalk, score.NonKeyCoverage)
-	if a != b {
-		t.Error("same measure pair returned distinct Discoverers")
+	v := gr.view()
+	a := gr.maintainedFor(v, score.KeyCoverage, score.NonKeyCoverage)
+	b := gr.maintainedFor(v, score.KeyCoverage, score.NonKeyCoverage)
+	c := gr.maintainedFor(v, score.KeyRandomWalk, score.NonKeyCoverage)
+	if a == nil || a != b {
+		t.Error("same measure pair returned distinct maintained states")
 	}
 	if a == c {
-		t.Error("distinct measure pairs shared a Discoverer")
+		t.Error("distinct measure pairs shared a maintained state")
 	}
-	if a.Scores() != c.Scores() {
-		t.Error("distinct measure pairs did not share the score set")
+	for _, m := range []*core.Maintained{a, c} {
+		if e, ok := m.Epoch(); !ok || e != 0 {
+			t.Errorf("static graph's maintained state at epoch %d (initialized %t), want 0", e, ok)
+		}
 	}
 	if n := reg.ScoreComputes(); n != 1 {
 		t.Fatalf("score.Compute ran %d times, want 1", n)

@@ -35,6 +35,7 @@ import (
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/render"
 	"github.com/uta-db/previewtables/internal/triple"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // edgeDoc is one relationship instance in a POST /edges batch. From, Rel
@@ -80,10 +81,10 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
+			wire.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", s.MaxBodyBytes))
 		} else {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading body: %v", err))
 		}
 		return nil, false
 	}
@@ -110,10 +111,10 @@ func (s *Server) finishMutation(w http.ResponseWriter, gr *Graph, snap *dynamic.
 func (s *Server) writeMutationError(w http.ResponseWriter, err error) {
 	var re *resolveError
 	if errors.As(err, &re) {
-		s.writeError(w, http.StatusUnprocessableEntity, err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.writeError(w, http.StatusInternalServerError, err)
+	wire.WriteError(w, http.StatusInternalServerError, err)
 }
 
 // handleEdges applies a JSON edge batch to a mutable graph.
@@ -125,26 +126,26 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, gr *Graph) 
 	}
 	var req edgesRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding edge batch: %v", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding edge batch: %v", err))
 		return
 	}
 	if len(req.Edges) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("empty batch: want {\"edges\": [...]}"))
+		wire.WriteError(w, http.StatusBadRequest, errors.New("empty batch: want {\"edges\": [...]}"))
 		return
 	}
 	if len(req.Edges) > s.MaxBatchEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d edges exceeds limit %d; split it", len(req.Edges), s.MaxBatchEdges))
 		return
 	}
 	for i, e := range req.Edges {
 		if e.From == "" || e.Rel == "" || e.To == "" {
-			s.writeError(w, http.StatusBadRequest,
+			wire.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("edge %d: from, rel and to are required", i))
 			return
 		}
 		if (e.FromType == "") != (e.ToType == "") {
-			s.writeError(w, http.StatusBadRequest,
+			wire.WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("edge %d: from_type and to_type must be given together or omitted together", i))
 			return
 		}
@@ -304,15 +305,15 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request, gr *Graph
 	}
 	probe := newProbeSink()
 	if err := triple.Decode(bytes.NewReader(body), probe); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if probe.directives == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("empty batch: want native triple-format directives"))
+		wire.WriteError(w, http.StatusBadRequest, errors.New("empty batch: want native triple-format directives"))
 		return
 	}
 	if probe.edges > s.MaxBatchEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d edges exceeds limit %d; split it", probe.edges, s.MaxBatchEdges))
 		return
 	}

@@ -269,10 +269,10 @@ func TestSearchBudgetOnMutableGraph(t *testing.T) {
 	}
 }
 
-// TestNoStaleDiscovererAcrossEpochs pins the invalidation contract at the
-// view level: a mutation swaps the whole view, so the Discoverer and
-// score set identities change, while repeated reads within one epoch
-// share identities.
+// TestNoStaleDiscovererAcrossEpochs pins the invalidation contract: a
+// mutation swaps the whole view, so the score set identity changes, while
+// the graph's maintained state for a measure pair stays one object that
+// is refreshed to the new epoch rather than left at the old one.
 func TestNoStaleDiscovererAcrossEpochs(t *testing.T) {
 	reg, _, _, ts := newMutableServer(t)
 	gr, ok := reg.Get("fig1")
@@ -280,9 +280,12 @@ func TestNoStaleDiscovererAcrossEpochs(t *testing.T) {
 		t.Fatal("graph missing")
 	}
 	v1 := gr.view()
-	d1 := v1.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
-	if d1 != gr.Discoverer(score.KeyCoverage, score.NonKeyCoverage) {
-		t.Fatal("same epoch handed out distinct Discoverers")
+	m := gr.maintainedFor(v1, score.KeyCoverage, score.NonKeyCoverage)
+	if m != gr.maintainedFor(v1, score.KeyCoverage, score.NonKeyCoverage) {
+		t.Fatal("same epoch handed out distinct maintained states")
+	}
+	if e, ok := m.Epoch(); !ok || e != v1.epoch {
+		t.Fatalf("maintained state at epoch %d (initialized %t), want %d", e, ok, v1.epoch)
 	}
 	if status, raw := post(t, ts.URL+"/v1/graphs/fig1/edges",
 		`{"edges":[{"from":"Alex Proyas","rel":"Director","to":"Hancock"}]}`); status != http.StatusOK {
@@ -292,16 +295,14 @@ func TestNoStaleDiscovererAcrossEpochs(t *testing.T) {
 	if v2 == v1 || v2.epoch != v1.epoch+1 {
 		t.Fatalf("view not swapped: epochs %d → %d", v1.epoch, v2.epoch)
 	}
-	d2 := v2.Discoverer(score.KeyCoverage, score.NonKeyCoverage)
-	if d2 == d1 {
-		t.Fatal("stale Discoverer survived the epoch bump")
-	}
 	if v2.Scores() == v1.Scores() {
 		t.Fatal("stale score set survived the epoch bump")
 	}
-	// The old view still answers consistently for in-flight requests.
-	if _, err := d1.Discover(core.Constraint{K: 2, N: 3}); err != nil {
-		t.Fatalf("old epoch's Discoverer broke: %v", err)
+	if gr.maintainedFor(v2, score.KeyCoverage, score.NonKeyCoverage) != m {
+		t.Fatal("the maintained state was not carried across the epoch bump")
+	}
+	if e, _ := m.Epoch(); e != v2.epoch {
+		t.Fatalf("maintained state stayed at epoch %d after the bump to %d", e, v2.epoch)
 	}
 }
 
