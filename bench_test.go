@@ -650,8 +650,8 @@ func BenchmarkParallelScore(b *testing.B) {
 }
 
 // BenchmarkParallelDiscover: exact distance-constrained search at serving
-// scale, sequential vs worker pool — the Apriori level-wise search and the
-// ground-truth brute force, both returning identical previews at any
+// scale, one worker vs a worker pool — the Apriori level-wise search and
+// the ground-truth brute force, both returning identical previews at any
 // worker count (TestDiscoverDifferential).
 func BenchmarkParallelDiscover(b *testing.B) {
 	_, set := parallelBenchSetup(b)
@@ -668,13 +668,7 @@ func BenchmarkParallelDiscover(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("BruteForce/P%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var err error
-				if workers == 1 {
-					_, err = d.BruteForce(brute)
-				} else {
-					_, err = d.BruteForceParallel(brute, workers)
-				}
-				if err != nil {
+				if _, err := d.BruteForceParallel(brute, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,141 +20,128 @@ package core
 // slice headers would triple the memory bill.
 
 import (
-	"math"
+	"runtime"
 
 	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/par"
 )
 
-// Apriori solves optimal tight/diverse preview discovery. In Concise mode
-// (no distance constraint) every pair is compatible, making it an exhaustive
-// — and slower — equivalent of BruteForce; it is permitted for testing but
-// DynamicProgramming should be preferred.
+// Apriori solves optimal tight/diverse preview discovery on one worker.
+// In Concise mode (no distance constraint) every pair is compatible,
+// making it an exhaustive — and slower — equivalent of BruteForce; it is
+// permitted for testing but DynamicProgramming should be preferred.
 func (d *Discoverer) Apriori(c Constraint) (Preview, error) {
-	p, _, err := d.aprioriTop2(c)
+	p, _, err := d.apriori(c, 1)
 	return p, err
 }
 
-// aprioriTop2 is Apriori returning, alongside the optimal preview, the
-// runner-up score: the maximum preview score over every feasible k-subset
-// other than the winner (-Inf when the winner is the only feasible
-// subset). The runner-up is what the incremental Maintained state needs —
-// an upper bound on how well any other subset scored — and it is a pure
-// function of the candidate set, so sequential and parallel searches
-// return the same value (top-2 merging is order-independent).
-func (d *Discoverer) aprioriTop2(c Constraint) (Preview, float64, error) {
-	if err := c.Validate(); err != nil {
+// AprioriParallel is Apriori on workers goroutines (NumCPU when workers
+// <= 0). It returns exactly the preview (and stats) Apriori returns,
+// including ErrSearchBudget under exactly the same candidate volumes.
+func (d *Discoverer) AprioriParallel(c Constraint, workers int) (Preview, error) {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	p, _, err := d.apriori(c, workers)
+	return p, err
+}
+
+// apriori is the Apriori search at any worker count. Every stage — each
+// level-wise join, starting from the level of single types, and the final
+// candidate scoring — partitions its input into contiguous spans
+// (stageSpans), with span outputs concatenated in span order so each
+// level's flat layout is the same at any worker count (see parallel.go).
+//
+// Alongside the optimal preview it returns the runner-up score: the
+// maximum preview score over every feasible k-subset other than the
+// winner (-Inf when the winner is the only feasible subset). The
+// runner-up is what the incremental Maintained state needs — an upper
+// bound on how well any other subset scored — and, as a max over a fixed
+// set, it too is the same at any worker count.
+func (d *Discoverer) apriori(c Constraint, workers int) (Preview, float64, error) {
+	types, err := d.searchTypes(c)
+	if err != nil {
 		return Preview{}, 0, err
 	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, 0, ErrNoPreview
+	if c.Mode != Concise {
+		d.Distances() // materialize once, not under every worker's first query
 	}
-	var stats SearchStats
 
 	// Level i holds all valid i-subsets as indexes into types, flattened
-	// with stride i, lexicographically sorted by construction.
-	k := c.K
-	var level []int32
-	stride := 0
-	budget := c.MaxCandidates
-	if k == 1 {
-		stride = 1
-		for i := range types {
-			level = append(level, int32(i))
+	// with stride i, lexicographically sorted by construction. Joining
+	// level 1 yields exactly the compatible pairs.
+	var stats SearchStats
+	budget := newBudgetCounter(c.MaxCandidates)
+	level := make([]int32, len(types))
+	for i := range level {
+		level[i] = int32(i)
+	}
+	stride := 1
+	for ; stride < c.K && len(level) > 0; stride++ {
+		if level, err = d.joinLevel(c, types, level, stride, workers, budget); err != nil {
+			return Preview{}, 0, err
 		}
-	} else {
-		stride = 2
-		for i := 0; i < len(types); i++ {
-			for j := i + 1; j < len(types); j++ {
-				if d.distOK(c, types[i], types[j]) {
-					if budget > 0 && len(level)/2 >= budget {
-						return Preview{}, 0, ErrSearchBudget
-					}
-					level = append(level, int32(i), int32(j))
-				}
-			}
-		}
-		stats.CandidatesGenerated += len(level) / 2
-		for size := 3; size <= k && len(level) > 0; size++ {
-			remaining := -1 // negative: unlimited
-			if budget > 0 {
-				// Never negative: earlier levels error before exceeding
-				// the budget. May be exactly 0 — joinLevel must still run,
-				// since an empty join completes the search (ErrNoPreview)
-				// rather than exceeding the budget.
-				remaining = budget - stats.CandidatesGenerated
-			}
-			var err error
-			if level, err = d.joinLevel(c, types, level, stride, remaining); err != nil {
-				return Preview{}, 0, err
-			}
-			stride = size
-			stats.CandidatesGenerated += len(level) / stride
-		}
+		stats.CandidatesGenerated += len(level) / (stride + 1)
 	}
 	if len(level) == 0 {
 		return Preview{}, 0, ErrNoPreview
 	}
 
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		runnerUp  = math.Inf(-1)
-		found     bool
-	)
-	keys := make([]graph.TypeID, k)
-	take := make([]int, k)
-	for off := 0; off < len(level); off += stride {
-		for i := 0; i < stride; i++ {
-			keys[i] = types[level[off+i]]
+	// Score the surviving k-subsets: per-span top2s, merged in span order.
+	spans := stageSpans(len(level)/stride, workers)
+	tops := make([]top2, len(spans))
+	par.ForEach(workers, len(spans), func(si int) {
+		tops[si] = d.scoreSpan(c, types, level, stride, spans[si])
+	})
+	var win top2
+	for i := range tops {
+		win.merge(&tops[i])
+	}
+	p, err := d.winner(&win, c.N, stats)
+	return p, win.second, err
+}
+
+// scoreSpan scores the k-subsets of one span of the final level.
+func (d *Discoverer) scoreSpan(c Constraint, types []graph.TypeID, level []int32, stride int, s par.Span) top2 {
+	var best top2
+	keys := make([]graph.TypeID, stride)
+	take := make([]int, stride)
+	for cand := s.Lo; cand < s.Hi; cand++ {
+		for i := range keys {
+			keys[i] = types[level[cand*stride+i]]
 		}
-		stats.SubsetsScored++
-		score := d.previewScore(keys, c.N, take)
-		// Explicit lexicographic tie-break, matching BruteForce and the
-		// parallel searches' merge step (levels are lex-sorted, so first
-		// wins was already lex-smallest; now the policy is stated).
-		//
-		// Invariant: runnerUp is the max score over scored subsets other
-		// than the current best. When a new subset displaces the best, the
-		// old best (the max of everything before it) becomes the runner-up;
-		// otherwise the new subset competes for runner-up directly.
-		switch {
-		case !found:
-			bestScore = score
-			bestKeys = append(bestKeys[:0], keys...)
-			found = true
-		case score > bestScore || (score == bestScore && lessKeys(keys, bestKeys)):
-			runnerUp = bestScore
-			bestScore = score
-			bestKeys = append(bestKeys[:0], keys...)
-		case score > runnerUp:
-			runnerUp = score
-		}
+		best.offer(keys, d.previewScore(keys, c.N, take))
 	}
-	if !found {
-		return Preview{}, 0, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
-	if err != nil {
-		return Preview{}, 0, err
-	}
-	best.Stats = stats
-	return best, runnerUp, nil
+	return best
 }
 
 // joinLevel merges a flat level of (size-1)-subsets into the flat level of
-// size-subsets. Blocks sharing a prefix are contiguous because levels are
-// generated in lexicographic order; within a block only the new last-element
-// pair needs a distance check. A non-negative limit caps how many
-// candidates this level may produce before the join aborts with
-// ErrSearchBudget (a limit of 0 errors on the first candidate but lets an
-// empty join complete); negative means unlimited.
-func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32, stride, limit int) ([]int32, error) {
-	var next []int32
+// size-subsets. The candidate blocks are partitioned across workers, and
+// span outputs concatenate in span order.
+func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32, stride, workers int, budget *budgetCounter) ([]int32, error) {
+	spans := stageSpans(len(level)/stride, workers)
+	parts := make([][]int32, len(spans))
+	par.ForEach(workers, len(spans), func(si int) {
+		parts[si] = d.joinSpan(c, types, level, stride, spans[si], budget)
+	})
+	if !budget.ok() {
+		return nil, ErrSearchBudget
+	}
+	return concatInt32(parts), nil
+}
+
+// joinSpan joins each candidate of one span with every later candidate of
+// its block. Blocks sharing a prefix are contiguous because levels are
+// generated in lexicographic order; within a block only the new
+// last-element pair needs a distance check. Each block takes its produced
+// candidates from the shared budget; once the budget is exceeded the
+// output is partial, and the search errors.
+func (d *Discoverer) joinSpan(c Constraint, types []graph.TypeID, level []int32, stride int, s par.Span, budget *budgetCounter) []int32 {
+	var out []int32
 	nCands := len(level) / stride
-	produced := 0
-	for a := 0; a < nCands; a++ {
+	for a := s.Lo; a < s.Hi && budget.ok(); a++ {
 		offA := a * stride
+		block := len(out)
 		for b := a + 1; b < nCands; b++ {
 			offB := b * stride
 			if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
@@ -165,15 +152,14 @@ func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32
 			if !d.distOK(c, ta, tb) {
 				continue
 			}
-			if limit >= 0 && produced >= limit {
-				return nil, ErrSearchBudget
-			}
-			produced++
-			next = append(next, level[offA:offA+stride]...)
-			next = append(next, level[offB+stride-1])
+			out = append(out, level[offA:offA+stride]...)
+			out = append(out, level[offB+stride-1])
+		}
+		if !budget.take((len(out) - block) / (stride + 1)) {
+			break
 		}
 	}
-	return next, nil
+	return out
 }
 
 // samePrefix reports whether a and b agree on all but their last element.
@@ -192,74 +178,15 @@ func samePrefix(a, b []int32) bool {
 // clique enumeration; this implementation is the comparison point for that
 // ablation (BenchmarkAblationCliqueEnumeration).
 func (d *Discoverer) CliqueDFS(c Constraint) (Preview, error) {
-	if err := c.Validate(); err != nil {
-		return Preview{}, err
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, ErrNoPreview
-	}
-
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		found     bool
-		stats     SearchStats
-	)
-	subset := make([]graph.TypeID, c.K)
-	take := make([]int, c.K)
-	exceeded := false
-	var rec func(pos, start int)
-	rec = func(pos, start int) {
-		if pos == c.K {
-			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
-			if !found || score > bestScore ||
-				(score == bestScore && lessKeys(subset, bestKeys)) {
-				bestScore = score
-				bestKeys = append(bestKeys[:0], subset...)
-				found = true
-			}
-			return
-		}
-		for i := start; i <= len(types)-(c.K-pos); i++ {
-			if exceeded {
-				return
-			}
-			t := types[i]
-			ok := true
-			for q := 0; q < pos; q++ {
-				if !d.distOK(c, subset[q], t) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if c.MaxCandidates > 0 && stats.CandidatesGenerated >= c.MaxCandidates {
-				exceeded = true
-				return
-			}
-			stats.CandidatesGenerated++
-			subset[pos] = t
-			rec(pos+1, i+1)
-		}
-	}
-	rec(0, 0)
-
-	if exceeded {
-		return Preview{}, ErrSearchBudget
-	}
-	if !found {
-		return Preview{}, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
+	types, err := d.searchTypes(c)
 	if err != nil {
 		return Preview{}, err
 	}
-	best.Stats = stats
-	return best, nil
+	best, generated, stopped := d.cliqueDFS(c, types)
+	if stopped {
+		return Preview{}, ErrSearchBudget
+	}
+	return d.winner(&best, c.N, SearchStats{CandidatesGenerated: generated})
 }
 
 // AnytimeBest is the anytime variant of discovery: it runs the depth-first
@@ -282,69 +209,50 @@ func (d *Discoverer) AnytimeBest(c Constraint) (Preview, bool, error) {
 		p, err := d.DynamicProgramming(c)
 		return p, true, err
 	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, true, ErrNoPreview
+	types, err := d.searchTypes(c)
+	if err != nil {
+		return Preview{}, true, err
 	}
+	best, generated, stopped := d.cliqueDFS(c, types)
+	if stopped && best.scored == 0 {
+		return Preview{}, false, ErrSearchBudget
+	}
+	p, err := d.winner(&best, c.N, SearchStats{CandidatesGenerated: generated})
+	return p, !stopped, err
+}
 
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		found     bool
-		stats     SearchStats
-	)
+// cliqueDFS is the depth-first k-clique enumeration behind CliqueDFS and
+// AnytimeBest. It extends a partial subset, in lexicographic order, only
+// by types compatible with every member, and scores each complete one. It
+// stops before generating a candidate past c.MaxCandidates (when
+// positive), and returns the best subset scored so far, the candidates
+// generated, and whether the budget stopped it.
+func (d *Discoverer) cliqueDFS(c Constraint, types []graph.TypeID) (best top2, generated int, stopped bool) {
 	subset := make([]graph.TypeID, c.K)
 	take := make([]int, c.K)
-	exceeded := false
 	var rec func(pos, start int)
 	rec = func(pos, start int) {
 		if pos == c.K {
-			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
-			if !found || score > bestScore ||
-				(score == bestScore && lessKeys(subset, bestKeys)) {
-				bestScore = score
-				bestKeys = append(bestKeys[:0], subset...)
-				found = true
-			}
+			best.offer(subset, d.previewScore(subset, c.N, take))
 			return
 		}
-		for i := start; i <= len(types)-(c.K-pos); i++ {
-			if exceeded {
-				return
-			}
+	next:
+		for i := start; i <= len(types)-(c.K-pos) && !stopped; i++ {
 			t := types[i]
-			ok := true
-			for q := 0; q < pos; q++ {
-				if !d.distOK(c, subset[q], t) {
-					ok = false
-					break
+			for _, s := range subset[:pos] {
+				if !d.distOK(c, s, t) {
+					continue next
 				}
 			}
-			if !ok {
-				continue
-			}
-			if c.MaxCandidates > 0 && stats.CandidatesGenerated >= c.MaxCandidates {
-				exceeded = true
+			if c.MaxCandidates > 0 && generated >= c.MaxCandidates {
+				stopped = true
 				return
 			}
-			stats.CandidatesGenerated++
+			generated++
 			subset[pos] = t
 			rec(pos+1, i+1)
 		}
 	}
 	rec(0, 0)
-
-	if !found {
-		if exceeded {
-			return Preview{}, false, ErrSearchBudget
-		}
-		return Preview{}, true, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
-	if err != nil {
-		return Preview{}, false, err
-	}
-	best.Stats = stats
-	return best, !exceeded, nil
+	return best, generated, stopped
 }

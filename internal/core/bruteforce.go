@@ -13,46 +13,65 @@ package core
 // comparison. It serves as ground truth in tests and as the baseline of the
 // efficiency experiments (Figs. 8–9).
 
-import "github.com/uta-db/previewtables/internal/graph"
+import (
+	"runtime"
+
+	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/par"
+)
 
 // BruteForce solves the optimal preview discovery problem by exhaustive
-// enumeration. It supports all three modes. Returns ErrNoPreview when the
-// constrained space is empty.
+// enumeration on one worker. It supports all three modes. Returns
+// ErrNoPreview when the constrained space is empty.
 func (d *Discoverer) BruteForce(c Constraint) (Preview, error) {
-	if err := c.Validate(); err != nil {
+	return d.bruteForce(c, 1)
+}
+
+// BruteForceParallel is BruteForce on workers goroutines (NumCPU when
+// workers <= 0). It returns exactly the preview (and stats) BruteForce
+// returns: when several subsets tie, the lexicographically smallest tied
+// key subset, so results do not depend on scheduling.
+func (d *Discoverer) BruteForceParallel(c Constraint, workers int) (Preview, error) {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return d.bruteForce(c, workers)
+}
+
+// bruteForce is the brute-force search at any worker count, partitioned
+// by first element: task i enumerates the subsets whose smallest type is
+// types[i], and the per-task bests merge in element order.
+func (d *Discoverer) bruteForce(c Constraint, workers int) (Preview, error) {
+	types, err := d.searchTypes(c)
+	if err != nil {
 		return Preview{}, err
 	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, ErrNoPreview
+	tops := make([]top2, len(types)-c.K+1)
+	par.ForEach(workers, len(tops), func(i int) {
+		take := make([]int, c.K) // allocation-free scoring scratch
+		d.eachSubset(c, types, i, func(subset []graph.TypeID) {
+			tops[i].offer(subset, d.previewScore(subset, c.N, take))
+		})
+	})
+	var best top2
+	for i := range tops {
+		best.merge(&tops[i])
 	}
+	return d.winner(&best, c.N, SearchStats{})
+}
 
-	var (
-		bestKeys  []graph.TypeID
-		bestScore float64
-		found     bool
-		stats     SearchStats
-	)
+// eachSubset calls visit, in lexicographic order, with every k-subset of
+// types whose first element is types[first] and, in Tight/Diverse mode,
+// whose every pair satisfies the distance constraint. visit must not
+// retain the subset it is passed.
+func (d *Discoverer) eachSubset(c Constraint, types []graph.TypeID, first int, visit func([]graph.TypeID)) {
 	subset := make([]graph.TypeID, c.K)
-	take := make([]int, c.K) // allocation-free scoring scratch
-
+	subset[0] = types[first]
 	var rec func(pos, start int)
 	rec = func(pos, start int) {
 		if pos == c.K {
-			if c.Mode != Concise && !d.pairwiseOK(c, subset) {
-				return
-			}
-			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
-			// Ties break toward the lexicographically smallest key subset —
-			// redundant while enumeration is lexicographic (first wins), but
-			// stated explicitly so the policy survives reordering and matches
-			// the parallel searches' merge step.
-			if !found || score > bestScore ||
-				(score == bestScore && lessKeys(subset, bestKeys)) {
-				bestScore = score
-				bestKeys = append(bestKeys[:0], subset...)
-				found = true
+			if c.Mode == Concise || d.pairwiseOK(c, subset) {
+				visit(subset)
 			}
 			return
 		}
@@ -61,17 +80,7 @@ func (d *Discoverer) BruteForce(c Constraint) (Preview, error) {
 			rec(pos+1, i+1)
 		}
 	}
-	rec(0, 0)
-
-	if !found {
-		return Preview{}, ErrNoPreview
-	}
-	best, err := d.ComputePreview(bestKeys, c.N)
-	if err != nil {
-		return Preview{}, err
-	}
-	best.Stats = stats
-	return best, nil
+	rec(1, first+1)
 }
 
 // pairwiseOK checks the distance constraint on every pair of the subset.

@@ -91,10 +91,10 @@ type Options struct {
 	// Parallelism is the worker count for Discoverer construction (the
 	// per-type candidate ranking) and for Discover's search (k-subset
 	// enumeration partitioned across workers for the distance-constrained
-	// modes). Values <= 1 mean sequential. Every search merges per-worker
-	// bests deterministically — equal scores break toward the
-	// lexicographically smallest key subset — so parallel and sequential
-	// runs return identical previews (see parallel.go).
+	// modes). Values <= 1 mean one worker. Every search merges
+	// per-partition bests deterministically — equal scores break toward
+	// the lexicographically smallest key subset — so every worker count
+	// returns the identical preview (see parallel.go).
 	Parallelism int
 }
 
@@ -234,6 +234,19 @@ func (d *Discoverer) tableScore(t graph.TypeID, m int) float64 {
 // requires at least one non-key attribute).
 func (d *Discoverer) usable(t graph.TypeID) bool { return len(d.ranked[t]) > 0 }
 
+// searchTypes validates c and lists the types a search may key tables by,
+// or reports ErrNoPreview when there are fewer than c.K of them.
+func (d *Discoverer) searchTypes(c Constraint) ([]graph.TypeID, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	types := d.usableTypes()
+	if len(types) < c.K {
+		return nil, ErrNoPreview
+	}
+	return types, nil
+}
+
 // usableTypes lists all entity types with at least one candidate non-key.
 func (d *Discoverer) usableTypes() []graph.TypeID {
 	var ts []graph.TypeID
@@ -335,6 +348,22 @@ func (d *Discoverer) allocate(keys []graph.TypeID, n int, take []int) {
 	}
 }
 
+// winner assembles the preview of a search's best subset, with the
+// search's stats and the number of subsets it scored, or reports
+// ErrNoPreview when it scored none.
+func (d *Discoverer) winner(best *top2, n int, stats SearchStats) (Preview, error) {
+	if best.scored == 0 {
+		return Preview{}, ErrNoPreview
+	}
+	p, err := d.ComputePreview(best.keys, n)
+	if err != nil {
+		return Preview{}, err
+	}
+	stats.SubsetsScored = best.scored
+	p.Stats = stats
+	return p, nil
+}
+
 // previewScore computes the score a preview over keys would attain under
 // budget n, without materializing tables. take is caller-provided scratch
 // of len(keys). Keys must be usable and distinct (search loops guarantee
@@ -351,9 +380,12 @@ func (d *Discoverer) previewScore(keys []graph.TypeID, n int, take []int) float6
 // Discover solves the optimal preview discovery problem with the algorithm
 // the paper recommends for the constraint's mode: dynamic programming for
 // concise previews (Alg. 2), Apriori-style search for tight and diverse
-// previews (Alg. 3). With Options.Parallelism > 1 the tight/diverse search
-// runs on a worker pool (AprioriParallel) and returns the identical
-// preview.
+// previews (Alg. 3) on Options.Parallelism workers. The preview is the
+// same at any worker count.
 func (d *Discoverer) Discover(c Constraint) (Preview, error) {
-	return d.DiscoverParallel(c, par.Workers(d.opts.Parallelism))
+	if c.Mode == Concise {
+		return d.DynamicProgramming(c)
+	}
+	p, _, err := d.apriori(c, par.Workers(d.opts.Parallelism))
+	return p, err
 }

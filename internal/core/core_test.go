@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -494,7 +495,11 @@ func TestTableScoreEquation2(t *testing.T) {
 
 // TestSearchBudget pins MaxCandidates: a starved budget aborts the
 // tight/diverse searches with ErrSearchBudget, while a sufficient one
-// returns exactly the unbounded result.
+// returns exactly the unbounded result. AnytimeBest runs CliqueDFS's
+// enumeration and answers its budget instead of raising it: at every
+// budget up to the unbounded candidate volume it returns CliqueDFS's
+// preview and stats, converged, where CliqueDFS completes, and reports
+// converged=false where CliqueDFS exceeds the budget.
 func TestSearchBudget(t *testing.T) {
 	_, d := fig1Discoverer(t)
 	// Diverse with d=0 degenerates: every pair is compatible, so the
@@ -524,6 +529,33 @@ func TestSearchBudget(t *testing.T) {
 		}
 		if math.Abs(p.Score-unbounded.Score) > eps {
 			t.Errorf("%s budgeted score %v != unbounded %v", name, p.Score, unbounded.Score)
+		}
+	}
+
+	c.MaxCandidates = 0
+	full, err := d.CliqueDFS(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volume := full.Stats.CandidatesGenerated
+	for budget := 1; budget <= volume; budget++ {
+		c.MaxCandidates = budget
+		pc, errc := d.CliqueDFS(c)
+		pa, converged, erra := d.AnytimeBest(c)
+		switch {
+		case errc == nil:
+			if erra != nil || !converged || !reflect.DeepEqual(pa, pc) {
+				t.Errorf("budget %d: AnytimeBest (%+v, converged=%t, %v), want CliqueDFS's %+v, converged", budget, pa, converged, erra, pc)
+			}
+		case errors.Is(errc, core.ErrSearchBudget):
+			if converged {
+				t.Errorf("budget %d: CliqueDFS exceeded the budget but AnytimeBest reports converged (%v)", budget, erra)
+			}
+		default:
+			t.Fatalf("budget %d: CliqueDFS: %v", budget, errc)
+		}
+		if budget == volume && errc != nil {
+			t.Errorf("budget == unbounded volume %d: CliqueDFS got %v", volume, errc)
 		}
 	}
 }

@@ -201,8 +201,8 @@ func TestDiscoverRepeatedRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestAprioriParallelStats: the parallel Apriori is the same algorithm,
-// so even its work counters match the sequential search's.
+// TestAprioriParallelStats: Apriori and AprioriParallel are worker counts
+// of one search, so even their work counters match.
 func TestAprioriParallelStats(t *testing.T) {
 	g, err := freebase.Generate("architecture", freebase.GenOptions{
 		Scale: 1e-4, Seed: 3, MinEntities: 300, MinEdges: 1200,
@@ -232,9 +232,9 @@ func TestAprioriParallelStats(t *testing.T) {
 }
 
 // TestAprioriParallelBudgetBoundary: the shared atomic budget counter
-// reproduces the sequential semantics exactly — success at a budget equal
-// to the total candidate volume, ErrSearchBudget one below it — at every
-// parallelism level.
+// gives every worker count of the one search the same outcome — success
+// at a budget equal to the total candidate volume, ErrSearchBudget one
+// below it.
 func TestAprioriParallelBudgetBoundary(t *testing.T) {
 	g, err := freebase.Generate("architecture", freebase.GenOptions{
 		Scale: 1e-4, Seed: 5, MinEntities: 300, MinEdges: 1200,

@@ -334,7 +334,7 @@ func (m *Maintained) fly(d *Discoverer, c Constraint, f *searchFlight) (p Previe
 		close(f.done)
 	}()
 	m.fullSearches.Add(1)
-	p, runnerUp, err = d.aprioriParallelTop2(c, par.Workers(m.opts.Parallelism))
+	p, runnerUp, err = d.apriori(c, par.Workers(m.opts.Parallelism))
 	f.landed = true
 	return p, err
 }

@@ -1,142 +1,42 @@
 package core
 
-// Parallel exact search. The k-subset enumerations behind every discovery
-// mode are embarrassingly parallel — the subset space partitions into
+// Worker counts. The k-subset enumerations behind every discovery mode
+// are embarrassingly parallel — the subset space partitions into
 // contiguous ranges, and a Discoverer is read-only during search, so
-// workers share it freely. This file holds the worker-pool versions:
-// BruteForceParallel (Alg. 1 partitioned by first element) and
-// AprioriParallel (Alg. 3 with every level-wise stage partitioned into
-// spans). Both promise results identical to their sequential
-// counterparts:
+// workers share it freely. Each search has one body that runs at any
+// worker count: brute force (Alg. 1) partitions by first element, Apriori
+// (Alg. 3) partitions every level-wise stage into spans, and both run
+// their partitions through par.ForEach, which is a plain loop at one
+// worker. The result does not depend on the worker count:
 //
 //   - Candidate order is preserved: each stage's spans are concatenated in
-//     span order, reproducing the sequential (lexicographic) level layout
-//     exactly, so downstream stages see the same input either way.
-//   - Per-worker bests merge deterministically: equal scores break toward
-//     the lexicographically smallest key subset (lessKeys), the same
-//     policy the sequential searches state inline — which subset a worker
-//     happened to score never shows through.
+//     span order, reproducing the lexicographic level layout exactly, so
+//     downstream stages see the same input however the stage was split.
+//   - Per-partition bests merge deterministically (top2): equal scores
+//     break toward the lexicographically smallest key subset (lessKeys),
+//     so which partition happened to score a subset never shows through.
 //   - The Constraint.MaxCandidates budget is enforced through a shared
 //     atomic counter: the search errors with ErrSearchBudget exactly when
-//     the total candidate volume exceeds the budget, the same outcome as
-//     the sequential check. Workers may transiently overshoot the counter
-//     before observing the abort flag (by at most one in-flight candidate
-//     per worker — the first failed take stops a worker's stage), but the
-//     overshoot is never published: success and failure, and the preview
-//     returned on success, are identical at any worker count.
+//     the total candidate volume exceeds the budget. Workers may
+//     transiently overshoot the counter before observing the abort flag
+//     (by at most one join block per worker — the first failed take stops
+//     a worker's stage), but the overshoot is never published: success
+//     and failure, and the preview returned on success, are identical at
+//     any worker count.
 //
-// This is an engineering extension beyond the paper (whose C++
-// implementation was single-threaded); it makes ground-truth validation of
-// the faster algorithms affordable on larger schemas and lets one server
-// answer distance-constrained previews with all its cores.
+// Running on more than one worker is an engineering extension beyond the
+// paper (whose C++ implementation was single-threaded); it makes
+// ground-truth validation of the faster algorithms affordable on larger
+// schemas and lets one server answer distance-constrained previews with
+// all its cores.
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/par"
 )
-
-// BruteForceParallel is BruteForce distributed over workers goroutines
-// (NumCPU when workers <= 0). It returns a preview with exactly the same
-// score as BruteForce; when several subsets tie, it deterministically
-// returns the lexicographically smallest tied key subset, so results do
-// not depend on scheduling.
-func (d *Discoverer) BruteForceParallel(c Constraint, workers int) (Preview, error) {
-	if err := c.Validate(); err != nil {
-		return Preview{}, err
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, ErrNoPreview
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(types) {
-		workers = len(types)
-	}
-
-	type result struct {
-		keys   []graph.TypeID
-		score  float64
-		found  bool
-		scored int
-	}
-	results := make([]result, workers)
-	firstIdx := make(chan int)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			subset := make([]graph.TypeID, c.K)
-			take := make([]int, c.K)
-			res := &results[w]
-			var rec func(pos, start int)
-			rec = func(pos, start int) {
-				if pos == c.K {
-					if c.Mode != Concise && !d.pairwiseOK(c, subset) {
-						return
-					}
-					res.scored++
-					score := d.previewScore(subset, c.N, take)
-					if !res.found || score > res.score ||
-						(score == res.score && lessKeys(subset, res.keys)) {
-						res.score = score
-						res.keys = append(res.keys[:0], subset...)
-						res.found = true
-					}
-					return
-				}
-				for i := start; i <= len(types)-(c.K-pos); i++ {
-					subset[pos] = types[i]
-					rec(pos+1, i+1)
-				}
-			}
-			for i := range firstIdx {
-				if i > len(types)-c.K {
-					continue
-				}
-				subset[0] = types[i]
-				rec(1, i+1)
-			}
-		}(w)
-	}
-	for i := 0; i <= len(types)-c.K; i++ {
-		firstIdx <- i
-	}
-	close(firstIdx)
-	wg.Wait()
-
-	var (
-		best  result
-		stats SearchStats
-	)
-	for _, res := range results {
-		stats.SubsetsScored += res.scored
-		if !res.found {
-			continue
-		}
-		if !best.found || res.score > best.score ||
-			(res.score == best.score && lessKeys(res.keys, best.keys)) {
-			best = res
-		}
-	}
-	if !best.found {
-		return Preview{}, ErrNoPreview
-	}
-	p, err := d.ComputePreview(best.keys, c.N)
-	if err != nil {
-		return Preview{}, err
-	}
-	p.Stats = stats
-	return p, nil
-}
 
 // lessKeys orders key subsets lexicographically.
 func lessKeys(a, b []graph.TypeID) bool {
@@ -151,16 +51,52 @@ func lessKeys(a, b []graph.TypeID) bool {
 	return len(a) < len(b)
 }
 
-// DiscoverParallel is Discover with an explicit worker count: dynamic
-// programming for concise previews (whose cost is bounded by the
-// display-sized constraint, not the subset space — there is nothing worth
-// fanning out), AprioriParallel for tight and diverse previews. It returns
-// exactly the preview Discover returns.
-func (d *Discoverer) DiscoverParallel(c Constraint, workers int) (Preview, error) {
-	if c.Mode == Concise {
-		return d.DynamicProgramming(c)
+// top2 tracks the best key subset a search has scored and the runner-up
+// score: the best score of every other subset scored (-Inf when there is
+// none). Ties break toward the lexicographically smallest subset, so the
+// winner and the runner-up are pure functions of the set of subsets
+// offered, whatever their order or partition.
+type top2 struct {
+	keys   []graph.TypeID
+	score  float64
+	second float64
+	scored int // subsets offered; the winner is valid when positive
+}
+
+// offer considers one scored subset. keys is copied, so callers may reuse
+// it as scratch.
+//
+// Invariant: second is the max score over offered subsets other than the
+// current winner. When a new subset displaces the winner, the old winner
+// (the max of everything before it) becomes the runner-up; otherwise the
+// new subset competes for runner-up directly.
+func (t *top2) offer(keys []graph.TypeID, score float64) {
+	t.scored++
+	switch {
+	case t.scored == 1:
+		t.score, t.second = score, math.Inf(-1)
+		t.keys = append(t.keys[:0], keys...)
+	case score > t.score || (score == t.score && lessKeys(keys, t.keys)):
+		t.second, t.score = t.score, score
+		t.keys = append(t.keys[:0], keys...)
+	case score > t.second:
+		t.second = score
 	}
-	return d.AprioriParallel(c, workers)
+}
+
+// merge folds another partition's top2 into t: o's winner competes as one
+// offer, and o's runner-up, a subset that lost to o's winner, can only
+// compete for runner-up.
+func (t *top2) merge(o *top2) {
+	if o.scored == 0 {
+		return
+	}
+	scored := t.scored + o.scored
+	t.offer(o.keys, o.score)
+	t.scored = scored
+	if o.second > t.second {
+		t.second = o.second
+	}
 }
 
 // spanFactor is how many spans each stage plans per worker. More spans
@@ -168,13 +104,24 @@ func (d *Discoverer) DiscoverParallel(c Constraint, workers int) (Preview, error
 // blocks are skewed; the partition never affects results, only balance.
 const spanFactor = 8
 
+// stageSpans plans one stage over n inputs: a single span at one worker,
+// so the stage is one plain loop whose output needs no concatenation, and
+// spanFactor spans per worker otherwise.
+func stageSpans(n, workers int) []par.Span {
+	if workers <= 1 {
+		return par.Spans(n, 1)
+	}
+	return par.Spans(n, workers*spanFactor)
+}
+
 // budgetCounter enforces Constraint.MaxCandidates across workers: every
-// produced candidate takes one ticket from a shared atomic counter, and
-// the first take past the limit raises the exceeded flag that workers poll
-// at stage boundaries. The counter may transiently run past the limit
-// (bounded by one in-flight candidate per worker), but the overshoot is
-// never published — the search's outcome depends only on whether the total
-// candidate volume exceeds the budget, exactly like the sequential check.
+// join block takes one ticket per candidate it produced from a shared
+// atomic counter, and the first take past the limit raises the exceeded
+// flag that workers poll between blocks. The counter may transiently run
+// past the limit (by at most one block, fewer candidates than there are
+// types, per worker), but the overshoot is never published — the
+// counter only grows, so the search's outcome depends only on whether the
+// total candidate volume exceeds the budget.
 type budgetCounter struct {
 	limit    int64 // <= 0: unlimited
 	produced atomic.Int64
@@ -185,16 +132,17 @@ func newBudgetCounter(limit int) *budgetCounter {
 	return &budgetCounter{limit: int64(limit)}
 }
 
-// take accounts one produced candidate, reporting false once the budget is
-// exhausted. Unlimited budgets skip the shared counter entirely: a
-// contended atomic add per candidate on the innermost join loop would
-// serialize the very stage being parallelized, and with no limit the
-// counter decides nothing (stats come from the level lengths).
-func (b *budgetCounter) take() bool {
-	if b.limit <= 0 {
+// take accounts n produced candidates, reporting false once the budget is
+// exhausted. Taking per block rather than per candidate keeps the atomic
+// add off the innermost join loop, where even an uncontended one costs a
+// measurable share of a one-worker search. Unlimited budgets skip the
+// shared counter entirely: with no limit it decides nothing (stats come
+// from the level lengths).
+func (b *budgetCounter) take(n int) bool {
+	if b.limit <= 0 || n == 0 {
 		return true
 	}
-	if n := b.produced.Add(1); n > b.limit {
+	if b.produced.Add(int64(n)) > b.limit {
 		b.exceeded.Store(true)
 		return false
 	}
@@ -205,8 +153,12 @@ func (b *budgetCounter) take() bool {
 func (b *budgetCounter) ok() bool { return !b.exceeded.Load() }
 
 // concatInt32 concatenates span outputs in span order, reproducing the
-// sequential enumeration order exactly.
+// lexicographic enumeration order exactly. A single part is returned as
+// is.
 func concatInt32(parts [][]int32) []int32 {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	var n int
 	for _, p := range parts {
 		n += len(p)
@@ -216,202 +168,4 @@ func concatInt32(parts [][]int32) []int32 {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// AprioriParallel is Apriori distributed over workers goroutines (NumCPU
-// when workers <= 0; the sequential implementation when workers == 1).
-// Every stage — valid-pair generation, each level-wise join, and the final
-// candidate scoring — partitions its input into contiguous spans executed
-// by a shared worker pool, with span outputs concatenated in span order so
-// each level's flat layout matches the sequential search bit for bit. It
-// returns exactly the preview (and stats) Apriori returns, including
-// ErrSearchBudget under exactly the same candidate volumes.
-func (d *Discoverer) AprioriParallel(c Constraint, workers int) (Preview, error) {
-	p, _, err := d.aprioriParallelTop2(c, workers)
-	return p, err
-}
-
-// aprioriParallelTop2 is AprioriParallel returning the runner-up score
-// alongside the optimal preview (see aprioriTop2). The runner-up is the
-// max over all scored subsets other than the winner — a max over a fixed
-// set — so per-span (best, runner-up) pairs merge to the same value the
-// sequential scan computes, at any worker count.
-func (d *Discoverer) aprioriParallelTop2(c Constraint, workers int) (Preview, float64, error) {
-	if err := c.Validate(); err != nil {
-		return Preview{}, 0, err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		return d.aprioriTop2(c)
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return Preview{}, 0, ErrNoPreview
-	}
-	if c.Mode != Concise {
-		d.Distances() // materialize once, not under every worker's first query
-	}
-
-	k := c.K
-	budget := newBudgetCounter(c.MaxCandidates)
-	candTotal := 0 // CandidatesGenerated, accumulated from level lengths
-	var level []int32
-	stride := 0
-	if k == 1 {
-		stride = 1
-		level = make([]int32, len(types))
-		for i := range types {
-			level[i] = int32(i)
-		}
-	} else {
-		// Level 2: valid pairs, partitioned by first element.
-		stride = 2
-		spans := par.Spans(len(types), workers*spanFactor)
-		parts := make([][]int32, len(spans))
-		par.ForEach(workers, len(spans), func(si int) {
-			var out []int32
-			for i := spans[si].Lo; i < spans[si].Hi && budget.ok(); i++ {
-				for j := i + 1; j < len(types); j++ {
-					if !d.distOK(c, types[i], types[j]) {
-						continue
-					}
-					if !budget.take() {
-						return
-					}
-					out = append(out, int32(i), int32(j))
-				}
-			}
-			parts[si] = out
-		})
-		if !budget.ok() {
-			return Preview{}, 0, ErrSearchBudget
-		}
-		level = concatInt32(parts)
-		candTotal += len(level) / 2
-		for size := 3; size <= k && len(level) > 0; size++ {
-			var err error
-			if level, err = d.joinLevelParallel(c, types, level, stride, workers, budget); err != nil {
-				return Preview{}, 0, err
-			}
-			stride = size
-			candTotal += len(level) / stride
-		}
-	}
-	stats := SearchStats{CandidatesGenerated: candTotal}
-	if len(level) == 0 {
-		return Preview{}, 0, ErrNoPreview
-	}
-
-	// Score the surviving k-subsets: per-span bests, merged in span order
-	// with the lexicographic tie-break. Spans cover ascending candidate
-	// ranges of a lex-sorted level, so the merged winner is the same
-	// subset the sequential scan keeps.
-	nCands := len(level) / stride
-	type best struct {
-		keys   []graph.TypeID
-		score  float64
-		second float64 // max score in span excluding keys; -Inf if none
-		found  bool
-	}
-	spans := par.Spans(nCands, workers*spanFactor)
-	bests := make([]best, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		keys := make([]graph.TypeID, stride)
-		take := make([]int, stride)
-		res := &bests[si]
-		res.second = math.Inf(-1)
-		for cand := spans[si].Lo; cand < spans[si].Hi; cand++ {
-			off := cand * stride
-			for i := 0; i < stride; i++ {
-				keys[i] = types[level[off+i]]
-			}
-			score := d.previewScore(keys, c.N, take)
-			switch {
-			case !res.found:
-				res.score = score
-				res.keys = append(res.keys[:0], keys...)
-				res.found = true
-			case score > res.score || (score == res.score && lessKeys(keys, res.keys)):
-				res.second = res.score
-				res.score = score
-				res.keys = append(res.keys[:0], keys...)
-			case score > res.second:
-				res.second = score
-			}
-		}
-	})
-	stats.SubsetsScored = nCands
-	// Merge: the global runner-up is the max over every span's runner-up
-	// plus every span best that is not the global winner. Folding a
-	// displaced winner's score at displacement time covers the bests seen
-	// before the winner; bests after it fold in directly.
-	win := best{second: math.Inf(-1)}
-	runnerUp := math.Inf(-1)
-	for _, rb := range bests {
-		if rb.second > runnerUp {
-			runnerUp = rb.second
-		}
-		if !rb.found {
-			continue
-		}
-		switch {
-		case !win.found:
-			win = rb
-		case rb.score > win.score || (rb.score == win.score && lessKeys(rb.keys, win.keys)):
-			if win.score > runnerUp {
-				runnerUp = win.score
-			}
-			win = rb
-		case rb.score > runnerUp:
-			runnerUp = rb.score
-		}
-	}
-	if !win.found {
-		return Preview{}, 0, ErrNoPreview
-	}
-	p, err := d.ComputePreview(win.keys, c.N)
-	if err != nil {
-		return Preview{}, 0, err
-	}
-	p.Stats = stats
-	return p, runnerUp, nil
-}
-
-// joinLevelParallel is joinLevel with the candidate blocks partitioned
-// across workers. Span outputs concatenate in span order, so the produced
-// level is identical to the sequential join's; the budget flows through
-// the shared counter.
-func (d *Discoverer) joinLevelParallel(c Constraint, types []graph.TypeID, level []int32, stride, workers int, budget *budgetCounter) ([]int32, error) {
-	nCands := len(level) / stride
-	spans := par.Spans(nCands, workers*spanFactor)
-	parts := make([][]int32, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		var out []int32
-		for a := spans[si].Lo; a < spans[si].Hi && budget.ok(); a++ {
-			offA := a * stride
-			for b := a + 1; b < nCands; b++ {
-				offB := b * stride
-				if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
-					break
-				}
-				ta := types[level[offA+stride-1]]
-				tb := types[level[offB+stride-1]]
-				if !d.distOK(c, ta, tb) {
-					continue
-				}
-				if !budget.take() {
-					return
-				}
-				out = append(out, level[offA:offA+stride]...)
-				out = append(out, level[offB+stride-1])
-			}
-		}
-		parts[si] = out
-	})
-	if !budget.ok() {
-		return nil, ErrSearchBudget
-	}
-	return concatInt32(parts), nil
 }

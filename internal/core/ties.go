@@ -24,12 +24,9 @@ import (
 // is brute force and therefore exponential in c.K; use it on small schemas
 // or small k.
 func (d *Discoverer) AllOptimal(c Constraint) ([]Preview, error) {
-	if err := c.Validate(); err != nil {
+	types, err := d.searchTypes(c)
+	if err != nil {
 		return nil, err
-	}
-	types := d.usableTypes()
-	if len(types) < c.K {
-		return nil, ErrNoPreview
 	}
 
 	var (
@@ -38,16 +35,10 @@ func (d *Discoverer) AllOptimal(c Constraint) ([]Preview, error) {
 		found     bool
 		stats     SearchStats
 	)
-	subset := make([]graph.TypeID, c.K)
 	take := make([]int, c.K)
 	tol := func() float64 { return 1e-12 * (1 + math.Abs(bestScore)) }
-
-	var rec func(pos, start int)
-	rec = func(pos, start int) {
-		if pos == c.K {
-			if c.Mode != Concise && !d.pairwiseOK(c, subset) {
-				return
-			}
+	for first := 0; first <= len(types)-c.K; first++ {
+		d.eachSubset(c, types, first, func(subset []graph.TypeID) {
 			stats.SubsetsScored++
 			score := d.previewScore(subset, c.N, take)
 			switch {
@@ -59,14 +50,8 @@ func (d *Discoverer) AllOptimal(c Constraint) ([]Preview, error) {
 			case math.Abs(score-bestScore) <= tol():
 				bestKeys = append(bestKeys, append([]graph.TypeID(nil), subset...))
 			}
-			return
-		}
-		for i := start; i <= len(types)-(c.K-pos); i++ {
-			subset[pos] = types[i]
-			rec(pos+1, i+1)
-		}
+		})
 	}
-	rec(0, 0)
 
 	if !found {
 		return nil, ErrNoPreview
@@ -83,13 +68,7 @@ func (d *Discoverer) AllOptimal(c Constraint) ([]Preview, error) {
 	// Note: distinct key subsets can still materialize previews with equal
 	// scores but different tables; the deterministic order is by key ids.
 	sort.SliceStable(previews, func(a, b int) bool {
-		ka, kb := previews[a].Keys(), previews[b].Keys()
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
+		return lessKeys(previews[a].Keys(), previews[b].Keys())
 	})
 	return previews, nil
 }

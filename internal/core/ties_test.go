@@ -92,6 +92,9 @@ func TestAllOptimalErrors(t *testing.T) {
 	}
 }
 
+// TestBruteForceParallelMatchesSequential: BruteForce and
+// BruteForceParallel are worker counts of one search, so on random graphs
+// they agree on the optimum and on the subsets scored.
 func TestBruteForceParallelMatchesSequential(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,6 +133,9 @@ func TestBruteForceParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBruteForceParallelDeterministicAcrossWorkerCounts: Fig. 1's concise
+// optimum is tied, and every worker count of the one search picks the
+// same tied subset.
 func TestBruteForceParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	_, d := fig1Discoverer(t)
 	c := core.Constraint{K: 2, N: 6, Mode: core.Concise}
@@ -156,6 +162,8 @@ func TestBruteForceParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestBruteForceParallelErrors: on more than one worker the search still
+// rejects invalid constraints and reports an empty space as ErrNoPreview.
 func TestBruteForceParallelErrors(t *testing.T) {
 	_, d := fig1Discoverer(t)
 	if _, err := d.BruteForceParallel(core.Constraint{K: 0, N: 0}, 2); err == nil {

@@ -21,7 +21,9 @@ package service
 // for one uncached key performs one discovery + render while everyone
 // else blocks for the finished bytes. Failed builds are never cached —
 // errors are cheap to recompute and must not shadow a later success (the
-// search budget, for one, is configurable).
+// search budget, for one, is configurable) — and a build that panics
+// withdraws its slot and releases its waiters, which retry, so no key is
+// left parked on a build that will never land.
 //
 // ETags are epoch-derived and strong: a hash of (graph, epoch, mutable,
 // endpoint, canonical params). Two consequences fall out of bodies being
@@ -58,12 +60,40 @@ type cacheEntry struct {
 }
 
 // respSlot is the singleflight slot for one cache key: the goroutine
-// that created the slot builds, everyone else blocks on done. Exactly
-// one of ent/err is set when done closes.
+// that created the slot builds, everyone else blocks on done. When done
+// closes on a landed slot exactly one of ent/err is set; landed is false
+// when the build panicked, and waiters then retry.
 type respSlot struct {
-	done chan struct{}
-	ent  *cacheEntry
-	err  error
+	done   chan struct{}
+	landed bool
+	ent    *cacheEntry
+	err    error
+}
+
+// fill runs build for the slot its caller just installed. Its deferred
+// landing first withdraws the slot (withdraw runs under mu) when the
+// build failed or panicked, so failed builds are never cached and the
+// next request builds afresh, then releases the waiters. A panic still
+// propagates to the caller, which for a request is net/http's recover.
+func (s *respSlot) fill(mu *sync.Mutex, withdraw func(), build func() (*cacheEntry, error)) (*cacheEntry, error) {
+	defer func() {
+		if !s.landed || s.err != nil {
+			mu.Lock()
+			withdraw()
+			mu.Unlock()
+		}
+		close(s.done)
+	}()
+	s.ent, s.err = build()
+	s.landed = true
+	return s.ent, s.err
+}
+
+// wait parks on a slot another request is building and reports whether
+// its build landed; a slot whose build panicked is already withdrawn.
+func (s *respSlot) wait() bool {
+	<-s.done
+	return s.landed
 }
 
 // maxCachedResponses bounds one view's response cache. The parameter
@@ -96,7 +126,9 @@ func (v *view) cachedResponse(key string, build func() (*cacheEntry, error)) (*c
 	}
 	if slot, ok := v.resp[key]; ok {
 		v.respMu.Unlock()
-		<-slot.done
+		if !slot.wait() {
+			return v.cachedResponse(key, build)
+		}
 		return slot.ent, true, slot.err
 	}
 	slot := &respSlot{done: make(chan struct{})}
@@ -120,17 +152,12 @@ func (v *view) cachedResponse(key string, build func() (*cacheEntry, error)) (*c
 	}
 	v.resp[key] = slot
 	v.respMu.Unlock()
-	slot.ent, slot.err = build()
-	close(slot.done)
-	if slot.err != nil {
-		// Failed builds are not cached: the next request retries.
-		v.respMu.Lock()
+	ent, err := slot.fill(&v.respMu, func() {
 		if v.resp[key] == slot {
 			delete(v.resp, key)
 		}
-		v.respMu.Unlock()
-	}
-	return slot.ent, false, slot.err
+	}, build)
+	return ent, false, err
 }
 
 // etagScope is the graph-identity half of an ETag and cache key: who the
@@ -156,22 +183,20 @@ func (c *listCache) cachedResponse(key string, build func() (*cacheEntry, error)
 	if c.slot != nil && c.key == key {
 		slot := c.slot
 		c.mu.Unlock()
-		<-slot.done
+		if !slot.wait() {
+			return c.cachedResponse(key, build)
+		}
 		return slot.ent, true, slot.err
 	}
 	slot := &respSlot{done: make(chan struct{})}
 	c.slot, c.key = slot, key
 	c.mu.Unlock()
-	slot.ent, slot.err = build()
-	close(slot.done)
-	if slot.err != nil {
-		c.mu.Lock()
+	ent, err := slot.fill(&c.mu, func() {
 		if c.slot == slot {
 			c.slot = nil
 		}
-		c.mu.Unlock()
-	}
-	return slot.ent, false, slot.err
+	}, build)
+	return ent, false, err
 }
 
 // httpError pairs a build failure with the status it maps to, so error

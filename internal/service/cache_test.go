@@ -15,7 +15,8 @@ package service
 //     leader and a shipped batch on a follower each publish an epoch
 //     whose reads never serve the prior epoch's cached body;
 //   - the singleflight test pins that a thundering herd on one cold key
-//     renders exactly once.
+//     renders exactly once, and the panic test that a build which panics
+//     releases the requests parked on it.
 
 import (
 	"encoding/json"
@@ -24,6 +25,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -651,5 +653,106 @@ func TestCacheAtCapacityHerd(t *testing.T) {
 	}
 	if hits2, misses2 := srv.CacheStats(); misses2 != misses || hits2 != hits+1 {
 		t.Fatalf("repeat request rendered again: hits %d→%d misses %d→%d", hits, hits2, misses, misses2)
+	}
+}
+
+// parkedOnSlot reports whether some goroutine is blocked on a channel
+// receive inside frame: a request parked on another's response build.
+func parkedOnSlot(frame string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, frame) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestResponseCachePanicReleasesWaiters: a build that panics after a
+// request has parked on its slot withdraws the slot and releases the
+// parked request, which then builds and caches the entry itself; the
+// next call is a cache hit. A static graph keeps one view for the
+// process lifetime, so a slot left unreleased would park every later
+// request for its key forever. Both caches share the slot protocol, so
+// both are rows here.
+func TestResponseCachePanicReleasesWaiters(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Add("fig1", fig1.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	gr, _ := reg.Get("fig1")
+	for _, row := range []struct {
+		name  string
+		cache responseCacher
+		frame string // the waiter's frame while it is parked
+	}{
+		{"view", gr.view(), "(*view).cachedResponse"},
+		{"list", &listCache{}, "(*listCache).cachedResponse"},
+	} {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			const key = "panicking-key"
+			// The builder holds its slot until released; a WaitGroup, not a
+			// channel, so the builder itself never looks parked.
+			var release sync.WaitGroup
+			release.Add(1)
+			building := make(chan struct{})
+			builder := make(chan any, 1)
+			go func() {
+				defer func() { builder <- recover() }()
+				_, _, _ = row.cache.cachedResponse(key, func() (*cacheEntry, error) {
+					close(building)
+					release.Wait()
+					panic("build failed")
+				})
+			}()
+			<-building
+
+			builds := 0
+			rebuild := func() (*cacheEntry, error) {
+				builds++
+				return &cacheEntry{body: []byte("rebuilt")}, nil
+			}
+			type result struct {
+				ent *cacheEntry
+				hit bool
+				err error
+			}
+			waiter := make(chan result, 1)
+			go func() {
+				var r result
+				r.ent, r.hit, r.err = row.cache.cachedResponse(key, rebuild)
+				waiter <- r
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for !parkedOnSlot(row.frame) {
+				if time.Now().After(deadline) {
+					t.Fatal("timed out waiting for a request to park on the build")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			release.Done()
+			if p := <-builder; p == nil {
+				t.Fatal("the builder did not panic")
+			}
+
+			var w result
+			select {
+			case w = <-waiter:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the parked request was still blocked 10s after its build panicked")
+			}
+			if w.err != nil || w.hit || w.ent == nil || string(w.ent.body) != "rebuilt" {
+				t.Fatalf("parked request got (%+v, hit=%t, %v), want its own rebuilt entry", w.ent, w.hit, w.err)
+			}
+			ent, hit, err := row.cache.cachedResponse(key, rebuild)
+			if err != nil || !hit || ent != w.ent {
+				t.Fatalf("next call got (%+v, hit=%t, %v), want the cached rebuilt entry", ent, hit, err)
+			}
+			if builds != 1 {
+				t.Fatalf("rebuilt %d times, want 1", builds)
+			}
+		})
 	}
 }
