@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 	"github.com/uta-db/previewtables/internal/freebase"
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/par"
+	"github.com/uta-db/previewtables/internal/render"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/storage"
 	"github.com/uta-db/previewtables/internal/study"
@@ -480,12 +482,26 @@ func BenchmarkTripleMarshal(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
+// BenchmarkSchemaDerivation: deriving a schema graph from a graph's type
+// names and relationship types. EntityGraph.Schema does this once per
+// graph and then returns the shared result, so the benchmark derives
+// through NewSchema to keep measuring the derivation, not the lookup.
 func BenchmarkSchemaDerivation(b *testing.B) {
 	_, graphs, _ := benchSetup(b)
 	g := graphs["books"]
+	names := make([]string, g.NumTypes())
+	for i := range names {
+		names[i] = g.TypeName(graph.TypeID(i))
+	}
+	rels := make([]graph.RelType, g.NumRelTypes())
+	for i := range rels {
+		rels[i] = g.RelType(graph.RelTypeID(i))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.Schema()
+		if _, err := graph.NewSchema(names, rels); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -673,6 +689,44 @@ func BenchmarkParallelDiscover(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// renderMissDoc keeps BenchmarkRenderMiss's documents live.
+var renderMissDoc render.PreviewDoc
+
+// BenchmarkRenderMiss: what a response-cache miss pays to render, apart
+// from discovery — one JSON document, one text and one Markdown rendering
+// of a preview at tuples=5 over the three largest types of the
+// 100k-entity graph (MUSICAL RECORDING, RELEASE TRACK and MUSICAL
+// RELEASE, ~22k entities each), with the default sampling stream the
+// server uses (BENCH_render_path.json).
+func BenchmarkRenderMiss(b *testing.B) {
+	g, set := parallelBenchSetup(b)
+	types := make([]graph.TypeID, g.NumTypes())
+	for i := range types {
+		types[i] = graph.TypeID(i)
+	}
+	sort.SliceStable(types, func(i, j int) bool { return g.TypeCoverage(types[i]) > g.TypeCoverage(types[j]) })
+	d := core.New(set, core.Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	p, err := d.ComputePreview(types[:3], 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := render.Options{Tuples: 5}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		renderMissDoc = render.PreviewDocument(g, &p, opts)
+		buf.Reset()
+		if err := render.Preview(&buf, g, &p, opts); err != nil {
+			b.Fatal(err)
+		}
+		buf.Reset()
+		if err := render.MarkdownPreview(&buf, g, &p, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -50,13 +50,33 @@ func SampleRandom(g *graph.EntityGraph, t *Table, count int, rng *rand.Rand) []T
 	if count >= len(ents) {
 		return MaterializeAll(g, t)
 	}
-	idx := rng.Perm(len(ents))[:count]
+	idx := permPrefix(rng, len(ents), count)
 	sort.Ints(idx)
 	tuples := make([]Tuple, count)
 	for i, j := range idx {
 		tuples[i] = Materialize(g, t, ents[j])
 	}
 	return tuples
+}
+
+// permPrefix returns rng.Perm(n)[:count] without materializing the other
+// n-count slots. It runs Perm's inside-out shuffle with the same Intn
+// draws, so the result and the rng's final state are exactly Perm's (Go 1
+// keeps Perm's output stable), but it stores only the prefix: a value
+// written at or past slot count only ever moves to a later slot, never
+// back into the prefix, so those slots need not exist.
+func permPrefix(rng *rand.Rand, n, count int) []int {
+	m := make([]int, count)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < count {
+			m[i] = m[j]
+			m[j] = i
+		} else if j < count {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // nonEmptyCells counts the non-empty non-key values of a tuple.

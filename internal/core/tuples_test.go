@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/uta-db/previewtables/internal/core"
@@ -87,6 +90,91 @@ func TestSampleRandom(t *testing.T) {
 	if got := core.SampleRandom(g, &tb, 99, rng); len(got) != 4 {
 		t.Errorf("oversample size = %d, want 4", len(got))
 	}
+}
+
+// keyedTables builds one entity type per size, with that many entities,
+// and returns the graph plus one attribute-less table per type: the
+// sampled keys are then the whole observable output of SampleRandom.
+func keyedTables(t *testing.T, sizes ...int) (*graph.EntityGraph, []core.Table) {
+	t.Helper()
+	var b graph.Builder
+	types := make([]graph.TypeID, len(sizes))
+	for i, n := range sizes {
+		types[i] = b.Type(fmt.Sprintf("T%d", i))
+		for e := 0; e < n; e++ {
+			b.Entity(fmt.Sprintf("t%d-e%d", i, e), types[i])
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]core.Table, len(types))
+	for i, ty := range types {
+		tables[i] = core.Table{Key: ty}
+	}
+	return g, tables
+}
+
+// permSample is the sampling contract written with the materialized
+// permutation: every entity when count covers the type (and no draws),
+// otherwise the sorted first count slots of rng.Perm(n).
+func permSample(ents []graph.EntityID, count int, rng *rand.Rand) []graph.EntityID {
+	if count >= len(ents) {
+		return ents
+	}
+	idx := rng.Perm(len(ents))[:count]
+	sort.Ints(idx)
+	keys := make([]graph.EntityID, count)
+	for i, j := range idx {
+		keys[i] = ents[j]
+	}
+	return keys
+}
+
+// TestSampleRandomMatchesPerm pins SampleRandom to rand.Perm: the same
+// sample and the same rng state afterwards, so rendered tuples (and the
+// tables sampled after them from the same stream) never move.
+func TestSampleRandomMatchesPerm(t *testing.T) {
+	sizes := []int{1, 2, 64, 101, 20011}
+	g, tables := keyedTables(t, sizes...)
+	type draw struct{ table, count int }
+	var cases [][]draw
+	for ti, n := range sizes {
+		for _, count := range []int{0, 1, n - 1, n, n + 1} {
+			cases = append(cases, []draw{{ti, count}})
+		}
+	}
+	// Two tables back to back from one stream, as a preview samples them.
+	cases = append(cases, []draw{{4, 5}, {3, 5}})
+	for _, seed := range []int64{1, 7, 1009} {
+		for _, c := range cases {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for _, d := range c {
+				tb := &tables[d.table]
+				sample := core.SampleRandom(g, tb, d.count, got)
+				ref := permSample(g.EntitiesOfType(tb.Key), d.count, want)
+				keys := make([]graph.EntityID, len(sample))
+				for i, tu := range sample {
+					keys[i] = tu.Key
+				}
+				if !reflect.DeepEqual(keys, ref) {
+					t.Fatalf("seed %d, draws %v: n=%d count=%d sampled %v, Perm gives %v",
+						seed, c, sizes[d.table], d.count, firstKeys(keys), firstKeys(ref))
+				}
+			}
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d, draws %v: next Int63 %d after SampleRandom, %d after Perm", seed, c, a, b)
+			}
+		}
+	}
+}
+
+func firstKeys(keys []graph.EntityID) []graph.EntityID {
+	if len(keys) > 8 {
+		return keys[:8]
+	}
+	return keys
 }
 
 func TestSampleRepresentativeCoversValues(t *testing.T) {

@@ -17,6 +17,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // EntityID identifies an entity (a vertex of the entity graph Gd).
@@ -81,6 +82,10 @@ type EntityGraph struct {
 	// outgoing (rel.From == t) and incoming (rel.To == t).
 	schemaOut [][]RelTypeID
 	schemaIn  [][]RelTypeID
+
+	// schema is the derived schema graph, built on first use (Schema).
+	schemaOnce sync.Once
+	schema     *Schema
 }
 
 // NumEntities returns |Vd|.

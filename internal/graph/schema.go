@@ -40,16 +40,21 @@ type Incidence struct {
 	Outgoing bool
 }
 
-// Schema derives the schema graph of g. Undirected edge weights are the
-// relationship-instance counts of the underlying entity graph.
+// Schema returns the schema graph of g. Undirected edge weights are the
+// relationship-instance counts of the underlying entity graph. The graph
+// is immutable, so the schema is derived once, on first use, and every
+// call returns the same shared *Schema.
 func (g *EntityGraph) Schema() *Schema {
-	names := make([]string, len(g.types))
-	for i := range g.types {
-		names[i] = g.types[i].Name
-	}
-	rels := make([]RelType, len(g.relTypes))
-	copy(rels, g.relTypes)
-	return buildSchema(names, rels)
+	g.schemaOnce.Do(func() {
+		names := make([]string, len(g.types))
+		for i := range g.types {
+			names[i] = g.types[i].Name
+		}
+		rels := make([]RelType, len(g.relTypes))
+		copy(rels, g.relTypes)
+		g.schema = buildSchema(names, rels)
+	})
+	return g.schema
 }
 
 // NewSchema builds a schema graph directly from a list of entity type names

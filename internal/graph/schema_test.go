@@ -2,6 +2,8 @@ package graph_test
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +158,50 @@ func TestNewSchemaDirect(t *testing.T) {
 	}
 	if w := s.TotalWeight(1); w != 2 {
 		t.Errorf("total weight of b = %v, want 2 (unit weights)", w)
+	}
+}
+
+// TestSchemaSharedAcrossGoroutines: a graph derives its schema once.
+// Concurrent first calls all get one pointer, and it equals a fresh
+// derivation through NewSchema from the graph's types and rel types.
+func TestSchemaSharedAcrossGoroutines(t *testing.T) {
+	g := fig1.Graph()
+	got := make([]*graph.Schema, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = g.Schema()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, s := range got {
+		if s == nil || s != got[0] {
+			t.Fatalf("goroutine %d got schema %p, goroutine 0 got %p", i, s, got[0])
+		}
+	}
+	if s := g.Schema(); s != got[0] {
+		t.Fatalf("a later call got schema %p, want the shared %p", s, got[0])
+	}
+
+	names := make([]string, g.NumTypes())
+	for i := range names {
+		names[i] = g.TypeName(graph.TypeID(i))
+	}
+	rels := make([]graph.RelType, g.NumRelTypes())
+	for i := range rels {
+		rels[i] = g.RelType(graph.RelTypeID(i))
+	}
+	fresh, err := graph.NewSchema(names, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, got[0]) {
+		t.Error("shared schema differs from a fresh derivation")
 	}
 }
 

@@ -109,6 +109,7 @@ type TupleDoc struct {
 // PreviewDocument builds the JSON document for a whole preview. Tuple
 // sampling follows opts exactly as the text renderer does.
 func PreviewDocument(g *graph.EntityGraph, p *core.Preview, opts Options) PreviewDoc {
+	opts = opts.withDefaults()
 	doc := PreviewDoc{
 		Score:       p.Score,
 		NonKeyCount: p.NonKeyCount(),

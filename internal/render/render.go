@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/graph"
@@ -25,8 +26,10 @@ type Options struct {
 	// Representative selects coverage-greedy tuples instead of random ones
 	// (the future-work extension).
 	Representative bool
-	// Rand drives random sampling; nil uses a fixed seed for deterministic
-	// output.
+	// Rand drives random sampling; nil uses a fresh seed-1 stream for
+	// deterministic output. A whole-preview call (Preview, MarkdownPreview,
+	// PreviewDocument) draws every table's sample from that one stream, as
+	// the previewd render and preview routes do.
 	Rand *rand.Rand
 	// MaxCellWidth truncates long cells (0 = 40).
 	MaxCellWidth int
@@ -81,6 +84,7 @@ func Table(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error
 // Preview renders a whole preview: every table, separated by blank lines,
 // headed by the preview score.
 func Preview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	opts = opts.withDefaults()
 	fmt.Fprintf(w, "preview: %d tables, %d non-key attributes, score %.4g\n\n",
 		len(p.Tables), p.NonKeyCount(), p.Score)
 	for i := range p.Tables {
@@ -125,14 +129,22 @@ func formatCell(g *graph.EntityGraph, vals []graph.EntityID) string {
 	return "{" + strings.Join(names, ", ") + "}"
 }
 
+// clip truncates s to at most max runes — the unit writeGrid aligns by —
+// ending a truncated cell in "…". It never splits a rune.
 func clip(s string, max int) string {
-	if len(s) <= max {
+	if utf8.RuneCountInString(s) <= max {
 		return s
 	}
+	keep, ellipsis := max-1, "…"
 	if max <= 1 {
-		return s[:max]
+		keep, ellipsis = max, ""
 	}
-	return s[:max-1] + "…"
+	end := 0
+	for ; keep > 0; keep-- {
+		_, size := utf8.DecodeRuneInString(s[end:])
+		end += size
+	}
+	return s[:end] + ellipsis
 }
 
 // writeGrid renders an aligned text grid. When underlineKey is set, the
@@ -217,6 +229,7 @@ func MarkdownTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Option
 // separated by blank lines — the multi-table counterpart of
 // MarkdownTable, as Preview is of Table.
 func MarkdownPreview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	opts = opts.withDefaults()
 	for i := range p.Tables {
 		if i > 0 {
 			fmt.Fprintln(w)
@@ -277,6 +290,8 @@ func PreviewDOT(w io.Writer, s *graph.Schema, p *core.Preview) error {
 	return err
 }
 
-func escapeMD(s string) string {
-	return strings.NewReplacer("|", "\\|", "\n", " ").Replace(s)
-}
+// mdEscaper keeps a cell inside its Markdown table cell: pipes escaped,
+// newlines flattened. A Replacer is safe for concurrent use.
+var mdEscaper = strings.NewReplacer("|", "\\|", "\n", " ")
+
+func escapeMD(s string) string { return mdEscaper.Replace(s) }

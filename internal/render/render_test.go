@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/fig1"
@@ -136,6 +137,50 @@ func TestCellClipping(t *testing.T) {
 	}
 	if strings.Contains(out, "Science Fiction}") {
 		t.Errorf("cell exceeded MaxCellWidth:\n%s", out)
+	}
+}
+
+// TestCellClippingKeepsRunes: a clipped cell is valid UTF-8 and at most
+// MaxCellWidth runes wide — the unit the grid aligns by — for every limit
+// around each multibyte rune. ASCII cells clip exactly as before.
+func TestCellClippingKeepsRunes(t *testing.T) {
+	for _, name := range []string{
+		"Orquesta Sinfónica de la Ciudad de México",
+		"東京フィルハーモニー交響楽団",
+		"Men in Black",
+	} {
+		var b graph.Builder
+		b.Entity(name, b.Type("ORCHESTRA"))
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runes := []rune(name)
+		for max := 1; max <= len(runes)+1; max++ {
+			var buf bytes.Buffer
+			if err := render.Table(&buf, g, &core.Table{Key: 0}, render.Options{Tuples: 1, MaxCellWidth: max}); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			if !utf8.ValidString(out) {
+				t.Fatalf("%q at width %d: output is not valid UTF-8: %q", name, max, out)
+			}
+			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+			cell := lines[len(lines)-1]
+			want := name
+			switch {
+			case max == 1 && len(runes) > 1:
+				want = string(runes[:1])
+			case max < len(runes):
+				want = string(runes[:max-1]) + "…"
+			}
+			if cell != want {
+				t.Errorf("%q at width %d: cell %q, want %q", name, max, cell, want)
+			}
+			if n := utf8.RuneCountInString(cell); n > max {
+				t.Errorf("%q at width %d: cell is %d runes wide", name, max, n)
+			}
+		}
 	}
 }
 

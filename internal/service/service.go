@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -701,14 +700,11 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph)
 	})
 }
 
-// renderOptions maps request parameters onto render options. Sampling is
-// reseeded per request so identical requests return identical tuples.
+// renderOptions maps request parameters onto render options. Sampling
+// uses render's default stream, fresh per preview, so identical requests
+// return identical tuples.
 func renderOptions(p previewParams) render.Options {
-	return render.Options{
-		Tuples:         p.Tuples,
-		Representative: p.Representative,
-		Rand:           rand.New(rand.NewSource(1)),
-	}
+	return render.Options{Tuples: p.Tuples, Representative: p.Representative}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	previewtables "github.com/uta-db/previewtables"
+	"github.com/uta-db/previewtables/internal/freebase"
+	"github.com/uta-db/previewtables/internal/service"
 )
 
 // buildFig1 reconstructs the paper's Fig. 1 graph through the public API.
@@ -292,5 +296,75 @@ func TestPreviewDocumentPublic(t *testing.T) {
 	td := previewtables.TableDocument(g, &p.Tables[0], 2)
 	if td.Key != back.Tables[0].Key || len(td.Tuples) == 0 {
 		t.Fatalf("table document: %+v", td)
+	}
+}
+
+// TestLibraryMatchesServedBodies: the root package's renderers are the
+// bodies previewd serves. For a multi-table preview with sampled tuples,
+// the library's text, Markdown and JSON output equal the server's render
+// bodies and the preview field of its preview body byte for byte, so
+// every table draws from the one per-preview stream the server uses.
+func TestLibraryMatchesServedBodies(t *testing.T) {
+	g, err := freebase.Generate("film", freebase.GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tuples = 2
+	p, err := previewtables.NewDiscoverer(g, previewtables.KeyCoverage, previewtables.NonKeyCoverage).
+		Discover(previewtables.Constraint{K: 3, N: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tb := range p.Tables {
+		if g.TypeCoverage(tb.Key) <= tuples {
+			t.Fatalf("table %d: %d entities leave nothing to sample", i, g.TypeCoverage(tb.Key))
+		}
+	}
+
+	reg := service.NewRegistry()
+	if err := reg.Add("film", g); err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(reg)
+	serve := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/graphs/film/"+path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	const params = "k=3&n=6&tuples=2"
+
+	var text, md bytes.Buffer
+	if err := previewtables.Render(&text, g, &p, tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := previewtables.RenderMarkdownPreview(&md, g, &p, tuples); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	enc := json.NewEncoder(&doc)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(previewtables.PreviewDocument(g, &p, tuples)); err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Preview json.RawMessage }
+	if err := json.Unmarshal(serve("preview?"+params), &body); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name     string
+		lib, srv []byte
+	}{
+		{"text", text.Bytes(), serve("render?" + params)},
+		{"markdown", md.Bytes(), serve("render?format=markdown&" + params)},
+		{"json", bytes.TrimSuffix(doc.Bytes(), []byte("\n")), body.Preview},
+	} {
+		if !bytes.Equal(c.lib, c.srv) {
+			t.Errorf("%s: library output differs from the served body:\n%s\nserved:\n%s", c.name, c.lib, c.srv)
+		}
 	}
 }
