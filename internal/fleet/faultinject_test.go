@@ -61,8 +61,9 @@ func TestFleetPromotionSafetyMidBatchCrash(t *testing.T) {
 			// Arm the doomed write: the hook mimics a process that dies
 			// mid-durability — optionally the fsync happened, the
 			// publication never does, and no ack escapes.
-			wal := lp.wals[g]
-			lp.lives[g].SetDurability(func(epoch uint64, kind byte, payload []byte) error {
+			gr, _ := lp.reg.Get(g)
+			wal := gr.WAL()
+			gr.Live().SetDurability(func(epoch uint64, kind byte, payload []byte) error {
 				if tc.fsynced {
 					if err := wal.Append(epoch, kind, payload); err != nil {
 						return err

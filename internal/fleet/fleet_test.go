@@ -31,71 +31,63 @@ import (
 	"testing"
 	"time"
 
-	"github.com/uta-db/previewtables/internal/dynamic"
 	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/service"
-	"github.com/uta-db/previewtables/internal/storage"
 )
 
-// leaderProc is one leader "process": a registry of durable live graphs
-// (each WAL-backed, origin-pinned for follower bootstrap) behind its own
-// listener. dead is set by crash: from then on the listener's handler
-// aborts every request, as a killed process would.
+// leaderProc is one leader "process": the service.Node previewd builds
+// for -mutable -wal-dir -checkpoint-dir, with one durable graph per
+// name (each WAL-backed, origin-pinned for follower bootstrap), behind
+// its own listener. dead is set by crash: from then on the listener's
+// handler aborts every request, as a killed process would.
 type leaderProc struct {
 	id      string
 	reg     *service.Registry
 	ts      *httptest.Server
 	dead    atomic.Bool
-	lives   map[string]*dynamic.Live
-	wals    map[string]*storage.WAL
 	walRoot string
 }
 
+// startLeaderProc boots a leader over root's durable state for shardID;
+// a restarted proc (same root) recovers its graphs, the graphs it
+// adopted, and its persisted fence — which is exactly what keeps a
+// deposed leader deposed. With no graphs it is an empty migration
+// target.
 func startLeaderProc(t testing.TB, shardID string, graphs []string, root string) *leaderProc {
 	t.Helper()
-	lp := &leaderProc{
-		id:      shardID,
-		reg:     service.NewRegistry(),
-		lives:   map[string]*dynamic.Live{},
-		wals:    map[string]*storage.WAL{},
-		walRoot: filepath.Join(root, "leader-"+shardID),
+	lp := &leaderProc{id: shardID, walRoot: filepath.Join(root, "leader-"+shardID)}
+	var srcs []service.GraphSource
+	for _, g := range graphs {
+		srcs = append(srcs, service.GraphSource{Name: g, Load: func() (*graph.EntityGraph, error) { return fig1.Graph(), nil }})
 	}
-	// Fencing arms before anything serves — and a restarted leader (same
-	// walRoot) recovers its persisted fence here, which is exactly what
-	// keeps a deposed leader deposed.
-	if err := lp.reg.EnableFencing(lp.walRoot); err != nil {
+	node, err := service.NewNode(service.NodeConfig{
+		Graphs:  srcs,
+		Mutable: true,
+		FollowerOptions: service.FollowerOptions{
+			Walk:          score.DefaultWalkOptions(),
+			CheckpointDir: filepath.Join(root, "leader-"+shardID+"-ckpt"),
+			WALRoot:       lp.walRoot,
+			Wait:          150 * time.Millisecond,
+			Backoff:       5 * time.Millisecond,
+		},
+		// No periodic checkpoint fires within a test: one that truncated a
+		// leader's WAL past its origin would bootstrap later followers
+		// from the current snapshot, whose entropy matches only to the
+		// last ulp, and the differentials compare bytes.
+		CheckpointInterval: time.Hour,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range graphs {
-		rec, err := service.RecoverLive(fig1.Graph(), g, "", filepath.Join(lp.walRoot, g), score.DefaultWalkOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lp.reg.AddLive(g, rec.Live,
-			service.WithDurability(rec.WAL), service.WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
-			t.Fatal(err)
-		}
-		lp.lives[g] = rec.Live
-		lp.wals[g] = rec.WAL
-	}
-	srv := service.New(lp.reg)
-	// Migration endpoints, mirroring cmd/previewd's durable-leader wiring.
-	adopter := service.NewAdopter(lp.reg, service.FollowerOptions{
-		Walk:          score.DefaultWalkOptions(),
-		CheckpointDir: filepath.Join(root, "leader-"+shardID+"-ckpt"),
-		WALRoot:       lp.walRoot,
-		Wait:          150 * time.Millisecond,
-		Backoff:       5 * time.Millisecond,
-	})
-	srv.OnAdopt = adopter.Adopt
-	srv.OnGraphPromote = adopter.Promote
-	srv.OnDrop = adopter.Drop
+	t.Cleanup(node.Close)
+	lp.reg = node.Registry()
 	lp.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if lp.dead.Load() {
 			panic(http.ErrAbortHandler) // severs the connection, no response
 		}
-		srv.ServeHTTP(w, r)
+		node.Server().ServeHTTP(w, r)
 	}))
 	t.Cleanup(lp.ts.Close)
 	return lp
@@ -118,8 +110,8 @@ func (lp *leaderProc) crash() {
 // followerProc is one replica "process": a registry hosting one durable
 // Follower per shard graph — all tailing THROUGH the router, so a
 // leader swap needs no replica reconfiguration — behind its own
-// listener, with the node-level promote endpoint wired to flip every
-// followed graph at once.
+// listener. The registry promotes every follower it started at once
+// when the router calls the node-level promote route.
 type followerProc struct {
 	reg *service.Registry
 	fs  map[string]*service.Follower
@@ -154,16 +146,7 @@ func startFollowerProc(t testing.TB, routerURL string, graphs []string, root str
 		fp.fs[g] = f
 		t.Cleanup(f.Stop)
 	}
-	srv := service.New(fp.reg)
-	srv.OnPromote = func() error {
-		for _, f := range fp.fs {
-			if err := f.Promote(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fp.ts = httptest.NewServer(srv)
+	fp.ts = httptest.NewServer(service.New(fp.reg))
 	t.Cleanup(fp.ts.Close)
 	return fp
 }

@@ -108,7 +108,7 @@ type Follower struct {
 	// hence atomic.
 	live atomic.Pointer[dynamic.Live]
 	wal  *storage.WAL          // nil when volatile
-	ckpt *storage.Checkpointer // shared with previewd's checkpoint loop; nil when volatile
+	ckpt *storage.Checkpointer // shared with the node's checkpoint loop; nil when volatile
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -126,9 +126,10 @@ func StartFollower(reg *Registry, name string, opts FollowerOptions) (*Follower,
 }
 
 // startFollower is StartFollower with the registry-wide leader mark
-// optional: an Adopter replicates ONE graph onto a node that leads its
-// others, so it must not 503 the whole registry — the adopted graph's
-// own FollowState is what gates its writes (see requireWritable).
+// optional: an adoption (Node.adopt) replicates ONE graph onto a node
+// that leads its others, so it must not 503 the whole registry — the
+// adopted graph's own FollowState is what gates its writes (see
+// requireWritable).
 func startFollower(reg *Registry, name string, opts FollowerOptions, markLeader bool) (*Follower, error) {
 	if opts.Leader == "" {
 		return nil, errors.New("service: follower needs a leader URL")
@@ -142,50 +143,12 @@ func startFollower(reg *Registry, name string, opts FollowerOptions, markLeader 
 		return nil, fmt.Errorf("service: following %q from %s: %w", name, opts.Leader, err)
 	}
 	if markLeader {
-		reg.SetLeader(opts.Leader)
+		reg.addFollower(f)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f.cancel, f.done = cancel, make(chan struct{})
 	go f.run(ctx)
 	return f, nil
-}
-
-// FollowAll discovers the leader's replicated graphs and starts a
-// follower for each, skipping graphs the leader cannot ship (static or
-// volatile ones). previewd -follow uses it at startup.
-func FollowAll(reg *Registry, opts FollowerOptions) ([]*Follower, error) {
-	leader := strings.TrimRight(opts.Leader, "/")
-	var listing struct {
-		Graphs []struct {
-			Name string `json:"name"`
-		} `json:"graphs"`
-	}
-	resp, err := opts.client().Get(leader + "/v1/graphs")
-	if err != nil {
-		return nil, fmt.Errorf("service: listing %s's graphs: %w", leader, err)
-	}
-	err = decodeJSONBody(resp, &listing)
-	if err != nil {
-		return nil, fmt.Errorf("service: listing %s's graphs: %w", leader, err)
-	}
-	var fs []*Follower
-	for _, g := range listing.Graphs {
-		st, err := opts.client().Get(leader + "/v1/replication/" + url.PathEscape(g.Name) + "/status")
-		if err != nil {
-			return fs, err
-		}
-		io.Copy(io.Discard, st.Body)
-		st.Body.Close()
-		if st.StatusCode == http.StatusNotFound {
-			continue // not replicated; nothing to follow
-		}
-		f, err := StartFollower(reg, g.Name, opts)
-		if err != nil {
-			return fs, err
-		}
-		fs = append(fs, f)
-	}
-	return fs, nil
 }
 
 // Stop halts the replication loop and closes the local WAL. Reads keep
@@ -224,13 +187,13 @@ func (f *Follower) Promote() error {
 	if err := f.promoteGraph(); err != nil {
 		return err
 	}
-	f.reg.SetLeader("")
+	f.reg.clearLeader()
 	return nil
 }
 
 // promoteGraph is the graph-scoped half of Promote: stop the
 // replication loop and clear this graph's follow status, leaving the
-// registry-wide leader mark alone. Adopter.Promote uses it to cut one
+// registry-wide leader mark alone. Node.promote uses it to cut one
 // migrated graph over on a node that was never a whole-registry
 // follower.
 func (f *Follower) promoteGraph() error {
@@ -245,19 +208,6 @@ func (f *Follower) promoteGraph() error {
 
 // Name returns the replicated graph's name.
 func (f *Follower) Name() string { return f.name }
-
-// WAL returns the follower's local write-ahead log, or nil when the
-// follower is volatile. previewd's checkpoint loop uses it to bound the
-// local log exactly as on a leader.
-func (f *Follower) WAL() *storage.WAL { return f.wal }
-
-// Checkpointer returns the follower's durable checkpointer, or nil when
-// the follower is volatile. Periodic checkpoint loops must use this
-// instance rather than constructing their own: a Checkpointer serializes
-// its saves internally, and two independent instances over the same
-// directory could delete each other's snapshots out from under the
-// current-manifest.
-func (f *Follower) Checkpointer() *storage.Checkpointer { return f.ckpt }
 
 // Applied returns the last shipped epoch applied and published.
 func (f *Follower) Applied() uint64 { return f.live.Load().Snapshot().Epoch }
@@ -478,7 +428,7 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 		return fmt.Errorf("%w: leader's bootstrap epoch %d is behind our applied epoch %d", errDiverged, e, applied)
 	}
 	if f.opts.durable() {
-		// The shared checkpointer (also driven by previewd's checkpoint
+		// The shared checkpointer (also driven by the node's checkpoint
 		// loop) serializes this save against periodic ones — two racing
 		// instances could otherwise delete each other's snapshots out from
 		// under the manifest.

@@ -50,13 +50,14 @@ type Registry struct {
 	// registrations only.
 	//
 	// Live graphs' incremental refreshes are driven by the WalkOptions
-	// their dynamic.Live was built with; set Parallelism there too (see
-	// cmd/previewd).
+	// their dynamic.Live was built with; NewNode sets both from
+	// Walk.Parallelism.
 	Parallelism int
 
-	mu     sync.RWMutex
-	graphs map[string]*Graph
-	leader string // non-empty = follower registry; writes answer 503 naming it
+	mu        sync.RWMutex
+	graphs    map[string]*Graph
+	leader    string      // non-empty = follower registry; writes answer 503 naming it
+	following []*Follower // started by StartFollower; POST /v1/replication/promote promotes them
 
 	// Fencing state (see EnableFencing). fence is read lock-free on the
 	// write hot path; fenceMu serializes installs so the persist and the
@@ -160,21 +161,39 @@ func (r *Registry) AddLive(name string, live *dynamic.Live, opts ...LiveOption) 
 	return r.register(name, gr)
 }
 
-// SetLeader marks the whole registry as a follower of the previewd at
-// base URL addr: every write endpoint answers 503 naming it, because the
-// only writer a replica may accept from is the replication stream.
-// Passing "" restores normal write handling.
-func (r *Registry) SetLeader(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.leader = addr
-}
-
 // Leader returns the leader address of a follower registry, or "".
 func (r *Registry) Leader() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.leader
+}
+
+// addFollower marks the whole registry as a replica of f's leader —
+// every write endpoint answers 503 naming it, because the only writer a
+// replica may accept from is the replication stream — and records f
+// among the followers a node-level promote turns into leaders.
+func (r *Registry) addFollower(f *Follower) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.leader = f.opts.Leader
+	r.following = append(r.following, f)
+}
+
+// clearLeader ends replica mode after a promotion: writes are accepted
+// here again.
+func (r *Registry) clearLeader() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.leader = ""
+}
+
+// followers returns the followers StartFollower registered here. A
+// registry with any is a follower node; it keeps them after promotion,
+// so a repeated promote still finds what it promoted.
+func (r *Registry) followers() []*Follower {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]*Follower(nil), r.following...)
 }
 
 func (r *Registry) register(name string, gr *Graph) error {
@@ -198,19 +217,19 @@ func (r *Registry) register(name string, gr *Graph) error {
 // EnableFencing arms the write-path fence check (see Server's
 // requireWritable) and loads any fence previously persisted under dir —
 // a node that was deposed stays deposed across restarts. dir is the
-// node's WAL root; previewd enables fencing whenever -wal-dir is set.
-// An empty dir arms the check without persistence (tests only).
+// node's WAL root; a Node enables fencing whenever it has one.
 func (r *Registry) EnableFencing(dir string) error {
+	if dir == "" {
+		return errors.New("service: fencing needs a directory to persist the fence in")
+	}
 	r.fenceMu.Lock()
 	defer r.fenceMu.Unlock()
-	if dir != "" {
-		f, ok, err := storage.LoadFence(dir)
-		if err != nil {
-			return err
-		}
-		if ok && f > r.fence.Load() {
-			r.fence.Store(f)
-		}
+	f, ok, err := storage.LoadFence(dir)
+	if err != nil {
+		return err
+	}
+	if ok && f > r.fence.Load() {
+		r.fence.Store(f)
 	}
 	r.fenceDir = dir
 	r.fenceOn.Store(true)
@@ -240,10 +259,8 @@ func (r *Registry) InstallFence(f uint64) error {
 	if f <= r.fence.Load() {
 		return nil
 	}
-	if r.fenceDir != "" {
-		if err := storage.SaveFence(r.fenceDir, f); err != nil {
-			return err
-		}
+	if err := storage.SaveFence(r.fenceDir, f); err != nil {
+		return err
 	}
 	r.fence.Store(f)
 	return nil
@@ -262,7 +279,7 @@ func (r *Registry) adoptFence(f uint64) {
 // Remove unregisters name and returns its graph, ok=false when it was
 // never registered. In-flight requests holding the graph finish against
 // their resolved views; new requests 404. Durable-state cleanup is the
-// caller's job (see Adopter.Drop) — the registry only owns the name.
+// caller's job (see Node.drop) — the registry only owns the name.
 func (r *Registry) Remove(name string) (*Graph, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -444,15 +461,12 @@ func (gr *Graph) Live() *dynamic.Live { return gr.live.Load() }
 func (gr *Graph) replSrc() *replSource { return gr.repl.Load() }
 
 // WAL returns the graph's write-ahead log, or nil for static/volatile
-// graphs. previewd's checkpoint loop uses it to pick up graphs that
-// were adopted at runtime (no startup flag ever named them).
-func (gr *Graph) WAL() *storage.WAL { return gr.repl.Load().walOrNil() }
-
-func (src *replSource) walOrNil() *storage.WAL {
-	if src == nil {
-		return nil
+// graphs.
+func (gr *Graph) WAL() *storage.WAL {
+	if src := gr.repl.Load(); src != nil {
+		return src.wal
 	}
-	return src.wal
+	return nil
 }
 
 // FollowState returns the replication-loop status published by a

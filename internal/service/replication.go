@@ -5,10 +5,10 @@ package service
 //	GET  /v1/replication/{graph}/status             replication status doc
 //	GET  /v1/replication/{graph}/wal?from=E&wait=D  shipped records with epochs > E
 //	GET  /v1/replication/{graph}/checkpoint         bootstrap snapshot + epoch header
-//	POST /v1/replication/promote                    follower → leader, whole node
+//	POST /v1/replication/promote                    follower → leader, whole node (follower nodes)
 //	POST /v1/replication/fence                      fence exchange (fence-enabled nodes)
-//	POST /v1/replication/{graph}/adopt              begin adopting a graph (migration)
-//	POST /v1/replication/{graph}/promote            complete an adoption, one graph
+//	POST /v1/replication/{graph}/adopt              begin adopting a graph (migration nodes)
+//	POST /v1/replication/{graph}/promote            complete an adoption, one graph (migration nodes)
 //
 // The wal route streams records in the shipped framing (the segment
 // record framing verbatim; see storage.EncodeWALRecord), capped at the
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -148,12 +149,14 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 }
 
 // handlePromote serves POST /v1/replication/promote: the admin action a
-// fleet router invokes on a caught-up follower when its leader dies.
-// The route exists only on nodes started as followers (Server.OnPromote
-// set) — everywhere else it answers 404, before any method check, like
-// every other nonexistent resource.
+// fleet router invokes on a caught-up follower when its leader dies. It
+// promotes every follower StartFollower registered, so the route exists
+// only on follower nodes — everywhere else it answers 404, before any
+// method check, like every other nonexistent resource. Promotion is
+// idempotent: a repeated promote answers 200 again.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.OnPromote == nil {
+	fs := s.reg.followers()
+	if len(fs) == 0 {
 		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node is not a follower; there is nothing to promote"))
 		return
@@ -178,10 +181,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.OnPromote(); err != nil {
-		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting: %w", err))
-		return
+	for _, f := range fs {
+		if err := f.Promote(); err != nil {
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting: %w", err))
+			return
+		}
 	}
+	log.Printf("promoted: now leading %d graph(s)", len(fs))
 	s.writeJSON(w, struct {
 		Promoted bool `json:"promoted"`
 	}{Promoted: true})
@@ -235,9 +241,9 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // divergence bomb, and a retry of an in-flight adoption should land on
 // the status route, not start over).
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string) {
-	if s.OnAdopt == nil {
+	if s.node == nil {
 		wire.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("this node does not adopt graphs at runtime; start previewd with -mutable -wal-dir to be a migration target"))
+			fmt.Errorf("this node does not adopt graphs at runtime; start previewd with -mutable -wal-dir -checkpoint-dir to be a migration target"))
 		return
 	}
 	if r.Method != http.MethodPost {
@@ -260,7 +266,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 			fmt.Errorf("graph %q is already registered on this node", name))
 		return
 	}
-	if err := s.OnAdopt(name, req.Source); err != nil {
+	if err := s.node.adopt(name, req.Source); err != nil {
 		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("adopting %q from %s: %w", name, req.Source, err))
 		return
 	}
@@ -276,7 +282,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 // whole follower process), this flips one graph on an otherwise-leading
 // node. Fence-gated.
 func (s *Server) handleGraphPromote(w http.ResponseWriter, r *http.Request, gr *Graph) {
-	if s.OnGraphPromote == nil {
+	if s.node == nil {
 		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("this node does not promote single graphs; see POST /v1/replication/promote for whole-node promotion"))
 		return
@@ -289,7 +295,7 @@ func (s *Server) handleGraphPromote(w http.ResponseWriter, r *http.Request, gr *
 	if !s.adminFenceOK(w, r) {
 		return
 	}
-	if err := s.OnGraphPromote(gr.Name()); err != nil {
+	if err := s.node.promote(gr.Name()); err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting %q: %w", gr.Name(), err))
 		return
 	}

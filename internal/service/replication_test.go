@@ -60,9 +60,7 @@ func startFollowerNode(t testing.TB, leaderURL, ckptDir, walRoot string, mut ...
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Stop)
-	srv := New(reg)
-	srv.OnPromote = f.Promote
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(New(reg))
 	t.Cleanup(ts.Close)
 	return &followerNode{reg: reg, f: f, ts: ts}
 }
@@ -581,21 +579,23 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		{"graph promote unknown graph", leader.ts, "POST", "/v1/replication/nope/promote", want{status: 404}},
 		{"drop without adopter", leader.ts, "DELETE", "/v1/graphs/fig1", want{status: 404}},
 	}
-	// On a node that IS wired for fleet admin, the routes follow the
-	// ordinary method discipline with accurate Allow sets.
-	fleetReg := NewRegistry()
-	if err := fleetReg.EnableFencing(""); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleetReg.Add("held", fig1.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	fleetSrv := New(fleetReg)
-	fleetSrv.OnAdopt = func(string, string) error { return nil }
-	fleetSrv.OnGraphPromote = func(string) error { return nil }
-	fleetSrv.OnDrop = func(string) error { return nil }
-	fleetTS := httptest.NewServer(fleetSrv)
+	// On a real migration node (what previewd -mutable -wal-dir
+	// -checkpoint-dir builds), the fleet admin routes exist and follow
+	// the ordinary method discipline with accurate Allow sets.
+	fleetNode := startNode(t, NodeConfig{
+		Graphs:          []GraphSource{fig1Source("held")},
+		Mutable:         true,
+		FollowerOptions: nodeStorage(filepath.Join(root, "fleet")),
+	})
+	fleetTS := httptest.NewServer(fleetNode.Server())
 	t.Cleanup(fleetTS.Close)
+	// A durable follower can lead; promoting it again is a no-op that
+	// still answers 200 (a node that forgot its followers would 404).
+	fCkpt := filepath.Join(root, "durable-follower-ckpt")
+	if err := os.MkdirAll(fCkpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	durableFollower := startFollowerNode(t, leader.ts.URL, fCkpt, filepath.Join(root, "durable-follower-wal"))
 	cases = append(cases, []struct {
 		name   string
 		ts     *httptest.Server
@@ -608,6 +608,8 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		{"graph promote wrong method", fleetTS, "GET", "/v1/replication/held/promote", want{status: 405, allow: str("POST")}},
 		{"drop unknown graph", fleetTS, "DELETE", "/v1/graphs/nope", want{status: 404}},
 		{"drop wrong method", fleetTS, "PUT", "/v1/graphs/held", want{status: 405, allow: str("DELETE")}},
+		{"promote durable follower", durableFollower.ts, "POST", "/v1/replication/promote", want{status: 200}},
+		{"promote durable follower again", durableFollower.ts, "POST", "/v1/replication/promote", want{status: 200}},
 	}...)
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, tc.ts.URL+tc.path, strings.NewReader("{}"))

@@ -25,11 +25,12 @@ import (
 //	GET  /v1/graphs/{name}/render?...      optimal preview as text/markdown
 //	POST /v1/graphs/{name}/edges           apply a JSON edge batch (mutable graphs)
 //	POST /v1/graphs/{name}/triples         apply a native-format triple batch
-//	DELETE /v1/graphs/{name}               drop a migrated graph (nodes with OnDrop)
+//	DELETE /v1/graphs/{name}               drop a migrated graph (migration nodes)
 //	GET  /v1/replication/{name}/...        WAL shipping (see replication.go)
+//	POST /v1/replication/promote           follower → leader (follower nodes)
 //	POST /v1/replication/fence             fence exchange (fence-enabled nodes)
-//	POST /v1/replication/{name}/adopt      start adopting a graph (OnAdopt)
-//	POST /v1/replication/{name}/promote    complete an adoption (OnGraphPromote)
+//	POST /v1/replication/{name}/adopt      start adopting a graph (migration nodes)
+//	POST /v1/replication/{name}/promote    complete an adoption (migration nodes)
 //
 // Error ordering is uniform across routes: an unknown route, graph or
 // action answers 404 whatever the method; a known route with a method
@@ -87,28 +88,13 @@ type Server struct {
 	// already exact. previewd exposes it as -anytime-budget.
 	AnytimeBudget int
 
-	// OnPromote, when set, makes POST /v1/replication/promote turn this
-	// node from a follower into a leader (see Follower.Promote). The
-	// process that started the followers wires it — previewd -follow and
-	// the fleet test harness promote every follower on the registry and
-	// clear the leader mark. Nil means the route does not exist on this
-	// node (leaders and static servers answer 404), which keeps the
-	// 404→405 discipline: resource existence is decided before method.
-	OnPromote func() error
-
-	// OnAdopt, OnGraphPromote and OnDrop are the graph-migration hooks a
-	// leader wires through an Adopter (adopter.go): adopt starts tailing
-	// one graph from another shard's leader, graph-promote completes the
-	// adoption (the graph opens for writes here), and drop unregisters a
-	// graph and deletes its local durable state after it has moved away.
-	// Nil means the corresponding route does not exist on this node —
-	// same 404-before-405 discipline as OnPromote. All three routes are
-	// fence-gated: on a fenced node they require a stamp at or above the
-	// current fence, so only the fleet router (which mints fences) can
-	// drive a migration.
-	OnAdopt        func(graph, source string) error
-	OnGraphPromote func(graph string) error
-	OnDrop         func(graph string) error
+	// node is set by NewNode on a migration node (a durable leader with
+	// checkpoints): the adopt, per-graph promote and drop routes exist
+	// only there, and answer 404 before any method check elsewhere. All
+	// three are fence-gated: on a fenced node they require a stamp at or
+	// above the current fence, so only the fleet router (which mints
+	// fences) can drive a migration.
+	node *Node
 
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
@@ -345,7 +331,7 @@ func (s *Server) adminFenceOK(w http.ResponseWriter, r *http.Request) bool {
 
 // handleGraph dispatches /v1/graphs/{name}/{action}; the action-less
 // /v1/graphs/{name} is the graph resource itself, which exists as a
-// DELETE target on nodes that drop graphs at runtime (OnDrop set).
+// DELETE target on migration nodes.
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, rest string) {
 	name, action, ok := strings.Cut(rest, "/")
 	if (!ok || action == "") && name != "" {
@@ -390,13 +376,12 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, rest string
 
 // handleDrop serves DELETE /v1/graphs/{name}: unregister the graph and
 // delete its local durable state, the final step of migrating it to
-// another shard. The resource exists only on nodes wired for runtime
-// drops (OnDrop set) and only for registered graphs — 404 otherwise,
-// before any method check. Fence-gated like the other migration admin
-// routes, so a superseded router cannot delete data the current one is
-// serving.
+// another shard. The resource exists only on migration nodes and only
+// for registered graphs — 404 otherwise, before any method check.
+// Fence-gated like the other migration admin routes, so a superseded
+// router cannot delete data the current one is serving.
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, name string) {
-	if s.OnDrop == nil {
+	if s.node == nil {
 		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such route %q", r.URL.Path))
 		return
 	}
@@ -412,7 +397,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, name string)
 	if !s.adminFenceOK(w, r) {
 		return
 	}
-	if err := s.OnDrop(name); err != nil {
+	if err := s.node.drop(name); err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("dropping %q: %w", name, err))
 		return
 	}
