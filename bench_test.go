@@ -11,6 +11,7 @@ package previewtables_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -699,8 +700,15 @@ var renderMissDoc render.PreviewDoc
 // from discovery — one JSON document, one text and one Markdown rendering
 // of a preview at tuples=5 over the three largest types of the
 // 100k-entity graph (MUSICAL RECORDING, RELEASE TRACK and MUSICAL
-// RELEASE, ~22k entities each), with the default sampling stream the
-// server uses (BENCH_render_path.json).
+// RELEASE, ~22k entities each), in two arms over the same preview:
+//   - default: the default sampling stream the server uses, whose
+//     positions are memoized after the first render;
+//   - explicit-rand: a fresh seed-1 Options.Rand per rendering, which
+//     bypasses the memo and draws once per key-type entity, an upper
+//     bound on a full memo miss.
+//
+// Both arms must render the same bytes (BENCH_render_path.json,
+// BENCH_sample_memo.json).
 func BenchmarkRenderMiss(b *testing.B) {
 	g, set := parallelBenchSetup(b)
 	types := make([]graph.TypeID, g.NumTypes())
@@ -713,20 +721,48 @@ func BenchmarkRenderMiss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := render.Options{Tuples: 5}
+	arms := []struct {
+		name string
+		opts func() render.Options
+	}{
+		{"default", func() render.Options { return render.Options{Tuples: 5} }},
+		{"explicit-rand", func() render.Options {
+			return render.Options{Tuples: 5, Rand: rand.New(rand.NewSource(1))}
+		}},
+	}
 	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		renderMissDoc = render.PreviewDocument(g, &p, opts)
+	renderAll := func(opts func() render.Options) error {
+		renderMissDoc = render.PreviewDocument(g, &p, opts())
 		buf.Reset()
-		if err := render.Preview(&buf, g, &p, opts); err != nil {
+		if err := render.Preview(&buf, g, &p, opts()); err != nil {
+			return err
+		}
+		return render.MarkdownPreview(&buf, g, &p, opts())
+	}
+	var want []byte
+	for _, arm := range arms {
+		if err := renderAll(arm.opts); err != nil {
 			b.Fatal(err)
 		}
-		buf.Reset()
-		if err := render.MarkdownPreview(&buf, g, &p, opts); err != nil {
+		doc, err := json.Marshal(renderMissDoc)
+		if err != nil {
 			b.Fatal(err)
 		}
+		got := append(doc, buf.Bytes()...)
+		if want != nil && !bytes.Equal(got, want) {
+			b.Fatalf("%s renders other bytes than %s", arm.name, arms[0].name)
+		}
+		want = got
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := renderAll(arm.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

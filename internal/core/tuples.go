@@ -44,16 +44,36 @@ func MaterializeAll(g *graph.EntityGraph, t *Table) []Tuple {
 
 // SampleRandom materializes up to count tuples of table t chosen uniformly
 // at random without replacement — the paper's display strategy. The order
-// of the sample follows key-entity order for stable rendering.
+// of the sample follows key-entity order for stable rendering. It makes one
+// rng draw per entity of the key type (SamplePositions).
 func SampleRandom(g *graph.EntityGraph, t *Table, count int, rng *rand.Rand) []Tuple {
-	ents := g.EntitiesOfType(t.Key)
-	if count >= len(ents) {
+	return SampleAt(g, t, SamplePositions(rng, len(g.EntitiesOfType(t.Key)), count))
+}
+
+// SamplePositions returns the positions SampleRandom samples from a key
+// type of n entities: rng.Perm(n)[:count], sorted, after the same n
+// draws. When count >= n the whole type is the sample: it draws nothing
+// and returns nil.
+func SamplePositions(rng *rand.Rand, n, count int) []int {
+	if count >= n {
+		return nil
+	}
+	idx := permPrefix(rng, n, count)
+	sort.Ints(idx)
+	return idx
+}
+
+// SampleAt materializes the tuples of table t whose key entities sit at
+// the given sorted positions of the key type's entities, as
+// SamplePositions returns them: nil positions materialize every tuple.
+// It only reads positions.
+func SampleAt(g *graph.EntityGraph, t *Table, positions []int) []Tuple {
+	if positions == nil {
 		return MaterializeAll(g, t)
 	}
-	idx := permPrefix(rng, len(ents), count)
-	sort.Ints(idx)
-	tuples := make([]Tuple, count)
-	for i, j := range idx {
+	ents := g.EntitiesOfType(t.Key)
+	tuples := make([]Tuple, len(positions))
+	for i, j := range positions {
 		tuples[i] = Materialize(g, t, ents[j])
 	}
 	return tuples

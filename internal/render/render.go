@@ -26,21 +26,26 @@ type Options struct {
 	// Representative selects coverage-greedy tuples instead of random ones
 	// (the future-work extension).
 	Representative bool
-	// Rand drives random sampling; nil uses a fresh seed-1 stream for
-	// deterministic output. A whole-preview call (Preview, MarkdownPreview,
-	// PreviewDocument) draws every table's sample from that one stream, as
-	// the previewd render and preview routes do.
+	// Rand drives random sampling, at one draw per entity of each
+	// table's key type. nil uses the default stream: a fresh seed-1
+	// stream for deterministic output. A whole-preview call (Preview,
+	// MarkdownPreview, PreviewDocument) draws every table's sample from
+	// that one stream, as the previewd render and preview routes do, and
+	// the default stream's samples are memoized process-wide (sample.go),
+	// so repeating one costs no draws.
 	Rand *rand.Rand
 	// MaxCellWidth truncates long cells (0 = 40).
 	MaxCellWidth int
+
+	stream *sampleStream // the default stream, when Rand is nil
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxCellWidth <= 0 {
 		o.MaxCellWidth = 40
 	}
-	if o.Rand == nil {
-		o.Rand = rand.New(rand.NewSource(1))
+	if o.Rand == nil && o.stream == nil {
+		o.stream = newSampleStream(defaultMemo, o.Tuples)
 	}
 	return o
 }
@@ -103,13 +108,15 @@ func Preview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) e
 // single sampling point for every renderer, so text, Markdown and JSON
 // output cannot diverge for identical options.
 func sampleTuples(g *graph.EntityGraph, t *core.Table, opts Options) []core.Tuple {
-	if opts.Tuples <= 0 {
+	switch {
+	case opts.Tuples <= 0:
 		return nil
-	}
-	if opts.Representative {
+	case opts.Representative:
 		return core.SampleRepresentative(g, t, opts.Tuples)
+	case opts.Rand != nil:
+		return core.SampleRandom(g, t, opts.Tuples, opts.Rand)
 	}
-	return core.SampleRandom(g, t, opts.Tuples, opts.Rand)
+	return core.SampleAt(g, t, opts.stream.next(len(g.EntitiesOfType(t.Key))))
 }
 
 // formatCell renders a value set: "-" when empty, the bare name for a
@@ -205,9 +212,9 @@ func pad(s string, w int) string {
 func MarkdownTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error {
 	opts = opts.withDefaults()
 	s := g.Schema()
-	fmt.Fprintf(w, "| **%s** |", g.TypeName(t.Key))
+	fmt.Fprintf(w, "| **%s** |", escapeMD(g.TypeName(t.Key)))
 	for _, c := range t.NonKeys {
-		fmt.Fprintf(w, " %s |", ColumnHeader(s, c))
+		fmt.Fprintf(w, " %s |", escapeMD(ColumnHeader(s, c)))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprint(w, "|---|")

@@ -199,6 +199,44 @@ func TestMarkdownTable(t *testing.T) {
 	}
 }
 
+// TestMarkdownHeadersEscaped: type and relationship names arrive from
+// write requests unchecked, so the header row escapes a pipe as the data
+// rows do; otherwise the row splits into more columns than its separator.
+func TestMarkdownHeadersEscaped(t *testing.T) {
+	var b graph.Builder
+	film, person := b.Type("FILM|MOVIE"), b.Type("PERSON")
+	rel := b.RelType("directed|by", film, person)
+	b.Edge(b.Entity("Alien", film), b.Entity("Ridley Scott", person), rel)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Schema()
+	cases := []struct {
+		key    graph.TypeID
+		header string
+	}{
+		{film, `| **FILM\|MOVIE** | directed\|by |`},
+		{person, `| **PERSON** | directed\|by (of FILM\|MOVIE) |`},
+	}
+	for _, c := range cases {
+		tb := core.Table{Key: c.key, NonKeys: []core.Candidate{{Inc: s.Incident(c.key)[0]}}}
+		var buf bytes.Buffer
+		if err := render.MarkdownTable(&buf, g, &tb, render.Options{Tuples: 1}); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(buf.String(), "\n")
+		header, sep, row := lines[0], lines[1], lines[2]
+		if header != c.header {
+			t.Errorf("header row %q, want %q", header, c.header)
+		}
+		cells := func(line string) int { return strings.Count(line, "|") - strings.Count(line, `\|`) }
+		if cells(header) != cells(sep) || cells(row) != cells(sep) {
+			t.Errorf("rows split into different column counts:\n%s", buf.String())
+		}
+	}
+}
+
 func TestSchemaDOT(t *testing.T) {
 	g := fig1.Graph()
 	var buf bytes.Buffer

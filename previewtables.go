@@ -172,7 +172,10 @@ func Discover(g *EntityGraph, c Constraint) (Preview, error) {
 }
 
 // SampleTuples materializes up to count randomly sampled tuples of a
-// preview table (the paper's display strategy).
+// preview table (the paper's display strategy), drawn from rng, or from a
+// fresh seed-1 stream when rng is nil. Each call makes one draw per entity
+// of the table's key type; the renderers' default stream memoizes its
+// samples instead.
 func SampleTuples(g *EntityGraph, t *PreviewTable, count int, rng *rand.Rand) []Tuple {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
