@@ -12,6 +12,7 @@ package previewtables_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -667,9 +668,12 @@ func BenchmarkParallelScore(b *testing.B) {
 }
 
 // BenchmarkParallelDiscover: exact distance-constrained search at serving
-// scale, one worker vs a worker pool — the Apriori level-wise search and
-// the ground-truth brute force, both returning identical previews at any
-// worker count (TestDiscoverDifferential).
+// scale, one worker vs a worker pool — Alg. 3's search, which splits its
+// prefix blocks by first type, and the ground-truth brute force, which
+// splits its enumeration the same way. Both return identical previews at
+// any worker count (TestDiscoverDifferential). The Apriori arms' B/op is
+// the search's whole footprint: the compatibility rows and one scratch
+// per worker, since no candidate level is stored.
 func BenchmarkParallelDiscover(b *testing.B) {
 	_, set := parallelBenchSetup(b)
 	apriori := core.Constraint{K: 5, N: 10, Mode: core.Diverse, D: 2}
@@ -690,6 +694,55 @@ func BenchmarkParallelDiscover(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSearchMix: the searches behind explore-long-tail's cache
+// misses, with no certificate reuse. Each op builds a fresh Discoverer per
+// measure pair on the 100k-entity music graph and runs the workload's
+// constraint set: concise k ≤ 6 (dynamic programming), and tight and
+// diverse k 2–3 with d 1–3 (Alg. 3), each at n ∈ {k, k+1, 2k, 3k}
+// (BENCH_search_kernels.json).
+func BenchmarkSearchMix(b *testing.B) {
+	_, set := parallelBenchSetup(b)
+	ns := func(k int) []int {
+		out := []int{k}
+		for _, n := range []int{k + 1, 2 * k, 3 * k} {
+			if n != out[len(out)-1] {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	var cs []core.Constraint
+	for k := 1; k <= 6; k++ {
+		for _, n := range ns(k) {
+			if k > 1 || n > 1 {
+				cs = append(cs, core.Constraint{K: k, N: n, Mode: core.Concise})
+			}
+		}
+	}
+	for k := 2; k <= 3; k++ {
+		for _, n := range ns(k) {
+			for d := 1; d <= 3; d++ {
+				cs = append(cs, core.Constraint{K: k, N: n, Mode: core.Tight, D: d},
+					core.Constraint{K: k, N: n, Mode: core.Diverse, D: d})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, km := range []score.KeyMeasure{score.KeyCoverage, score.KeyRandomWalk} {
+			for _, nm := range []score.NonKeyMeasure{score.NonKeyCoverage, score.NonKeyEntropy} {
+				d := core.New(set, core.Options{Key: km, NonKey: nm})
+				for _, c := range cs {
+					if _, err := d.Discover(c); err != nil && !errors.Is(err, core.ErrNoPreview) {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }
 

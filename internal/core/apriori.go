@@ -6,7 +6,7 @@ package core
 // satisfy the constraint — equivalently, all k-cliques of the "compatibility
 // graph" whose vertices are entity types and whose edges join pairs within
 // distance d (tight) or at least d apart (diverse). Candidates are grown
-// level-wise à la Apriori frequent-itemset mining [1]: two (i−1)-subsets
+// Apriori-style, as in frequent-itemset mining [1]: two (i−1)-subsets
 // sharing their first i−2 elements merge into an i-subset, and only the one
 // new pair needs a distance check (the pairwise constraint is downward
 // closed, so both parents being valid covers every other pair).
@@ -14,12 +14,20 @@ package core
 // Step 2 assembles the preview of each surviving k-subset per Theorem 3
 // (ComputePreview) and returns the best.
 //
-// Candidate levels are stored flat (one []int32 with a fixed stride) rather
-// than as a slice of slices: the d-sweep experiments of Fig. 9 generate
-// millions of candidates at loose distance constraints, and per-candidate
-// slice headers would triple the memory bill.
+// The join is computed, not stored. Each usable type gets one bitset row
+// over the later types, set where the pair is compatible. The i-subsets
+// that extend a valid (i−1)-subset P are then the AND of P's members' rows:
+// a type c after P's last member belongs to the block exactly when every
+// member is compatible with c, which is Alg. 3's rule of two valid parents
+// plus one new compatible pair. So the candidates, and their count at every
+// level, are Alg. 3's; the search visits them prefix block by prefix block,
+// depth first, instead of level by level, and never holds a level in
+// memory. Blocks of the last level are scored straight from the bits, with
+// Theorem 3's greedy run once per prefix and each last table merged
+// against its picks (picks.complete).
 
 import (
+	"math/bits"
 	"runtime"
 
 	"github.com/uta-db/previewtables/internal/graph"
@@ -46,11 +54,11 @@ func (d *Discoverer) AprioriParallel(c Constraint, workers int) (Preview, error)
 	return p, err
 }
 
-// apriori is the Apriori search at any worker count. Every stage — each
-// level-wise join, starting from the level of single types, and the final
-// candidate scoring — partitions its input into contiguous spans
-// (stageSpans), with span outputs concatenated in span order so each
-// level's flat layout is the same at any worker count (see parallel.go).
+// apriori is the Apriori search at any worker count. It splits the
+// subsets by their first type, as brute force does: task a searches
+// every subset whose smallest type is types[a], including the smaller
+// candidates that start there and never reach k types, which Alg. 3
+// generates and counts all the same (see parallel.go).
 //
 // Alongside the optimal preview it returns the runner-up score: the
 // maximum preview score over every feasible k-subset other than the
@@ -63,117 +71,135 @@ func (d *Discoverer) apriori(c Constraint, workers int) (Preview, float64, error
 	if err != nil {
 		return Preview{}, 0, err
 	}
-	if c.Mode != Concise {
-		d.Distances() // materialize once, not under every worker's first query
-	}
-
-	// Level i holds all valid i-subsets as indexes into types, flattened
-	// with stride i, lexicographically sorted by construction. Joining
-	// level 1 yields exactly the compatible pairs.
-	var stats SearchStats
-	budget := newBudgetCounter(c.MaxCandidates)
-	level := make([]int32, len(types))
-	for i := range level {
-		level[i] = int32(i)
-	}
-	stride := 1
-	for ; stride < c.K && len(level) > 0; stride++ {
-		if level, err = d.joinLevel(c, types, level, stride, workers, budget); err != nil {
-			return Preview{}, 0, err
+	words := (len(types) + 63) / 64
+	rows := make([]uint64, len(types)*words)
+	for a := range types {
+		for b := a + 1; b < len(types); b++ {
+			if d.distOK(c, types[a], types[b]) {
+				rows[a*words+b/64] |= 1 << (b % 64)
+			}
 		}
-		stats.CandidatesGenerated += len(level) / (stride + 1)
-	}
-	if len(level) == 0 {
-		return Preview{}, 0, ErrNoPreview
 	}
 
-	// Score the surviving k-subsets: per-span top2s, merged in span order.
-	spans := stageSpans(len(level)/stride, workers)
-	tops := make([]top2, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		tops[si] = d.scoreSpan(c, types, level, stride, spans[si])
+	// Each worker reuses one prefixSearch across the tasks it runs: a task
+	// takes a free one or builds one, and returns it when done. At most
+	// min(workers, tasks) tasks run at once, so that many prefixSearches
+	// exist and returning one never blocks.
+	budget := newBudgetCounter(c.MaxCandidates)
+	free := make(chan *prefixSearch, min(par.Workers(workers), len(types)))
+	par.ForEach(workers, len(types), func(a int) {
+		var s *prefixSearch
+		select {
+		case s = <-free:
+		default:
+			s = &prefixSearch{d: d, c: c, types: types, rows: rows, words: words, budget: budget,
+				keys: make([]graph.TypeID, c.K), blocks: make([]uint64, c.K*words)}
+		}
+		s.first(a)
+		free <- s
 	})
+	close(free)
 	var win top2
-	for i := range tops {
-		win.merge(&tops[i])
+	var stats SearchStats
+	for s := range free {
+		win.merge(&s.best)
+		stats.CandidatesGenerated += s.generated
+	}
+	if !budget.ok() {
+		return Preview{}, 0, ErrSearchBudget
 	}
 	p, err := d.winner(&win, c.N, stats)
 	return p, win.second, err
 }
 
-// scoreSpan scores the k-subsets of one span of the final level.
-func (d *Discoverer) scoreSpan(c Constraint, types []graph.TypeID, level []int32, stride int, s par.Span) top2 {
-	var best top2
-	keys := make([]graph.TypeID, stride)
-	take := make([]int, stride)
-	for cand := s.Lo; cand < s.Hi; cand++ {
-		for i := range keys {
-			keys[i] = types[level[cand*stride+i]]
-		}
-		best.offer(keys, d.previewScore(keys, c.N, take))
-	}
-	return best
+// prefixSearch is one worker's state in apriori: the prefix being
+// extended, one join block per prefix length, Theorem 3's picks for the
+// current (k−1)-prefix, and the best subsets and candidate count of the
+// tasks the worker ran.
+type prefixSearch struct {
+	d      *Discoverer
+	c      Constraint
+	types  []graph.TypeID
+	rows   []uint64 // row a is rows[a*words:(a+1)*words]
+	words  int
+	budget *budgetCounter
+
+	keys      []graph.TypeID // the prefix, then the scored last type
+	blocks    []uint64       // blocks[i*words:] is the join block of keys[:i+1]
+	picks     picks
+	best      top2
+	generated int
 }
 
-// joinLevel merges a flat level of (size-1)-subsets into the flat level of
-// size-subsets. The candidate blocks are partitioned across workers, and
-// span outputs concatenate in span order.
-func (d *Discoverer) joinLevel(c Constraint, types []graph.TypeID, level []int32, stride, workers int, budget *budgetCounter) ([]int32, error) {
-	spans := stageSpans(len(level)/stride, workers)
-	parts := make([][]int32, len(spans))
-	par.ForEach(workers, len(spans), func(si int) {
-		parts[si] = d.joinSpan(c, types, level, stride, spans[si], budget)
-	})
-	if !budget.ok() {
-		return nil, ErrSearchBudget
+// first runs task a: every candidate subset whose smallest type is
+// types[a].
+func (s *prefixSearch) first(a int) {
+	if !s.budget.ok() {
+		return
 	}
-	return concatInt32(parts), nil
+	s.keys[0] = s.types[a]
+	if s.c.K == 1 {
+		block := s.blocks[:s.words]
+		clear(block)
+		block[a/64] = 1 << (a % 64)
+		s.score(block)
+		return
+	}
+	s.extend(1, s.rows[a*s.words:(a+1)*s.words])
 }
 
-// joinSpan joins each candidate of one span with every later candidate of
-// its block. Blocks sharing a prefix are contiguous because levels are
-// generated in lexicographic order; within a block only the new
-// last-element pair needs a distance check. Each block takes its produced
-// candidates from the shared budget; once the budget is exceeded the
-// output is partial, and the search errors.
-func (d *Discoverer) joinSpan(c Constraint, types []graph.TypeID, level []int32, stride int, s par.Span, budget *budgetCounter) []int32 {
-	var out []int32
-	nCands := len(level) / stride
-	for a := s.Lo; a < s.Hi && budget.ok(); a++ {
-		offA := a * stride
-		block := len(out)
-		for b := a + 1; b < nCands; b++ {
-			offB := b * stride
-			if !samePrefix(level[offA:offA+stride], level[offB:offB+stride]) {
-				break
+// extend visits the prefix keys[:depth], whose join block holds the types
+// that extend it to a candidate (depth+1)-subset. It takes those
+// candidates from the budget and then scores them, when they complete a
+// k-subset, or extends each in turn.
+func (s *prefixSearch) extend(depth int, block []uint64) {
+	n := 0
+	for _, w := range block {
+		n += bits.OnesCount64(w)
+	}
+	s.generated += n
+	if n == 0 || !s.budget.take(n) {
+		return
+	}
+	if depth == s.c.K-1 {
+		s.score(block)
+		return
+	}
+	next := s.blocks[depth*s.words : (depth+1)*s.words]
+	for i, w := range block {
+		for ; w != 0; w &= w - 1 {
+			b := i*64 + bits.TrailingZeros64(w)
+			s.keys[depth] = s.types[b]
+			row := s.rows[b*s.words:]
+			for j := range next {
+				next[j] = block[j] & row[j]
 			}
-			ta := types[level[offA+stride-1]]
-			tb := types[level[offB+stride-1]]
-			if !d.distOK(c, ta, tb) {
-				continue
+			s.extend(depth+1, next)
+			if !s.budget.ok() {
+				return
 			}
-			out = append(out, level[offA:offA+stride]...)
-			out = append(out, level[offB+stride-1])
-		}
-		if !budget.take((len(out) - block) / (stride + 1)) {
-			break
 		}
 	}
-	return out
 }
 
-// samePrefix reports whether a and b agree on all but their last element.
-func samePrefix(a, b []int32) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
+// score offers every k-subset that completes the prefix keys[:k-1] with a
+// type of block.
+func (s *prefixSearch) score(block []uint64) {
+	last := s.c.K - 1
+	s.picks.reset(s.d, s.keys[:last], s.c.N-s.c.K)
+	for i, w := range block {
+		for ; w != 0; w &= w - 1 {
+			t := s.types[i*64+bits.TrailingZeros64(w)]
+			score, _, _ := s.picks.complete(s.d, t)
+			s.keys[last] = t
+			s.best.offer(s.keys, score)
 		}
 	}
-	return true
 }
 
 // CliqueDFS solves the same problem as Apriori with a depth-first k-clique
-// backtracking enumeration instead of level-wise candidate generation. The
+// backtracking enumeration, which checks each extension against every
+// member, instead of Alg. 3's candidate generation. The
 // paper (citing Kose et al. [11]) argues the Apriori style beats classic
 // clique enumeration; this implementation is the comparison point for that
 // ablation (BenchmarkAblationCliqueEnumeration).
@@ -229,11 +255,11 @@ func (d *Discoverer) AnytimeBest(c Constraint) (Preview, bool, error) {
 // generated, and whether the budget stopped it.
 func (d *Discoverer) cliqueDFS(c Constraint, types []graph.TypeID) (best top2, generated int, stopped bool) {
 	subset := make([]graph.TypeID, c.K)
-	take := make([]int, c.K)
+	var scratch picks
 	var rec func(pos, start int)
 	rec = func(pos, start int) {
 		if pos == c.K {
-			best.offer(subset, d.previewScore(subset, c.N, take))
+			best.offer(subset, d.previewScore(subset, c.N, &scratch))
 			return
 		}
 	next:

@@ -48,9 +48,9 @@ func (d *Discoverer) bruteForce(c Constraint, workers int) (Preview, error) {
 	}
 	tops := make([]top2, len(types)-c.K+1)
 	par.ForEach(workers, len(tops), func(i int) {
-		take := make([]int, c.K) // allocation-free scoring scratch
+		var scratch picks // allocation-free scoring scratch
 		d.eachSubset(c, types, i, func(subset []graph.TypeID) {
-			tops[i].offer(subset, d.previewScore(subset, c.N, take))
+			tops[i].offer(subset, d.previewScore(subset, c.N, &scratch))
 		})
 	})
 	var best top2

@@ -130,8 +130,10 @@ type SearchStats struct {
 	// SubsetsScored is the number of complete k-subsets of key attributes
 	// whose preview was assembled and scored.
 	SubsetsScored int
-	// CandidatesGenerated is the number of partial subsets generated by
-	// Apriori-style level-wise search (0 for other algorithms).
+	// CandidatesGenerated is the number of partial subsets generated: for
+	// Apriori, Alg. 3's candidates, the feasible i-subsets of levels 2..k;
+	// for CliqueDFS and AnytimeBest, every feasible subset they extend to;
+	// 0 for the other algorithms.
 	CandidatesGenerated int
 }
 
@@ -166,15 +168,22 @@ var ErrSearchBudget = errors.New("core: candidate search budget exceeded")
 // Discoverer solves the optimal preview discovery problems for one scored
 // graph. It precomputes, per entity type, the candidate non-key attributes
 // sorted by decreasing score (Theorem 3: an optimal table always takes a
-// prefix of this order) and their prefix sums, plus the all-pairs distance
-// matrix on demand. A Discoverer is safe for concurrent use after creation.
+// prefix of this order) and the products every search multiplies out of
+// them, plus the all-pairs distance matrix on demand. A Discoverer is safe
+// for concurrent use after creation.
 type Discoverer struct {
 	set    *score.Set
 	schema *graph.Schema
 	opts   Options
 
 	ranked [][]score.RankedIncidence // per type, sorted by score desc
-	prefix [][]float64               // prefix[t][m] = Σ top-m scores; prefix[t][0] = 0
+
+	// Per type t keyed by S(τ), views into one slab (products):
+	// weight[t][j] = S(τ)·Sτ(γ_j), the weight Theorem 3's greedy ranks
+	// t's j-th candidate by, and table[t][m] = S(τ)·Σ top-m scores, the
+	// score S(T) of t's table with m candidates (table[t][0] = 0).
+	weight [][]float64
+	table  [][]float64
 
 	distOnce sync.Once
 	dist     *graph.DistanceMatrix
@@ -189,17 +198,38 @@ func New(set *score.Set, opts Options) *Discoverer {
 	d := &Discoverer{set: set, schema: s, opts: opts}
 	n := s.NumTypes()
 	d.ranked = make([][]score.RankedIncidence, n)
-	d.prefix = make([][]float64, n)
 	par.ForEach(opts.Parallelism, n, func(t int) {
-		r := set.RankNonKeys(opts.NonKey, graph.TypeID(t))
-		d.ranked[t] = r
-		p := make([]float64, len(r)+1)
-		for i, c := range r {
-			p[i+1] = p[i] + c.Score
-		}
-		d.prefix[t] = p
+		d.ranked[t] = set.RankNonKeys(opts.NonKey, graph.TypeID(t))
 	})
+	d.products()
 	return d
+}
+
+// products fills weight and table from the ranked candidates and the key
+// scores, in one slab. Each product is the float64 multiplication a search
+// would otherwise repeat for every subset, so a score summed from the
+// products is bit-identical to one multiplied out on the spot.
+func (d *Discoverer) products() {
+	var size int
+	for _, r := range d.ranked {
+		size += 2*len(r) + 1
+	}
+	slab := make([]float64, size)
+	d.weight = make([][]float64, len(d.ranked))
+	d.table = make([][]float64, len(d.ranked))
+	for t, r := range d.ranked {
+		ks := d.keyScore(graph.TypeID(t))
+		w, tab := slab[:len(r):len(r)], slab[len(r):2*len(r)+1:2*len(r)+1]
+		slab = slab[2*len(r)+1:]
+		var prefix float64 // Σ top-j scores
+		for j, c := range r {
+			w[j] = ks * c.Score
+			tab[j] = ks * prefix
+			prefix += c.Score
+		}
+		tab[len(r)] = ks * prefix
+		d.weight[t], d.table[t] = w, tab
+	}
 }
 
 // Schema returns the schema graph being searched.
@@ -224,12 +254,6 @@ func (d *Discoverer) keyScore(t graph.TypeID) float64 {
 	return d.set.Key(d.opts.Key, t)
 }
 
-// tableScore returns S(Tm) for the table keyed by t taking its top-m
-// non-key candidates: S(τ) × prefix[t][m].
-func (d *Discoverer) tableScore(t graph.TypeID, m int) float64 {
-	return d.keyScore(t) * d.prefix[t][m]
-}
-
 // usable reports whether t can key a preview table at all (Definition 1
 // requires at least one non-key attribute).
 func (d *Discoverer) usable(t graph.TypeID) bool { return len(d.ranked[t]) > 0 }
@@ -249,7 +273,7 @@ func (d *Discoverer) searchTypes(c Constraint) ([]graph.TypeID, error) {
 
 // usableTypes lists all entity types with at least one candidate non-key.
 func (d *Discoverer) usableTypes() []graph.TypeID {
-	var ts []graph.TypeID
+	ts := make([]graph.TypeID, 0, d.schema.NumTypes())
 	for t := 0; t < d.schema.NumTypes(); t++ {
 		if d.usable(graph.TypeID(t)) {
 			ts = append(ts, graph.TypeID(t))
@@ -283,7 +307,7 @@ func (d *Discoverer) buildTable(t graph.TypeID, m int) Table {
 	for i := 0; i < m; i++ {
 		cands[i] = Candidate{Inc: d.ranked[t][i].Inc, Score: d.ranked[t][i].Score}
 	}
-	return Table{Key: t, KeyScore: d.keyScore(t), NonKeys: cands, Score: d.tableScore(t, m)}
+	return Table{Key: t, KeyScore: d.keyScore(t), NonKeys: cands, Score: d.table[t][m]}
 }
 
 // ComputePreview builds the best preview over a fixed set of key attributes
@@ -321,31 +345,92 @@ func (d *Discoverer) ComputePreview(keys []graph.TypeID, n int) (Preview, error)
 
 // allocate distributes the non-key budget n over the keyed tables per
 // Theorem 3, writing the per-table candidate counts into take (len(keys)).
-// Merge across the k sorted candidate lists: each table starts with its
-// top-1 candidate, then the highest-weighted next candidate is taken
-// repeatedly. k and n are small (display-bounded), so a linear scan per
-// pick is cheap and allocation free.
 func (d *Discoverer) allocate(keys []graph.TypeID, n int, take []int) {
-	for i := range keys {
+	var p picks
+	last := len(keys) - 1
+	p.reset(d, keys[:last], n-len(keys))
+	_, r, m := p.complete(d, keys[last])
+	for i := range take[:last] {
 		take[i] = 1
 	}
-	for picked := len(keys); picked < n; picked++ {
+	for _, i := range p.to[:r] {
+		take[i]++
+	}
+	take[last] = m
+}
+
+// picks is Theorem 3's budget allocation over the first tables of a
+// preview, run once so that any last table can be completed against it.
+// Each table starts with its top-1 candidate; every extra pick then goes
+// to the highest-weighted next candidate S(τ)·Sτ(γ), ties to the earliest
+// table. The zero value is ready to use, and its slices are reused as
+// scratch, so a search that keeps one scores allocation free once they
+// have grown.
+type picks struct {
+	extra int       // picks the budget allows beyond one per table
+	take  []int     // candidates each prefix table holds after the last pick
+	w     []float64 // w[r] is the weight of the prefix's r-th extra pick
+	to    []int     // to[r] is the prefix table the r-th extra pick went to
+	sum   []float64 // sum[r] is Σ S(T) over the prefix after r picks, in table order
+}
+
+// reset runs the greedy over the prefix tables for up to extra picks,
+// stopping early once every candidate is taken.
+func (p *picks) reset(d *Discoverer, prefix []graph.TypeID, extra int) {
+	p.extra = extra
+	p.take = p.take[:0]
+	for range prefix {
+		p.take = append(p.take, 1)
+	}
+	p.w, p.to = p.w[:0], p.to[:0]
+	p.sum = append(p.sum[:0], p.prefixScore(d, prefix))
+	for len(p.w) < extra {
 		best := -1
 		var bestW float64
-		for i, t := range keys {
-			if take[i] >= len(d.ranked[t]) {
-				continue
-			}
-			w := d.keyScore(t) * d.ranked[t][take[i]].Score
-			if best == -1 || w > bestW {
-				best, bestW = i, w
+		for i, t := range prefix {
+			if w := d.weight[t]; p.take[i] < len(w) && (best == -1 || w[p.take[i]] > bestW) {
+				best, bestW = i, w[p.take[i]]
 			}
 		}
 		if best == -1 {
 			break // all candidates exhausted
 		}
-		take[best]++
+		p.take[best]++
+		p.w = append(p.w, bestW)
+		p.to = append(p.to, best)
+		p.sum = append(p.sum, p.prefixScore(d, prefix))
 	}
+}
+
+// prefixScore sums the prefix tables' scores at their current counts.
+func (p *picks) prefixScore(d *Discoverer, prefix []graph.TypeID) float64 {
+	var s float64
+	for i, t := range prefix {
+		s += d.table[t][p.take[i]]
+	}
+	return s
+}
+
+// complete finishes the allocation with t as the last table by merging
+// t's candidates against the prefix's picks. The greedy over all the
+// tables makes exactly these picks: the prefix's tables come first, so
+// t's next candidate wins a pick only when it strictly outweighs the
+// prefix's next one. It returns the preview's score, summed in table
+// order (the prefix's tables, then t), how many of the prefix's picks the
+// budget kept, and t's candidate count.
+func (p *picks) complete(d *Discoverer, t graph.TypeID) (score float64, r, m int) {
+	w := d.weight[t]
+	m = 1
+	for picked := 0; picked < p.extra; picked++ {
+		if m < len(w) && (r == len(p.w) || w[m] > p.w[r]) {
+			m++
+		} else if r < len(p.w) {
+			r++
+		} else {
+			break // all candidates exhausted
+		}
+	}
+	return p.sum[r] + d.table[t][m], r, m
 }
 
 // winner assembles the preview of a search's best subset, with the
@@ -365,15 +450,13 @@ func (d *Discoverer) winner(best *top2, n int, stats SearchStats) (Preview, erro
 }
 
 // previewScore computes the score a preview over keys would attain under
-// budget n, without materializing tables. take is caller-provided scratch
-// of len(keys). Keys must be usable and distinct (search loops guarantee
-// this by construction).
-func (d *Discoverer) previewScore(keys []graph.TypeID, n int, take []int) float64 {
-	d.allocate(keys, n, take)
-	var score float64
-	for i, t := range keys {
-		score += d.tableScore(t, take[i])
-	}
+// budget n, without materializing tables. p is caller-provided scratch.
+// Keys must be usable and distinct (search loops guarantee this by
+// construction).
+func (d *Discoverer) previewScore(keys []graph.TypeID, n int, p *picks) float64 {
+	last := len(keys) - 1
+	p.reset(d, keys[:last], n-len(keys))
+	score, _, _ := p.complete(d, keys[last])
 	return score
 }
 

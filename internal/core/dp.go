@@ -38,40 +38,28 @@ func (d *Discoverer) DynamicProgramming(c Constraint) (Preview, error) {
 
 	k, n, kTypes := c.K, c.N, len(types)
 
-	// dp is indexed [i][j]; rolled over x. choice[x][i][j] records how many
-	// candidates τx took at state (i, j, x): 0 = skipped.
-	cur := make([][]float64, k+1)
-	prev := make([][]float64, k+1)
-	for i := 0; i <= k; i++ {
-		cur[i] = make([]float64, n+1)
-		prev[i] = make([]float64, n+1)
-	}
-	choice := make([][][]int16, kTypes+1)
-	for x := 0; x <= kTypes; x++ {
-		choice[x] = make([][]int16, k+1)
-		for i := 0; i <= k; i++ {
-			choice[x][i] = make([]int16, n+1)
-		}
-	}
+	// dp is indexed [i][j] at i*row+j, rolled over x. The one flat choice
+	// table records at choice[(x-1)*states+i*row+j] how many candidates τx
+	// took at state (i, j, x): 0 = skipped.
+	row := n + 1
+	states := (k + 1) * row
+	layers := make([]float64, 2*states)
+	cur, prev := layers[:states], layers[states:]
+	choice := make([]int16, kTypes*states)
 
 	// Base: x = 0. No types available: only i = 0 feasible.
-	for i := 0; i <= k; i++ {
-		for j := 0; j <= n; j++ {
-			if i == 0 {
-				prev[i][j] = 0
-			} else {
-				prev[i][j] = negInf
-			}
-		}
+	for s := row; s < states; s++ {
+		prev[s] = negInf
 	}
 
 	for x := 1; x <= kTypes; x++ {
 		t := types[x-1]
 		avail := len(d.ranked[t])
-		ks := d.keyScore(t)
+		table := d.table[t]
+		at := choice[(x-1)*states : x*states]
 		for i := 0; i <= k; i++ {
 			for j := 0; j <= n; j++ {
-				best := prev[i][j]
+				best := prev[i*row+j]
 				var bestM int16
 				if i >= 1 && j >= i {
 					mMax := j - (i - 1)
@@ -79,25 +67,25 @@ func (d *Discoverer) DynamicProgramming(c Constraint) (Preview, error) {
 						mMax = avail
 					}
 					for m := 1; m <= mMax; m++ {
-						below := prev[i-1][j-m]
+						below := prev[(i-1)*row+j-m]
 						if below == negInf {
 							continue
 						}
-						s := below + ks*d.prefix[t][m]
+						s := below + table[m]
 						if s > best {
 							best = s
 							bestM = int16(m)
 						}
 					}
 				}
-				cur[i][j] = best
-				choice[x][i][j] = bestM
+				cur[i*row+j] = best
+				at[i*row+j] = bestM
 			}
 		}
 		cur, prev = prev, cur
 	}
 	// After the swap, prev holds the final layer.
-	if prev[k][n] == negInf {
+	if prev[k*row+n] == negInf {
 		return Preview{}, ErrNoPreview
 	}
 
@@ -106,7 +94,7 @@ func (d *Discoverer) DynamicProgramming(c Constraint) (Preview, error) {
 	takes := make([]int, 0, k)
 	i, j := k, n
 	for x := kTypes; x >= 1 && i > 0; x-- {
-		m := int(choice[x][i][j])
+		m := int(choice[(x-1)*states+i*row+j])
 		if m == 0 {
 			continue
 		}

@@ -3,18 +3,18 @@ package core
 // Incremental discovery across epochs. A live graph republishes its score
 // set on every write batch, and rebuilding a Discoverer from scratch is
 // cheap — but the tight/diverse *search* over it (Apriori) is the most
-// expensive computation in the system (~1.2s on the 100k-entity bench
-// graph). Maintained keeps a Discoverer current across epochs without
-// re-searching, by combining two facts:
+// expensive computation in the system (~0.3 s for a diverse k=5 search on
+// the 100k-entity bench graph). Maintained keeps a Discoverer current
+// across epochs without re-searching, by combining two facts:
 //
 //  1. A write batch moves the non-key aggregates (coverage histograms,
 //     entropy) of only the entity types it touches — the "dirty" set the
 //     dynamic layer already tracks for its incremental score refresh. A
-//     clean type's ranked candidate list and prefix sums are bit-identical
-//     before and after, so the refreshed Discoverer reuses them and
-//     re-ranks only the dirty types. Key scores under the random-walk
-//     measure drift globally each epoch; Refresh diffs them across all
-//     types, so walk drift simply widens the effective moved set.
+//     clean type's ranked candidate list is bit-identical before and
+//     after, so the refreshed Discoverer reuses it and re-ranks only the
+//     dirty types. Key scores under the random-walk measure drift
+//     globally each epoch; Refresh diffs them across all types, so walk
+//     drift simply widens the effective moved set.
 //
 //  2. The previous search's winner stays the winner until some moved
 //     type's gain could carry another subset across the top-k boundary.
@@ -81,9 +81,9 @@ type topCert struct {
 }
 
 // searchFlight deduplicates concurrent full searches for one constraint:
-// followers wait for the owner's result instead of re-running a
-// seconds-long Apriori. landed is false when done closes because the
-// owner's search panicked; p and err are then empty and waiters retry.
+// followers wait for the owner's result instead of re-running a full
+// Apriori. landed is false when done closes because the owner's search
+// panicked; p and err are then empty and waiters retry.
 type searchFlight struct {
 	epoch  uint64
 	done   chan struct{}
@@ -206,28 +206,20 @@ func (m *Maintained) Refresh(set *score.Set, epoch uint64, dirty []graph.TypeID,
 }
 
 // rebuiltFrom builds the refreshed Discoverer: clean types reuse the old
-// ranked/prefix slices (their inputs did not move, so a fresh ranking
-// would be bit-identical), dirty types re-rank, and the all-pairs
+// ranked slices (their inputs did not move, so a fresh ranking would be
+// bit-identical), dirty types re-rank, every type's products are
+// recomputed (key scores may drift on any type), and the all-pairs
 // distance matrix carries over unchanged (the schema graph did not
 // change structurally).
 func rebuiltFrom(old *Discoverer, set *score.Set, dirty []graph.TypeID, opts Options) *Discoverer {
 	s := set.Schema()
 	d := &Discoverer{set: set, schema: s, opts: opts}
-	n := s.NumTypes()
-	d.ranked = make([][]score.RankedIncidence, n)
-	d.prefix = make([][]float64, n)
+	d.ranked = make([][]score.RankedIncidence, s.NumTypes())
 	copy(d.ranked, old.ranked)
-	copy(d.prefix, old.prefix)
 	par.ForEach(opts.Parallelism, len(dirty), func(i int) {
-		t := dirty[i]
-		r := set.RankNonKeys(opts.NonKey, t)
-		d.ranked[t] = r
-		p := make([]float64, len(r)+1)
-		for j, c := range r {
-			p[j+1] = p[j] + c.Score
-		}
-		d.prefix[t] = p
+		d.ranked[dirty[i]] = set.RankNonKeys(opts.NonKey, dirty[i])
 	})
+	d.products()
 	d.dist = old.Distances()
 	d.distOnce.Do(func() {})
 	return d
@@ -237,11 +229,10 @@ func rebuiltFrom(old *Discoverer, set *score.Set, dirty []graph.TypeID, opts Opt
 // under the new scores than under the old, over every possible candidate
 // count m: max_m [ks'·prefix'[m] − ks·prefix[m]], clamped at 0.
 func upliftOf(old, nd *Discoverer, t graph.TypeID) float64 {
-	ksO, ksN := old.keyScore(t), nd.keyScore(t)
-	pO, pN := old.prefix[t], nd.prefix[t]
+	tO, tN := old.table[t], nd.table[t]
 	var u float64
-	for m := 1; m < len(pN) && m < len(pO); m++ {
-		if diff := ksN*pN[m] - ksO*pO[m]; diff > u {
+	for m := 1; m < len(tN) && m < len(tO); m++ {
+		if diff := tN[m] - tO[m]; diff > u {
 			u = diff
 		}
 	}
@@ -316,17 +307,23 @@ func (m *Maintained) fly(d *Discoverer, c Constraint, f *searchFlight) (p Previe
 		// the search ran; a newer epoch's answer must come from a newer
 		// search (or an uplift-adjusted certificate, which this is not).
 		if f.landed && m.init && m.epoch == f.epoch {
-			if len(m.certs) >= maxCerts {
-				for k := range m.certs {
-					delete(m.certs, k)
-					break
-				}
-			}
+			var cert *topCert
 			switch {
 			case err == nil:
-				m.certs[c] = &topCert{keys: p.Keys(), rival: runnerUp}
+				cert = &topCert{keys: p.Keys(), rival: runnerUp}
 			case errors.Is(err, ErrNoPreview) || errors.Is(err, ErrSearchBudget):
-				m.certs[c] = &topCert{err: err}
+				cert = &topCert{err: err}
+			}
+			if cert != nil {
+				// A certificate that failed its re-check is replaced in
+				// place; only a new constraint grows the map and evicts.
+				if _, ok := m.certs[c]; !ok && len(m.certs) >= maxCerts {
+					for k := range m.certs {
+						delete(m.certs, k)
+						break
+					}
+				}
+				m.certs[c] = cert
 			}
 		}
 		m.mu.Unlock()
@@ -349,8 +346,8 @@ func certPreview(d *Discoverer, cert *topCert, c Constraint) (Preview, bool) {
 			return Preview{}, false
 		}
 	}
-	take := make([]int, len(cert.keys))
-	s := d.previewScore(cert.keys, c.N, take)
+	var scratch picks
+	s := d.previewScore(cert.keys, c.N, &scratch)
 	if !(s > cert.rival) {
 		return Preview{}, false
 	}

@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -80,15 +81,15 @@ func TestMaintainedSearchPanicReleasesWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Swap in a Discoverer whose prefix sums are corrupt, so a search over
-	// it panics once it scores a subset. Its distance matrix is held
+	// Swap in a Discoverer whose table scores are corrupt, so a search
+	// over it panics once it scores a subset. Its distance matrix is held
 	// behind a gate: the search stops at its first distance query until a
 	// waiter has parked on its flight.
 	m.mu.Lock()
 	good := m.disc
 	bad := New(set, m.opts)
-	for i := range bad.prefix {
-		bad.prefix[i] = nil
+	for i := range bad.table {
+		bad.table[i] = nil
 	}
 	m.disc = bad
 	m.mu.Unlock()
@@ -165,5 +166,46 @@ func TestMaintainedRefreshPanicRebuilds(t *testing.T) {
 	}
 	if p, err := m.DiscoverAt(0, c); err != nil || !samePreview(p, want) {
 		t.Fatalf("DiscoverAt after rebuild got (%+v, %v), want the cold answer %+v", p, err, want)
+	}
+}
+
+// TestMaintainedReSearchKeepsCertificates: a full search that replaces a
+// certificate which failed its re-check does not grow the map, so it must
+// not evict another constraint's certificate. 256 film constraints,
+// differing only in MaxCandidates, fill the map; then 8 of them are forced
+// to re-search, and every one of the 256 keeps its certificate.
+func TestMaintainedReSearchKeepsCertificates(t *testing.T) {
+	set := score.Compute(fig1.Graph(), score.DefaultWalkOptions())
+	m := NewMaintained(Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	m.Refresh(set, 0, nil, true)
+	cs := make([]Constraint, maxCerts)
+	for i := range cs {
+		cs[i] = Constraint{K: 2, N: 4, Mode: Tight, D: 2, MaxCandidates: 1000 + i}
+		if _, err := m.DiscoverAt(0, cs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		c := cs[i*len(cs)/8]
+		// An infinite rival fails the certificate's re-check.
+		m.mu.Lock()
+		m.certs[c].rival = math.Inf(1)
+		m.mu.Unlock()
+		if _, err := m.DiscoverAt(0, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := m.FullSearches(), int64(len(cs)+8); got != want {
+		t.Fatalf("%d full searches, want %d (one per constraint, one per forced re-search)", got, want)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range cs {
+		if cert := m.certs[c]; cert == nil || math.IsInf(cert.rival, 1) {
+			t.Fatalf("constraint %+v lost its certificate (or kept the failed one); %d certificates left", c, len(m.certs))
+		}
+	}
+	if len(m.certs) != maxCerts {
+		t.Fatalf("%d certificates, want %d", len(m.certs), maxCerts)
 	}
 }

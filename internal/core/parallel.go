@@ -1,28 +1,29 @@
 package core
 
 // Worker counts. The k-subset enumerations behind every discovery mode
-// are embarrassingly parallel — the subset space partitions into
-// contiguous ranges, and a Discoverer is read-only during search, so
-// workers share it freely. Each search has one body that runs at any
-// worker count: brute force (Alg. 1) partitions by first element, Apriori
-// (Alg. 3) partitions every level-wise stage into spans, and both run
-// their partitions through par.ForEach, which is a plain loop at one
-// worker. The result does not depend on the worker count:
+// are embarrassingly parallel — the subset space partitions by first
+// element, and a Discoverer is read-only during search, so workers share
+// it freely. Each search has one body that runs at any worker count:
+// brute force (Alg. 1) and Apriori (Alg. 3) both run one task per first
+// type through par.ForEach, which is a plain loop at one worker. The
+// result does not depend on the worker count:
 //
-//   - Candidate order is preserved: each stage's spans are concatenated in
-//     span order, reproducing the lexicographic level layout exactly, so
-//     downstream stages see the same input however the stage was split.
-//   - Per-partition bests merge deterministically (top2): equal scores
-//     break toward the lexicographically smallest key subset (lessKeys),
-//     so which partition happened to score a subset never shows through.
+//   - Every subset is visited by exactly one task, whichever worker runs
+//     it: a task's subsets and their order are a function of its first
+//     type alone, and no task reads another's output.
+//   - Per-task (brute force) and per-worker (Apriori) bests merge
+//     deterministically (top2): equal scores break toward the
+//     lexicographically smallest key subset (lessKeys), so which worker
+//     happened to score a subset never shows through. Candidate counts
+//     are integer sums.
 //   - The Constraint.MaxCandidates budget is enforced through a shared
 //     atomic counter: the search errors with ErrSearchBudget exactly when
 //     the total candidate volume exceeds the budget. Workers may
 //     transiently overshoot the counter before observing the abort flag
-//     (by at most one join block per worker — the first failed take stops
-//     a worker's stage), but the overshoot is never published: success
-//     and failure, and the preview returned on success, are identical at
-//     any worker count.
+//     (by at most one prefix block per worker — the first failed take
+//     stops a worker's task), but the overshoot is never published:
+//     success and failure, and the preview returned on success, are
+//     identical at any worker count.
 //
 // Running on more than one worker is an engineering extension beyond the
 // paper (whose C++ implementation was single-threaded); it makes
@@ -35,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"github.com/uta-db/previewtables/internal/graph"
-	"github.com/uta-db/previewtables/internal/par"
 )
 
 // lessKeys orders key subsets lexicographically.
@@ -99,23 +99,8 @@ func (t *top2) merge(o *top2) {
 	}
 }
 
-// spanFactor is how many spans each stage plans per worker. More spans
-// than workers keeps the pull-based pool load-balanced when candidate
-// blocks are skewed; the partition never affects results, only balance.
-const spanFactor = 8
-
-// stageSpans plans one stage over n inputs: a single span at one worker,
-// so the stage is one plain loop whose output needs no concatenation, and
-// spanFactor spans per worker otherwise.
-func stageSpans(n, workers int) []par.Span {
-	if workers <= 1 {
-		return par.Spans(n, 1)
-	}
-	return par.Spans(n, workers*spanFactor)
-}
-
 // budgetCounter enforces Constraint.MaxCandidates across workers: every
-// join block takes one ticket per candidate it produced from a shared
+// prefix block takes one ticket per candidate it holds from a shared
 // atomic counter, and the first take past the limit raises the exceeded
 // flag that workers poll between blocks. The counter may transiently run
 // past the limit (by at most one block, fewer candidates than there are
@@ -132,12 +117,12 @@ func newBudgetCounter(limit int) *budgetCounter {
 	return &budgetCounter{limit: int64(limit)}
 }
 
-// take accounts n produced candidates, reporting false once the budget is
-// exhausted. Taking per block rather than per candidate keeps the atomic
-// add off the innermost join loop, where even an uncontended one costs a
-// measurable share of a one-worker search. Unlimited budgets skip the
+// take accounts n generated candidates, reporting false once the budget
+// is exhausted. Taking per block rather than per candidate keeps the
+// atomic add off the innermost loop, where even an uncontended one costs
+// a measurable share of a one-worker search. Unlimited budgets skip the
 // shared counter entirely: with no limit it decides nothing (stats come
-// from the level lengths).
+// from each worker's own count).
 func (b *budgetCounter) take(n int) bool {
 	if b.limit <= 0 || n == 0 {
 		return true
@@ -151,21 +136,3 @@ func (b *budgetCounter) take(n int) bool {
 
 // ok reports whether the budget still holds.
 func (b *budgetCounter) ok() bool { return !b.exceeded.Load() }
-
-// concatInt32 concatenates span outputs in span order, reproducing the
-// lexicographic enumeration order exactly. A single part is returned as
-// is.
-func concatInt32(parts [][]int32) []int32 {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]int32, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}

@@ -9,6 +9,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/uta-db/previewtables/internal/freebase"
@@ -22,12 +23,12 @@ func runnerUpByEnumeration(d *Discoverer, c Constraint, winner []graph.TypeID) f
 	types := d.usableTypes()
 	best := math.Inf(-1)
 	subset := make([]graph.TypeID, c.K)
-	take := make([]int, c.K)
+	var scratch picks
 	var rec func(pos, start int)
 	rec = func(pos, start int) {
 		if pos == c.K {
-			if d.pairwiseOK(c, subset) && !reflect.DeepEqual(subset, winner) {
-				best = math.Max(best, d.previewScore(subset, c.N, take))
+			if d.pairwiseOK(c, subset) && !slices.Equal(subset, winner) {
+				best = math.Max(best, d.previewScore(subset, c.N, &scratch))
 			}
 			return
 		}

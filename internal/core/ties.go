@@ -35,12 +35,12 @@ func (d *Discoverer) AllOptimal(c Constraint) ([]Preview, error) {
 		found     bool
 		stats     SearchStats
 	)
-	take := make([]int, c.K)
+	var scratch picks
 	tol := func() float64 { return 1e-12 * (1 + math.Abs(bestScore)) }
 	for first := 0; first <= len(types)-c.K; first++ {
 		d.eachSubset(c, types, first, func(subset []graph.TypeID) {
 			stats.SubsetsScored++
-			score := d.previewScore(subset, c.N, take)
+			score := d.previewScore(subset, c.N, &scratch)
 			switch {
 			case !found || score > bestScore+tol():
 				bestScore = score
