@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -468,6 +469,48 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(buf.Len()))
+}
+
+// BenchmarkLoadSnapshot: storage.LoadFile of the 100k-entity music
+// snapshot, the load every previewd -graph start, checkpoint recovery and
+// follower bootstrap pays.
+func BenchmarkLoadSnapshot(b *testing.B) {
+	g, _ := parallelBenchSetup(b)
+	path := filepath.Join(b.TempDir(), "music.egpt")
+	if err := storage.SaveFile(path, g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := storage.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFreeze: dynamic.Graph.Freeze, which ends every write batch on
+// a leader and a follower, on the people graph and the default-scale
+// music graph ingest writes to.
+func BenchmarkFreeze(b *testing.B) {
+	for _, domain := range []string{"people", "music"} {
+		src, err := freebase.Generate(domain, freebase.DefaultGenOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		dg, err := dynamic.FromEntityGraph(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(domain, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dg.Freeze(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkTripleMarshal(b *testing.B) {

@@ -18,7 +18,11 @@ import (
 // aligned with the table's NonKeys, the (possibly empty, possibly
 // multi-valued) sets of related entities.
 type Tuple struct {
-	Key    graph.EntityID
+	Key graph.EntityID
+	// Values holds graph.Neighbors results: read-only views of graph
+	// memory, shared by every tuple of every table of the graph, which
+	// the root package's SampleTuples hands to library callers as they
+	// are. Copy a value set before sorting or otherwise changing it.
 	Values [][]graph.EntityID
 }
 

@@ -23,6 +23,7 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/uta-db/previewtables/internal/graph"
@@ -112,6 +113,7 @@ type valueHist struct {
 	groups map[string]int                      // value-set key → tuple count
 	total  int                                 // Σ counts (non-empty tuples)
 	clogc  float64                             // Σ c·log10(c) over groups
+	pairs  int                                 // Σ len(values[e])
 }
 
 func newValueHist() *valueHist {
@@ -136,6 +138,7 @@ func (h *valueHist) add(e, v graph.EntityID) bool {
 	copy(vals[i+1:], vals[i:])
 	vals[i] = v
 	h.values[e] = vals
+	h.pairs++
 	h.bump(vals, +1)
 	return true
 }
@@ -377,7 +380,11 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 
 // Freeze materializes the current state as an immutable EntityGraph for
 // interop with rendering and tuple materialization. This is a full O(|Vd| +
-// |Ed|) rebuild — use it when you need tuples, not scores.
+// |Ed|) rebuild — use it when you need tuples, not scores. It hands
+// graph.Assemble copies of the names, relationship types and entity type
+// lists, and one edge per distinct (source, relationship type, target),
+// ordered by relationship type, then source, then target; ids are this
+// graph's ids.
 //
 // Note: Freeze rebuilds edges from the deduplicated value sets, so parallel
 // duplicate edges collapse; every scoring measure is unaffected except
@@ -385,30 +392,36 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 // the maintained counts (the rebuilt graph re-counts, so its counts reflect
 // the deduplicated edges — documented divergence for multigraph duplicates).
 func (g *Graph) Freeze() (*graph.EntityGraph, error) {
-	var b graph.Builder
-	for _, name := range g.typeNames {
-		b.Type(name)
+	types := append([]string(nil), g.typeNames...)
+	rels := append([]graph.RelType(nil), g.rels...)
+	var slabLen, nEdges int
+	for _, ts := range g.entTypes {
+		slabLen += len(ts)
 	}
-	relIDs := make([]graph.RelTypeID, len(g.rels))
-	for i, r := range g.rels {
-		relIDs[i] = b.RelType(r.Name, r.From, r.To)
+	for _, h := range g.hist {
+		nEdges += h[0].pairs
 	}
+	slab := make([]graph.TypeID, 0, slabLen)
+	ents := make([]graph.Entity, len(g.entNames))
 	for i, name := range g.entNames {
-		b.Entity(name, g.entTypes[i]...)
+		off := len(slab)
+		slab = append(slab, g.entTypes[i]...)
+		ents[i] = graph.Entity{Name: name, Types: slab[off:len(slab):len(slab)]}
 	}
+	edges := make([]graph.Edge, 0, nEdges)
+	var srcs []graph.EntityID
 	for ri := range g.rels {
 		h := g.hist[ri][0]
-		// Deterministic edge order: sources ascending, then values.
-		srcs := make([]graph.EntityID, 0, len(h.values))
+		srcs = srcs[:0]
 		for e := range h.values {
 			srcs = append(srcs, e)
 		}
-		sort.Slice(srcs, func(a, b int) bool { return srcs[a] < srcs[b] })
+		slices.Sort(srcs)
 		for _, e := range srcs {
 			for _, v := range h.values[e] {
-				b.Edge(b.Entity(g.entNames[e]), b.Entity(g.entNames[v]), relIDs[ri])
+				edges = append(edges, graph.Edge{From: e, To: v, Rel: graph.RelTypeID(ri)})
 			}
 		}
 	}
-	return b.Build()
+	return graph.Assemble(types, rels, ents, edges)
 }

@@ -139,73 +139,17 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Build finalizes the graph: it computes per-type entity lists, adjacency
-// indexes, and the schema-graph incidence lists, and returns the immutable
-// EntityGraph. The builder must not be reused after Build.
+// Build finalizes the graph: it hands the declared parts to Assemble,
+// which computes per-type entity lists, the adjacency index and the
+// schema-graph incidence lists, and returns the immutable EntityGraph. The
+// builder must not be reused after Build.
 func (b *Builder) Build() (*EntityGraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	for i := range b.entities {
-		if len(b.entities[i].Types) == 0 {
-			return nil, fmt.Errorf("entity %q has no type", b.entities[i].Name)
-		}
+	names := make([]string, len(b.types))
+	for i, t := range b.types {
+		names[i] = t.Name
 	}
-
-	g := &EntityGraph{
-		entities:     b.entities,
-		types:        b.types,
-		relTypes:     b.relTypes,
-		edges:        b.edges,
-		entityByName: b.entityByName,
-		typeByName:   b.typeByName,
-	}
-	if g.entityByName == nil {
-		g.entityByName = map[string]EntityID{}
-	}
-	if g.typeByName == nil {
-		g.typeByName = map[string]TypeID{}
-	}
-
-	// Per-type entity lists (sorted by construction order of ids).
-	for ei := range g.entities {
-		for _, t := range g.entities[ei].Types {
-			g.types[t].Entities = append(g.types[t].Entities, EntityID(ei))
-		}
-	}
-
-	// Entity adjacency. Two passes: count, then fill from a single backing
-	// array to keep the index compact.
-	outCount := make([]int32, len(g.entities))
-	inCount := make([]int32, len(g.entities))
-	for _, e := range g.edges {
-		outCount[e.From]++
-		inCount[e.To]++
-	}
-	g.out = make([][]EdgeID, len(g.entities))
-	g.in = make([][]EdgeID, len(g.entities))
-	outBacking := make([]EdgeID, len(g.edges))
-	inBacking := make([]EdgeID, len(g.edges))
-	var op, ip int32
-	for i := range g.entities {
-		g.out[i] = outBacking[op : op : op+outCount[i]]
-		op += outCount[i]
-		g.in[i] = inBacking[ip : ip : ip+inCount[i]]
-		ip += inCount[i]
-	}
-	for ei := range g.edges {
-		e := &g.edges[ei]
-		g.out[e.From] = append(g.out[e.From], EdgeID(ei))
-		g.in[e.To] = append(g.in[e.To], EdgeID(ei))
-	}
-
-	// Schema incidence lists.
-	g.schemaOut = make([][]RelTypeID, len(g.types))
-	g.schemaIn = make([][]RelTypeID, len(g.types))
-	for ri, rt := range g.relTypes {
-		g.schemaOut[rt.From] = append(g.schemaOut[rt.From], RelTypeID(ri))
-		g.schemaIn[rt.To] = append(g.schemaIn[rt.To], RelTypeID(ri))
-	}
-
-	return g, nil
+	return Assemble(names, b.relTypes, b.entities, b.edges)
 }

@@ -9,14 +9,19 @@
 // types may share a surface name (e.g. "Award Winners" from FILM ACTOR to
 // AWARD and from FILM DIRECTOR to AWARD) while remaining distinct.
 //
-// All identifiers are dense small integers suitable for array indexing;
-// the package is designed so that a graph is built once (via Builder) and
-// then queried many times without further allocation.
+// All identifiers are dense small integers suitable for array indexing.
+// A graph is made once, by Assemble (directly, or through Builder), and
+// then queried many times without further allocation. Its adjacency is
+// flat: one compressed sparse row index per direction, grouped by
+// (entity, relationship type), so Neighbors is a binary search that
+// returns a view into graph memory. Everything a graph hands out — entity
+// type lists, per-type entity lists, neighbor sets — is shared and
+// read-only.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -64,7 +69,8 @@ type Edge struct {
 }
 
 // EntityGraph is an immutable directed entity multigraph together with its
-// uniquely determined schema graph. Construct one with a Builder.
+// uniquely determined schema graph. Construct one with a Builder, or from
+// canonical parts with Assemble.
 type EntityGraph struct {
 	entities []Entity
 	types    []EntityType
@@ -74,9 +80,10 @@ type EntityGraph struct {
 	entityByName map[string]EntityID
 	typeByName   map[string]TypeID
 
-	// out[e] / in[e] list edge indexes incident from / to entity e.
-	out [][]EdgeID
-	in  [][]EdgeID
+	// out and in index each entity's outgoing and incoming neighbors: one
+	// run of distinct neighbors per (entity, relationship type).
+	out adjacency
+	in  adjacency
 
 	// schema adjacency: relationship types incident on each entity type,
 	// outgoing (rel.From == t) and incoming (rel.To == t).
@@ -138,11 +145,31 @@ func (g *EntityGraph) EntitiesOfType(t TypeID) []EntityID { return g.types[t].En
 // of t as a key attribute.
 func (g *EntityGraph) TypeCoverage(t TypeID) int { return len(g.types[t].Entities) }
 
-// OutEdges returns the ids of edges incident from entity e.
-func (g *EntityGraph) OutEdges(e EntityID) []EdgeID { return g.out[e] }
+// OutEdges returns the ids of the edges incident from entity e, ascending.
+// It scans every edge, O(|Ed|), into a fresh slice: the adjacency index
+// keeps neighbors, not edge ids. Neighbors is the indexed query.
+func (g *EntityGraph) OutEdges(e EntityID) []EdgeID {
+	var ids []EdgeID
+	for i, ed := range g.edges {
+		if ed.From == e {
+			ids = append(ids, EdgeID(i))
+		}
+	}
+	return ids
+}
 
-// InEdges returns the ids of edges incident to entity e.
-func (g *EntityGraph) InEdges(e EntityID) []EdgeID { return g.in[e] }
+// InEdges returns the ids of the edges incident to entity e, ascending. It
+// scans every edge, O(|Ed|), into a fresh slice; Neighbors is the indexed
+// query.
+func (g *EntityGraph) InEdges(e EntityID) []EdgeID {
+	var ids []EdgeID
+	for i, ed := range g.edges {
+		if ed.To == e {
+			ids = append(ids, EdgeID(i))
+		}
+	}
+	return ids
+}
 
 // SchemaOut returns the relationship types whose From endpoint is t.
 func (g *EntityGraph) SchemaOut(t TypeID) []RelTypeID { return g.schemaOut[t] }
@@ -164,9 +191,8 @@ func (g *EntityGraph) IncidentRelTypes(t TypeID) []RelTypeID {
 
 // HasType reports whether entity e bears type t.
 func (g *EntityGraph) HasType(e EntityID, t TypeID) bool {
-	ts := g.entities[e].Types
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-	return i < len(ts) && ts[i] == t
+	_, ok := slices.BinarySearch(g.entities[e].Types, t)
+	return ok
 }
 
 // Neighbors returns, for entity e and relationship type rel, the set of
@@ -176,34 +202,16 @@ func (g *EntityGraph) HasType(e EntityID, t TypeID) bool {
 //     (rel.From must be a type of v);
 //   - otherwise the entities u with an edge e(u, v) of type rel.
 //
-// The result preserves first-seen order and contains no duplicates.
+// The result is in the order of each entity's first such edge and
+// contains no duplicates. It is a view into the graph's adjacency index,
+// found by binary search without allocating: shared; callers must not
+// mutate it. Its capacity equals its length, so appending to it copies.
+// An empty set is nil.
 func (g *EntityGraph) Neighbors(e EntityID, rel RelTypeID, outgoing bool) []EntityID {
-	var refs []EdgeID
 	if outgoing {
-		refs = g.out[e]
-	} else {
-		refs = g.in[e]
+		return g.out.run(e, rel)
 	}
-	var res []EntityID
-	var seen map[EntityID]bool
-	for _, ref := range refs {
-		ed := g.edges[ref]
-		if ed.Rel != rel {
-			continue
-		}
-		other := ed.To
-		if !outgoing {
-			other = ed.From
-		}
-		if seen == nil {
-			seen = make(map[EntityID]bool, 4)
-		}
-		if !seen[other] {
-			seen[other] = true
-			res = append(res, other)
-		}
-	}
-	return res
+	return g.in.run(e, rel)
 }
 
 // Stats summarizes a graph in the shape of the paper's Table 2 row:
@@ -235,8 +243,9 @@ func (s Stats) String() string {
 // exist and bear the endpoint types declared by the edge's relationship
 // type, every type's entity list is sorted and deduplicated, and the
 // schema-graph edge counts equal the actual number of entity-graph edges of
-// each relationship type. It is intended for tests and loaders; a graph
-// produced by Builder.Build always validates.
+// each relationship type. It is intended for tests; Assemble, the only
+// way a graph is made, checks the same conditions, so every graph
+// validates.
 func (g *EntityGraph) Validate() error {
 	counts := make([]int, len(g.relTypes))
 	for i, e := range g.edges {

@@ -1,0 +1,140 @@
+// Package graphtest supplies what the adjacency-layout tests of the graph,
+// score and storage packages share: small multigraphs decoded from bytes,
+// the graphs the differentials run on, and the reference Neighbors they
+// compare against.
+package graphtest
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+
+	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/freebase"
+	"github.com/uta-db/previewtables/internal/graph"
+)
+
+// Multigraph decodes data into a multigraph of at most 12 types and 64
+// entities, built through graph.Builder. Every input decodes: missing
+// bytes read as zero. The header bytes pick the type, relationship-type
+// and entity counts; then each relationship type takes a surface name
+// (one of four, so names repeat across endpoint types) and two endpoint
+// types, each entity one or two types, and every remaining byte triple
+// one edge (from, relationship type, to). Repeated triples make parallel
+// duplicate edges; from == to makes self loops.
+func Multigraph(data []byte) (*graph.EntityGraph, error) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	nTypes, nRels, nEnts := 1+next()%12, 1+next()%16, 1+next()%64
+	var b graph.Builder
+	for t := 0; t < nTypes; t++ {
+		b.Type(fmt.Sprintf("T%d", t))
+	}
+	rels := make([]graph.RelTypeID, nRels)
+	for i := range rels {
+		name := fmt.Sprintf("r%d", next()%4)
+		rels[i] = b.RelType(name, graph.TypeID(next()%nTypes), graph.TypeID(next()%nTypes))
+	}
+	ents := make([]graph.EntityID, nEnts)
+	for i := range ents {
+		c := next()
+		types := []graph.TypeID{graph.TypeID(c % nTypes)}
+		if c&0x80 != 0 {
+			types = append(types, graph.TypeID((c>>3)%nTypes))
+		}
+		ents[i] = b.Entity(fmt.Sprintf("e%d", i), types...)
+	}
+	for len(data) > 0 {
+		from, rel, to := next()%nEnts, next()%nRels, next()%nEnts
+		b.Edge(ents[from], ents[to], rels[rel])
+	}
+	return b.Build()
+}
+
+// Random is Multigraph over size bytes drawn from a seeded source.
+func Random(seed int64, size int) *graph.EntityGraph {
+	data := make([]byte, size)
+	rand.New(rand.NewSource(seed)).Read(data)
+	g, err := Multigraph(data)
+	if err != nil {
+		panic(err) // every input decodes into a buildable graph
+	}
+	return g
+}
+
+// Named is one graph of Corpus.
+type Named struct {
+	Name  string
+	Graph *graph.EntityGraph
+}
+
+// Corpus returns the graphs the layout differentials run on: Fig. 1, the
+// four default-scale domains the fleet benchmark serves (books, film,
+// people, tv), and seeded random multigraphs with parallel duplicate
+// edges and self loops, small and dense enough that equal value sets
+// arise in different first-edge orders.
+func Corpus() ([]Named, error) {
+	gs := []Named{{"fig1", fig1.Graph()}}
+	for _, d := range []string{"books", "film", "people", "tv"} {
+		g, err := freebase.Generate(d, freebase.DefaultGenOptions())
+		if err != nil {
+			return nil, err
+		}
+		gs = append(gs, Named{d, g})
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		gs = append(gs, Named{fmt.Sprintf("random-%d", seed), Random(seed, 64+int(seed)*96)})
+	}
+	return gs, nil
+}
+
+// CheckNeighbors compares g.Neighbors, for every (entity, relationship
+// type, direction), against a reference that scans the edges in id order
+// and keeps each neighbor's first occurrence. It also checks that every
+// result's capacity equals its length, so a caller's append cannot write
+// into the next run.
+func CheckNeighbors(g *graph.EntityGraph) error {
+	type run struct {
+		e   graph.EntityID
+		rel graph.RelTypeID
+		out bool
+	}
+	type seenKey struct {
+		run
+		other graph.EntityID
+	}
+	want := map[run][]graph.EntityID{}
+	seen := map[seenKey]bool{}
+	add := func(r run, other graph.EntityID) {
+		if k := (seenKey{r, other}); !seen[k] {
+			seen[k] = true
+			want[r] = append(want[r], other)
+		}
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		ed := g.Edge(graph.EdgeID(i))
+		add(run{ed.From, ed.Rel, true}, ed.To)
+		add(run{ed.To, ed.Rel, false}, ed.From)
+	}
+	for e := 0; e < g.NumEntities(); e++ {
+		for r := 0; r < g.NumRelTypes(); r++ {
+			for _, out := range []bool{true, false} {
+				k := run{graph.EntityID(e), graph.RelTypeID(r), out}
+				got := g.Neighbors(k.e, k.rel, k.out)
+				if !slices.Equal(got, want[k]) {
+					return fmt.Errorf("Neighbors(%d, %d, %v) = %v, want %v", k.e, k.rel, k.out, got, want[k])
+				}
+				if cap(got) != len(got) {
+					return fmt.Errorf("Neighbors(%d, %d, %v): cap %d != len %d", k.e, k.rel, k.out, cap(got), len(got))
+				}
+			}
+		}
+	}
+	return nil
+}

@@ -9,8 +9,10 @@
 package score
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/uta-db/previewtables/internal/graph"
@@ -128,9 +130,10 @@ func Compute(g *graph.EntityGraph, opts WalkOptions) *Set {
 		incs := s.Incident(graph.TypeID(t))
 		cov := make([]float64, len(incs))
 		ent := make([]float64, len(incs))
+		var sc entropyScratch
 		for i, inc := range incs {
 			cov[i] = float64(s.RelType(inc.Rel).EdgeCount)
-			ent[i] = Entropy(g, graph.TypeID(t), inc)
+			ent[i] = sc.entropy(g, graph.TypeID(t), inc)
 		}
 		set.nonKeyCov[t] = cov
 		set.nonKeyEnt[t] = ent
@@ -409,54 +412,84 @@ func StationaryDistributionWarm(s *graph.Schema, opts WalkOptions, prev []float6
 // excluded from the denominator; two multi-valued cells are equal iff they
 // contain the same set of component entities.
 func Entropy(g *graph.EntityGraph, t graph.TypeID, inc graph.Incidence) float64 {
-	groups := make(map[string]int)
+	var sc entropyScratch
+	return sc.entropy(g, t, inc)
+}
+
+// entropyScratch is Entropy's working memory, reused across the
+// incidences of one type by Compute.
+type entropyScratch struct {
+	singles []graph.EntityID // the value of each single-valued tuple
+	set     []graph.EntityID // a multi-valued set, sorted
+	key     []byte           // a multi-valued set's key
+	multi   map[string]int   // multi-valued set key → index into sizes
+	sizes   []int            // group sizes
+}
+
+func (sc *entropyScratch) entropy(g *graph.EntityGraph, t graph.TypeID, inc graph.Incidence) float64 {
+	singles, sizes := sc.singles[:0], sc.sizes[:0]
+	clear(sc.multi)
 	var nonEmpty int
 	for _, e := range g.EntitiesOfType(t) {
 		vals := g.Neighbors(e, inc.Rel, inc.Outgoing)
-		if len(vals) == 0 {
+		switch len(vals) {
+		case 0:
 			continue
+		case 1:
+			// A single value is its own group, counted below by id.
+			singles = append(singles, vals[0])
+		default:
+			// A multi-valued set is keyed by its sorted ids, so {a,b} and
+			// {b,a} collide. Neighbors' result is shared: sort a copy.
+			sc.set = append(sc.set[:0], vals...)
+			slices.Sort(sc.set)
+			sc.key = sc.key[:0]
+			for _, id := range sc.set {
+				sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(id))
+			}
+			if i, ok := sc.multi[string(sc.key)]; ok {
+				sizes[i]++
+			} else {
+				if sc.multi == nil {
+					sc.multi = make(map[string]int)
+				}
+				sc.multi[string(sc.key)] = len(sizes)
+				sizes = append(sizes, 1)
+			}
 		}
 		nonEmpty++
-		groups[valueSetKey(vals)]++
 	}
+	slices.Sort(singles)
+	for i := 0; i < len(singles); {
+		j := i + 1
+		for j < len(singles) && singles[j] == singles[i] {
+			j++
+		}
+		sizes = append(sizes, j-i)
+		i = j
+	}
+	sc.singles, sc.sizes = singles, sizes
 	if nonEmpty == 0 {
 		return 0
 	}
 	// Deterministic accumulation: the entropy depends only on the multiset
-	// of group sizes, so fold the histogram into size → multiplicity and
-	// sum over sizes in increasing order. Iterating the groups map directly
-	// would let Go's randomized map order pick the floating-point summation
-	// order, making repeated runs differ in the last bits — enough to flip
-	// score ties and break the bit-identical guarantee the parallel paths
-	// (and the differential tests) rely on.
-	sizes := make(map[int]int)
-	for _, nj := range groups {
-		sizes[nj]++
-	}
-	distinct := make([]int, 0, len(sizes))
-	for c := range sizes {
-		distinct = append(distinct, c)
-	}
-	sort.Ints(distinct)
+	// of group sizes, so sum over distinct sizes in increasing order, each
+	// term weighted by the size's multiplicity. Summing in group discovery
+	// order would let the graph's layout pick the floating-point summation
+	// order, enough to flip score ties and break the bit-identical
+	// guarantee the parallel paths (and the differential tests) rely on.
+	slices.Sort(sizes)
 	var h float64
 	total := float64(nonEmpty)
-	for _, c := range distinct {
+	for i := 0; i < len(sizes); {
+		c := sizes[i]
+		j := i + 1
+		for j < len(sizes) && sizes[j] == c {
+			j++
+		}
 		p := float64(c) / total
-		h += float64(sizes[c]) * p * math.Log10(1/p)
+		h += float64(j-i) * p * math.Log10(1/p)
+		i = j
 	}
 	return h
-}
-
-// valueSetKey canonicalizes a value set: sorted entity ids joined into a
-// deterministic key, so {a,b} and {b,a} collide.
-func valueSetKey(vals []graph.EntityID) string {
-	ids := make([]graph.EntityID, len(vals))
-	copy(ids, vals)
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	// Compact binary key: 4 bytes per id.
-	buf := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(buf)
 }

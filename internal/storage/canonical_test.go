@@ -1,0 +1,158 @@
+package storage_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
+	"testing"
+
+	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/freebase"
+	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/storage"
+)
+
+// rawSnapshot assembles snapshot bytes by hand, so a test can write what
+// Write never would.
+type rawSnapshot struct{ b []byte }
+
+func newRaw() *rawSnapshot { return &rawSnapshot{b: []byte("EGPT\x01")} }
+
+func (r *rawSnapshot) uvarint(vs ...uint64) *rawSnapshot {
+	for _, v := range vs {
+		r.b = binary.AppendUvarint(r.b, v)
+	}
+	return r
+}
+
+func (r *rawSnapshot) str(ss ...string) *rawSnapshot {
+	for _, s := range ss {
+		r.uvarint(uint64(len(s)))
+		r.b = append(r.b, s...)
+	}
+	return r
+}
+
+// sealed appends the CRC-32C trailer Write computes.
+func (r *rawSnapshot) sealed() []byte {
+	return binary.BigEndian.AppendUint32(append([]byte(nil), r.b...),
+		crc32.Checksum(r.b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// hostileCounts are truncated snapshots, each declaring one table at the
+// largest count Read accepts and then ending.
+func hostileCounts() map[string][]byte {
+	return map[string][]byte{
+		"types":         newRaw().uvarint(1 << 24).b,
+		"relationships": newRaw().uvarint(1).str("a").uvarint(1 << 24).b,
+		"entities":      newRaw().uvarint(1).str("a").uvarint(0, 1<<31).b,
+		"edges":         newRaw().uvarint(1).str("a").uvarint(0, 0, 1<<31).b,
+	}
+}
+
+// TestReadHostileCounts: a header count pre-sizes nothing the input does
+// not back with bytes. Each table's count at its largest accepted value,
+// then EOF, must fail as ErrCorrupt after allocating well under what the
+// count would take.
+func TestReadHostileCounts(t *testing.T) {
+	const budget = 16 << 20
+	for name, data := range hostileCounts() {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := storage.Read(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("err = %v, want ErrCorrupt", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= budget {
+				t.Errorf("Read allocated %d bytes, want < %d", grew, budget)
+			}
+		})
+	}
+}
+
+// TestReadRejectsNonCanonical: Write only ever serializes a built graph,
+// so Read rejects, as ErrCorrupt, every CRC-valid snapshot outside the
+// canonical form instead of normalizing it: re-encoding would change the
+// bytes.
+func TestReadRejectsNonCanonical(t *testing.T) {
+	// Two types, relationship r from a to b, entity x of type a and y of
+	// type b, one edge x -r-> y; each case varies one part.
+	types := func(r *rawSnapshot) *rawSnapshot { return r.uvarint(2).str("a", "b") }
+	rel := func(r *rawSnapshot) *rawSnapshot { return r.uvarint(1).str("r").uvarint(0, 1) }
+	ents := func(r *rawSnapshot) *rawSnapshot { return r.uvarint(2).str("x").uvarint(1, 0).str("y").uvarint(1, 1) }
+	edge := func(r *rawSnapshot) *rawSnapshot { return r.uvarint(1, 0, 0, 1) }
+
+	valid := edge(ents(rel(types(newRaw())))).sealed()
+	if _, err := storage.Read(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the canonical control snapshot: %v", err)
+	}
+	cases := map[string][]byte{
+		"duplicate type name": edge(ents(rel(newRaw().uvarint(3).str("a", "b", "a")))).sealed(),
+		"duplicate relationship key": edge(ents(
+			types(newRaw()).uvarint(2).str("r").uvarint(0, 1).str("r").uvarint(0, 1))).sealed(),
+		"duplicate entity name": edge(rel(types(newRaw())).uvarint(3).
+			str("x").uvarint(1, 0).str("y").uvarint(1, 1).str("x").uvarint(1, 0)).sealed(),
+		"empty type list": edge(rel(types(newRaw())).uvarint(3).
+			str("x").uvarint(1, 0).str("y").uvarint(1, 1).str("z").uvarint(0)).sealed(),
+		"type list out of order": edge(rel(types(newRaw())).uvarint(2).
+			str("x").uvarint(2, 1, 0).str("y").uvarint(1, 1)).sealed(),
+		"type list repeats a type": edge(rel(types(newRaw())).uvarint(2).
+			str("x").uvarint(2, 0, 0).str("y").uvarint(1, 1)).sealed(),
+		"edge source lacks the relationship's type": edge(rel(types(newRaw())).uvarint(2).
+			str("x").uvarint(1, 1).str("y").uvarint(1, 1)).sealed(),
+		"edge target lacks the relationship's type": edge(rel(types(newRaw())).uvarint(2).
+			str("x").uvarint(1, 0).str("y").uvarint(1, 0)).sealed(),
+	}
+	// A varint in a longer encoding than Write's: the type count 2 as
+	// 0x82 0x00.
+	long := newRaw()
+	long.b = append(long.b, 0x82, 0x00)
+	cases["non-minimal varint"] = edge(ents(rel(long.str("a", "b")))).sealed()
+
+	for name, data := range cases {
+		_, err := storage.Read(bytes.NewReader(data))
+		if !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		t.Logf("%s: %v", name, err)
+	}
+}
+
+// TestRoundTripByteIdentical: Write of a loaded snapshot reproduces the
+// file byte for byte, on Fig. 1, the default-scale domains and the
+// 100k-entity music graph the benchmarks load.
+func TestRoundTripByteIdentical(t *testing.T) {
+	graphs := map[string]*graph.EntityGraph{"fig1": fig1.Graph()}
+	for _, d := range []string{"books", "film", "people", "tv"} {
+		g, err := freebase.Generate(d, freebase.DefaultGenOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[d] = g
+	}
+	music, err := freebase.Generate("music", freebase.GenOptions{TargetEntities: 100_000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["music-100k"] = music
+	for name, g := range graphs {
+		var file, again bytes.Buffer
+		if err := storage.Write(&file, g); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := storage.Read(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := storage.Write(&again, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file.Bytes(), again.Bytes()) {
+			t.Errorf("%s: re-encoding the loaded snapshot changed its bytes", name)
+		}
+	}
+}

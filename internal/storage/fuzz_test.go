@@ -27,8 +27,9 @@ func fig1Snapshot(t testing.TB) []byte {
 // FuzzReadSnapshot is the decoder's robustness contract: for arbitrary
 // input bytes, Read must never panic, and every failure on in-memory data
 // must be ErrCorrupt — nothing else can leak out of the decoding layer.
-// Inputs that do decode must re-encode and decode to the same shape
-// (round-trip closure).
+// Inputs that do decode are canonical, so they must re-encode to their own
+// bytes, up to the checksum (round-trip closure; Read ignores what
+// follows the checksum).
 func FuzzReadSnapshot(f *testing.F) {
 	valid := fig1Snapshot(f)
 	f.Add(valid)
@@ -41,6 +42,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	ver := append([]byte(nil), valid...)
 	ver[4] = 0x2a // future version
 	f.Add(ver)
+	for _, data := range hostileCounts() {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := storage.Read(bytes.NewReader(data))
@@ -54,12 +58,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := storage.Write(&buf, g); err != nil {
 			t.Fatalf("re-encoding a decoded snapshot: %v", err)
 		}
-		g2, err := storage.Read(&buf)
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded snapshot: %v", err)
-		}
-		if g.Stats() != g2.Stats() {
-			t.Fatalf("round trip changed stats: %v vs %v", g.Stats(), g2.Stats())
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("re-encoding a decoded snapshot changed its bytes")
 		}
 	})
 }

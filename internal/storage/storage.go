@@ -12,6 +12,17 @@
 //
 // Edge endpoints are delta-friendly small ints; a 200K-edge domain snapshot
 // is a few MB and loads in milliseconds.
+//
+// Write only ever serializes a built graph, so every snapshot it writes is
+// in canonical form: unique type names, unique (name, from, to)
+// relationship keys, unique entity names, non-empty strictly ascending
+// entity type lists, every edge endpoint bearing its relationship type's
+// endpoint type, and every varint in its shortest encoding. Read rejects
+// any other input as ErrCorrupt rather than normalizing it, so Write of a
+// snapshot Read accepted reproduces its bytes exactly. Read decodes
+// straight into graph.Assemble's parts and never trusts a header count
+// with memory: a table is pre-sized to at most 2^16 entries and grows
+// only as its records decode.
 package storage
 
 import (
@@ -25,6 +36,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,218 +128,238 @@ func Write(w io.Writer, g *graph.EntityGraph) error {
 	return cw.w.Flush()
 }
 
-type crcReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
+// readBuffer is the decoder's chunk size: every chunk it consumes is
+// folded into the checksum in one crc32.Update call.
+const readBuffer = 64 << 10
+
+// presizeCap bounds how many elements a header count may pre-size.
+const presizeCap = 1 << 16
+
+// grow makes room in s for one more of count declared elements. A table
+// starts at min(count, presizeCap) entries and then doubles, never past
+// count, as its records decode: an honest table reaches its full size in
+// a few copies, and a hostile count cannot allocate memory the input does
+// not back with bytes.
+func grow[T any](s []T, count uint64) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := min(max(uint64(len(s)), presizeCap), count-uint64(len(s)))
+	return slices.Grow(s, int(n))
+}
+
+// maxName bounds a decoded name's length.
+const maxName = 1 << 20
+
+// decoder reads a snapshot through one buffer: buf[:pos] holds consumed
+// bytes not yet folded into crc, buf[pos:end] unread ones. The first
+// failure sticks in err, and every read after it returns zero values.
+type decoder struct {
+	r        io.Reader
+	buf      []byte
+	pos, end int
+	crc      uint32
+	err      error
 	// ioErr records a genuine transport failure of the underlying reader
-	// (anything but running out of bytes), so fail can keep it apart from
+	// (anything but running out of bytes), so Read can keep it apart from
 	// data corruption.
 	ioErr error
 }
 
-func (cr *crcReader) note(err error) {
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF && cr.ioErr == nil {
-		cr.ioErr = err
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
 }
 
-// fail classifies a decoding failure: transport errors pass through
-// untouched; everything else — truncation, varint overflow, structural
-// violations — means the bytes are not a valid snapshot and wraps
-// ErrCorrupt, so callers (and fuzzing) can rely on errors.Is.
-func (cr *crcReader) fail(err error) error {
-	if err == nil {
+// corrupt records a structural violation.
+func (d *decoder) corrupt(format string, args ...any) {
+	d.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+}
+
+// fill makes at least need bytes available at buf[pos:]: it folds the
+// consumed bytes into the checksum, moves the unread ones to the front
+// (growing the buffer only for a string longer than it), and reads no
+// more than the underlying reader has ready once need bytes are in. It
+// reports whether they are; a failure sticks in err.
+func (d *decoder) fill(need int) bool {
+	d.crc = crc32.Update(d.crc, castagnoli, d.buf[:d.pos])
+	if need > len(d.buf) {
+		d.buf = append(make([]byte, 0, need), d.buf[d.pos:d.end]...)[:need]
+	} else {
+		copy(d.buf, d.buf[d.pos:d.end])
+	}
+	d.end -= d.pos
+	d.pos = 0
+	n, err := io.ReadAtLeast(d.r, d.buf[d.end:], need-d.end)
+	d.end += n
+	if err != nil {
+		if err != io.EOF && err != io.ErrUnexpectedEOF && d.ioErr == nil {
+			d.ioErr = err
+		}
+		d.fail(err)
+		return false
+	}
+	return true
+}
+
+// next consumes the next n bytes and returns them; the view is valid
+// until the next read.
+func (d *decoder) next(n int) []byte {
+	if d.err != nil || d.end-d.pos < n && !d.fill(n) {
 		return nil
 	}
-	if cr.ioErr != nil {
-		return cr.ioErr
-	}
-	if errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
+	return b
 }
 
-func (cr *crcReader) ReadByte() (byte, error) {
-	b, err := cr.r.ReadByte()
-	if err == nil {
-		cr.crc.Write([]byte{b})
+// uvarint decodes one unsigned varint in its shortest encoding, the only
+// one Write produces: a longer encoding of the same value would not
+// re-encode to the bytes it came from.
+func (d *decoder) uvarint() uint64 {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if d.err != nil || d.pos == d.end && !d.fill(1) {
+			return 0
+		}
+		b := d.buf[d.pos]
+		d.pos++
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			if b == 0 && i > 0 {
+				d.corrupt("non-minimal varint")
+				return 0
+			}
+			return x | uint64(b)<<(7*i)
+		}
+		x |= uint64(b&0x7f) << (7 * i)
 	}
-	cr.note(err)
-	return b, err
+	d.corrupt("varint overflows 64 bits")
+	return 0
 }
 
-func (cr *crcReader) read(p []byte) error {
-	if _, err := io.ReadFull(cr.r, p); err != nil {
-		cr.note(err)
-		return err
+func (d *decoder) str() string {
+	n := d.uvarint()
+	if n > maxName {
+		d.corrupt("string length %d exceeds limit", n)
+		return ""
 	}
-	cr.crc.Write(p)
-	return nil
+	return string(d.next(int(n)))
 }
 
-func (cr *crcReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(cr)
+// count decodes a table's record count, which may be at most limit.
+func (d *decoder) count(table string, limit uint64) uint64 {
+	n := d.uvarint()
+	if n > limit {
+		d.corrupt("%s count %d", table, n)
+		return 0
+	}
+	return n
 }
 
-func (cr *crcReader) str(max uint64) (string, error) {
-	n, err := cr.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > max {
-		return "", fmt.Errorf("%w: string length %d exceeds limit", ErrCorrupt, n)
-	}
-	buf := make([]byte, n)
-	if err := cr.read(buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// Read deserializes a snapshot. The checksum is verified and the graph is
-// rebuilt through the standard Builder, so a successfully read snapshot is
-// structurally valid.
+// Read deserializes a snapshot. The checksum is verified, and the
+// decoded parts go to graph.Assemble as they are, so a successfully read
+// snapshot is in canonical form: Write reproduces its bytes exactly. Any
+// violation of that form is ErrCorrupt (see the package doc).
+//
+// A transport error of r passes through untouched; everything else —
+// truncation, varint overflow, structural violations — means the bytes
+// are not a valid snapshot and wraps ErrCorrupt, so callers (and fuzzing)
+// can rely on errors.Is.
 func Read(r io.Reader) (*graph.EntityGraph, error) {
-	cr := &crcReader{r: bufio.NewReader(r), crc: crc32.New(castagnoli)}
-	var m [4]byte
-	if err := cr.read(m[:]); err != nil {
-		return nil, cr.fail(err)
+	d := &decoder{r: r, buf: make([]byte, readBuffer)}
+	g, err := d.snapshot()
+	switch {
+	case err == nil:
+		return g, nil
+	case d.ioErr != nil:
+		return nil, d.ioErr
+	case errors.Is(err, ErrCorrupt):
+		return nil, err
 	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+}
+
+func (d *decoder) snapshot() (*graph.EntityGraph, error) {
+	if m := d.next(len(magic)); d.err == nil && [4]byte(m) != magic {
+		d.corrupt("bad magic")
 	}
-	ver, err := cr.uvarint()
-	if err != nil {
-		return nil, cr.fail(err)
-	}
-	if ver != Version {
+	if ver := d.uvarint(); d.err == nil && ver != Version {
 		// Classified as corrupt: with only one version ever written, any
 		// other value is a damaged byte, not a future format. Revisit when
 		// Version 2 exists (an unsupported-but-valid file would deserve its
 		// own error).
-		return nil, fmt.Errorf("%w: unsupported snapshot version %d", ErrCorrupt, ver)
+		d.corrupt("unsupported snapshot version %d", ver)
 	}
 
-	const maxName = 1 << 20
-	var b graph.Builder
-
-	nTypes, err := cr.uvarint()
-	if err != nil {
-		return nil, cr.fail(err)
-	}
-	if nTypes > 1<<24 {
-		return nil, fmt.Errorf("%w: type count %d", ErrCorrupt, nTypes)
-	}
-	types := make([]graph.TypeID, nTypes)
-	for i := range types {
-		name, err := cr.str(maxName)
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		types[i] = b.Type(name)
+	nTypes := d.count("type", 1<<24)
+	var types []string
+	for i := uint64(0); i < nTypes && d.err == nil; i++ {
+		types = append(grow(types, nTypes), d.str())
 	}
 
-	nRels, err := cr.uvarint()
-	if err != nil {
-		return nil, cr.fail(err)
-	}
-	if nRels > 1<<24 {
-		return nil, fmt.Errorf("%w: relationship count %d", ErrCorrupt, nRels)
-	}
-	rels := make([]graph.RelTypeID, nRels)
-	for i := range rels {
-		name, err := cr.str(maxName)
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		from, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		to, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
+	nRels := d.count("relationship", 1<<24)
+	var rels []graph.RelType
+	for i := uint64(0); i < nRels && d.err == nil; i++ {
+		name, from, to := d.str(), d.uvarint(), d.uvarint()
 		if from >= nTypes || to >= nTypes {
-			return nil, fmt.Errorf("%w: relationship endpoint out of range", ErrCorrupt)
+			d.corrupt("relationship endpoint out of range")
 		}
-		rels[i] = b.RelType(name, types[from], types[to])
+		rels = append(grow(rels, nRels), graph.RelType{Name: name, From: graph.TypeID(from), To: graph.TypeID(to)})
 	}
 
-	nEnts, err := cr.uvarint()
-	if err != nil {
-		return nil, cr.fail(err)
-	}
-	if nEnts > 1<<31 {
-		return nil, fmt.Errorf("%w: entity count %d", ErrCorrupt, nEnts)
-	}
-	ents := make([]graph.EntityID, nEnts)
-	for i := range ents {
-		name, err := cr.str(maxName)
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		nt, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
+	nEnts := d.count("entity", 1<<31)
+	var ents []graph.Entity
+	var slab []graph.TypeID
+	for i := uint64(0); i < nEnts && d.err == nil; i++ {
+		name, nt := d.str(), d.uvarint()
 		if nt == 0 || nt > nTypes {
-			return nil, fmt.Errorf("%w: entity type count %d", ErrCorrupt, nt)
+			d.corrupt("entity type count %d", nt)
 		}
-		ts := make([]graph.TypeID, nt)
-		for j := range ts {
-			t, err := cr.uvarint()
-			if err != nil {
-				return nil, cr.fail(err)
-			}
+		off := len(slab)
+		for j := uint64(0); j < nt && d.err == nil; j++ {
+			t := d.uvarint()
 			if t >= nTypes {
-				return nil, fmt.Errorf("%w: entity type out of range", ErrCorrupt)
+				d.corrupt("entity type out of range")
 			}
-			ts[j] = types[t]
+			slab = append(slab, graph.TypeID(t))
 		}
-		ents[i] = b.Entity(name, ts...)
+		// The slab may still move as it grows; each entity's type list is
+		// cut from the final one below. Until then it keeps its length.
+		ents = append(grow(ents, nEnts), graph.Entity{Name: name, Types: slab[off:]})
+	}
+	off := 0
+	for i := range ents {
+		n := len(ents[i].Types)
+		ents[i].Types = slab[off : off+n : off+n]
+		off += n
 	}
 
-	nEdges, err := cr.uvarint()
-	if err != nil {
-		return nil, cr.fail(err)
-	}
-	if nEdges > 1<<31 {
-		return nil, fmt.Errorf("%w: edge count %d", ErrCorrupt, nEdges)
-	}
-	for i := uint64(0); i < nEdges; i++ {
-		from, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		rel, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
-		to, err := cr.uvarint()
-		if err != nil {
-			return nil, cr.fail(err)
-		}
+	nEdges := d.count("edge", 1<<31)
+	var edges []graph.Edge
+	for i := uint64(0); i < nEdges && d.err == nil; i++ {
+		from, rel, to := d.uvarint(), d.uvarint(), d.uvarint()
 		if from >= nEnts || to >= nEnts || rel >= nRels {
-			return nil, fmt.Errorf("%w: edge reference out of range", ErrCorrupt)
+			d.corrupt("edge reference out of range")
 		}
-		b.Edge(ents[from], ents[to], rels[rel])
+		edges = append(grow(edges, nEdges), graph.Edge{From: graph.EntityID(from), To: graph.EntityID(to), Rel: graph.RelTypeID(rel)})
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 
-	want := cr.crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(cr.r, sum[:]); err != nil {
+	want := crc32.Update(d.crc, castagnoli, d.buf[:d.pos])
+	sum := d.next(4)
+	if d.err != nil {
 		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
 	}
-	if binary.BigEndian.Uint32(sum[:]) != want {
+	if binary.BigEndian.Uint32(sum) != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return g, nil
+	return graph.Assemble(types, rels, ents, edges)
 }
 
 // SaveFile writes a snapshot to path, atomically via a temp file rename.

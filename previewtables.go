@@ -175,7 +175,8 @@ func Discover(g *EntityGraph, c Constraint) (Preview, error) {
 // preview table (the paper's display strategy), drawn from rng, or from a
 // fresh seed-1 stream when rng is nil. Each call makes one draw per entity
 // of the table's key type; the renderers' default stream memoizes its
-// samples instead.
+// samples instead. The tuples' value sets are read-only views of g's
+// memory: copy one before changing it.
 func SampleTuples(g *EntityGraph, t *PreviewTable, count int, rng *rand.Rand) []Tuple {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
