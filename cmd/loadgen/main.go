@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,6 +46,7 @@ import (
 	"github.com/uta-db/previewtables/internal/loadgen"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/service"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 func main() {
@@ -140,22 +142,14 @@ func main() {
 // shard), and report the same measurements as the in-process mode —
 // minus cache stats, which live behind the remote listener.
 func runTarget(base string, workers int, duration time.Duration, writeEvery int, conditional bool, domain string, entities int, seed int64, out string) {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/v1/graphs")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s/v1/graphs: status %d", base, resp.StatusCode)
-	}
 	var doc struct {
 		Graphs []struct {
 			Name    string `json:"name"`
 			Mutable bool   `json:"mutable"`
 		} `json:"graphs"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		log.Fatal(err)
+	if _, err := wire.Call(context.Background(), http.DefaultClient, http.MethodGet, strings.TrimRight(base, "/")+"/v1/graphs", 0, nil, &doc); err != nil {
+		log.Fatalf("GET %s/v1/graphs: %v", base, err)
 	}
 	if len(doc.Graphs) == 0 {
 		log.Fatalf("target %s serves no graphs", base)

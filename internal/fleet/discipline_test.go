@@ -10,10 +10,15 @@ package fleet
 // bytes — on every read route the router serves or forwards.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 func TestRouterRouteDiscipline(t *testing.T) {
@@ -156,5 +161,54 @@ func TestRouterRouteDiscipline(t *testing.T) {
 				t.Errorf("ETag differs: GET %q, HEAD %q", ge, he)
 			}
 		})
+	}
+}
+
+// TestRouterMergedListHungShard: the merged list fetches every shard's
+// list, each bounded by the probe timeout, so one leader that accepts
+// the request and never answers costs a 502 naming it, not a hung list.
+func TestRouterMergedListHungShard(t *testing.T) {
+	alpha := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, map[string][]string{"graphs": {}})
+	}))
+	t.Cleanup(alpha.Close)
+	release := make(chan struct{})
+	beta := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(beta.Close)
+	t.Cleanup(func() { close(release) }) // runs first: Close waits for the handler
+
+	rt, err := NewRouter([]ShardSpec{{ID: "alpha", Leader: alpha.URL}, {ID: "beta", Leader: beta.URL}},
+		RouterOptions{ProbeTimeout: 200 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt)
+	t.Cleanup(ts.Close)
+
+	start := time.Now()
+	client := &http.Client{Timeout: 10 * time.Second} // a router without the bound would hang here
+	resp, err := client.Get(ts.URL + "/v1/graphs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("merged list with a hung shard: status %d, want 502 (body %s)", resp.StatusCode, raw)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("merged list took %v, want the 200ms probe bound to cut the hung shard off", elapsed)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || !strings.Contains(doc.Error, `"beta"`) {
+		t.Errorf("error body %s, want an error naming shard \"beta\"", raw)
 	}
 }

@@ -14,12 +14,17 @@ package fleet
 // write, no matter how briefly it was unreachable.
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
+
+// fenceDoc is the body of the fence exchange, both ways.
+type fenceDoc struct {
+	Fence uint64 `json:"fence"`
+}
 
 // fenceExchange tells the node at base to raise its persisted fence to
 // at least want and returns the fence the node actually holds after the
@@ -28,29 +33,9 @@ import (
 // router's tenure answers with the real (higher) fence it persisted, so
 // the router recovers the fleet's fencing state instead of resetting it.
 func (rt *Router) fenceExchange(base string, want uint64) (uint64, error) {
-	body, err := json.Marshal(struct {
-		Fence uint64 `json:"fence"`
-	}{Fence: want})
-	if err != nil {
-		return 0, err
-	}
-	resp, err := rt.probe.Post(base+"/v1/replication/fence", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fence exchange with %s: status %d: %s", base, resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	var doc struct {
-		Fence uint64 `json:"fence"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	var got fenceDoc
+	if _, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, base+"/v1/replication/fence", 0, fenceDoc{Fence: want}, &got); err != nil {
 		return 0, fmt.Errorf("fence exchange with %s: %w", base, err)
 	}
-	return doc.Fence, nil
+	return got.Fence, nil
 }

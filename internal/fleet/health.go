@@ -23,13 +23,11 @@ package fleet
 // router resumes without a divergence conflict.
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
+	"context"
+	"errors"
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/uta-db/previewtables/internal/wire"
@@ -38,25 +36,13 @@ import (
 // nodeEpochs probes one node's /v1/graphs and returns name → published
 // epoch. Graphs without an epoch field (static) map to 0.
 func (rt *Router) nodeEpochs(base string) (map[string]uint64, error) {
-	resp, err := rt.probe.Get(base + "/v1/graphs")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
 	var doc struct {
 		Graphs []struct {
 			Name  string  `json:"name"`
 			Epoch *uint64 `json:"epoch"`
 		} `json:"graphs"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if _, err := wire.Call(context.TODO(), rt.probe, http.MethodGet, base+"/v1/graphs", 0, nil, &doc); err != nil {
 		return nil, err
 	}
 	out := make(map[string]uint64, len(doc.Graphs))
@@ -224,24 +210,8 @@ func (rt *Router) failover(sh *shard, followers []*backend, results []probeResul
 	if cur := sh.fence.Load(); cur != 0 {
 		newFence = cur + 1
 	}
-	req, err := http.NewRequest(http.MethodPost, winner.url+"/v1/replication/promote", nil)
-	if err != nil {
+	if _, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, winner.url+"/v1/replication/promote", newFence, nil, nil); err != nil {
 		rt.logf("fleet: shard %s: promoting %s failed: %v", sh.id, winner.url, err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if newFence != 0 {
-		req.Header.Set(wire.FenceHeader, strconv.FormatUint(newFence, 10))
-	}
-	resp, err := rt.probe.Do(req)
-	if err != nil {
-		rt.logf("fleet: shard %s: promoting %s failed: %v", sh.id, winner.url, err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.logf("fleet: shard %s: promoting %s answered %d", sh.id, winner.url, resp.StatusCode)
 		return
 	}
 	if newFence != 0 {
@@ -419,30 +389,21 @@ type replState struct {
 // ordinary answer during adoption and right after a follower starts,
 // not evidence the node is unreachable.
 func (rt *Router) replStatus(base, graph string) (replState, bool, error) {
-	var st replState
-	resp, err := rt.probe.Get(base + "/v1/replication/" + graph + "/status")
-	if err != nil {
-		return st, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return st, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return st, false, fmt.Errorf("status %d", resp.StatusCode)
-	}
 	var doc struct {
 		Epoch        uint64  `json:"epoch"`
 		DurableEpoch uint64  `json:"durable_epoch"`
 		AppliedEpoch *uint64 `json:"applied_epoch"`
 		Error        string  `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return st, false, err
+	_, err := wire.Call(context.TODO(), rt.probe, http.MethodGet, base+"/v1/replication/"+graph+"/status", 0, nil, &doc)
+	var se *wire.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusNotFound {
+		return replState{}, false, nil
 	}
-	st.epoch, st.durable, st.errMsg = doc.Epoch, doc.DurableEpoch, doc.Error
+	if err != nil {
+		return replState{}, false, err
+	}
+	st := replState{epoch: doc.Epoch, durable: doc.DurableEpoch, errMsg: doc.Error}
 	if doc.AppliedEpoch != nil {
 		st.applied = *doc.AppliedEpoch
 	}

@@ -32,7 +32,9 @@ package fleet
 // the cutover happens only at equal epochs.
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -210,7 +212,7 @@ func (rt *Router) migrate(moves []move, newRing *Ring) error {
 		rt.mu.RLock()
 		srcURL, dstURL := mv.src.leader.url, mv.dst.leader.url
 		rt.mu.RUnlock()
-		if err := rt.adoptGraph(mv.graph, srcURL, dstURL); err != nil {
+		if err := rt.adoptGraph(mv.graph, srcURL, dstURL, mv.dst.fence.Load()); err != nil {
 			return fmt.Errorf("adopting %q on shard %s: %w", mv.graph, mv.dst.id, err)
 		}
 		if err := rt.waitCaughtUp(mv.graph, srcURL, dstURL); err != nil {
@@ -253,10 +255,10 @@ func (rt *Router) migrate(moves []move, newRing *Ring) error {
 			return fmt.Errorf("draining %q from shard %s: %w", mv.graph, mv.src.id, err)
 		}
 		rt.hook("cutover", mv.graph)
-		if err := rt.stampedPost(dstURL+"/v1/replication/"+mv.graph+"/promote", mv.dst.fence.Load()); err != nil {
+		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+mv.graph+"/promote", mv.dst.fence.Load(), nil, nil); err != nil {
 			return fmt.Errorf("promoting %q on shard %s: %w", mv.graph, mv.dst.id, err)
 		}
-		if err := rt.stampedDelete(srcURL+"/v1/graphs/"+mv.graph, mv.src.fence.Load()); err != nil {
+		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodDelete, srcURL+"/v1/graphs/"+mv.graph, mv.src.fence.Load(), nil, nil); err != nil {
 			return fmt.Errorf("dropping %q from shard %s: %w", mv.graph, mv.src.id, err)
 		}
 		rt.moveBookkeeping(mv)
@@ -266,33 +268,19 @@ func (rt *Router) migrate(moves []move, newRing *Ring) error {
 }
 
 // adoptGraph starts the destination leader tailing graph from the
-// source leader. An "already adopting/registered" 409 is a retried
-// migration finding its own earlier progress — continue, don't fail.
-func (rt *Router) adoptGraph(graph, srcURL, dstURL string) error {
-	body, err := json.Marshal(struct {
+// source leader, stamped with the destination shard's fence. An
+// "already adopting/registered" 409 is a retried migration finding its
+// own earlier progress — continue, don't fail.
+func (rt *Router) adoptGraph(graph, srcURL, dstURL string, fence uint64) error {
+	in := struct {
 		Source string `json:"source"`
-	}{Source: srcURL})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, dstURL+"/v1/replication/"+graph+"/adopt", strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	rt.stampFence(req, dstURL)
-	resp, err := rt.probe.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusConflict:
+	}{Source: srcURL}
+	_, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+graph+"/adopt", fence, in, nil)
+	var se *wire.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusConflict {
 		return nil
-	default:
-		return fmt.Errorf("adopt answered %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
+	return err
 }
 
 // waitCaughtUp blocks until dst's applied epoch for graph reaches src's
@@ -321,57 +309,6 @@ func (rt *Router) waitCaughtUp(graph, srcURL, dstURL string) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// stampFence stamps a request with the fence of the shard whose leader
-// is at url, when known.
-func (rt *Router) stampFence(req *http.Request, url string) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for _, sh := range rt.shards {
-		if sh.leader.url == url {
-			if f := sh.fence.Load(); f != 0 {
-				req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", f))
-			}
-			return
-		}
-	}
-}
-
-func (rt *Router) stampedPost(url string, fence uint64) error {
-	req, err := http.NewRequest(http.MethodPost, url, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if fence != 0 {
-		req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", fence))
-	}
-	return rt.doAdmin(req)
-}
-
-func (rt *Router) stampedDelete(url string, fence uint64) error {
-	req, err := http.NewRequest(http.MethodDelete, url, nil)
-	if err != nil {
-		return err
-	}
-	if fence != 0 {
-		req.Header.Set(wire.FenceHeader, fmt.Sprintf("%d", fence))
-	}
-	return rt.doAdmin(req)
-}
-
-func (rt *Router) doAdmin(req *http.Request) error {
-	resp, err := rt.probe.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s answered %d: %s", req.Method, req.URL, resp.StatusCode, strings.TrimSpace(string(raw)))
-	}
-	return nil
 }
 
 // moveBookkeeping updates the shard graph sets after a completed move
@@ -432,7 +369,7 @@ func (rt *Router) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 		rt.writeMemberErr(w, err)
 		return
 	}
-	rt.writeMoved(w, map[string]any{"added": spec.ID, "moved": moved})
+	wire.WriteJSON(w, map[string]any{"added": spec.ID, "moved": moved})
 }
 
 // handleShardRemove answers DELETE /v1/fleet/shards/{id}.
@@ -451,7 +388,7 @@ func (rt *Router) handleShardRemove(w http.ResponseWriter, r *http.Request, id s
 		rt.writeMemberErr(w, err)
 		return
 	}
-	rt.writeMoved(w, map[string]any{"removed": id, "moved": moved})
+	wire.WriteJSON(w, map[string]any{"removed": id, "moved": moved})
 }
 
 func (rt *Router) writeMemberErr(w http.ResponseWriter, err error) {
@@ -460,15 +397,4 @@ func (rt *Router) writeMemberErr(w http.ResponseWriter, err error) {
 		status = me.status
 	}
 	wire.WriteError(w, status, err)
-}
-
-func (rt *Router) writeMoved(w http.ResponseWriter, doc map[string]any) {
-	body, err := wire.MarshalJSON(doc)
-	if err != nil {
-		wire.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", fmt.Sprintf("%d", len(body)))
-	_, _ = w.Write(body)
 }

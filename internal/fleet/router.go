@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -260,13 +259,11 @@ func (rt *Router) forwardGraph(w http.ResponseWriter, r *http.Request, graph str
 		// matches the node's installed fence and the node answers 409
 		// instead of acknowledging a write the router no longer stands
 		// behind.
-		if f := sh.fence.Load(); f != 0 {
-			r.Header.Set(wire.FenceHeader, strconv.FormatUint(f, 10))
-		}
+		wire.SetFence(r.Header, sh.fence.Load())
 	}
 	if spread {
 		if f := rt.pickFollower(sh, graph); f != "" {
-			if rt.proxyTo(w, r, f) {
+			if wire.Forward(w, r, rt.proxy, f) {
 				return
 			}
 			// The chosen follower died between probe and proxy: fall
@@ -276,7 +273,7 @@ func (rt *Router) forwardGraph(w http.ResponseWriter, r *http.Request, graph str
 	rt.mu.RLock()
 	leaderURL := sh.leader.url
 	rt.mu.RUnlock()
-	if !rt.proxyTo(w, r, leaderURL) {
+	if !wire.Forward(w, r, rt.proxy, leaderURL) {
 		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %q is unreachable", owner))
 	}
 }
@@ -304,16 +301,14 @@ func (rt *Router) forwardRepl(w http.ResponseWriter, r *http.Request, graph stri
 		wire.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard owns graph %q", graph))
 		return
 	}
-	// Stamp the shard's fence on the forwarded RESPONSE (proxyTo copies
+	// Stamp the shard's fence on the forwarded RESPONSE (Forward copies
 	// the backend's headers on top; a preset survives because Add, not
 	// Set, merges them — and the backend never emits this header itself).
 	// Followers tailing through the router adopt it (follower.go), which
 	// keeps every replica's persisted fence current without another
 	// round trip.
-	if f := sh.fence.Load(); f != 0 {
-		w.Header().Set(wire.FenceHeader, strconv.FormatUint(f, 10))
-	}
-	if !rt.proxyTo(w, r, target) {
+	wire.SetFence(w.Header(), sh.fence.Load())
+	if !wire.Forward(w, r, rt.proxy, target) {
 		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %q replication source is unreachable", owner))
 	}
 }
@@ -343,36 +338,6 @@ func (rt *Router) pickFollower(sh *shard, graph string) string {
 	}
 	n := sh.rr.Add(1)
 	return candidates[n%uint64(len(candidates))]
-}
-
-// proxyTo forwards the request verbatim to base and copies the response
-// back verbatim — status, every header, every body byte — so the router
-// adds nothing and strips nothing: ETags, conditional 304s, epoch and
-// leader headers, HEAD semantics are all the backend's own. Returns
-// false only when the backend could not be reached (nothing written),
-// letting the caller fall back; once any byte is written the response
-// is committed.
-func (rt *Router) proxyTo(w http.ResponseWriter, r *http.Request, base string) bool {
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		wire.WriteError(w, http.StatusBadGateway, err)
-		return true
-	}
-	out.Header = r.Header.Clone()
-	resp, err := rt.proxy.Do(out)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	h := w.Header()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			h.Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return true
 }
 
 // shardList is the part of a backend's /v1/graphs body the merger needs:
@@ -413,28 +378,10 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 		// hung leader can stall forever would wedge every merged-list
 		// request behind it. Degrade to a 502 naming the shard instead.
 		ctx, cancel := context.WithTimeout(r.Context(), rt.probeTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, tg.url+"/v1/graphs", nil)
-		if err != nil {
-			cancel()
-			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
-			return
-		}
-		resp, err := rt.proxy.Do(req)
-		if err != nil {
-			cancel()
-			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
-			return
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			wire.WriteError(w, http.StatusBadGateway,
-				fmt.Errorf("listing shard %q: status %d (%v)", tg.id, resp.StatusCode, err))
-			return
-		}
 		var doc shardList
-		if err := json.Unmarshal(raw, &doc); err != nil {
+		hdr, err := wire.Call(ctx, rt.proxy, http.MethodGet, tg.url+"/v1/graphs", 0, nil, &doc)
+		cancel()
+		if err != nil {
 			wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("listing shard %q: %w", tg.id, err))
 			return
 		}
@@ -458,7 +405,7 @@ func (rt *Router) handleMergedList(w http.ResponseWriter, r *http.Request) {
 			}
 			entries = append(entries, entry{name: peek.Name, raw: g})
 		}
-		fmt.Fprintf(&scope, "\n%s=%s", tg.id, resp.Header.Get("ETag"))
+		fmt.Fprintf(&scope, "\n%s=%s", tg.id, hdr.Get("ETag"))
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 

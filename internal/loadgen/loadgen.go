@@ -22,7 +22,6 @@ package loadgen
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -31,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // CacheStatser is the slice of service.Server the generator needs to
@@ -280,27 +281,10 @@ func Remote(base string) http.Handler {
 	base = strings.TrimRight(base, "/")
 	client := &http.Client{}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		out, err := http.NewRequest(r.Method, base+r.URL.RequestURI(), r.Body)
-		if err != nil {
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintln(w, err)
-			return
-		}
-		out.Header = r.Header.Clone()
-		resp, err := client.Do(out)
-		if err != nil {
+		if !wire.Forward(w, r, client, base) {
 			// Surfaces in the run's error tally with the request line.
 			w.WriteHeader(http.StatusBadGateway)
-			return
 		}
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
 	})
 }
 

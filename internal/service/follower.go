@@ -21,7 +21,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -358,7 +357,7 @@ func (f *Follower) poll(ctx context.Context) error {
 	// stamped on every forwarded replication response; adopting it keeps
 	// their persisted fence current, so a follower promoted later starts
 	// from a fence the router's next mint strictly exceeds.
-	if fence, err := strconv.ParseUint(resp.Header.Get(wire.FenceHeader), 10, 64); err == nil {
+	if fence, _, err := wire.Fence(resp.Header); err == nil {
 		f.reg.adoptFence(fence)
 	}
 	switch resp.StatusCode {
@@ -368,9 +367,9 @@ func (f *Follower) poll(ctx context.Context) error {
 		// Behind the truncation horizon: tailing cannot catch up any more.
 		return f.rebootstrap(ctx)
 	case http.StatusConflict:
-		return fmt.Errorf("%w: %s", errDiverged, readError(resp))
+		return fmt.Errorf("%w: %v", errDiverged, wire.ReadError(resp))
 	default:
-		return fmt.Errorf("leader answered %d: %s", resp.StatusCode, readError(resp))
+		return fmt.Errorf("wal poll: %w", wire.ReadError(resp))
 	}
 	sr := storage.NewWALStreamReader(resp.Body)
 	for {
@@ -479,7 +478,7 @@ func (f *Follower) fetchBootstrap(ctx context.Context) (*graph.EntityGraph, uint
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("bootstrap: leader answered %d: %s", resp.StatusCode, readError(resp))
+		return nil, 0, fmt.Errorf("bootstrap: %w", wire.ReadError(resp))
 	}
 	epoch, err := strconv.ParseUint(resp.Header.Get(wire.EpochHeader), 10, 64)
 	if err != nil {
@@ -506,23 +505,4 @@ func (f *Follower) publishStatus(mut func(*FollowStatus)) {
 	if f.gr != nil {
 		f.gr.follow.Store(&cp)
 	}
-}
-
-// readError extracts the JSON error body (or raw bytes) of a non-2xx
-// response for diagnostics; the body is small by construction.
-func readError(resp *http.Response) string {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	return strings.TrimSpace(string(raw))
-}
-
-// decodeJSONBody decodes one JSON response body and closes it.
-func decodeJSONBody(resp *http.Response, v any) error {
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, readError(resp))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -23,6 +22,7 @@ import (
 	"github.com/uta-db/previewtables/internal/dynamic"
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/storage"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // ErrNoGraphs is NewNode's answer to a configuration that would serve
@@ -297,22 +297,20 @@ func (n *Node) followAll() error {
 			Name string `json:"name"`
 		} `json:"graphs"`
 	}
-	resp, err := opts.client().Get(leader + "/v1/graphs")
-	if err == nil {
-		err = decodeJSONBody(resp, &listing)
-	}
-	if err != nil {
+	if _, err := wire.Call(context.TODO(), opts.client(), http.MethodGet, leader+"/v1/graphs", 0, nil, &listing); err != nil {
 		return fmt.Errorf("service: listing %s's graphs: %w", leader, err)
 	}
 	for _, g := range listing.Graphs {
-		st, err := opts.client().Get(leader + "/v1/replication/" + url.PathEscape(g.Name) + "/status")
-		if err != nil {
+		_, err := wire.Call(context.TODO(), opts.client(), http.MethodGet, leader+"/v1/replication/"+url.PathEscape(g.Name)+"/status", 0, nil, nil)
+		// A 404 means the graph is not replicated; any other answer is
+		// StartFollower's to judge. Only a leader that cannot be reached
+		// stops here.
+		var se *wire.StatusError
+		switch {
+		case errors.As(err, &se) && se.Code == http.StatusNotFound:
+			continue
+		case err != nil && se == nil:
 			return err
-		}
-		io.Copy(io.Discard, st.Body)
-		st.Body.Close()
-		if st.StatusCode == http.StatusNotFound {
-			continue // not replicated; nothing to follow
 		}
 		f, err := StartFollower(n.reg, g.Name, opts)
 		if err != nil {

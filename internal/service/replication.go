@@ -170,14 +170,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	// installing it BEFORE the flip means that from the very first write
 	// this node acknowledges as leader, it is fenced against the router
 	// ever re-issuing the old configuration's stamps.
-	if stamp := r.Header.Get(wire.FenceHeader); stamp != "" {
-		f, err := strconv.ParseUint(stamp, 10, 64)
-		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
-			return
-		}
-		if err := s.reg.InstallFence(f); err != nil {
-			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", f, err))
+	fence, stamped, err := wire.Fence(r.Header)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	if stamped {
+		if err := s.reg.InstallFence(fence); err != nil {
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("installing fence %d: %w", fence, err))
 			return
 		}
 	}
@@ -188,7 +188,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	log.Printf("promoted: now leading %d graph(s)", len(fs))
-	s.writeJSON(w, struct {
+	wire.WriteJSON(w, struct {
 		Promoted bool `json:"promoted"`
 	}{Promoted: true})
 }
@@ -228,7 +228,7 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cur, _ = s.reg.Fencing()
-	s.writeJSON(w, struct {
+	wire.WriteJSON(w, struct {
 		Fence uint64 `json:"fence"`
 	}{Fence: cur})
 }
@@ -257,7 +257,11 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 	var req struct {
 		Source string `json:"source"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil || req.Source == "" {
+	err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req)
+	if err == nil && req.Source == "" {
+		err = errors.New(`"source" is missing or empty`)
+	}
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("adopt body must name a source leader URL: %v", err))
 		return
 	}
@@ -270,7 +274,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("adopting %q from %s: %w", name, req.Source, err))
 		return
 	}
-	s.writeJSON(w, struct {
+	wire.WriteJSON(w, struct {
 		Adopting string `json:"adopting"`
 		Source   string `json:"source"`
 	}{Adopting: name, Source: req.Source})
@@ -299,7 +303,7 @@ func (s *Server) handleGraphPromote(w http.ResponseWriter, r *http.Request, gr *
 		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("promoting %q: %w", gr.Name(), err))
 		return
 	}
-	s.writeJSON(w, struct {
+	wire.WriteJSON(w, struct {
 		Promoted string `json:"promoted"`
 	}{Promoted: gr.Name()})
 }
@@ -344,7 +348,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, gr *Graph, src *replSou
 		doc.Bootstraps = &bootstraps
 		doc.Error = st.Err
 	}
-	s.writeJSON(w, doc)
+	wire.WriteJSON(w, doc)
 }
 
 // handleReplWAL ships records with epochs in (from, durable], long-polling

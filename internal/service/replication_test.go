@@ -14,6 +14,7 @@ package service
 //     across leader and follower modes.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,6 +23,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,6 +470,53 @@ func TestFollowerRebootstrapPastHorizon(t *testing.T) {
 	}
 }
 
+// TestFollowerDivergenceStops: a leader that answers 409 — here a fresh
+// leader behind the address a follower tails, its durable epoch behind
+// the follower's applied one — has forgotten history the follower holds.
+// Re-requesting cannot reconcile that, so the loop stops without a
+// resync, the replica keeps serving its last good epoch byte for byte,
+// and the status doc carries the leader's reason as plain text.
+func TestFollowerDivergenceStops(t *testing.T) {
+	root := t.TempDir()
+	a := startDurable(t, "", filepath.Join(root, "a-wal"))
+	b := startDurable(t, "", filepath.Join(root, "b-wal"))
+	var leader atomic.Pointer[durableSession]
+	leader.Store(a)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		leader.Load().srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+
+	node := startFollowerNode(t, front.URL, "", "")
+	for _, batch := range replBatches[:3] {
+		postBatch(t, a.ts, batch.route, batch.body)
+	}
+	if err := node.f.WaitCaughtUp(3, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := readSurfaces(t, a.ts.URL, replReadURLs)
+
+	leader.Store(b)
+	select {
+	case <-node.f.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("follower still tailing a leader at epoch 0 from epoch 3: %+v", node.f.Status())
+	}
+	if st := node.f.Status(); st.Resyncs != 0 || st.AppliedEpoch != 3 {
+		t.Fatalf("follower status %+v, want it stopped at epoch 3 with no resync", st)
+	}
+	assertIdenticalReads(t, "after divergence", want, readSurfaces(t, node.ts.URL, replReadURLs))
+
+	var doc replStatusDoc
+	if st := getJSON(t, node.ts.URL+"/v1/replication/fig1/status", &doc); st != http.StatusOK {
+		t.Fatalf("follower status: %d", st)
+	}
+	const reason = "follower epoch 3 is ahead of the leader's durable epoch 0"
+	if !strings.Contains(doc.Error, reason) || strings.Contains(doc.Error, "{") {
+		t.Fatalf("status error %q, want the leader's reason %q as plain text", doc.Error, reason)
+	}
+}
+
 // TestReplicationStatusDoc pins the status endpoint's shape per role.
 func TestReplicationStatusDoc(t *testing.T) {
 	root := t.TempDir()
@@ -518,6 +567,7 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		status int
 		allow  *string // nil = not asserted; non-nil must match exactly
 		leader bool    // X-Previewtables-Leader must name the leader
+		errHas string  // non-empty: the error body must contain it and print no nil error
 	}
 	str := func(s string) *string { return &s }
 	cases := []struct {
@@ -610,9 +660,23 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		{"drop wrong method", fleetTS, "PUT", "/v1/graphs/held", want{status: 405, allow: str("DELETE")}},
 		{"promote durable follower", durableFollower.ts, "POST", "/v1/replication/promote", want{status: 200}},
 		{"promote durable follower again", durableFollower.ts, "POST", "/v1/replication/promote", want{status: 200}},
+		// An adopt body must name its source; one that decodes but names
+		// none is refused for that, and malformed JSON for its decode error.
+		{"adopt without source", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: `"source"`}},
+		{"adopt empty source", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: `"source"`}},
+		{"adopt malformed body", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: "unexpected EOF"}},
 	}...)
+	// Every request sends "{}" unless its case names another body here.
+	bodies := map[string]string{
+		"adopt empty source":   `{"source":""}`,
+		"adopt malformed body": `{"source":`,
+	}
 	for _, tc := range cases {
-		req, err := http.NewRequest(tc.method, tc.ts.URL+tc.path, strings.NewReader("{}"))
+		body, ok := bodies[tc.name]
+		if !ok {
+			body = "{}"
+		}
+		req, err := http.NewRequest(tc.method, tc.ts.URL+tc.path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,10 +684,18 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want.status {
 			t.Errorf("%s: %s %s = %d, want %d", tc.name, tc.method, tc.path, resp.StatusCode, tc.want.status)
+		}
+		if tc.want.errHas != "" {
+			var doc struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(raw, &doc); err != nil || !strings.Contains(doc.Error, tc.want.errHas) || strings.Contains(doc.Error, "nil") {
+				t.Errorf("%s: error body %s, want an error containing %q and no nil", tc.name, raw, tc.want.errHas)
+			}
 		}
 		if tc.want.allow != nil {
 			allow, present := resp.Header["Allow"]

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -260,19 +259,18 @@ func (s *Server) writeFenceOK(w http.ResponseWriter, r *http.Request) bool {
 	if !on {
 		return true
 	}
-	stamp := r.Header.Get(wire.FenceHeader)
-	if stamp == "" {
+	f, stamped, err := wire.Fence(r.Header)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
+		return false
+	}
+	if !stamped {
 		if cur == 0 {
 			return true
 		}
 		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
 		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("this node is fenced at epoch %d and accepts only writes stamped by its fleet router", cur))
-		return false
-	}
-	f, err := strconv.ParseUint(stamp, 10, 64)
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
 		return false
 	}
 	if f != cur {
@@ -299,19 +297,18 @@ func (s *Server) adminFenceOK(w http.ResponseWriter, r *http.Request) bool {
 	if !on {
 		return true
 	}
-	stamp := r.Header.Get(wire.FenceHeader)
-	if stamp == "" {
+	f, stamped, err := wire.Fence(r.Header)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
+		return false
+	}
+	if !stamped {
 		if cur == 0 {
 			return true
 		}
 		w.Header().Set(wire.FenceHeader, strconv.FormatUint(cur, 10))
 		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("this node is fenced at epoch %d; admin actions must carry a current fence stamp", cur))
-		return false
-	}
-	f, err := strconv.ParseUint(stamp, 10, 64)
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %v", wire.FenceHeader, stamp, err))
 		return false
 	}
 	if f < cur {
@@ -401,7 +398,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, name string)
 		wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("dropping %q: %w", name, err))
 		return
 	}
-	s.writeJSON(w, struct {
+	wire.WriteJSON(w, struct {
 		Dropped string `json:"dropped"`
 	}{Dropped: name})
 }
@@ -690,11 +687,4 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph)
 // return identical tuples.
 func renderOptions(p previewParams) render.Options {
 	return render.Options{Tuples: p.Tuples, Representative: p.Representative}
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }

@@ -95,7 +95,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 // view and answers with the new epoch.
 func (s *Server) finishMutation(w http.ResponseWriter, gr *Graph, snap *dynamic.Snapshot, applied int, start time.Time) {
 	gr.publish(snap)
-	s.writeJSON(w, mutationResponse{
+	wire.WriteJSON(w, mutationResponse{
 		Graph:        gr.Name(),
 		Epoch:        snap.Epoch,
 		AppliedEdges: applied,

@@ -1,17 +1,24 @@
-// Package wire is the HTTP dialect previewd (internal/service) and
-// previewrouter (internal/fleet) share: the X-Previewtables-* headers,
-// the JSON body and error encodings, strong ETags and their
-// If-None-Match comparison, and the read-method gate. Both sides write
-// through it, so a client sees one dialect whether a response came from
-// a shard or from the router.
+// Package wire is the HTTP dialect previewd (internal/service),
+// previewrouter (internal/fleet) and loadgen share, in both directions.
+// Responses: the X-Previewtables-* headers, the JSON body and error
+// encodings, strong ETags and their If-None-Match comparison, and the
+// read-method gate — every side writes through it, so a client sees one
+// dialect whether a response came from a shard or from the router.
+// Requests: the JSON control calls nodes, the router and loadgen send
+// each other (Call, which decodes a refusal's error body back into a
+// StatusError), the router's verbatim hop (Forward), and the fence
+// stamp every fenced request and forwarded replication response carries
+// (SetFence writes it, Fence reads it).
 package wire
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,9 +41,9 @@ const (
 	LeaderHeader = "X-Previewtables-Leader"
 
 	// FenceHeader carries a fencing epoch: the router stamps it on
-	// proxied writes and on forwarded replication responses (followers
-	// adopt it from there), carries it on promote requests, and 409
-	// refusals echo the node's own fence in it.
+	// proxied writes, on forwarded replication responses (followers
+	// adopt it from there) and on its promote, adopt and drop calls, and
+	// 409 refusals echo the node's own fence in it.
 	FenceHeader = "X-Previewtables-Fence"
 )
 
@@ -64,6 +71,29 @@ func ETagMatches(header, etag string) bool {
 		}
 	}
 	return false
+}
+
+// SetFence stamps fence on h. Zero is the unfenced state, which is never
+// stamped: the header stays absent.
+func SetFence(h http.Header, fence uint64) {
+	if fence != 0 {
+		h.Set(FenceHeader, strconv.FormatUint(fence, 10))
+	}
+}
+
+// Fence reads the fence stamped on h. stamped reports whether the header
+// is present at all — a node tells an unstamped write from one stamped
+// 0 — and a stamp that is not a decimal uint64 is an error.
+func Fence(h http.Header) (fence uint64, stamped bool, err error) {
+	stamp := h.Get(FenceHeader)
+	if stamp == "" {
+		return 0, false, nil
+	}
+	fence, err = strconv.ParseUint(stamp, 10, 64)
+	if err != nil {
+		return 0, true, fmt.Errorf("bad %s header %q: %v", FenceHeader, stamp, err)
+	}
+	return fence, true, nil
 }
 
 // MarshalJSON serializes one document as a response body: no HTML
@@ -104,4 +134,109 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorDoc{Error: err.Error()})
+}
+
+// WriteJSON answers 200 with v as a JSON body, encoded as MarshalJSON
+// does.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+}
+
+// StatusError is a peer's non-200 answer: its status code and the reason
+// it gave.
+type StatusError struct {
+	Code int
+	Msg  string
+}
+
+func (e *StatusError) Error() string {
+	if e.Msg == "" {
+		return fmt.Sprintf("status %d", e.Code)
+	}
+	return fmt.Sprintf("status %d: %s", e.Code, e.Msg)
+}
+
+// ReadError reads a non-200 response's reason: the error field of the
+// body WriteError writes, or the raw body, trimmed, when it is not one.
+// It reads at most 4 KiB; closing the body stays the caller's job.
+func ReadError(resp *http.Response) *StatusError {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	var doc errorDoc
+	if err := json.Unmarshal(raw, &doc); err != nil || doc.Error == "" {
+		doc.Error = strings.TrimSpace(string(raw))
+	}
+	return &StatusError{Code: resp.StatusCode, Msg: doc.Error}
+}
+
+// Call sends one JSON control request: in, when non-nil, as a JSON body,
+// and fence stamped when non-zero. A 200 answer is decoded into out
+// (when non-nil) and its headers returned; any other status comes back
+// as a *StatusError. The response body is always drained and closed, so
+// the connection returns to the client's pool.
+func Call(ctx context.Context, c *http.Client, method, url string, fence uint64, in, out any) (http.Header, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	SetFence(req.Header, fence)
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return nil, ReadError(resp)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return nil, err
+		}
+	}
+	return resp.Header, nil
+}
+
+// Forward re-issues r against base through c and copies the answer back
+// verbatim — status, every header, every body byte — adding and
+// stripping nothing: ETags, conditional 304s, epoch and leader headers
+// and HEAD semantics all stay the backend's own. It returns false, with
+// nothing written, only when base could not be reached, so the caller
+// can fall back; once any byte is written the response is committed.
+func Forward(w http.ResponseWriter, r *http.Request, c *http.Client, base string) bool {
+	out, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), r.Body)
+	if err != nil {
+		WriteError(w, http.StatusBadGateway, err)
+		return true
+	}
+	out.Header = r.Header.Clone()
+	resp, err := c.Do(out)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	h := w.Header()
+	for k, vs := range resp.Header {
+		for _, v := range vs {
+			h.Add(k, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, resp.Body)
+	return true
 }
