@@ -804,7 +804,8 @@ var renderMissDoc render.PreviewDoc
 //     bound on a full memo miss.
 //
 // Both arms must render the same bytes (BENCH_render_path.json,
-// BENCH_sample_memo.json).
+// BENCH_sample_memo.json). The big-cells arms time the graph's largest
+// cells instead, one format per arm (BENCH_cell_order.json).
 func BenchmarkRenderMiss(b *testing.B) {
 	g, set := parallelBenchSetup(b)
 	types := make([]graph.TypeID, g.NumTypes())
@@ -860,6 +861,135 @@ func BenchmarkRenderMiss(b *testing.B) {
 			}
 		})
 	}
+
+	// big-cells: every entity of MUSICAL ALBUM TYPE (15) and MUSICAL
+	// GENRE (72) renders, with its incoming Release Type or Musical Genres
+	// cell: 52 runs of more than 16 values, up to 2,597, ~9k names in
+	// all. tuples=72 covers both key types, so sampling draws nothing.
+	// The name order is derived before the timer starts, as a served
+	// graph derives it once.
+	var big core.Preview
+	for _, col := range []struct{ key, rel string }{
+		{"MUSICAL ALBUM TYPE", "Release Type"},
+		{"MUSICAL GENRE", "Musical Genres"},
+	} {
+		key, ok := g.TypeByName(col.key)
+		if !ok {
+			b.Fatalf("no type %q", col.key)
+		}
+		tb := core.Table{Key: key}
+		for _, inc := range g.Schema().Incident(key) {
+			if !inc.Outgoing && g.RelType(inc.Rel).Name == col.rel {
+				tb.NonKeys = append(tb.NonKeys, core.Candidate{Inc: inc})
+			}
+		}
+		big.Tables = append(big.Tables, tb)
+	}
+	bigOpts := render.Options{Tuples: 72}
+	formats := []struct {
+		name   string
+		render func() error
+	}{
+		{"json", func() error {
+			renderMissDoc = render.PreviewDocument(g, &big, bigOpts)
+			return nil
+		}},
+		{"text", func() error {
+			buf.Reset()
+			return render.Preview(&buf, g, &big, bigOpts)
+		}},
+		{"markdown", func() error {
+			buf.Reset()
+			return render.MarkdownPreview(&buf, g, &big, bigOpts)
+		}},
+	}
+	for _, f := range formats {
+		if err := f.render(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("big-cells/"+f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.render(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNameOrder: what a graph's name order costs. derive sorts every
+// entity name, once per graph, on the first render of a multi-valued
+// cell: on the 100k-entity graph and on the default-scale music and
+// people graphs. Each iteration derives on a fresh copy of the graph,
+// loaded from a snapshot with the timer stopped. carry is the live path:
+// a snapshot published after one 16-edge write batch that adds 16
+// entities inherits its predecessor's order (dynamic.Live.publishLocked),
+// on the default-scale music graph ingest writes to.
+func BenchmarkNameOrder(b *testing.B) {
+	big, _ := parallelBenchSetup(b)
+	graphs := []struct {
+		name string
+		g    *graph.EntityGraph
+	}{{"music-100k", big}}
+	for _, d := range []string{"music", "people"} {
+		g, err := freebase.Generate(d, freebase.DefaultGenOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, struct {
+			name string
+			g    *graph.EntityGraph
+		}{d, g})
+	}
+	for _, c := range graphs {
+		var snap bytes.Buffer
+		if err := storage.Write(&snap, c.g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("derive/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, err := storage.Read(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				g.NameOrder()
+			}
+		})
+	}
+
+	dg, err := dynamic.FromEntityGraph(graphs[1].g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := dg.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev.NameOrder()
+	rt := dg.Rel(0)
+	to := prev.EntitiesOfType(rt.To)
+	for i := 0; i < 16; i++ {
+		if err := dg.AddEdge(dg.Entity(fmt.Sprintf("Batch entity %02d", i), rt.From),
+			to[i*31%len(to)], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("carry/music", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			next, err := dg.Freeze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			next.InheritNameOrder(prev)
+		}
+	})
 }
 
 // --- Incremental discovery (BENCH_incremental_refresh.json) --------------

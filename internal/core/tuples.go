@@ -22,7 +22,9 @@ type Tuple struct {
 	// Values holds graph.Neighbors results: read-only views of graph
 	// memory, shared by every tuple of every table of the graph, which
 	// the root package's SampleTuples hands to library callers as they
-	// are. Copy a value set before sorting or otherwise changing it.
+	// are. Each is in first-edge order; the renderers show it in name
+	// order through the graph's NameOrder, without copying it. Copy a
+	// value set before sorting or otherwise changing it.
 	Values [][]graph.EntityID
 }
 

@@ -12,7 +12,11 @@
 // O(|Vd| + |Ed|) rescan. The frozen entity graph — needed only to
 // materialize tuples — is rebuilt per publication; it is the one full-scan
 // cost of the write path, and it buys readers lock-free access to a graph
-// that can never change underneath them.
+// that can never change underneath them. What the frozen graph derives
+// lazily (graph.EntityGraph.Schema, NameOrder) starts over per snapshot,
+// except the name order: a snapshot inherits its predecessor's, when that
+// one has been derived, without keeping a pointer to it, so an old
+// snapshot is freed as soon as its last reader lets go.
 package dynamic
 
 import (
@@ -218,8 +222,10 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 }
 
 // publishLocked refreshes scores through the incremental path, freezes
-// the entity graph, and swaps in the new snapshot carrying the batch's
-// dirty-type delta. Callers hold l.mu.
+// the entity graph, carries the previous snapshot's name order into it,
+// and swaps in the new snapshot carrying the batch's dirty-type delta.
+// Every publication goes through here: NewLiveAt's, and each batch of
+// Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
 func (l *Live) publishLocked(epoch uint64, dirty []graph.TypeID, structural bool) error {
 	scores, err := l.g.Scores(l.opts)
 	if err != nil {
@@ -228,6 +234,13 @@ func (l *Live) publishLocked(epoch uint64, dirty []graph.TypeID, structural bool
 	frozen, err := l.g.Freeze()
 	if err != nil {
 		return fmt.Errorf("dynamic: freezing graph: %w", err)
+	}
+	if prev := l.snap.Load(); prev != nil {
+		// Entity ids are append-only, so the new graph's name order is
+		// the previous one's with this batch's new names merged in:
+		// carried here, at O(|Vd|) integer cost, rather than re-sorted by
+		// the first render of every epoch.
+		frozen.InheritNameOrder(prev.Frozen)
 	}
 	if structural {
 		dirty = nil

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // EntityID identifies an entity (a vertex of the entity graph Gd).
@@ -93,6 +94,13 @@ type EntityGraph struct {
 	// schema is the derived schema graph, built on first use (Schema).
 	schemaOnce sync.Once
 	schema     *Schema
+
+	// names is the name order, derived on first use (NameOrder) or
+	// inherited from a live graph's previous snapshot (InheritNameOrder).
+	// It is atomic so that a publisher can ask whether an order exists
+	// while readers derive it.
+	namesOnce sync.Once
+	names     atomic.Pointer[NameOrder]
 }
 
 // NumEntities returns |Vd|.

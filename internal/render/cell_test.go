@@ -1,0 +1,356 @@
+package render
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"unicode/utf8"
+
+	"github.com/uta-db/previewtables/internal/core"
+	"github.com/uta-db/previewtables/internal/freebase"
+	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/graph/graphtest"
+	"github.com/uta-db/previewtables/internal/score"
+)
+
+// refCellNames and refFormatCell are the cell body as it was before the
+// graphs had a name order: copy the names and sort the strings.
+func refCellNames(g *graph.EntityGraph, vals []graph.EntityID) []string {
+	names := make([]string, len(vals))
+	for i, v := range vals {
+		names[i] = g.EntityName(v)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func refFormatCell(g *graph.EntityGraph, vals []graph.EntityID) string {
+	switch len(vals) {
+	case 0:
+		return "-"
+	case 1:
+		return g.EntityName(vals[0])
+	}
+	return "{" + strings.Join(refCellNames(g, vals), ", ") + "}"
+}
+
+// cellWidths are the text widths every cell is checked at: each side of
+// short names and separators, the default, and wider than any cell the
+// clip stops early in.
+var cellWidths = []int{1, 2, 3, 4, 7, 10, 40, 300}
+
+// checkCells compares, for every (entity, relationship type, direction)
+// run of g, the cell each renderer shows against the reference: the JSON
+// names, the Markdown cell, and the text cell at every width. The
+// reference's text and Markdown cells flatten line endings as the
+// renderers do. A ", " always stands between two names, so no "\r\n"
+// pair spans two of them, and flattening the joined cell equals
+// flattening each name.
+func checkCells(g *graph.EntityGraph) error {
+	s := g.Schema()
+	for e := 0; e < g.NumEntities(); e++ {
+		for _, t := range g.Entity(graph.EntityID(e)).Types {
+			for _, inc := range s.Incident(t) {
+				vals := g.Neighbors(graph.EntityID(e), inc.Rel, inc.Outgoing)
+				if err := checkCell(g, vals); err != nil {
+					return fmt.Errorf("entity %d, relationship type %d, outgoing %v: %w", e, inc.Rel, inc.Outgoing, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func checkCell(g *graph.EntityGraph, vals []graph.EntityID) error {
+	wantNames := refCellNames(g, vals)
+	doc := tupleDoc(g, core.Tuple{Values: [][]graph.EntityID{vals}})
+	if got := doc.Values[0]; got == nil || !slices.Equal(got, wantNames) {
+		return fmt.Errorf("JSON names %q, want %q", got, wantNames)
+	}
+	want := refFormatCell(g, vals)
+	if got, want := escapeMD(formatCell(g, vals, 0)), escapeMD(want); got != want {
+		return fmt.Errorf("Markdown cell %q, want %q", got, want)
+	}
+	for _, w := range cellWidths {
+		if got, want := clip(formatCell(g, vals, w), w), clip(oneLine(want), w); got != want {
+			return fmt.Errorf("text cell at width %d: %q, want %q", w, got, want)
+		}
+	}
+	return nil
+}
+
+// craftedNames sort in ways a name order can get wrong: shared prefixes,
+// a name that is a prefix of another, case, non-ASCII and invalid UTF-8
+// bytes, a NUL, and the empty name.
+var craftedNames = []string{
+	"", "a", "ab", "abc", "abd", "abc d", "abc\x00", "a\x00b", "b", "B", "A",
+	"Ä", "é", "e", "ée", "日本", "日", "日本語", "\xff", "\xfe\xff", "\xe2\x82", "€uro",
+	"Men", "Men in Black", "Men in Black II", " Men", "~", "\x7f", "Ω", "Zebra", "zebra",
+	"Orquesta Sinfónica de la Ciudad de México", "東京フィルハーモニー交響楽団",
+}
+
+// craftedGraph links hubs to the crafted names in several first-edge
+// orders, so its cells hold every name at once, disjoint halves, a
+// shuffled subset, pairs and single names.
+func craftedGraph(t testing.TB) *graph.EntityGraph {
+	t.Helper()
+	var b graph.Builder
+	hub, name := b.Type("HUB"), b.Type("NAME")
+	rel := b.RelType("holds", hub, name)
+	ids := make([]graph.EntityID, len(craftedNames))
+	for i, n := range craftedNames {
+		ids[i] = b.Entity(n, name)
+	}
+	link := func(h string, members []graph.EntityID) {
+		from := b.Entity(h, hub)
+		for _, m := range members {
+			b.Edge(from, m, rel)
+		}
+	}
+	reversed := slices.Clone(ids)
+	slices.Reverse(reversed)
+	link("hub: every name", ids)
+	link("hub: every name, reversed", reversed)
+	link("hub: first half", ids[:len(ids)/2])
+	link("hub: second half", ids[len(ids)/2:])
+	for i := range ids {
+		link(fmt.Sprintf("hub: pair %d", i), []graph.EntityID{ids[i], ids[(i*7+3)%len(ids)]})
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCellBodyMatchesStringSort: ordering cells by the graph's name rank
+// gives the bytes sorting the names gave, in JSON, Markdown and text at
+// every clip width, over the layout corpus and the crafted names.
+func TestCellBodyMatchesStringSort(t *testing.T) {
+	gs, err := graphtest.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs = append(gs, graphtest.Named{Name: "crafted", Graph: craftedGraph(t)})
+	for _, n := range gs {
+		if err := checkCells(n.Graph); err != nil {
+			t.Errorf("%s: %v", n.Name, err)
+		}
+	}
+}
+
+// TestLineBreaksFlattened: names arrive unvalidated through the write
+// routes, so the text and Markdown renderers turn each "\r\n", "\r" and
+// "\n" in a cell or header into one space; otherwise the row splits.
+// JSON keeps the names as they are.
+func TestLineBreaksFlattened(t *testing.T) {
+	cases := []struct{ name, flat string }{
+		{"Sci\nFi", "Sci Fi"},
+		{"Men in\rBlack", "Men in Black"},
+		{"Men in\r\nBlack", "Men in Black"},
+		{"two\n\rends", "two  ends"},
+		{"\r\n\r\n", "  "},
+		{"tail\r", "tail "},
+		{"pipe|and\nbreak", "pipe|and break"},
+	}
+	for _, c := range cases {
+		var b graph.Builder
+		film, genre := b.Type("FILM\nTYPE"), b.Type("GENRE")
+		rel := b.RelType("Genres\r\n", film, genre)
+		key := b.Entity(c.name, film)
+		b.Edge(key, b.Entity("Comedy", genre), rel)
+		b.Edge(key, b.Entity(c.name+"!", genre), rel)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := core.Table{Key: film, NonKeys: []core.Candidate{{Inc: g.Schema().Incident(film)[0]}}}
+		cell := "{Comedy, " + c.flat + "!}"
+		if c.name+"!" < "Comedy" {
+			cell = "{" + c.flat + "!, Comedy}"
+		}
+		var text, md bytes.Buffer
+		if err := Table(&text, g, &tb, Options{Tuples: 1, MaxCellWidth: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := MarkdownTable(&md, g, &tb, Options{Tuples: 1}); err != nil {
+			t.Fatal(err)
+		}
+		keyWidth := max(utf8.RuneCountInString("FILM TYPE"), utf8.RuneCountInString(c.flat))
+		for _, out := range []struct {
+			format, body, header, row string
+		}{
+			{"text", text.String(), "FILM TYPE", pad(c.flat, keyWidth) + "  " + cell},
+			{"markdown", md.String(), "| **FILM TYPE** | Genres  |", "| " + escapeMD(c.flat) + " | " + escapeMD(cell) + " |"},
+		} {
+			lines := strings.Split(strings.TrimSuffix(out.body, "\n"), "\n")
+			if len(lines) != 3 || strings.ContainsRune(out.body, '\r') {
+				t.Errorf("%q, %s: want 3 lines without a CR, got %q", c.name, out.format, out.body)
+				continue
+			}
+			if !strings.HasPrefix(lines[0], out.header) || !strings.HasPrefix(lines[2], out.row) {
+				t.Errorf("%q, %s: header %q and row %q, want prefixes %q and %q",
+					c.name, out.format, lines[0], lines[2], out.header, out.row)
+			}
+		}
+		doc := TableDocument(g, &tb, Options{Tuples: 1})
+		if got := doc.Tuples[0]; got.Key != c.name || !slices.Contains(got.Values[0], c.name+"!") {
+			t.Errorf("%q: JSON tuple %q changed the name", c.name, got)
+		}
+	}
+}
+
+// TestConcurrentFirstRenders: on a fresh graph, whose name order does
+// not exist yet, many goroutines render at once; the first of them
+// derives the order and every body equals one rendered alone.
+func TestConcurrentFirstRenders(t *testing.T) {
+	fresh := func() *graph.EntityGraph {
+		g, err := freebase.Generate("film", freebase.DefaultGenOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	ref := fresh()
+	d := core.New(score.Compute(ref, score.DefaultWalkOptions()),
+		core.Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	p, err := d.Discover(core.Constraint{K: 3, N: 9, Mode: core.Concise})
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats := []func(*graph.EntityGraph) []byte{
+		func(g *graph.EntityGraph) []byte {
+			body, err := json.Marshal(PreviewDocument(g, &p, Options{Tuples: 40}))
+			if err != nil {
+				t.Error(err)
+			}
+			return body
+		},
+		func(g *graph.EntityGraph) []byte {
+			var buf bytes.Buffer
+			if err := Preview(&buf, g, &p, Options{Tuples: 40}); err != nil {
+				t.Error(err)
+			}
+			return buf.Bytes()
+		},
+		func(g *graph.EntityGraph) []byte {
+			var buf bytes.Buffer
+			if err := MarkdownPreview(&buf, g, &p, Options{Tuples: 40}); err != nil {
+				t.Error(err)
+			}
+			return buf.Bytes()
+		},
+	}
+	want := make([][]byte, len(formats))
+	for i, f := range formats {
+		want[i] = f(ref)
+	}
+	if !bytes.Contains(want[1], []byte("{")) {
+		t.Fatal("the preview renders no multi-valued cell")
+	}
+	g := fresh()
+	if g.HasNameOrder() {
+		t.Fatal("a freshly generated graph already has a name order")
+	}
+	const workers = 12
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			i := w % len(formats)
+			if got := formats[i](g); !bytes.Equal(got, want[i]) {
+				t.Errorf("worker %d: format %d renders other bytes than a lone render", w, i)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if !g.HasNameOrder() {
+		t.Error("rendering multi-valued cells left the graph without a name order")
+	}
+}
+
+// FuzzCellOrder decodes entity names as well as edges from its input, so
+// names of any bytes, lengths and shared prefixes meet in one cell. It
+// checks every cell against the string sort, the name order against the
+// names, and an order inherited from a prefix of the entities against a
+// fresh one.
+func FuzzCellOrder(f *testing.F) {
+	f.Add([]byte("\x05\x02ab\x01a\x03abc\x00\x02\xff\xfe\x01\x00\x00\x01\x00\x02\x00\x03\x00\x04"))
+	f.Add([]byte("\x08\x03Men\x0cMen in Black\x02\xc3\xa9\x01e\x01\r\x02\r\n\x01\n\x05 Men\x03\x00\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00\x07"))
+	f.Add([]byte("\x10\x07"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n, split := 1+next()%48, next()
+		var names []string
+		seen := map[string]bool{}
+		for i := 0; i < n; i++ {
+			l := next() % 16
+			l = min(l, len(data))
+			name := string(data[:l])
+			data = data[l:]
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+		build := func(names []string, edges bool) *graph.EntityGraph {
+			var b graph.Builder
+			ty := b.Type("T")
+			rel := b.RelType("r", ty, ty)
+			ids := make([]graph.EntityID, len(names))
+			for i, name := range names {
+				ids[i] = b.Entity(name, ty)
+			}
+			for rest := data; edges && len(rest) >= 2; rest = rest[2:] {
+				b.Edge(ids[int(rest[0])%len(ids)], ids[int(rest[1])%len(ids)], rel)
+			}
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		g := build(names, true)
+		if err := checkCells(g); err != nil {
+			t.Fatal(err)
+		}
+		byName := make([]graph.EntityID, len(names))
+		for i := range byName {
+			byName[i] = graph.EntityID(i)
+		}
+		sort.Slice(byName, func(i, j int) bool { return names[byName[i]] < names[byName[j]] })
+		for r, e := range byName {
+			if got := g.NameOrder().Rank(e); got != int32(r) {
+				t.Fatalf("entity %q ranks %d, want %d", names[e], got, r)
+			}
+		}
+		prev := build(names[:split%(len(names)+1)], false)
+		prev.NameOrder()
+		inherited := build(names, false)
+		inherited.InheritNameOrder(prev)
+		if !inherited.HasNameOrder() {
+			t.Fatal("no order inherited from a graph that has one")
+		}
+		for e := range names {
+			if got, want := inherited.NameOrder().Rank(graph.EntityID(e)), g.NameOrder().Rank(graph.EntityID(e)); got != want {
+				t.Fatalf("entity %q: inherited rank %d, fresh rank %d", names[e], got, want)
+			}
+		}
+	})
+}

@@ -8,8 +8,6 @@
 package render
 
 import (
-	"sort"
-
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/graph"
 )
@@ -99,8 +97,10 @@ type ColumnDoc struct {
 }
 
 // TupleDoc is one materialized row: the key entity's name and, aligned
-// with the table's columns, the related entity names (empty slice for an
-// empty cell, multiple names — sorted — for a multi-valued cell).
+// with the table's columns, the related entity names: an empty slice for
+// an empty cell, and for a multi-valued cell every name in byte-wise
+// order, the order the text and Markdown renderers show. Names appear as
+// stored; only the text and Markdown renderers flatten line endings.
 type TupleDoc struct {
 	Key    string     `json:"key"`
 	Values [][]string `json:"values"`
@@ -154,10 +154,10 @@ func tupleDoc(g *graph.EntityGraph, tu core.Tuple) TupleDoc {
 	d := TupleDoc{Key: g.EntityName(tu.Key), Values: make([][]string, len(tu.Values))}
 	for i, vals := range tu.Values {
 		names := make([]string, len(vals))
-		for j, v := range vals {
-			names[j] = g.EntityName(v)
+		var small [16]uint64
+		for j, k := range byName(g, vals, len(vals), &small) {
+			names[j] = g.EntityName(cellID(k))
 		}
-		sort.Strings(names)
 		d.Values[i] = names
 	}
 	return d

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
@@ -68,18 +68,18 @@ func Table(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error
 	s := g.Schema()
 
 	headers := make([]string, 0, len(t.NonKeys)+1)
-	headers = append(headers, g.TypeName(t.Key))
+	headers = append(headers, oneLine(g.TypeName(t.Key)))
 	for _, c := range t.NonKeys {
-		headers = append(headers, ColumnHeader(s, c))
+		headers = append(headers, oneLine(ColumnHeader(s, c)))
 	}
 
 	tuples := sampleTuples(g, t, opts)
 	rows := make([][]string, 0, len(tuples))
 	for _, tu := range tuples {
 		row := make([]string, 0, len(headers))
-		row = append(row, clip(g.EntityName(tu.Key), opts.MaxCellWidth))
+		row = append(row, clip(oneLine(g.EntityName(tu.Key)), opts.MaxCellWidth))
 		for _, vals := range tu.Values {
-			row = append(row, clip(formatCell(g, vals), opts.MaxCellWidth))
+			row = append(row, clip(formatCell(g, vals, opts.MaxCellWidth), opts.MaxCellWidth))
 		}
 		rows = append(rows, row)
 	}
@@ -119,21 +119,98 @@ func sampleTuples(g *graph.EntityGraph, t *core.Table, opts Options) []core.Tupl
 	return core.SampleAt(g, t, opts.stream.next(len(g.EntitiesOfType(t.Key))))
 }
 
-// formatCell renders a value set: "-" when empty, the bare name for a
-// single value, "{a, b}" for multi-valued cells (Fig. 2).
-func formatCell(g *graph.EntityGraph, vals []graph.EntityID) string {
+// byName returns the first n of a cell's entities in byte-wise name
+// order, the order sort.Strings gives their names, in small when they
+// fit. It sorts no strings: each entity's rank in the graph's name order
+// and its id pack into one integer (cellID unpacks the id), so the sort
+// compares integers, and entity names are unique, so rank order is name
+// order. When n is short of the cell, only the n smallest keys are kept,
+// in order, as they come. A cell of one value needs no order, so it does
+// not derive one. This is the one cell body of the text, Markdown and
+// JSON renderers.
+func byName(g *graph.EntityGraph, vals []graph.EntityID, n int, small *[16]uint64) []uint64 {
+	keys := small[:0]
+	if n > len(small) {
+		keys = make([]uint64, 0, n)
+	}
+	if len(vals) < 2 {
+		for _, v := range vals {
+			keys = append(keys, uint64(uint32(v)))
+		}
+		return keys
+	}
+	order := g.NameOrder()
+	key := func(v graph.EntityID) uint64 { return uint64(order.Rank(v))<<32 | uint64(uint32(v)) }
+	if n >= len(vals) {
+		for _, v := range vals {
+			keys = append(keys, key(v))
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	for _, v := range vals {
+		k := key(v)
+		if len(keys) == n {
+			if k > keys[n-1] {
+				continue
+			}
+			keys = keys[:n-1]
+		}
+		i, _ := slices.BinarySearch(keys, k)
+		keys = slices.Insert(keys, i, k)
+	}
+	return keys
+}
+
+func cellID(key uint64) graph.EntityID { return graph.EntityID(uint32(key)) }
+
+// formatCell renders a value set for the text and Markdown renderers:
+// "-" when empty, the bare name for a single value, "{a, b}" for a
+// multi-valued cell (Fig. 2), each name on one line. A text cell is
+// clipped to width runes, so with width > 0 formatCell stops after the
+// first name that takes the cell past width: clip returns the same bytes
+// for that prefix as for the whole cell. Each name after the first adds
+// at least two runes, so the cell is past width by its width/2+2-th name,
+// and only that many names are put in order. A Markdown cell is not
+// clipped (width 0).
+func formatCell(g *graph.EntityGraph, vals []graph.EntityID, width int) string {
 	switch len(vals) {
 	case 0:
 		return "-"
 	case 1:
-		return g.EntityName(vals[0])
+		return oneLine(g.EntityName(vals[0]))
 	}
-	names := make([]string, len(vals))
-	for i, v := range vals {
-		names[i] = g.EntityName(v)
+	n := len(vals)
+	if width > 0 {
+		n = min(n, width/2+2)
 	}
-	sort.Strings(names)
-	return "{" + strings.Join(names, ", ") + "}"
+	var small [16]uint64
+	keys := byName(g, vals, n, &small)
+	var b strings.Builder
+	if width <= 0 {
+		size := len(keys) * 2
+		for _, k := range keys {
+			size += len(g.EntityName(cellID(k)))
+		}
+		b.Grow(size)
+	}
+	b.WriteByte('{')
+	runes := 1
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteString(", ")
+			runes += 2
+		}
+		name := oneLine(g.EntityName(cellID(k)))
+		b.WriteString(name)
+		if width > 0 {
+			if runes += utf8.RuneCountInString(name); runes > width {
+				return b.String()
+			}
+		}
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // clip truncates s to at most max runes — the unit writeGrid aligns by —
@@ -225,7 +302,7 @@ func MarkdownTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Option
 	for _, tu := range sampleTuples(g, t, opts) {
 		fmt.Fprintf(w, "| %s |", escapeMD(g.EntityName(tu.Key)))
 		for _, vals := range tu.Values {
-			fmt.Fprintf(w, " %s |", escapeMD(formatCell(g, vals)))
+			fmt.Fprintf(w, " %s |", escapeMD(formatCell(g, vals, 0)))
 		}
 		fmt.Fprintln(w)
 	}
@@ -297,8 +374,24 @@ func PreviewDOT(w io.Writer, s *graph.Schema, p *core.Preview) error {
 	return err
 }
 
-// mdEscaper keeps a cell inside its Markdown table cell: pipes escaped,
-// newlines flattened. A Replacer is safe for concurrent use.
-var mdEscaper = strings.NewReplacer("|", "\\|", "\n", " ")
+// Line endings in names and headers: "\r\n", "\r" and "\n" each become
+// one space, so a name cannot split a rendered row. CommonMark counts a
+// bare "\r" as a line ending too. A "\r\n" pair is folded to "\n" first,
+// then a byte replacer maps what is left; both return a string without
+// line endings as it is, without allocating. mdEscaper also escapes
+// pipes, keeping a cell inside its Markdown table cell. A Replacer is
+// safe for concurrent use.
+var (
+	lineEnds  = strings.NewReplacer("\r", " ", "\n", " ")
+	mdEscaper = strings.NewReplacer("|", "\\|", "\r", " ", "\n", " ")
+)
 
-func escapeMD(s string) string { return mdEscaper.Replace(s) }
+// oneLine flattens a text cell or header onto one line.
+func oneLine(s string) string {
+	if strings.IndexByte(s, '\n') < 0 && strings.IndexByte(s, '\r') < 0 {
+		return s
+	}
+	return lineEnds.Replace(strings.ReplaceAll(s, "\r\n", "\n"))
+}
+
+func escapeMD(s string) string { return mdEscaper.Replace(strings.ReplaceAll(s, "\r\n", "\n")) }
