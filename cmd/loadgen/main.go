@@ -121,7 +121,7 @@ func main() {
 	}
 	if *writeEvery > 0 {
 		cfg.WriteEvery = *writeEvery
-		cfg.WriteRoute = base + "/edges"
+		cfg.WriteRoutes = []string{base + "/edges"}
 		cfg.WriteBody = writeBodyFor(g)
 	}
 

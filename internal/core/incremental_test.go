@@ -126,9 +126,10 @@ func assertSameOutcome(t *testing.T, label string, pm core.Preview, errM error, 
 }
 
 // TestMaintainedMatchesColdAcrossEpochs is the differential property. A
-// second Maintained receives only every third refresh with the dirty
-// sets of the skipped epochs unioned in, so multi-epoch catch-up (the
-// service's dirty-log path) is covered too.
+// second Maintained receives only every third refresh, with the delta
+// the snapshot reports since its last one (Snapshot.DirtySince), so
+// multi-epoch catch-up (the service's lagging measure pairs) is covered
+// too.
 func TestMaintainedMatchesColdAcrossEpochs(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -138,11 +139,7 @@ func TestMaintainedMatchesColdAcrossEpochs(t *testing.T) {
 				opts.Parallelism = diffWorkers
 				m := core.NewMaintained(opts)
 				lag := core.NewMaintained(opts)
-				var (
-					pendingDirty      []graph.TypeID
-					pendingStructural bool
-					pendingBase       uint64
-				)
+				var pendingBase uint64
 				queries := 0
 				randomLiveWorkload(t, seed, 9, func(snap *dynamic.Snapshot) {
 					m.Refresh(snap.Scores, snap.Epoch, snap.Dirty, snap.Structural)
@@ -154,18 +151,17 @@ func TestMaintainedMatchesColdAcrossEpochs(t *testing.T) {
 						assertSameOutcome(t, label, pm, errM, pc, errC)
 						queries++
 					}
-					// The lagging state unions skipped epochs' deltas, the
-					// way Graph.deltaSince reconstructs a multi-epoch gap.
-					pendingDirty = append(pendingDirty, snap.Dirty...)
-					pendingStructural = pendingStructural || snap.Structural
+					// The lagging state catches up over the skipped epochs
+					// with the snapshot's own delta, as the service does.
 					if snap.Epoch-pendingBase >= 3 {
-						lag.Refresh(snap.Scores, snap.Epoch, pendingDirty, pendingStructural)
+						dirty, structural := snap.DirtySince(pendingBase)
+						lag.Refresh(snap.Scores, snap.Epoch, dirty, structural)
 						for _, c := range incrementalConstraints() {
 							pm, errM := lag.DiscoverAt(snap.Epoch, c)
 							pc, errC := cold.Discover(c)
 							assertSameOutcome(t, fmt.Sprintf("lag epoch %d constraint %+v", snap.Epoch, c), pm, errM, pc, errC)
 						}
-						pendingDirty, pendingStructural, pendingBase = nil, false, snap.Epoch
+						pendingBase = snap.Epoch
 					}
 				})
 				// The point of the machinery: certificates must actually

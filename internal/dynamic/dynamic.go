@@ -58,43 +58,16 @@ type Graph struct {
 	// fixed point and re-solving takes a handful of iterations.
 	walkPi []float64
 
-	// dirtyTypes collects, since the last resetDirty, the entity types
-	// whose per-type measure inputs (coverage counter, incident entropy
-	// histograms, incident relationship counts) moved — the set downstream
-	// incremental discovery re-ranks instead of every type. structural
-	// records that the schema itself changed (new type or relationship
-	// type), which voids any incremental carry-forward.
-	dirtyTypes map[graph.TypeID]struct{}
-	structural bool
-}
-
-// markDirty records that type t's measure inputs moved.
-func (g *Graph) markDirty(t graph.TypeID) {
-	if g.dirtyTypes == nil {
-		g.dirtyTypes = map[graph.TypeID]struct{}{}
-	}
-	g.dirtyTypes[t] = struct{}{}
-}
-
-// resetDirty clears the dirty-tracking state; the next takeDirty reports
-// only mutations from this point on.
-func (g *Graph) resetDirty() {
-	g.dirtyTypes = nil
-	g.structural = false
-}
-
-// takeDirty returns the types dirtied since the last resetDirty (sorted,
-// for determinism) and whether a structural change occurred.
-func (g *Graph) takeDirty() ([]graph.TypeID, bool) {
-	if len(g.dirtyTypes) == 0 {
-		return nil, g.structural
-	}
-	ts := make([]graph.TypeID, 0, len(g.dirtyTypes))
-	for t := range g.dirtyTypes {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	return ts, g.structural
+	// Change stamps, read by Snapshot.DirtySince: moved[t] is the epoch of
+	// the last batch that moved type t's measure inputs (coverage counter,
+	// incident entropy histograms, incident relationship counts), and
+	// structuralAt that of the last schema change (new type or
+	// relationship type) or Live's first publication. epoch is the stamp
+	// mutations record, the epoch the batch in progress will publish; Live
+	// sets it under its writer lock (0 before the graph goes live).
+	epoch        uint64
+	moved        []uint64
+	structuralAt uint64
 }
 
 type relKey struct {
@@ -199,8 +172,9 @@ func (g *Graph) Type(name string) graph.TypeID {
 	id := graph.TypeID(len(g.typeNames))
 	g.typeNames = append(g.typeNames, name)
 	g.coverage = append(g.coverage, 0)
+	g.moved = append(g.moved, g.epoch)
 	g.typeByName[name] = id
-	g.structural = true
+	g.structuralAt = g.epoch
 	return id
 }
 
@@ -220,7 +194,7 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 	g.rels = append(g.rels, graph.RelType{Name: name, From: from, To: to})
 	g.hist = append(g.hist, [2]*valueHist{newValueHist(), newValueHist()})
 	g.relByKey[k] = id
-	g.structural = true
+	g.structuralAt = g.epoch
 	return id, nil
 }
 
@@ -254,7 +228,7 @@ func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
 	ts[i] = t
 	g.entTypes[e] = ts
 	g.coverage[t]++
-	g.markDirty(t)
+	g.moved[t] = g.epoch
 }
 
 // AddEdge inserts one relationship instance and updates every affected
@@ -278,8 +252,7 @@ func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	g.hist[rel][1].add(to, from)
 	// The edge moves the relationship count and both orientations'
 	// entropy — non-key inputs of exactly the two endpoint types.
-	g.markDirty(rt.From)
-	g.markDirty(rt.To)
+	g.moved[rt.From], g.moved[rt.To] = g.epoch, g.epoch
 	return nil
 }
 

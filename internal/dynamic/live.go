@@ -16,12 +16,14 @@
 // lazily (graph.EntityGraph.Schema, NameOrder) starts over per snapshot,
 // except the name order: a snapshot inherits its predecessor's, when that
 // one has been derived, without keeping a pointer to it, so an old
-// snapshot is freed as soon as its last reader lets go.
+// snapshot is freed as soon as its last reader lets go. Each snapshot also
+// copies the graph's change stamps (O(types)) for Snapshot.DirtySince.
 package dynamic
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,14 +67,37 @@ type Snapshot struct {
 	// Frozen is the immutable entity graph for tuple materialization.
 	Frozen *graph.EntityGraph
 	// Dirty lists (sorted) the entity types whose measure inputs moved in
-	// the batch that produced this epoch — the delta incremental discovery
-	// re-ranks. nil when nothing moved or on a structural publication.
+	// the batch that produced this epoch, DirtySince(Epoch-1); nil when
+	// nothing moved or on a structural publication.
 	Dirty []graph.TypeID
 	// Structural marks a publication that is not a single incremental step
-	// from its predecessor: the initial load, recovery, resync, or a batch
-	// that changed the schema (new type or relationship type). Consumers
-	// carrying state across epochs must rebuild from scratch at one.
+	// from its predecessor: a Live's first publication (the initial load,
+	// recovery, resync) or a batch that changed the schema (new type or
+	// relationship type). Consumers carrying state across epochs must
+	// rebuild from scratch at one.
 	Structural bool
+
+	// moved and structuralAt copy the graph's change stamps at
+	// publication (see Graph); DirtySince reads them.
+	moved        []uint64
+	structuralAt uint64
+}
+
+// DirtySince reports the entity types (sorted) whose measure inputs some
+// batch in (from, Epoch] moved: the union of those batches' Dirty sets,
+// however many there were. structural is true, and dirty nil, when a
+// publication in that range was structural or from precedes the Live's
+// first publication: no delta spans it.
+func (s *Snapshot) DirtySince(from uint64) (dirty []graph.TypeID, structural bool) {
+	if s.structuralAt > from {
+		return nil, true
+	}
+	for t, e := range s.moved {
+		if e > from {
+			dirty = append(dirty, graph.TypeID(t))
+		}
+	}
+	return dirty, false
 }
 
 // Live wraps a Graph for concurrent serving: Apply serializes writers and
@@ -106,7 +131,8 @@ func NewLiveAt(g *Graph, opts score.WalkOptions, epoch uint64) (*Live, error) {
 	l := &Live{opts: opts, g: g}
 	// The initial publication is structural by definition: nothing
 	// precedes it to be incremental from.
-	if err := l.publishLocked(epoch, nil, true); err != nil {
+	g.structuralAt = epoch
+	if err := l.publishLocked(epoch); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -195,19 +221,18 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 	if l.wedged != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWedged, l.wedged)
 	}
-	l.g.resetDirty()
+	epoch := l.snap.Load().Epoch + 1
+	l.g.epoch = epoch // what mutate moves is stamped with the epoch it publishes
 	if err := mutate(l.g); err != nil {
 		return nil, err
 	}
-	epoch := l.snap.Load().Epoch + 1
-	dirty, structural := l.g.takeDirty()
 	if l.hook != nil {
 		if err := l.hook(epoch, kind, payload); err != nil {
 			l.wedged = err
 			return nil, fmt.Errorf("dynamic: logging batch for epoch %d: %w", epoch, err)
 		}
 	}
-	if err := l.publishLocked(epoch, dirty, structural); err != nil {
+	if err := l.publishLocked(epoch); err != nil {
 		if l.hook != nil {
 			// The batch is already in the log; failing to publish it leaves
 			// log, memory and published epoch mutually inconsistent (and the
@@ -223,10 +248,10 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 
 // publishLocked refreshes scores through the incremental path, freezes
 // the entity graph, carries the previous snapshot's name order into it,
-// and swaps in the new snapshot carrying the batch's dirty-type delta.
-// Every publication goes through here: NewLiveAt's, and each batch of
-// Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
-func (l *Live) publishLocked(epoch uint64, dirty []graph.TypeID, structural bool) error {
+// and swaps in the new snapshot with a copy of the graph's change stamps
+// (O(types)). Every publication goes through here: NewLiveAt's, and each
+// batch of Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
+func (l *Live) publishLocked(epoch uint64) error {
 	scores, err := l.g.Scores(l.opts)
 	if err != nil {
 		return fmt.Errorf("dynamic: refreshing scores: %w", err)
@@ -242,16 +267,18 @@ func (l *Live) publishLocked(epoch uint64, dirty []graph.TypeID, structural bool
 		// the first render of every epoch.
 		frozen.InheritNameOrder(prev.Frozen)
 	}
-	if structural {
-		dirty = nil
+	snap := &Snapshot{
+		Epoch:        epoch,
+		Stats:        l.g.Stats(),
+		Scores:       scores,
+		Frozen:       frozen,
+		Structural:   l.g.structuralAt == epoch,
+		moved:        slices.Clone(l.g.moved),
+		structuralAt: l.g.structuralAt,
 	}
-	l.snap.Store(&Snapshot{
-		Epoch:      epoch,
-		Stats:      l.g.Stats(),
-		Scores:     scores,
-		Frozen:     frozen,
-		Dirty:      dirty,
-		Structural: structural,
-	})
+	if !snap.Structural { // a batch, so epoch >= 1
+		snap.Dirty, _ = snap.DirtySince(epoch - 1)
+	}
+	l.snap.Store(snap)
 	return nil
 }

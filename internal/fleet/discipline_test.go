@@ -212,3 +212,23 @@ func TestRouterMergedListHungShard(t *testing.T) {
 		t.Errorf("error body %s, want an error naming shard \"beta\"", raw)
 	}
 }
+
+// TestRouterEscapesGraphNames: the router's control calls put graph
+// names into URL paths escaped, so a name holding a query, fragment or
+// escape character still addresses its own graph. Unescaped, "x?y" and
+// "x#y" would ask the node about graph "x" (a 404, which replStatus
+// reads as "not hosted": a migration's drain and a failover's catch-up
+// would then pass the graph by), and "100%" would not parse as a URL.
+func TestRouterEscapesGraphNames(t *testing.T) {
+	names := []string{"x?y", "a b", "100%", "x#y"}
+	lp := startLeaderProc(t, "alpha", names, t.TempDir())
+	rt, err := NewRouter([]ShardSpec{{ID: "alpha", Leader: lp.ts.URL}}, RouterOptions{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, found, err := rt.replStatus(lp.ts.URL, name); err != nil || !found {
+			t.Errorf("replStatus(%q) on its leader: found %v, err %v; want found", name, found, err)
+		}
+	}
+}

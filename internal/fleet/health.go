@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"time"
@@ -395,7 +396,7 @@ func (rt *Router) replStatus(base, graph string) (replState, bool, error) {
 		AppliedEpoch *uint64 `json:"applied_epoch"`
 		Error        string  `json:"error"`
 	}
-	_, err := wire.Call(context.TODO(), rt.probe, http.MethodGet, base+"/v1/replication/"+graph+"/status", 0, nil, &doc)
+	_, err := wire.Call(context.TODO(), rt.probe, http.MethodGet, base+"/v1/replication/"+url.PathEscape(graph)+"/status", 0, nil, &doc)
 	var se *wire.StatusError
 	if errors.As(err, &se) && se.Code == http.StatusNotFound {
 		return replState{}, false, nil

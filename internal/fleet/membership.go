@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -255,10 +256,10 @@ func (rt *Router) migrate(moves []move, newRing *Ring) error {
 			return fmt.Errorf("draining %q from shard %s: %w", mv.graph, mv.src.id, err)
 		}
 		rt.hook("cutover", mv.graph)
-		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+mv.graph+"/promote", mv.dst.fence.Load(), nil, nil); err != nil {
+		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+url.PathEscape(mv.graph)+"/promote", mv.dst.fence.Load(), nil, nil); err != nil {
 			return fmt.Errorf("promoting %q on shard %s: %w", mv.graph, mv.dst.id, err)
 		}
-		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodDelete, srcURL+"/v1/graphs/"+mv.graph, mv.src.fence.Load(), nil, nil); err != nil {
+		if _, err := wire.Call(context.TODO(), rt.probe, http.MethodDelete, srcURL+"/v1/graphs/"+url.PathEscape(mv.graph), mv.src.fence.Load(), nil, nil); err != nil {
 			return fmt.Errorf("dropping %q from shard %s: %w", mv.graph, mv.src.id, err)
 		}
 		rt.moveBookkeeping(mv)
@@ -275,7 +276,7 @@ func (rt *Router) adoptGraph(graph, srcURL, dstURL string, fence uint64) error {
 	in := struct {
 		Source string `json:"source"`
 	}{Source: srcURL}
-	_, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+graph+"/adopt", fence, in, nil)
+	_, err := wire.Call(context.TODO(), rt.probe, http.MethodPost, dstURL+"/v1/replication/"+url.PathEscape(graph)+"/adopt", fence, in, nil)
 	var se *wire.StatusError
 	if errors.As(err, &se) && se.Code == http.StatusConflict {
 		return nil

@@ -49,19 +49,16 @@ type Config struct {
 	Duration time.Duration
 	// ReadPaths are the GET targets, picked uniformly at random.
 	ReadPaths []string
-	// WriteRoute, when non-empty, is the POST target (e.g.
-	// "/v1/graphs/bench/edges") for the write arm of the workload.
-	WriteRoute string
-	// WriteRoutes spreads the write arm round-robin across several POST
-	// targets — one per graph when driving a fleet, so writes land on
-	// every shard. When set it supersedes WriteRoute.
+	// WriteRoutes are the POST targets (e.g. "/v1/graphs/bench/edges")
+	// of the workload's write arm, taken round-robin — one per graph when
+	// driving a fleet, so writes land on every shard.
 	WriteRoutes []string
 	// WriteBody produces the i-th write's request body. Bodies should
 	// be pairwise distinct so every write is a real mutation (and a
 	// real epoch, invalidating the response cache).
 	WriteBody func(i int) string
 	// WriteEvery interleaves one write per this many requests on
-	// worker 0 (0 disables writes even if WriteRoute is set). Writes
+	// worker 0 (0 disables writes even if WriteRoutes is set). Writes
 	// stay on one worker so the write rate is a workload parameter,
 	// not a function of worker count.
 	WriteEvery int
@@ -134,9 +131,6 @@ func Run(h http.Handler, cfg Config) (Result, error) {
 	}
 	if len(cfg.ReadPaths) == 0 {
 		return Result{}, fmt.Errorf("loadgen: no read paths")
-	}
-	if len(cfg.WriteRoutes) == 0 && cfg.WriteRoute != "" {
-		cfg.WriteRoutes = []string{cfg.WriteRoute}
 	}
 	if cfg.WriteEvery > 0 && (len(cfg.WriteRoutes) == 0 || cfg.WriteBody == nil) {
 		return Result{}, fmt.Errorf("loadgen: WriteEvery set without WriteRoutes and WriteBody")

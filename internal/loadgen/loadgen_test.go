@@ -50,13 +50,13 @@ var readPaths = []string{
 func TestRunMixedWorkload(t *testing.T) {
 	srv := benchServer(t)
 	res, err := Run(srv, Config{
-		Workers:    4,
-		Duration:   300 * time.Millisecond,
-		ReadPaths:  readPaths,
-		WriteRoute: "/v1/graphs/fig1/edges",
-		WriteBody:  edgeBody,
-		WriteEvery: 8,
-		Seed:       1,
+		Workers:     4,
+		Duration:    300 * time.Millisecond,
+		ReadPaths:   readPaths,
+		WriteRoutes: []string{"/v1/graphs/fig1/edges"},
+		WriteBody:   edgeBody,
+		WriteEvery:  8,
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatal("no read paths: want error")
 	}
 	if _, err := Run(srv, Config{Duration: time.Millisecond, ReadPaths: readPaths, WriteEvery: 4}); err == nil {
-		t.Fatal("WriteEvery without WriteRoute: want error")
+		t.Fatal("WriteEvery without WriteRoutes: want error")
 	}
 	if _, err := Run(srv, Config{Duration: time.Millisecond, ReadPaths: []string{"/v1/graphs/nope/stats"}}); err == nil {
 		t.Fatal("failing warmup path: want error")

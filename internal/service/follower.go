@@ -130,6 +130,9 @@ func StartFollower(reg *Registry, name string, opts FollowerOptions) (*Follower,
 // adopted graph's own FollowState is what gates its writes (see
 // requireWritable).
 func startFollower(reg *Registry, name string, opts FollowerOptions, markLeader bool) (*Follower, error) {
+	if err := checkGraphName(name); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	if opts.Leader == "" {
 		return nil, errors.New("service: follower needs a leader URL")
 	}

@@ -226,6 +226,62 @@ func TestStaleViewFallback(t *testing.T) {
 	}
 }
 
+// TestLaggingMeasurePairCatchesUp: a measure pair left unread for 100
+// write batches catches up incrementally, on a leader and on a caught-up
+// follower alike: its tight preview equals the cold reference, and no
+// full search runs. Each batch re-adds an existing Genres edge, which
+// dirties FILM and FILM GENRE but moves no coverage key score and no
+// entropy, so the certificate taken at epoch 0 must still hold.
+func TestLaggingMeasurePairCatchesUp(t *testing.T) {
+	const (
+		batches = 100
+		u       = "/v1/graphs/fig1/preview?k=2&n=4&mode=tight&d=2&key=coverage&nonkey=entropy"
+		edge    = `{"edges":[{"from":"Men in Black","rel":"Genres","to":"Action Film"}]}`
+	)
+	leader := startDurable(t, "", filepath.Join(t.TempDir(), "wal"))
+	follower := startFollowerNode(t, leader.ts.URL, "", "")
+	rows := []struct {
+		name string
+		reg  *Registry
+		base string
+	}{
+		{"leader", leader.srv.reg, leader.ts.URL},
+		{"follower", follower.reg, follower.ts.URL},
+	}
+	maintained := func(reg *Registry) *core.Maintained {
+		gr, _ := reg.Get("fig1")
+		gr.maintMu.Lock()
+		defer gr.maintMu.Unlock()
+		return gr.maintained[measureKey{key: score.KeyCoverage, nonKey: score.NonKeyEntropy}]
+	}
+	searched := make([]int64, len(rows))
+	for i, r := range rows {
+		readBodies(t, r.base, []string{u})
+		if searched[i] = maintained(r.reg).FullSearches(); searched[i] == 0 {
+			t.Fatalf("%s: the epoch-0 read ran no full search; nothing to carry", r.name)
+		}
+	}
+	for i := 0; i < batches; i++ {
+		postBatch(t, leader.ts, "edges", edge)
+	}
+	if err := follower.f.WaitCaughtUp(batches, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		ref := coldMirror(t, r.reg)
+		if got, want := readBodies(t, r.base, []string{u})[u], readBodies(t, ref.URL, []string{u})[u]; got != want {
+			t.Fatalf("%s: GET %s at epoch %d diverged from cold reference:\ncold:        %s\nincremental: %s", r.name, u, batches, want, got)
+		}
+		m := maintained(r.reg)
+		if epoch, _ := m.Epoch(); epoch != batches {
+			t.Fatalf("%s: the maintained state is at epoch %d, want %d", r.name, epoch, batches)
+		}
+		if n := m.FullSearches() - searched[i]; n != 0 {
+			t.Fatalf("%s: caught up over %d batches but ran %d full searches", r.name, batches, n)
+		}
+	}
+}
+
 // anytimeResp is the slice of previewResponse the anytime tests decode.
 type anytimeResp struct {
 	Epoch     *uint64 `json:"epoch"`

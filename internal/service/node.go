@@ -58,6 +58,11 @@ type NodeConfig struct {
 // validate rejects the flag combinations previewd refuses to start with,
 // naming the offending flag.
 func (c *NodeConfig) validate() error {
+	for _, src := range c.Graphs {
+		if err := checkGraphName(src.Name); err != nil {
+			return fmt.Errorf("-graph: %w", err)
+		}
+	}
 	follow := c.Leader != ""
 	switch {
 	case len(c.Graphs) == 0 && !follow && !(c.Mutable && c.WALRoot != ""):
@@ -272,7 +277,7 @@ func (n *Node) recoverAdopted() error {
 	}
 	for _, e := range ents {
 		name, ok := strings.CutSuffix(e.Name(), ".current")
-		if !ok || name == "" || name == "fence" { // fence.current is the fence manifest, not a graph
+		if !ok || name == "fence" || checkGraphName(name) != nil { // fence.current is the fence manifest, not a graph
 			continue
 		}
 		if _, ok := n.reg.Get(name); ok {

@@ -58,10 +58,11 @@ func startNode(t testing.TB, cfg NodeConfig) *Node {
 
 func TestNodeStartupValidation(t *testing.T) {
 	loaded := false
-	graphs := []GraphSource{{Name: "g", Load: func() (*graph.EntityGraph, error) {
+	load := func() (*graph.EntityGraph, error) {
 		loaded = true
 		return fig1.Graph(), nil
-	}}}
+	}
+	graphs := []GraphSource{{Name: "g", Load: load}}
 	dir := t.TempDir()
 	const leader = "http://127.0.0.1:1"
 	for _, tc := range []struct {
@@ -77,6 +78,10 @@ func TestNodeStartupValidation(t *testing.T) {
 		{"follower with graphs", NodeConfig{Graphs: graphs, FollowerOptions: FollowerOptions{Leader: leader}}, "-follow", nil},
 		{"mutable follower", NodeConfig{Mutable: true, FollowerOptions: FollowerOptions{Leader: leader}}, "-mutable", nil},
 		{"durable follower without WAL", NodeConfig{FollowerOptions: FollowerOptions{Leader: leader, CheckpointDir: dir}, CheckpointInterval: time.Second}, "-wal-dir", nil},
+		// A graph's WAL is <wal-dir>/<name>: these would be the WAL root's
+		// parent and the WAL root itself.
+		{"graph named ..", NodeConfig{Graphs: []GraphSource{{Name: "..", Load: load}}, Mutable: true, FollowerOptions: FollowerOptions{WALRoot: dir}}, "-graph", nil},
+		{"graph named .", NodeConfig{Graphs: []GraphSource{{Name: ".", Load: load}}, Mutable: true, FollowerOptions: FollowerOptions{WALRoot: dir}}, "-graph", nil},
 	} {
 		n, err := NewNode(tc.cfg)
 		if err == nil {

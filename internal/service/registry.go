@@ -17,15 +17,18 @@
 // rather than score.Compute. Search results are cached one level up, on
 // the Graph: one core.Maintained per (key measure, non-key measure) pair,
 // which a static graph builds once at epoch 0 and a mutable graph carries
-// forward across epochs. Its certificates let later requests for a
-// searched constraint skip the search, and it collapses concurrent
-// searches for one constraint into one (see view.search).
+// forward across epochs, however many it skips: each view's snapshot says
+// what moved since (dynamic.Snapshot.DirtySince). Its certificates let
+// later requests for a searched constraint skip the search, and it
+// collapses concurrent searches for one constraint into one (see
+// view.search).
 package service
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -80,8 +83,8 @@ func NewRegistry() *Registry {
 	return &Registry{graphs: make(map[string]*Graph)}
 }
 
-// Add registers an immutable graph under name. The name must be
-// non-empty, must not contain '/', and must not already be registered.
+// Add registers an immutable graph under name. The name must be one path
+// element (see checkGraphName) and must not already be registered.
 func (r *Registry) Add(name string, g *graph.EntityGraph) error {
 	if g == nil {
 		return fmt.Errorf("service: nil graph %q", name)
@@ -196,14 +199,20 @@ func (r *Registry) followers() []*Follower {
 	return append([]*Follower(nil), r.following...)
 }
 
-func (r *Registry) register(name string, gr *Graph) error {
-	if name == "" {
-		return fmt.Errorf("service: empty graph name")
+// checkGraphName rejects a name that is not one path element. A graph's
+// name is a segment of its routes and the directory of its WAL
+// (<wal-dir>/<name>), so "." or ".." would put that WAL at the WAL root
+// or its parent, and dropping the graph would delete either.
+func checkGraphName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
+		return fmt.Errorf("graph name %q is not one path element (non-empty, no '/', not . or ..)", name)
 	}
-	for _, c := range name {
-		if c == '/' {
-			return fmt.Errorf("service: graph name %q contains '/'", name)
-		}
+	return nil
+}
+
+func (r *Registry) register(name string, gr *Graph) error {
+	if err := checkGraphName(name); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -332,6 +341,7 @@ type view struct {
 	mutable bool
 	stats   graph.Stats
 	g       *graph.EntityGraph
+	snap    *dynamic.Snapshot // the live epoch's snapshot; nil on a static graph
 
 	// gr points back to the owning Graph, where the discovery state lives
 	// (a view is one epoch; the maintained Discoverers outlive it).
@@ -423,29 +433,11 @@ type Graph struct {
 	maintMu    sync.Mutex
 	maintained map[measureKey]*core.Maintained
 
-	// dirtyLog records, per published epoch, the dirty-type delta its
-	// snapshot carried, so a maintained Discoverer several epochs behind
-	// can catch up with the union of the intervening deltas. Bounded to
-	// the most recent maxDirtyLog epochs; a gap forces a cold rebuild.
-	dirtyMu  sync.Mutex
-	dirtyLog map[uint64]dirtyEntry
-
 	// anytimeRefined is the highest epoch for which a background anytime
 	// refinement (or a certified exact serve) has completed; nil until the
 	// graph sees its first anytime request. Surfaced in the stats doc.
 	anytimeRefined atomic.Pointer[uint64]
 }
-
-// dirtyEntry is one epoch's delta in the dirty log.
-type dirtyEntry struct {
-	dirty      []graph.TypeID
-	structural bool
-}
-
-// maxDirtyLog bounds the dirty log: a maintained Discoverer more than
-// this many epochs stale rebuilds cold, which under sustained writes
-// never happens (it refreshes on every discovery request).
-const maxDirtyLog = 64
 
 // Name returns the registered name.
 func (gr *Graph) Name() string { return gr.name }
@@ -510,16 +502,14 @@ func (gr *Graph) view() *view { return gr.cur.Load() }
 
 // publish installs a new epoch view for snap unless a newer epoch is
 // already current (concurrent writers publish out of lock order), and
-// returns the view now current. The snapshot's dirty-type delta is
-// recorded (before the swap, so a request resolving the new view always
-// finds its epoch's entry) for incremental discovery catch-up.
+// returns the view now current.
 func (gr *Graph) publish(snap *dynamic.Snapshot) *view {
-	gr.recordDelta(snap)
 	nv := &view{
 		epoch:   snap.Epoch,
 		mutable: true,
 		stats:   snap.Stats,
 		g:       snap.Frozen,
+		snap:    snap,
 		gr:      gr,
 		par:     gr.reg.Parallelism,
 		scores:  snap.Scores,
@@ -534,54 +524,6 @@ func (gr *Graph) publish(snap *dynamic.Snapshot) *view {
 			return nv
 		}
 	}
-}
-
-// recordDelta files snap's dirty delta in the dirty log and trims
-// entries that have fallen out of the window.
-func (gr *Graph) recordDelta(snap *dynamic.Snapshot) {
-	gr.dirtyMu.Lock()
-	defer gr.dirtyMu.Unlock()
-	if gr.dirtyLog == nil {
-		gr.dirtyLog = make(map[uint64]dirtyEntry)
-	}
-	gr.dirtyLog[snap.Epoch] = dirtyEntry{dirty: snap.Dirty, structural: snap.Structural}
-	for e := range gr.dirtyLog {
-		if e+maxDirtyLog < snap.Epoch {
-			delete(gr.dirtyLog, e)
-		}
-	}
-}
-
-// deltaSince computes the union of dirty types over epochs (from, to],
-// from the dirty log. haveBase reports whether the caller has any state
-// at all (an uninitialized Maintained rebuilds cold regardless). The
-// returned structural flag is true when the union cannot be trusted —
-// an epoch's entry is missing (log trimmed, or the epoch predates this
-// process) or any intervening publication was itself structural (new
-// schema elements, recovery, resync re-bootstrap) — and the caller must
-// rebuild cold.
-func (gr *Graph) deltaSince(from uint64, haveBase bool, to uint64) ([]graph.TypeID, bool) {
-	if !haveBase {
-		return nil, true
-	}
-	gr.dirtyMu.Lock()
-	defer gr.dirtyMu.Unlock()
-	seen := make(map[graph.TypeID]struct{})
-	for e := from + 1; e <= to; e++ {
-		ent, ok := gr.dirtyLog[e]
-		if !ok || ent.structural {
-			return nil, true
-		}
-		for _, t := range ent.dirty {
-			seen[t] = struct{}{}
-		}
-	}
-	dirty := make([]graph.TypeID, 0, len(seen))
-	for t := range seen {
-		dirty = append(dirty, t)
-	}
-	sort.Slice(dirty, func(a, b int) bool { return dirty[a] < dirty[b] })
-	return dirty, false
 }
 
 // maintainedFor returns the graph's maintained discovery state for a
@@ -610,7 +552,13 @@ func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeas
 	case ok && epoch > v.epoch:
 		return nil
 	}
-	dirty, structural := gr.deltaSince(epoch, ok, v.epoch)
+	// Only a live view can find the state behind it (a static graph's is
+	// built once, at epoch 0), and its snapshot says what moved since.
+	var dirty []graph.TypeID
+	structural := !ok
+	if ok {
+		dirty, structural = v.snap.DirtySince(epoch)
+	}
 	// A concurrent refresh to a newer epoch wins benignly: Refresh
 	// ignores stale epochs, and DiscoverAt then reports ErrStaleEpoch.
 	m.Refresh(v.Scores(), v.epoch, dirty, structural)

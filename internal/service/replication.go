@@ -236,10 +236,11 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 // handleAdopt serves POST /v1/replication/{graph}/adopt: begin tailing
 // a graph this node does not yet hold from another shard's leader (the
 // first phase of migrating it here). The body names the source:
-// {"source": "http://old-leader:8080"}. Fence-gated; 409 when the graph
-// is already registered here (adopting over live state would be a
-// divergence bomb, and a retry of an in-flight adoption should land on
-// the status route, not start over).
+// {"source": "http://old-leader:8080"}. A name that is not one path
+// element answers 400 before the fence check, so it changes nothing.
+// Fence-gated; 409 when the graph is already registered here (adopting
+// over live state would be a divergence bomb, and a retry of an
+// in-flight adoption should land on the status route, not start over).
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string) {
 	if s.node == nil {
 		wire.WriteError(w, http.StatusNotFound,
@@ -249,6 +250,10 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request, name string
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
 		wire.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		return
+	}
+	if err := checkGraphName(name); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !s.adminFenceOK(w, r) {

@@ -665,11 +665,17 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		{"adopt without source", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: `"source"`}},
 		{"adopt empty source", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: `"source"`}},
 		{"adopt malformed body", fleetTS, "POST", "/v1/replication/newcomer/adopt", want{status: 400, errHas: "unexpected EOF"}},
+		// A graph's WAL is <wal-dir>/<name>, so a name that is not one path
+		// element is refused before anything is adopted, source or not.
+		{"adopt dot-dot", fleetTS, "POST", "/v1/replication/../adopt", want{status: 400, errHas: `".."`}},
+		{"adopt dot", fleetTS, "POST", "/v1/replication/./adopt", want{status: 400, errHas: `"."`}},
 	}...)
 	// Every request sends "{}" unless its case names another body here.
 	bodies := map[string]string{
 		"adopt empty source":   `{"source":""}`,
 		"adopt malformed body": `{"source":`,
+		"adopt dot-dot":        `{"source":"` + leader.ts.URL + `"}`,
+		"adopt dot":            `{"source":"` + leader.ts.URL + `"}`,
 	}
 	for _, tc := range cases {
 		body, ok := bodies[tc.name]
@@ -706,6 +712,46 @@ func TestReplicationRouteDiscipline(t *testing.T) {
 		if tc.want.leader {
 			if got := resp.Header.Get(wire.LeaderHeader); got != leader.ts.URL {
 				t.Errorf("%s: %s = %q, want %q", tc.name, wire.LeaderHeader, got, leader.ts.URL)
+			}
+		}
+	}
+}
+
+// TestReplicationAdoptCannotEscapeWALRoot: a graph's WAL is
+// <wal-dir>/<name>, so a graph named ".." or "." would log into the WAL
+// root's parent or the WAL root itself, and dropping it would delete
+// that directory. A migration node asked to adopt such a name from a
+// source that serves it (any client's own server can: here one fronting
+// a real leader) refuses with 400, so the drop that follows finds no
+// graph, and the files beside the WAL root and in it survive.
+func TestReplicationAdoptCannotEscapeWALRoot(t *testing.T) {
+	root := t.TempDir()
+	leader := startDurable(t, "", filepath.Join(root, "leader-wal"))
+	dirs := nodeStorage(filepath.Join(root, "node"))
+	node := startNode(t, NodeConfig{Graphs: []GraphSource{fig1Source("held")}, Mutable: true, FollowerOptions: dirs})
+	ts := httptest.NewServer(node.Server())
+	t.Cleanup(ts.Close)
+	beside := filepath.Join(root, "node", "beside")
+	if err := os.WriteFile(beside, []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"..", "."} {
+		name := name // the source's handler outlives the iteration
+		// The source serves the leader's fig1 under the hostile name.
+		source := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.URL.Path = strings.Replace(r.URL.Path, "/v1/replication/"+name+"/", "/v1/replication/fig1/", 1)
+			leader.srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(source.Close)
+		if status, body := do(t, http.MethodPost, ts.URL+"/v1/replication/"+name+"/adopt", `{"source":"`+source.URL+`"}`); status != http.StatusBadRequest {
+			t.Errorf("adopt %q: status %d body %s, want 400", name, status, body)
+		}
+		if status, body := do(t, http.MethodDelete, ts.URL+"/v1/graphs/"+name, ""); status != http.StatusNotFound {
+			t.Errorf("drop %q: status %d body %s, want 404", name, status, body)
+		}
+		for _, p := range []string{beside, filepath.Join(dirs.WALRoot, "held")} {
+			if _, err := os.Stat(p); err != nil {
+				t.Fatalf("after adopting and dropping %q: %v", name, err)
 			}
 		}
 	}

@@ -425,6 +425,11 @@ func TestRegistryAdd(t *testing.T) {
 	if err := reg.Add("a/b", fig1.Graph()); err == nil {
 		t.Error("Add with '/' in name succeeded")
 	}
+	for _, name := range []string{".", ".."} {
+		if err := reg.Add(name, fig1.Graph()); err == nil {
+			t.Errorf("Add named %q succeeded", name)
+		}
+	}
 	if err := reg.Add("nil", nil); err == nil {
 		t.Error("nil-graph Add succeeded")
 	}
