@@ -21,6 +21,7 @@ import (
 
 	previewtables "github.com/uta-db/previewtables"
 	"github.com/uta-db/previewtables/internal/freebase"
+	"github.com/uta-db/previewtables/internal/score"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	n := flag.Int("n", 9, "maximum total non-key attributes")
 	mode := flag.String("mode", "concise", "preview space: concise, tight or diverse")
 	d := flag.Int("d", 2, "distance bound for tight/diverse previews")
-	keyMeasure := flag.String("key", "coverage", "key attribute measure: coverage or walk")
+	keyMeasure := flag.String("key", "coverage", "key attribute measure: coverage or walk (also random-walk)")
 	nonKeyMeasure := flag.String("nonkey", "coverage", "non-key attribute measure: coverage or entropy")
 	tuples := flag.Int("tuples", 4, "sample tuples per table (0 = schema only)")
 	markdown := flag.Bool("markdown", false, "render Markdown instead of text")
@@ -42,20 +43,21 @@ func main() {
 	suggest := flag.Bool("suggest", false, "print suggested (k, n) and distance bounds and exit")
 	flag.Parse()
 
+	km, err := score.ParseKeyMeasure(*keyMeasure)
+	if err != nil {
+		fatal(fmt.Errorf("-key: %w", err))
+	}
+	nm, err := score.ParseNonKeyMeasure(*nonKeyMeasure)
+	if err != nil {
+		fatal(fmt.Errorf("-nonkey: %w", err))
+	}
+
 	g, err := loadGraph(*triplesPath, *ntriplesPath, *snapshotPath, *domain, *scale)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "loaded entity graph: %s\n", g.Stats())
 
-	km := previewtables.KeyCoverage
-	if *keyMeasure == "walk" {
-		km = previewtables.KeyRandomWalk
-	}
-	nm := previewtables.NonKeyCoverage
-	if *nonKeyMeasure == "entropy" {
-		nm = previewtables.NonKeyEntropy
-	}
 	disc := previewtables.NewDiscoverer(g, km, nm)
 
 	if *suggest {

@@ -24,7 +24,8 @@ package core
 // depth first, instead of level by level, and never holds a level in
 // memory. Blocks of the last level are scored straight from the bits, with
 // Theorem 3's greedy run once per prefix and each last table merged
-// against its picks (picks.complete).
+// against its picks (picks.complete), unless a one-add bound puts the
+// subset strictly below the runner-up (prefixSearch.score).
 
 import (
 	"math/bits"
@@ -183,13 +184,32 @@ func (s *prefixSearch) extend(depth int, block []uint64) {
 }
 
 // score offers every k-subset that completes the prefix keys[:k-1] with a
-// type of block.
+// type of block, except those bounded strictly below the runner-up.
+//
+// Every product S(τ)·Sτ(γ) is non-negative, so each table row and the
+// prefix's pick sums are non-decreasing, and complete's score, a pick sum
+// plus a table entry inside those ranges, is at most bound: the prefix with
+// all its picks plus t's table at the most candidates the budget lets it
+// take. No bound is below best.second before the worker's second offer
+// (it is 0, then -Inf), and from then on best.second only rises, so a
+// subset whose bound is strictly below it scores strictly below the final
+// runner-up, and can be neither the winner nor the runner-up whatever the
+// tie-break; with <= a worker that met a tied winner first would skip a
+// lexicographically smaller tie. A skipped subset still counts as scored,
+// so SearchStats do not move.
 func (s *prefixSearch) score(block []uint64) {
 	last := s.c.K - 1
 	s.picks.reset(s.d, s.keys[:last], s.c.N-s.c.K)
+	top := s.picks.sum[len(s.picks.sum)-1]
 	for i, w := range block {
 		for ; w != 0; w &= w - 1 {
 			t := s.types[i*64+bits.TrailingZeros64(w)]
+			table := s.d.table[t]
+			bound := top + table[min(1+s.picks.extra, len(table)-1)]
+			if bound < s.best.second {
+				s.best.scored++
+				continue
+			}
 			score, _, _ := s.picks.complete(s.d, t)
 			s.keys[last] = t
 			s.best.offer(s.keys, score)

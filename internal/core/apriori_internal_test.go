@@ -12,6 +12,8 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/uta-db/previewtables/internal/dynamic"
+	"github.com/uta-db/previewtables/internal/fig1"
 	"github.com/uta-db/previewtables/internal/freebase"
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/score"
@@ -307,4 +309,119 @@ func FuzzAprioriMatchesBruteForce(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAprioriBoundKeepsTies: prefixSearch.score skips a subset only when
+// its bound is strictly below the runner-up. On a schema where every
+// score is 0 (schema-only coverage), every subset ties, and a bound of 0
+// against a runner-up of 0 must not skip: one prefixSearch driven over its
+// tasks in reverse first-type order meets the largest subsets first, so a
+// <= test would skip the lexicographically smallest winner. The search
+// also matches enumeration at every worker count, stats included. The
+// bound's soundness rests on every table row being non-decreasing, which
+// is checked here on every measure pair of fig1, the default-scale film
+// graph, and a live film snapshot whose entropy package dynamic maintains
+// (and clamps at 0) instead of computing it; the search also matches
+// enumeration on the live scores.
+func TestAprioriBoundKeepsTies(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	var rels []graph.RelType
+	for i := range names {
+		rels = append(rels, graph.RelType{Name: "r", From: graph.TypeID(i), To: graph.TypeID((i + 1) % len(names)), EdgeCount: 1 + i})
+	}
+	s, err := graph.NewSchema(names, rels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(score.ComputeSchemaOnly(s, score.DefaultWalkOptions()), Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	for _, c := range []Constraint{
+		{K: 2, N: 4, Mode: Diverse, D: 0},
+		{K: 3, N: 5, Mode: Diverse, D: 0},
+		{K: 3, N: 9, Mode: Tight, D: 3},
+		{K: 4, N: 6, Mode: Diverse, D: 1},
+		{K: 2, N: 3, Mode: Tight, D: 1},
+		{K: 3, N: 6, Mode: Diverse, D: 2},
+	} {
+		types, err := d.searchTypes(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := (len(types) + 63) / 64
+		rows := make([]uint64, len(types)*words)
+		for a := range types {
+			for b := a + 1; b < len(types); b++ {
+				if d.distOK(c, types[a], types[b]) {
+					rows[a*words+b/64] |= 1 << (b % 64)
+				}
+			}
+		}
+		search := &prefixSearch{d: d, c: c, types: types, rows: rows, words: words, budget: newBudgetCounter(0),
+			keys: make([]graph.TypeID, c.K), blocks: make([]uint64, c.K*words)}
+		for a := len(types) - 1; a >= 0; a-- {
+			search.first(a)
+		}
+		// Every subset ties, so brute force's winner is the
+		// lexicographically smallest feasible one.
+		want, err := d.BruteForce(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := feasibleCounts(d, c)
+		if !reflect.DeepEqual(search.best.keys, want.Keys()) || search.best.score != 0 || search.best.second != 0 || search.best.scored != counts[c.K] {
+			t.Fatalf("%+v in reverse task order: winner %v score %v runner-up %v scored %d, want winner %v score 0 runner-up 0 scored %d",
+				c, search.best.keys, search.best.score, search.best.second, search.best.scored, want.Keys(), counts[c.K])
+		}
+		checkAprioriMatchesEnumeration(t, d, c, counts)
+	}
+
+	film, err := freebase.Generate("film", freebase.DefaultGenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := dynamic.FromEntityGraph(film)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := dynamic.NewLive(dg, score.DefaultWalkOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for batch := 0; batch < 8; batch++ {
+		if _, err := live.Apply(func(g *dynamic.Graph) error {
+			for i := 0; i < 50; i++ {
+				r := graph.RelTypeID(rng.Intn(film.NumRelTypes()))
+				from, to := film.EntitiesOfType(film.RelType(r).From), film.EntitiesOfType(film.RelType(r).To)
+				if err := g.AddEdge(from[rng.Intn(len(from))], to[rng.Intn(len(to))], r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveSet := live.Snapshot().Scores
+	for _, set := range []*score.Set{score.Compute(fig1.Graph(), score.DefaultWalkOptions()), score.Compute(film, score.DefaultWalkOptions()), liveSet} {
+		for _, km := range []score.KeyMeasure{score.KeyCoverage, score.KeyRandomWalk} {
+			for _, nm := range []score.NonKeyMeasure{score.NonKeyCoverage, score.NonKeyEntropy} {
+				d := New(set, Options{Key: km, NonKey: nm})
+				for ti, row := range d.table {
+					for m := 1; m < len(row); m++ {
+						if !(row[m] >= row[m-1]) {
+							t.Fatalf("%v/%v: type %d table[%d] = %v below table[%d] = %v", km, nm, ti, m, row[m], m-1, row[m-1])
+						}
+					}
+				}
+				if set != liveSet {
+					continue
+				}
+				for _, c := range []Constraint{{K: 3, N: 6, Mode: Tight, D: 2}, {K: 2, N: 4, Mode: Diverse, D: 2}} {
+					if err := checkAprioriMatchesEnumeration(t, d, c, feasibleCounts(d, c)); err != nil {
+						t.Fatalf("live %v/%v %+v: %v", km, nm, c, err)
+					}
+				}
+			}
+		}
+	}
 }

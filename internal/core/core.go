@@ -128,7 +128,8 @@ type Preview struct {
 // efficiency experiments.
 type SearchStats struct {
 	// SubsetsScored is the number of complete k-subsets of key attributes
-	// whose preview was assembled and scored.
+	// whose preview was assembled and scored, counting those Apriori
+	// bounded strictly below the runner-up instead of scoring them.
 	SubsetsScored int
 	// CandidatesGenerated is the number of partial subsets generated: for
 	// Apriori, Alg. 3's candidates, the feasible i-subsets of levels 2..k;

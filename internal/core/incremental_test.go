@@ -24,10 +24,16 @@ import (
 
 // incrementalConstraints sweeps all three modes, including a tiny-budget
 // constraint (error certificates must carry across epochs) and an
-// infeasible diverse distance (ErrNoPreview certificates likewise).
+// infeasible diverse distance (ErrNoPreview certificates likewise). The
+// concise rows share one (k, n), and so one memoized answer per epoch,
+// under different D and budgets; the last has k above the type count, so
+// its memoized answer is ErrNoPreview.
 func incrementalConstraints() []core.Constraint {
 	return []core.Constraint{
 		{K: 2, N: 5, Mode: core.Concise},
+		{K: 2, N: 5, Mode: core.Concise, D: 3},
+		{K: 2, N: 5, Mode: core.Concise, D: 1, MaxCandidates: 1},
+		{K: 12, N: 12, Mode: core.Concise},
 		{K: 2, N: 4, Mode: core.Tight, D: 2},
 		{K: 3, N: 6, Mode: core.Tight, D: 3},
 		{K: 2, N: 4, Mode: core.Diverse, D: 2},

@@ -209,3 +209,86 @@ func TestMaintainedReSearchKeepsCertificates(t *testing.T) {
 		t.Fatalf("%d certificates, want %d", len(m.certs), maxCerts)
 	}
 }
+
+// TestMaintainedConciseMemo: a concise answer is solved once per (epoch,
+// k, n). A memo hit equals a fresh dynamic program, stats included;
+// requests that differ only in D or MaxCandidates share one answer; an
+// infeasible (k, n) memoizes its ErrNoPreview; a Refresh drops every
+// answer; and a full memo stores nothing more and leaves the certificates
+// alone.
+func TestMaintainedConciseMemo(t *testing.T) {
+	set := score.Compute(fig1.Graph(), score.DefaultWalkOptions())
+	m := NewMaintained(Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	m.Refresh(set, 0, nil, true)
+	c := Constraint{K: 2, N: 4, Mode: Concise}
+	want, err := New(set, m.opts).DynamicProgramming(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := m.DiscoverAt(0, c)
+	if err != nil || !reflect.DeepEqual(miss, want) {
+		t.Fatalf("miss got (%+v, %v), want %+v", miss, err, want)
+	}
+	hit, err := m.DiscoverAt(0, Constraint{K: 2, N: 4, Mode: Concise, D: 5, MaxCandidates: 1})
+	if err != nil || !reflect.DeepEqual(hit, want) {
+		t.Fatalf("hit got (%+v, %v), want %+v", hit, err, want)
+	}
+	if &hit.Tables[0] != &miss.Tables[0] {
+		t.Fatal("requests differing only in D and MaxCandidates got separate answers")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.DiscoverAt(0, Constraint{K: 7, N: 7, Mode: Concise}); !errors.Is(err, ErrNoPreview) {
+			t.Fatalf("k above the type count: got %v, want ErrNoPreview", err)
+		}
+	}
+	m.mu.Lock()
+	memo, ok := m.concise[[2]int{7, 7}]
+	m.mu.Unlock()
+	if !ok || !errors.Is(memo.err, ErrNoPreview) {
+		t.Fatalf("ErrNoPreview not memoized: %+v", memo)
+	}
+
+	m.Refresh(set, 1, nil, false)
+	m.mu.Lock()
+	left := len(m.concise)
+	m.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d concise answers survived a Refresh", left)
+	}
+	after, err := m.DiscoverAt(1, c)
+	if err != nil || !reflect.DeepEqual(after, want) {
+		t.Fatalf("after Refresh got (%+v, %v), want %+v", after, err, want)
+	}
+	if &after.Tables[0] == &miss.Tables[0] {
+		t.Fatal("the answer from before the Refresh was served again")
+	}
+
+	// The cap: a scan of 300 (k, n) pairs fills the memo, stores nothing
+	// past it, and costs a certificate nothing.
+	tight := Constraint{K: 3, N: 6, Mode: Tight, D: 2}
+	if _, err := m.DiscoverAt(1, tight); err != nil {
+		t.Fatal(err)
+	}
+	var scan []Constraint
+	for k := 1; k <= 3; k++ {
+		for n := k; n < k+100; n++ {
+			scan = append(scan, Constraint{K: k, N: n, Mode: Concise})
+		}
+	}
+	for _, c := range scan {
+		if _, err := m.DiscoverAt(1, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.mu.Lock()
+	_, stored := m.concise[[2]int{3, 102}]
+	size := len(m.concise)
+	m.mu.Unlock()
+	if stored || size != maxCerts {
+		t.Fatalf("after the scan: last pair stored %t, %d answers, want false and %d", stored, size, maxCerts)
+	}
+	searched := m.FullSearches()
+	if _, err := m.DiscoverAt(1, tight); err != nil || m.FullSearches() != searched {
+		t.Fatalf("re-asking %+v after the scan: err %v, %d more full searches", tight, err, m.FullSearches()-searched)
+	}
+}

@@ -120,7 +120,11 @@ func (r *Runner) measureBF(d *core.Discoverer, c core.Constraint) (ms float64, e
 // measureApriori times Apriori under c, extrapolating when the estimated
 // candidate volume exceeds the cap. The estimate uses the compatibility
 // density ρ of valid pairs: E|Li| ≈ C(K, i)·ρ^C(i,2) (the expected i-clique
-// count of a random graph with edge density ρ), summed over levels.
+// count of a random graph with edge density ρ), summed over levels. The
+// timings include the search's one-add bound, which skips assembling a
+// k-subset that cannot reach the runner-up; the counts the extrapolation
+// rates are taken over are unchanged by it, since a skipped subset still
+// counts as scored.
 func (r *Runner) measureApriori(d *core.Discoverer, c core.Constraint) (ms float64, extrapolated bool, err error) {
 	est, _ := r.estimateAprioriCandidates(d, c)
 	if est <= r.cfg.AprioriCandidateCap {

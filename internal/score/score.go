@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/par"
@@ -40,6 +41,20 @@ func (m KeyMeasure) String() string {
 	}
 }
 
+// ParseKeyMeasure maps a key measure's name onto the measure, ignoring
+// case: coverage, or walk (also random-walk and randomwalk). The server's
+// key= parameter and previewgen's -key flag both parse through it.
+func ParseKeyMeasure(name string) (KeyMeasure, error) {
+	switch v := strings.ToLower(name); v {
+	case "coverage":
+		return KeyCoverage, nil
+	case "walk", "random-walk", "randomwalk":
+		return KeyRandomWalk, nil
+	default:
+		return 0, fmt.Errorf("unknown key measure %q: want coverage or walk", v)
+	}
+}
+
 // NonKeyMeasure selects the scoring measure for non-key attributes
 // (relationship types).
 type NonKeyMeasure int
@@ -59,6 +74,19 @@ func (m NonKeyMeasure) String() string {
 		return "Entropy"
 	default:
 		return fmt.Sprintf("NonKeyMeasure(%d)", int(m))
+	}
+}
+
+// ParseNonKeyMeasure maps a non-key measure's name, coverage or entropy,
+// onto the measure, ignoring case.
+func ParseNonKeyMeasure(name string) (NonKeyMeasure, error) {
+	switch v := strings.ToLower(name); v {
+	case "coverage":
+		return NonKeyCoverage, nil
+	case "entropy":
+		return NonKeyEntropy, nil
+	default:
+		return 0, fmt.Errorf("unknown nonkey measure %q: want coverage or entropy", v)
 	}
 }
 
@@ -169,8 +197,11 @@ func ComputeSchemaOnly(s *graph.Schema, opts WalkOptions) *Set {
 // hook for incremental maintenance (package dynamic keeps coverage, edge
 // counts and entropies up to date under a stream of graph updates and
 // emits Sets without rescanning the entity graph). nonKeyCov and nonKeyEnt
-// must be index-aligned with s.Incident(t) for each type t. Dimensions are
-// validated; values are not copied.
+// must be index-aligned with s.Incident(t) for each type t. Every value
+// must be non-negative, as every measure computed here is: Alg. 3's search
+// (package core) skips subsets by a bound that is exact only then, which is
+// why package dynamic clamps its maintained entropy at 0. Dimensions are
+// validated, values are not, and they are not copied.
 func NewSet(s *graph.Schema, keyCov, keyWalk []float64, nonKeyCov, nonKeyEnt [][]float64) (*Set, error) {
 	n := s.NumTypes()
 	if len(keyCov) != n || len(keyWalk) != n || len(nonKeyCov) != n || len(nonKeyEnt) != n {

@@ -459,3 +459,59 @@ func TestComputeSchemaOnly(t *testing.T) {
 		t.Errorf("schema-only entropy = %v, want 0", got)
 	}
 }
+
+// TestParseMeasures: the measure names the server's key= and nonkey=
+// parameters and previewgen's -key and -nonkey flags accept, in any case,
+// and the error text for every other name.
+func TestParseMeasures(t *testing.T) {
+	keys := []struct {
+		name string
+		want score.KeyMeasure
+		err  string
+	}{
+		{name: "coverage", want: score.KeyCoverage},
+		{name: "Coverage", want: score.KeyCoverage},
+		{name: "walk", want: score.KeyRandomWalk},
+		{name: "Walk", want: score.KeyRandomWalk},
+		{name: "random-walk", want: score.KeyRandomWalk},
+		{name: "RandomWalk", want: score.KeyRandomWalk},
+		{name: "", err: `unknown key measure "": want coverage or walk`},
+		{name: "entropy", err: `unknown key measure "entropy": want coverage or walk`},
+		{name: "random walk", err: `unknown key measure "random walk": want coverage or walk`},
+		{name: "BOGUS", err: `unknown key measure "bogus": want coverage or walk`},
+	}
+	for _, tc := range keys {
+		got, err := score.ParseKeyMeasure(tc.name)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseKeyMeasure(%q) = (%v, %v), want error %q", tc.name, got, err, tc.err)
+			}
+		} else if err != nil || got != tc.want {
+			t.Errorf("ParseKeyMeasure(%q) = (%v, %v), want %v", tc.name, got, err, tc.want)
+		}
+	}
+
+	nonKeys := []struct {
+		name string
+		want score.NonKeyMeasure
+		err  string
+	}{
+		{name: "coverage", want: score.NonKeyCoverage},
+		{name: "COVERAGE", want: score.NonKeyCoverage},
+		{name: "entropy", want: score.NonKeyEntropy},
+		{name: "Entropy", want: score.NonKeyEntropy},
+		{name: "", err: `unknown nonkey measure "": want coverage or entropy`},
+		{name: "entopy", err: `unknown nonkey measure "entopy": want coverage or entropy`},
+		{name: "walk", err: `unknown nonkey measure "walk": want coverage or entropy`},
+	}
+	for _, tc := range nonKeys {
+		got, err := score.ParseNonKeyMeasure(tc.name)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseNonKeyMeasure(%q) = (%v, %v), want error %q", tc.name, got, err, tc.err)
+			}
+		} else if err != nil || got != tc.want {
+			t.Errorf("ParseNonKeyMeasure(%q) = (%v, %v), want %v", tc.name, got, err, tc.want)
+		}
+	}
+}

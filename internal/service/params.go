@@ -80,21 +80,15 @@ func parsePreviewParams(q url.Values) (previewParams, error) {
 	default:
 		return p, fmt.Errorf("unknown mode %q: want concise, tight or diverse", v)
 	}
-	switch v := strings.ToLower(q.Get("key")); v {
-	case "", "coverage":
-		p.Key = score.KeyCoverage
-	case "walk", "random-walk", "randomwalk":
-		p.Key = score.KeyRandomWalk
-	default:
-		return p, fmt.Errorf("unknown key measure %q: want coverage or walk", v)
+	if v := q.Get("key"); v != "" {
+		if p.Key, err = score.ParseKeyMeasure(v); err != nil {
+			return p, err
+		}
 	}
-	switch v := strings.ToLower(q.Get("nonkey")); v {
-	case "", "coverage":
-		p.NonKey = score.NonKeyCoverage
-	case "entropy":
-		p.NonKey = score.NonKeyEntropy
-	default:
-		return p, fmt.Errorf("unknown nonkey measure %q: want coverage or entropy", v)
+	if v := q.Get("nonkey"); v != "" {
+		if p.NonKey, err = score.ParseNonKeyMeasure(v); err != nil {
+			return p, err
+		}
 	}
 	if p.Tuples, err = intParam(q, "tuples", 0); err != nil {
 		return p, err
@@ -154,7 +148,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 }
 
 // keyMeasureName returns the lowercase wire name of a key measure, the
-// inverse of parsePreviewParams's mapping.
+// inverse of score.ParseKeyMeasure.
 func keyMeasureName(m score.KeyMeasure) string {
 	if m == score.KeyRandomWalk {
 		return "walk"
