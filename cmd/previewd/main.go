@@ -24,16 +24,17 @@
 //	curl -XPOST localhost:8080/v1/graphs/film/edges -d '{"edges":[...]}'
 //	curl -XPOST localhost:8080/v1/graphs/film/triples --data-binary @batch.eg
 //
-// and -checkpoint-dir persists each mutated graph back to a snapshot file
-// every -checkpoint-interval (skipping epochs already on disk).
+// and -checkpoint-dir persists each mutated graph every
+// -checkpoint-interval (skipping epochs already on disk) as an
+// epoch-named snapshot committed through a current-manifest; a restart
+// resumes each graph from its newest checkpoint, at its epoch.
 //
 // Add -wal-dir and writes become durable: every batch is appended to a
 // per-graph write-ahead log (and fsynced) before its epoch is
 // acknowledged, and startup recovers each graph exactly — newest valid
 // checkpoint, then the WAL tail, resuming at the recovered epoch. With
-// both flags set, checkpoints are epoch-named snapshots committed
-// through a current-manifest, and each checkpoint truncates the WAL
-// segments it makes redundant, so the log stays bounded.
+// both flags set, each checkpoint truncates the WAL segments it makes
+// redundant, so the log stays bounded.
 //
 // A durable previewd is also a replication leader: its WAL doubles as
 // the replication log. Start a read replica with
@@ -76,7 +77,7 @@ func main() {
 	entities := flag.Int("entities", 0, "with -domain: target entity count for synthetic generation, overriding -scale (0 = use -scale)")
 	warm := flag.Bool("warm", true, "precompute scores for every graph before serving (first requests would otherwise pay it, possibly past the write timeout)")
 	mutable := flag.Bool("mutable", false, "serve every graph as mutable: POST /v1/graphs/{name}/edges and .../triples apply live updates with epoch-versioned snapshots")
-	ckptDir := flag.String("checkpoint-dir", "", "with -mutable: directory for periodic snapshot persistence of mutated graphs (one <name>.egpt per graph; epoch-named snapshots plus a <name>.current manifest when -wal-dir is also set)")
+	ckptDir := flag.String("checkpoint-dir", "", "with -mutable: directory for periodic snapshot persistence of mutated graphs (epoch-named snapshots plus a <name>.current manifest per graph; a restart resumes each graph from its newest checkpoint)")
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to checkpoint mutated graphs to -checkpoint-dir")
 	walDir := flag.String("wal-dir", "", "with -mutable: directory for per-graph write-ahead logs; every batch is logged and fsynced before its epoch is acknowledged, and startup replays checkpoint + WAL tail to resume at the exact pre-crash epoch")
 	follow := flag.String("follow", "", "run as a read replica of the leader previewd at this base URL: its replicated graphs are bootstrapped and tail-followed over WAL shipping, writes here answer 503 naming the leader; add -wal-dir and -checkpoint-dir to make the replica durable (restart resumes from local state)")

@@ -20,12 +20,14 @@ package core
 //     type's gain could carry another subset across the top-k boundary.
 //     Each full search records a certificate: the winning key subset plus
 //     a "rival" bound — an upper bound on the preview score of every
-//     OTHER feasible subset. Refresh inflates the rival by the largest
-//     possible total uplift a subset could collect from moved types; a
-//     later Discover re-scores just the certified winner (O(k·n)) and
-//     serves it when it still strictly beats the rival. Only when the
-//     boundary is crossed does a full (parallel) re-search run, which
-//     also re-seeds the rival from the true runner-up score.
+//     OTHER feasible subset. At the epoch its search ran, the certificate
+//     serves whatever the ties: the search's winner is the exact answer
+//     there. Refresh inflates the rival by the largest possible total
+//     uplift a subset could collect from moved types; a later Discover
+//     re-scores just the certified winner (O(k·n)) and serves it when it
+//     still strictly beats the rival. Only when the boundary is crossed
+//     does a full (parallel) re-search run, which also re-seeds the
+//     rival from the true runner-up score.
 //
 // Soundness of the uplift bound: allocate() is exact (greedy on
 // non-increasing, non-negative marginals), so a subset A's score is
@@ -42,7 +44,9 @@ package core
 //
 // The strict inequality S'(winner) > rival matters for byte-identity:
 // it implies the winner strictly beats every other subset, so a cold
-// search's lexicographic tie-break must also select it.
+// search's lexicographic tie-break must also select it. A winner that
+// ties its runner-up therefore serves from its certificate only at its
+// own epoch, and is searched again after the next Refresh.
 //
 // Concise constraints take no certificate. Alg. 2 reads only k and n, so
 // its answer is a function of (epoch, k, n): DiscoverAt solves each pair
@@ -75,8 +79,10 @@ var ErrStaleEpoch = errors.New("core: maintained discoverer not at requested epo
 // 100k-entity graph).
 const maxCerts = 256
 
-// topCert certifies one constraint's search outcome at the current epoch.
+// topCert certifies one constraint's search outcome.
 type topCert struct {
+	// epoch is the epoch the search ran at.
+	epoch uint64
 	// keys is the winning key subset (table order). nil when err is set.
 	keys []graph.TypeID
 	// rival upper-bounds the preview score of every feasible subset other
@@ -260,14 +266,14 @@ func upliftOf(old, nd *Discoverer, t graph.TypeID) float64 {
 
 // DiscoverAt solves the discovery problem exactly at the given epoch,
 // returning precisely what a cold Discoverer built from that epoch's
-// score set would return from Discover. It serves from a certificate when
-// the certified winner still strictly beats the rival bound, and
-// otherwise runs a full (parallel) search — outside the state lock, with
-// concurrent searches for the same constraint collapsed to one — and
-// installs a fresh certificate. A concise constraint is answered once per
-// (epoch, k, n), whatever its D and MaxCandidates, which Alg. 2 ignores:
-// every caller gets the same memoized Preview, so callers must not modify
-// it. Returns ErrStaleEpoch when the state is not at epoch.
+// score set would return from Discover. It serves from a certificate that
+// holds (see topCert.holds), and otherwise runs a full (parallel) search
+// — outside the state lock, with concurrent searches for the same
+// constraint collapsed to one — and installs a fresh certificate. A
+// concise constraint is answered once per (epoch, k, n), whatever its D
+// and MaxCandidates, which Alg. 2 ignores: every caller gets the same
+// memoized Preview, so callers must not modify it. Returns ErrStaleEpoch
+// when the state is not at epoch.
 func (m *Maintained) DiscoverAt(epoch uint64, c Constraint) (Preview, error) {
 	if err := c.Validate(); err != nil {
 		return Preview{}, err
@@ -293,13 +299,14 @@ func (m *Maintained) DiscoverAt(epoch uint64, c Constraint) (Preview, error) {
 		m.mu.Unlock()
 		return p, err
 	}
-	if cert, ok := m.certs[c]; ok {
+	if cert, ok := m.certs[c]; ok && cert.holds(d, epoch, c) {
 		if cert.err != nil {
 			m.certServes.Add(1)
 			m.mu.Unlock()
 			return Preview{}, cert.err
 		}
-		if p, ok := certPreview(d, cert, c); ok {
+		if p, err := d.ComputePreview(cert.keys, c.N); err == nil {
+			p.Stats = SearchStats{SubsetsScored: 1}
 			m.certServes.Add(1)
 			m.mu.Unlock()
 			return p, nil
@@ -340,7 +347,7 @@ func (m *Maintained) fly(d *Discoverer, c Constraint, f *searchFlight) (p Previe
 			var cert *topCert
 			switch {
 			case err == nil:
-				cert = &topCert{keys: p.Keys(), rival: runnerUp}
+				cert = &topCert{epoch: f.epoch, keys: p.Keys(), rival: runnerUp}
 			case errors.Is(err, ErrNoPreview) || errors.Is(err, ErrSearchBudget):
 				cert = &topCert{err: err}
 			}
@@ -366,32 +373,29 @@ func (m *Maintained) fly(d *Discoverer, c Constraint, f *searchFlight) (p Previe
 	return p, err
 }
 
-// certPreview re-scores a certified winner against its rival bound and,
-// when it still strictly wins, assembles its preview. The strict
-// inequality guarantees a cold search would select the same subset even
-// through its lexicographic tie-break. Called with m.mu held.
-func certPreview(d *Discoverer, cert *topCert, c Constraint) (Preview, bool) {
+// holds reports whether cert still answers c over d, the Discoverer of
+// epoch. An error certificate always does. A winner does at the epoch
+// its search ran, whatever the ties; after a Refresh, only while its
+// re-scored preview strictly beats the rival bound, which guarantees a
+// cold search would select the same subset even through its
+// lexicographic tie-break. Called with m.mu held.
+func (cert *topCert) holds(d *Discoverer, epoch uint64, c Constraint) bool {
+	if cert.err != nil || cert.epoch == epoch {
+		return true
+	}
 	for _, t := range cert.keys {
 		if !d.usable(t) {
-			return Preview{}, false
+			return false
 		}
 	}
 	var scratch picks
-	s := d.previewScore(cert.keys, c.N, &scratch)
-	if !(s > cert.rival) {
-		return Preview{}, false
-	}
-	p, err := d.ComputePreview(cert.keys, c.N)
-	if err != nil {
-		return Preview{}, false
-	}
-	p.Stats = SearchStats{SubsetsScored: 1}
-	return p, true
+	return d.previewScore(cert.keys, c.N, &scratch) > cert.rival
 }
 
 // CertifiedAt reports whether DiscoverAt at this epoch would answer
 // without a full search: the state is at epoch and the constraint has a
-// currently-valid certificate. Concise needs none: DiscoverAt answers it
+// certificate that holds, which it checks without building the preview.
+// Concise needs none: DiscoverAt answers it
 // from the epoch's memo or with one dynamic program, which is cheap and
 // exact. Within one epoch the answer can only go from false to true
 // (scores are frozen; only a completed search adds a certificate), which
@@ -409,14 +413,7 @@ func (m *Maintained) CertifiedAt(epoch uint64, c Constraint) bool {
 		return false
 	}
 	cert, ok := m.certs[c]
-	if !ok {
-		return false
-	}
-	if cert.err != nil {
-		return true
-	}
-	_, ok = certPreview(m.disc, cert, c)
-	return ok
+	return ok && cert.holds(m.disc, epoch, c)
 }
 
 // AnytimeAt answers with the budget-bounded anytime search over the

@@ -171,9 +171,11 @@ func TestMaintainedRefreshPanicRebuilds(t *testing.T) {
 
 // TestMaintainedReSearchKeepsCertificates: a full search that replaces a
 // certificate which failed its re-check does not grow the map, so it must
-// not evict another constraint's certificate. 256 film constraints,
+// not evict another constraint's certificate. 256 fig1 constraints,
 // differing only in MaxCandidates, fill the map; then 8 of them are forced
-// to re-search, and every one of the 256 keeps its certificate.
+// to re-search, and every one of the 256 keeps its certificate. The
+// winner ties its runner-up (both 72), so after a Refresh to epoch 1 with
+// nothing dirty every certificate fails its strict re-check.
 func TestMaintainedReSearchKeepsCertificates(t *testing.T) {
 	set := score.Compute(fig1.Graph(), score.DefaultWalkOptions())
 	m := NewMaintained(Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
@@ -185,13 +187,9 @@ func TestMaintainedReSearchKeepsCertificates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m.Refresh(set, 1, nil, false)
 	for i := 0; i < 8; i++ {
-		c := cs[i*len(cs)/8]
-		// An infinite rival fails the certificate's re-check.
-		m.mu.Lock()
-		m.certs[c].rival = math.Inf(1)
-		m.mu.Unlock()
-		if _, err := m.DiscoverAt(0, c); err != nil {
+		if _, err := m.DiscoverAt(1, cs[i*len(cs)/8]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,6 +205,57 @@ func TestMaintainedReSearchKeepsCertificates(t *testing.T) {
 	}
 	if len(m.certs) != maxCerts {
 		t.Fatalf("%d certificates, want %d", len(m.certs), maxCerts)
+	}
+}
+
+// TestMaintainedTieServesAtItsEpoch: on fig1 under coverage/coverage,
+// {K: 2, N: 4, Tight, D: 2} has a winner that ties its runner-up (both
+// 72). At the epoch its search ran, the certificate serves the same
+// preview and CertifiedAt says so; after a Refresh to a new epoch the
+// strict re-check fails and the tie is searched again.
+func TestMaintainedTieServesAtItsEpoch(t *testing.T) {
+	set := score.Compute(fig1.Graph(), score.DefaultWalkOptions())
+	m := NewMaintained(Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	m.Refresh(set, 0, nil, true)
+	c := Constraint{K: 2, N: 4, Mode: Tight, D: 2}
+	want, err := New(set, m.opts).Discover(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CertifiedAt(0, c) {
+		t.Fatal("certified before any search")
+	}
+	first, err := m.DiscoverAt(0, c)
+	if err != nil || !samePreview(first, want) {
+		t.Fatalf("search got (%+v, %v), want %+v", first, err, want)
+	}
+	m.mu.Lock()
+	cert := m.certs[c]
+	m.mu.Unlock()
+	if cert == nil || cert.rival != first.Score {
+		t.Fatalf("winner scores %v, certificate %+v: the constraint no longer ties its runner-up", first.Score, cert)
+	}
+	if !m.CertifiedAt(0, c) {
+		t.Fatal("a tied winner is not certified at the epoch its search ran")
+	}
+	second, err := m.DiscoverAt(0, c)
+	if err != nil || !samePreview(second, want) {
+		t.Fatalf("certificate serve got (%+v, %v), want %+v", second, err, want)
+	}
+	if searched, served := m.FullSearches(), m.CertServes(); searched != 1 || served != 1 {
+		t.Fatalf("%d full searches and %d certificate serves at epoch 0, want 1 and 1", searched, served)
+	}
+
+	m.Refresh(set, 1, nil, false)
+	if m.CertifiedAt(1, c) {
+		t.Fatal("a tied winner is still certified after a Refresh")
+	}
+	third, err := m.DiscoverAt(1, c)
+	if err != nil || !samePreview(third, want) {
+		t.Fatalf("re-search got (%+v, %v), want %+v", third, err, want)
+	}
+	if searched, served := m.FullSearches(), m.CertServes(); searched != 2 || served != 1 {
+		t.Fatalf("%d full searches and %d certificate serves after the Refresh, want 2 and 1", searched, served)
 	}
 }
 

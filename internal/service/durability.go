@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 
 	"github.com/uta-db/previewtables/internal/dynamic"
 	"github.com/uta-db/previewtables/internal/graph"
@@ -52,9 +53,9 @@ func applyLogged(g *dynamic.Graph, kind byte, payload []byte) error {
 	}
 }
 
-// Recovery is the result of RecoverLive: the resumed facade, the opened
-// WAL ready for further appends, and the origin the replay started from.
-// Register the pieces together:
+// Recovery is an opened live graph: the resumed facade, its WAL ready
+// for further appends (nil when the graph is volatile), and the origin
+// the replay started from. Register the pieces together:
 //
 //	reg.AddLive(name, rec.Live, WithDurability(rec.WAL), WithOrigin(rec.Origin, rec.OriginEpoch))
 type Recovery struct {
@@ -69,31 +70,39 @@ type Recovery struct {
 	OriginEpoch uint64
 }
 
-// RecoverLive rebuilds one durable live graph from its persisted state
-// and returns the facade resumed at the exact recovered epoch, plus the
+// errNoState is openLive's answer when there is nothing to open: no base
+// graph and no checkpoint. A follower then bootstraps from its leader.
+var errNoState = errors.New("service: no base graph and no checkpoint")
+
+// RecoverLive rebuilds one live graph from its persisted state and
+// returns the facade resumed at the exact recovered epoch, plus the
 // opened WAL ready for further appends.
 //
-//   - The newest valid checkpoint under ckptDir (written by
+//   - The newest checkpoint under ckptDir (written by
 //     storage.NewDurableCheckpointer) is loaded when one exists;
 //     otherwise recovery starts from base at epoch 0. ckptDir may be ""
 //     when checkpointing is not configured.
-//   - The WAL tail is replayed on top: records at or below the
-//     checkpoint epoch are skipped (the snapshot already contains them),
-//     the rest must continue the epoch sequence without a gap. A torn
-//     final record — a crash mid-append — is an unacknowledged batch and
-//     is discarded; OpenWAL truncates it so new appends land after the
-//     last intact record.
+//   - The WAL tail under walDir is replayed on top: records at or below
+//     the checkpoint epoch are skipped (the snapshot already contains
+//     them), the rest must continue the epoch sequence without a gap. A
+//     torn final record — a crash mid-append — is an unacknowledged batch
+//     and is discarded; OpenWAL truncates it so new appends land after
+//     the last intact record. walDir "" opens the graph volatile: nothing
+//     is replayed and Recovery.WAL is nil.
 //
 // The recovered facade serves the same previews, byte for byte, that the
 // pre-crash process acknowledged at that epoch.
 func RecoverLive(base *graph.EntityGraph, name, ckptDir, walDir string, opts score.WalkOptions) (*Recovery, error) {
-	return recoverLiveAt(base, 0, name, ckptDir, walDir, opts)
+	return openLive(base, 0, name, ckptDir, walDir, opts)
 }
 
-// recoverLiveAt is RecoverLive with the base graph pinned to a known
-// epoch: a follower's base is the bootstrap snapshot it fetched from its
-// leader, which is rarely epoch 0. A newer local checkpoint still wins.
-func recoverLiveAt(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, walDir string, opts score.WalkOptions) (*Recovery, error) {
+// openLive is the one way a live graph starts — a node's leaders,
+// volatile and durable, its re-registered adoptions, and a follower's
+// boots and re-bootstraps: RecoverLive with the base graph pinned to a
+// known epoch (a follower's base is the bootstrap snapshot it fetched
+// from its leader, which is rarely epoch 0). A checkpoint at least as
+// new as the base wins; with neither it returns errNoState.
+func openLive(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, walDir string, opts score.WalkOptions) (*Recovery, error) {
 	g, epoch := base, baseEpoch
 	if ckptDir != "" {
 		snap, e, ok, err := storage.LoadLatestCheckpoint(ckptDir, name)
@@ -104,58 +113,23 @@ func recoverLiveAt(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, wal
 			g, epoch = snap, e
 		}
 	}
+	if g == nil {
+		return nil, errNoState
+	}
 	origin, originEpoch := g, epoch
 	dg, err := dynamic.FromEntityGraph(g)
 	if err != nil {
 		return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 	}
-	recs, replayErr := storage.ReplayWAL(walDir)
-	if replayErr != nil && !errors.Is(replayErr, storage.ErrCorrupt) {
-		return nil, fmt.Errorf("service: recovering %q: %w", name, replayErr)
-	}
-	for _, rec := range recs {
-		if rec.Epoch <= epoch {
-			continue // already in the checkpoint
+	var wal *storage.WAL
+	if walDir != "" {
+		if epoch, err = replayTail(dg, epoch, walDir, opts); err != nil {
+			return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 		}
-		if rec.Epoch != epoch+1 {
-			return nil, fmt.Errorf("service: recovering %q: WAL resumes at epoch %d but checkpoint is at %d; log truncated past its checkpoint", name, rec.Epoch, epoch)
+		if wal, err = storage.OpenWAL(walDir, storage.WALOptions{}); err != nil {
+			return nil, fmt.Errorf("service: recovering %q: opening WAL: %w", name, err)
 		}
-		// Reproduce the live path's score-solve trajectory, not just its
-		// final state: the walk measure is a warm-started power iteration,
-		// so the published scores depend on the sequence of solves (one per
-		// epoch). Solving the pre-record state here — with the final state's
-		// solve supplied by NewLiveAt's publish below — yields exactly one
-		// solve per state in epoch order, the same trajectory the original
-		// process ran, which is what makes recovered (and replicated) walk
-		// scores byte-identical rather than merely converged-within-
-		// tolerance. Cost: one O(K²)-per-iteration re-solve per replayed
-		// batch, the same price the live path paid.
-		if _, err := dg.Scores(opts); err != nil {
-			return nil, fmt.Errorf("service: recovering %q: refreshing scores before epoch %d: %w", name, rec.Epoch, err)
-		}
-		if err := applyLogged(dg, rec.Kind, rec.Payload); err != nil {
-			return nil, fmt.Errorf("service: recovering %q: replaying epoch %d: %w", name, rec.Epoch, err)
-		}
-		epoch = rec.Epoch
-	}
-	wal, err := storage.OpenWAL(walDir, storage.WALOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("service: recovering %q: opening WAL: %w", name, err)
-	}
-	// Reconcile the log with the recovered epoch. The log can end behind
-	// it — empty after a checkpoint-only restart, or its valid prefix
-	// shortened by corruption the checkpoint already covers. Drop the
-	// stale remains (every surviving record is at or below the checkpoint
-	// epoch, hence redundant) and re-base, so the next batch appends
-	// epoch+1 instead of tripping the contiguity check and wedging.
-	if last, ok := wal.LastEpoch(); !ok || last < epoch {
-		if ok {
-			if err := wal.TruncateThrough(epoch); err != nil {
-				wal.Close()
-				return nil, fmt.Errorf("service: recovering %q: dropping stale WAL prefix: %w", name, err)
-			}
-		}
-		if err := wal.AlignTo(epoch); err != nil {
+		if err := alignWAL(wal, epoch); err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 		}
@@ -166,4 +140,68 @@ func recoverLiveAt(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, wal
 		return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 	}
 	return &Recovery{Live: live, WAL: wal, Origin: origin, OriginEpoch: originEpoch}, nil
+}
+
+// graphWALDir is graph name's WAL directory under root, or "" (a
+// volatile graph) when root is "".
+func graphWALDir(root, name string) string {
+	if root == "" {
+		return ""
+	}
+	return filepath.Join(root, name)
+}
+
+// replayTail applies the records of the WAL under walDir that continue
+// epoch to dg, and returns the epoch it reached.
+func replayTail(dg *dynamic.Graph, epoch uint64, walDir string, opts score.WalkOptions) (uint64, error) {
+	recs, err := storage.ReplayWAL(walDir)
+	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
+		return 0, err
+	}
+	for _, rec := range recs {
+		if rec.Epoch <= epoch {
+			continue // already in the checkpoint
+		}
+		if rec.Epoch != epoch+1 {
+			return 0, fmt.Errorf("WAL resumes at epoch %d but checkpoint is at %d; log truncated past its checkpoint", rec.Epoch, epoch)
+		}
+		// Reproduce the live path's score-solve trajectory, not just its
+		// final state: the walk measure is a warm-started power iteration,
+		// so the published scores depend on the sequence of solves (one per
+		// epoch). Solving the pre-record state here — with the final state's
+		// solve supplied by NewLiveAt's publish — yields exactly one solve
+		// per state in epoch order, the same trajectory the original
+		// process ran, which is what makes recovered (and replicated) walk
+		// scores byte-identical rather than merely converged-within-
+		// tolerance. Cost: one O(K²)-per-iteration re-solve per replayed
+		// batch, the same price the live path paid.
+		if _, err := dg.Scores(opts); err != nil {
+			return 0, fmt.Errorf("refreshing scores before epoch %d: %w", rec.Epoch, err)
+		}
+		if err := applyLogged(dg, rec.Kind, rec.Payload); err != nil {
+			return 0, fmt.Errorf("replaying epoch %d: %w", rec.Epoch, err)
+		}
+		epoch = rec.Epoch
+	}
+	return epoch, nil
+}
+
+// alignWAL reconciles a log with the epoch of the state it continues.
+// The log can end behind it — empty after a checkpoint-only restart, its
+// valid prefix shortened by corruption the checkpoint already covers, or
+// a follower's log after a re-bootstrap past it. Drop the stale remains
+// (every surviving record is at or below epoch, hence redundant) and
+// re-base, so the next batch appends epoch+1 instead of tripping the
+// contiguity check and wedging.
+func alignWAL(wal *storage.WAL, epoch uint64) error {
+	last, ok := wal.LastEpoch()
+	if ok && last >= epoch {
+		return nil
+	}
+	if ok {
+		if err := wal.TruncateThrough(epoch); err != nil {
+			return fmt.Errorf("dropping stale WAL prefix: %w", err)
+		}
+	}
+	return wal.AlignTo(epoch)
 }

@@ -26,7 +26,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,9 +157,7 @@ func startFollower(reg *Registry, name string, opts FollowerOptions, markLeader 
 func (f *Follower) Stop() {
 	f.cancel()
 	<-f.done
-	if f.wal != nil {
-		f.wal.Close()
-	}
+	f.wal.Close()
 }
 
 // Promote turns a durable follower into the leader for its graph: the
@@ -242,28 +239,16 @@ func (f *Follower) WaitCaughtUp(epoch uint64, timeout time.Duration) error {
 	}
 }
 
-// boot builds the initial facade — from local durable state when it
-// exists, else from the leader's checkpoint route — and registers it.
+// boot opens the graph from local durable state when there is any, else
+// from the leader's checkpoint route, and registers it.
 func (f *Follower) boot(ctx context.Context) error {
-	var (
-		base      *graph.EntityGraph
-		baseEpoch uint64
-	)
-	if f.opts.durable() {
-		g, e, ok, err := storage.LoadLatestCheckpoint(f.opts.CheckpointDir, f.name)
-		if err != nil {
-			return err
+	walDir := graphWALDir(f.opts.WALRoot, f.name)
+	rec, err := openLive(nil, 0, f.name, f.opts.CheckpointDir, walDir, f.opts.Walk)
+	if errors.Is(err, errNoState) {
+		g, e, ferr := f.fetchBootstrap(ctx)
+		if ferr != nil {
+			return ferr
 		}
-		if ok {
-			base, baseEpoch = g, e
-		}
-	}
-	if base == nil {
-		g, e, err := f.fetchBootstrap(ctx)
-		if err != nil {
-			return err
-		}
-		base, baseEpoch = g, e
 		f.bumpBootstraps()
 		if f.opts.durable() {
 			// Commit the bootstrap before serving it: a restart must know
@@ -272,41 +257,26 @@ func (f *Follower) boot(ctx context.Context) error {
 				return fmt.Errorf("committing bootstrap checkpoint: %w", err)
 			}
 		}
+		// The checkpoint just committed holds g: open from g, not from disk.
+		rec, err = openLive(g, e, f.name, "", walDir, f.opts.Walk)
 	}
+	if err != nil {
+		return err
+	}
+	f.live.Store(rec.Live)
+	f.wal = rec.WAL
 	if f.opts.durable() {
-		rec, err := recoverLiveAt(base, baseEpoch, f.name, f.opts.CheckpointDir, f.walDir(), f.opts.Walk)
-		if err != nil {
-			return err
-		}
-		f.live.Store(rec.Live)
-		f.wal = rec.WAL
 		f.ckpt = storage.NewDurableCheckpointer(f.opts.CheckpointDir, f.name, f.wal)
-		if err := f.reg.AddLive(f.name, rec.Live,
-			WithDurability(f.wal), WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
-			f.wal.Close()
-			return err
-		}
-	} else {
-		dg, err := dynamic.FromEntityGraph(base)
-		if err != nil {
-			return err
-		}
-		live, err := dynamic.NewLiveAt(dg, f.opts.Walk, baseEpoch)
-		if err != nil {
-			return err
-		}
-		f.live.Store(live)
-		if err := f.reg.AddLive(f.name, live); err != nil {
-			return err
-		}
+	}
+	if err := f.reg.AddLive(f.name, rec.Live, WithDurability(f.wal), WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
+		f.wal.Close()
+		return err
 	}
 	gr, _ := f.reg.Get(f.name)
 	f.gr = gr
 	f.publishStatus(func(st *FollowStatus) { st.AppliedEpoch = f.Applied() })
 	return nil
 }
-
-func (f *Follower) walDir() string { return filepath.Join(f.opts.WALRoot, f.name) }
 
 // run is the replication loop: poll, apply, repeat; back off on
 // retryable failures, stop on divergence.
@@ -437,29 +407,18 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 		if _, err := f.ckpt.Save(g, e); err != nil {
 			return fmt.Errorf("committing re-bootstrap checkpoint: %w", err)
 		}
-		if last, ok := f.wal.LastEpoch(); !ok || last < e {
-			if err := f.wal.AlignTo(e); err != nil {
-				return err
-			}
+		if err := alignWAL(f.wal, e); err != nil {
+			return err
 		}
 	}
-	dg, err := dynamic.FromEntityGraph(g)
+	// The local WAL is already open: the facade opens volatile and is
+	// installed with it.
+	rec, err := openLive(g, e, f.name, "", "", f.opts.Walk)
 	if err != nil {
 		return err
 	}
-	live, err := dynamic.NewLiveAt(dg, f.opts.Walk, e)
-	if err != nil {
-		return err
-	}
-	var src *replSource
-	if f.wal != nil {
-		live.SetDurability(func(epoch uint64, kind byte, payload []byte) error {
-			return f.wal.Append(epoch, kind, payload)
-		})
-		src = &replSource{wal: f.wal, origin: g, originEpoch: e}
-	}
-	f.live.Store(live)
-	f.gr.resetLive(live, src)
+	f.live.Store(rec.Live)
+	f.gr.install(rec.Live, f.wal, g, e)
 	f.bumpBootstraps()
 	f.publishStatus(func(st *FollowStatus) { st.AppliedEpoch = e })
 	return nil

@@ -399,6 +399,47 @@ func TestAnytimePreviewConverges(t *testing.T) {
 	}
 }
 
+// TestAnytimeTiedPreviewConverges: on fig1 under coverage/coverage, the
+// winner of k=2 n=4 tight d=2 ties its runner-up. Its anytime preview
+// still converges to the exact preview once the background search has
+// run, and polling on after that runs no further search.
+func TestAnytimeTiedPreviewConverges(t *testing.T) {
+	reg, ts := newTestServer(t)
+	const q = "/v1/graphs/fig1/preview?k=2&n=4&mode=tight&d=2&key=coverage&nonkey=coverage"
+	status, exact, _ := getAnytime(t, ts.URL+q)
+	if status != http.StatusOK {
+		t.Fatalf("exact preview: status %d", status)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, ar, raw := getAnytime(t, ts.URL+q+"&anytime=1")
+		if st != http.StatusOK || ar.Converged == nil {
+			t.Fatalf("anytime preview: status %d body %s", st, raw)
+		}
+		if *ar.Converged {
+			if ar.Preview.Score != exact.Preview.Score || string(ar.Preview.Tables) != string(exact.Preview.Tables) {
+				t.Fatalf("converged anytime preview differs from exact:\nanytime: %s\nexact:   %.4f %s", raw, exact.Preview.Score, exact.Preview.Tables)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the tied anytime preview never converged")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	gr, _ := reg.Get("fig1")
+	m := gr.maintainedFor(gr.view(), score.KeyCoverage, score.NonKeyCoverage)
+	searched := m.FullSearches()
+	for i := 0; i < 5; i++ {
+		if _, ar, raw := getAnytime(t, ts.URL+q+"&anytime=1&tuples="+fmt.Sprint(i)); ar.Converged == nil || !*ar.Converged {
+			t.Fatalf("poll %d after convergence: %s", i, raw)
+		}
+	}
+	if n := m.FullSearches() - searched; n != 0 {
+		t.Fatalf("%d full searches after convergence, want 0", n)
+	}
+}
+
 // TestAnytimeBudgetBounded: a tiny anytime budget still answers 200
 // with a valid best-so-far preview (budget 2 scores fig1's first
 // feasible pair before exhausting), deterministically; a budget too

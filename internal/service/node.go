@@ -14,12 +14,10 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/uta-db/previewtables/internal/dynamic"
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/storage"
 	"github.com/uta-db/previewtables/internal/wire"
@@ -207,52 +205,33 @@ func (n *Node) start() error {
 	return nil
 }
 
-// load registers one flag-named graph in the node's role: durable
-// (recovered from checkpoint plus WAL tail, then logging every batch),
-// volatile mutable, or static.
+// load registers one flag-named graph in the node's role: live (see
+// addLive) or static.
 func (n *Node) load(src GraphSource) error {
 	g, err := src.Load()
 	if err != nil {
 		return err
 	}
 	log.Printf("graph %q: %s", src.Name, g.Stats())
-	switch {
-	case n.cfg.Mutable && n.cfg.WALRoot != "":
-		rec, err := n.addDurable(src.Name, g)
-		if err != nil {
-			return err
-		}
-		if snap := rec.Live.Snapshot(); snap.Epoch > 0 {
-			log.Printf("graph %q: recovered to epoch %d (%s)", src.Name, snap.Epoch, snap.Stats)
-		}
-		return nil
-	case n.cfg.Mutable:
-		dg, err := dynamic.FromEntityGraph(g)
-		if err != nil {
-			return err
-		}
-		live, err := dynamic.NewLive(dg, n.cfg.Walk)
-		if err != nil {
-			return err
-		}
-		if err := n.reg.AddLive(src.Name, live); err != nil {
-			return err
-		}
-		if n.cfg.CheckpointDir != "" {
-			n.ckpts[src.Name] = storage.NewCheckpointer(filepath.Join(n.cfg.CheckpointDir, src.Name+".egpt"))
-		}
-		return nil
-	default:
+	if !n.cfg.Mutable {
 		return n.reg.Add(src.Name, g)
 	}
+	rec, err := n.addLive(src.Name, g)
+	if err != nil {
+		return err
+	}
+	if snap := rec.Live.Snapshot(); snap.Epoch > 0 {
+		log.Printf("graph %q: recovered to epoch %d (%s)", src.Name, snap.Epoch, snap.Stats)
+	}
+	return nil
 }
 
-// addDurable recovers graph name from its newest checkpoint (or from
-// base at epoch 0) plus the WAL tail, registers it logging every batch
-// to that WAL and shipping it to followers from the recovery origin,
-// and creates its checkpointer.
-func (n *Node) addDurable(name string, base *graph.EntityGraph) (*Recovery, error) {
-	rec, err := RecoverLive(base, name, n.cfg.CheckpointDir, filepath.Join(n.cfg.WALRoot, name), n.cfg.Walk)
+// addLive opens graph name from its newest checkpoint (or from base at
+// epoch 0) plus, on a durable node, the WAL tail; registers it, a durable
+// one logging every batch to that WAL and shipping it to followers from
+// the recovery origin; and creates its checkpointer.
+func (n *Node) addLive(name string, base *graph.EntityGraph) (*Recovery, error) {
+	rec, err := openLive(base, 0, name, n.cfg.CheckpointDir, graphWALDir(n.cfg.WALRoot, name), n.cfg.Walk)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +262,7 @@ func (n *Node) recoverAdopted() error {
 		if _, ok := n.reg.Get(name); ok {
 			continue
 		}
-		rec, err := n.addDurable(name, nil)
+		rec, err := n.addLive(name, nil)
 		if err != nil {
 			return fmt.Errorf("service: recovering adopted %q: %w", name, err)
 		}
@@ -388,10 +367,8 @@ func (n *Node) drop(name string) error {
 	if f != nil {
 		f.Stop()
 	}
-	if w := gr.WAL(); w != nil {
-		w.Close()
-	}
-	if err := os.RemoveAll(filepath.Join(n.cfg.WALRoot, name)); err != nil {
+	gr.WAL().Close()
+	if err := os.RemoveAll(graphWALDir(n.cfg.WALRoot, name)); err != nil {
 		return err
 	}
 	if err := storage.RemoveCheckpoints(n.cfg.CheckpointDir, name); err != nil {
@@ -435,7 +412,7 @@ func (n *Node) checkpoint() {
 			continue
 		}
 		if wrote {
-			log.Printf("checkpoint %q: epoch %d → %s", name, snap.Epoch, ck.Path())
+			log.Printf("checkpoint %q: epoch %d → %s", name, snap.Epoch, n.cfg.CheckpointDir)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package service
 
-// Node tests: startup validation of every rejected flag combination, and
-// a graph's round trip between two migration nodes, which pins the
-// one-owner rule for its checkpointer (a re-adopted graph's checkpoint
-// truncates the WAL it writes now, not one a drop already closed) and
-// the restart path that re-registers adopted graphs.
+// Node tests: startup validation of every rejected flag combination,
+// every node role built through NewNode and restarted over its own
+// directories, and a graph's round trip between two migration nodes,
+// which pins the one-owner rule for its checkpointer (a re-adopted
+// graph's checkpoint truncates the WAL it writes now, not one a drop
+// already closed) and the restart path that re-registers adopted graphs.
 
 import (
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/storage"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // fig1Source registers the paper's Fig. 1 graph under name.
@@ -98,6 +100,113 @@ func TestNodeStartupValidation(t *testing.T) {
 	}
 	if loaded {
 		t.Error("a rejected configuration loaded its graphs")
+	}
+}
+
+// TestNodeRoles builds each role of ARCHITECTURE's node-role table
+// through NewNode. A write is accepted, or refused as documented: 405 on
+// a static graph, 503 naming the leader on a follower. Every role that
+// persists comes back from Close and a NewNode over the same directories
+// at the same epoch with identical reads, ETags included. A restart from
+// a checkpoint re-solves the walk from the checkpoint's state, so the
+// rows that checkpoint compare count-backed surfaces only.
+func TestNodeRoles(t *testing.T) {
+	const g = "fig1" // replBatches' and replReadURLs' graph
+	countBacked := []string{
+		"/v1/graphs",
+		"/v1/graphs/fig1/stats",
+		"/v1/graphs/fig1/preview?k=2&n=3&tuples=3&key=coverage&nonkey=coverage",
+		"/v1/graphs/fig1/render?k=2&n=3&tuples=3&key=coverage&nonkey=coverage&format=markdown",
+	}
+	for _, tc := range []struct {
+		name          string
+		mutable, warm bool
+		ckpt, wal     bool // -checkpoint-dir, -wal-dir
+		follow        bool // -follow a durable leader Node that takes the writes
+		write         int  // what a write to the node answers
+		restart       bool // the role persists across Close and NewNode
+	}{
+		{name: "static", warm: true, write: http.StatusMethodNotAllowed},
+		{name: "volatile mutable", mutable: true, write: http.StatusOK},
+		{name: "volatile mutable with -checkpoint-dir", mutable: true, ckpt: true, write: http.StatusOK, restart: true},
+		{name: "durable leader", mutable: true, wal: true, write: http.StatusOK, restart: true},
+		{name: "durable leader with -checkpoint-dir", mutable: true, ckpt: true, wal: true, write: http.StatusOK, restart: true},
+		{name: "volatile follower", follow: true, write: http.StatusServiceUnavailable},
+		{name: "durable follower", follow: true, ckpt: true, wal: true, write: http.StatusServiceUnavailable, restart: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := nodeStorage(t.TempDir())
+			if !tc.ckpt {
+				opts.CheckpointDir = ""
+			}
+			if !tc.wal {
+				opts.WALRoot = ""
+			}
+			cfg := NodeConfig{Mutable: tc.mutable, FollowerOptions: opts, Warm: tc.warm}
+			var leader *httptest.Server
+			if tc.follow {
+				leader = httptest.NewServer(startNode(t, NodeConfig{Graphs: []GraphSource{fig1Source(g)}, Mutable: true, FollowerOptions: nodeStorage(t.TempDir())}).Server())
+				t.Cleanup(leader.Close)
+				cfg.Leader = leader.URL
+			} else {
+				cfg.Graphs = []GraphSource{fig1Source(g)}
+			}
+			n := startNode(t, cfg)
+			if tc.warm && n.Registry().ScoreComputes() != 1 {
+				t.Fatalf("-warm computed scores %d times before serving, want 1", n.Registry().ScoreComputes())
+			}
+			ts := httptest.NewServer(n.Server())
+			t.Cleanup(ts.Close)
+
+			resp, err := http.Post(ts.URL+"/v1/graphs/fig1/"+replBatches[0].route, "application/json", strings.NewReader(replBatches[0].body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.write {
+				t.Fatalf("write answered %d, want %d", resp.StatusCode, tc.write)
+			}
+			if tc.follow && resp.Header.Get(wire.LeaderHeader) != leader.URL {
+				t.Fatalf("refused write names leader %q, want %q", resp.Header.Get(wire.LeaderHeader), leader.URL)
+			}
+			switch {
+			case tc.follow:
+				for _, b := range replBatches[:3] {
+					postBatch(t, leader, b.route, b.body)
+				}
+				if err := n.Registry().followers()[0].WaitCaughtUp(3, 30*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			case tc.mutable:
+				for _, b := range replBatches[1:3] {
+					postBatch(t, ts, b.route, b.body)
+				}
+			}
+			if !tc.restart {
+				return
+			}
+
+			urls := replReadURLs
+			if tc.ckpt {
+				n.checkpoint()
+				urls = countBacked
+			}
+			want, epoch := readSurfaces(t, ts.URL, urls), nodeEpoch(t, n, g)
+			ts.Close()
+			n.Close()
+			n = startNode(t, cfg)
+			ts = httptest.NewServer(n.Server())
+			t.Cleanup(ts.Close)
+			if got := nodeEpoch(t, n, g); got != epoch {
+				t.Fatalf("restarted at epoch %d, want %d", got, epoch)
+			}
+			assertIdenticalReads(t, "before and after the restart", want, readSurfaces(t, ts.URL, urls))
+			if tc.follow {
+				if st := n.Registry().followers()[0].Status(); st.Bootstraps != 0 {
+					t.Fatalf("restarted follower bootstrapped %d times, want 0 (local resume)", st.Bootstraps)
+				}
+			}
+		})
 	}
 }
 

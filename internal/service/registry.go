@@ -150,17 +150,8 @@ func (r *Registry) AddLive(name string, live *dynamic.Live, opts ...LiveOption) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.wal != nil {
-		live.SetDurability(func(epoch uint64, kind byte, payload []byte) error {
-			return cfg.wal.Append(epoch, kind, payload)
-		})
-	}
 	gr := &Graph{name: name, reg: r}
-	gr.live.Store(live)
-	if cfg.wal != nil {
-		gr.repl.Store(&replSource{wal: cfg.wal, origin: cfg.origin, originEpoch: cfg.originEpoch})
-	}
-	gr.publish(live.Snapshot())
+	gr.install(live, cfg.wal, cfg.origin, cfg.originEpoch)
 	return r.register(name, gr)
 }
 
@@ -487,10 +478,18 @@ func (gr *Graph) broadcastEpoch() {
 	}
 }
 
-// resetLive replaces a follower graph's facade and shippable state after
-// a re-bootstrap: the old live (and its view) keep serving readers until
-// the new snapshot publishes.
-func (gr *Graph) resetLive(live *dynamic.Live, src *replSource) {
+// install makes live the graph's facade and publishes its snapshot. A
+// non-nil wal makes the graph durable and replicable: every batch is
+// logged to wal before its epoch publishes (see WithDurability), and the
+// graph ships wal to followers from origin (see WithOrigin). A follower's
+// re-bootstrap installs over the old facade, whose view keeps serving
+// readers until the new snapshot publishes.
+func (gr *Graph) install(live *dynamic.Live, wal *storage.WAL, origin *graph.EntityGraph, originEpoch uint64) {
+	var src *replSource
+	if wal != nil {
+		live.SetDurability(wal.Append)
+		src = &replSource{wal: wal, origin: origin, originEpoch: originEpoch}
+	}
 	gr.live.Store(live)
 	gr.repl.Store(src)
 	gr.publish(live.Snapshot())

@@ -415,34 +415,21 @@ func LoadFile(path string) (*graph.EntityGraph, error) {
 // Checkpointer persists successive epochs of a mutating graph. Save is
 // epoch-aware: re-saving an epoch that is already on disk is a no-op, so
 // a periodic checkpoint loop costs nothing while the graph is quiet.
-// Writes go through SaveFile's atomic temp-file rename, so a crash
-// mid-checkpoint leaves the previous snapshot intact. Safe for
-// concurrent use.
+// Safe for concurrent use.
 //
-// Two modes share the type. NewCheckpointer overwrites one fixed file
-// and records nothing about epochs on disk — fine for warm-restart
-// caches. NewDurableCheckpointer participates in crash recovery: each
-// checkpoint is an epoch-named snapshot (`<name>-<epoch>.egpt`) made
-// current by atomically rewriting a `<name>.current` manifest, so
-// recovery always knows the exact epoch the loaded snapshot represents
-// no matter where a crash fell; after the manifest swap, superseded
-// snapshots are deleted and the paired WAL is truncated through the
-// checkpointed epoch.
+// Each checkpoint is an epoch-named snapshot (`<name>-<epoch>.egpt`)
+// made current by atomically rewriting a `<name>.current` manifest, so a
+// restart always knows the exact epoch the loaded snapshot represents no
+// matter where a crash fell; after the manifest swap, superseded
+// snapshots are deleted and the paired WAL, if any, is truncated through
+// the checkpointed epoch.
 type Checkpointer struct {
-	path string // single-file mode; "" in durable mode
-
-	dir, name string // durable mode
-	wal       *WAL   // optional: truncated after each durable save
+	dir, name string
+	wal       *WAL // optional: truncated after each save
 
 	mu    sync.Mutex
 	last  uint64
 	saved bool
-}
-
-// NewCheckpointer returns a checkpointer overwriting one snapshot file.
-// Nothing is saved yet — the first Save call writes unconditionally.
-func NewCheckpointer(path string) *Checkpointer {
-	return &Checkpointer{path: path}
 }
 
 // NewDurableCheckpointer returns a checkpointer writing epoch-named
@@ -450,17 +437,9 @@ func NewCheckpointer(path string) *Checkpointer {
 // non-nil, is truncated through each checkpointed epoch after the
 // manifest swap — the WAL records a checkpoint covers are the ones it
 // makes redundant. Load the result back with LoadLatestCheckpoint.
+// Nothing is saved yet — the first Save call writes unconditionally.
 func NewDurableCheckpointer(dir, name string, wal *WAL) *Checkpointer {
 	return &Checkpointer{dir: dir, name: name, wal: wal}
-}
-
-// Path returns the snapshot file path (single-file mode) or the
-// checkpoint directory (durable mode).
-func (c *Checkpointer) Path() string {
-	if c.path != "" {
-		return c.path
-	}
-	return c.dir
 }
 
 // Save persists g unless epoch is already the one on disk; it reports
@@ -472,27 +451,20 @@ func (c *Checkpointer) Save(g *graph.EntityGraph, epoch uint64) (bool, error) {
 	if c.saved && c.last == epoch {
 		return false, nil
 	}
-	if c.path != "" {
-		if err := SaveFile(c.path, g); err != nil {
-			return false, err
-		}
-		c.last, c.saved = epoch, true
-		return true, nil
-	}
-	if err := c.saveDurableLocked(g, epoch); err != nil {
+	if err := c.saveLocked(g, epoch); err != nil {
 		return false, err
 	}
 	c.last, c.saved = epoch, true
 	return true, nil
 }
 
-// saveDurableLocked writes the epoch-named snapshot, swaps the manifest,
+// saveLocked writes the epoch-named snapshot, swaps the manifest,
 // and only then cleans up — so a crash at any point leaves a manifest
 // naming a fully written snapshot whose epoch is known exactly. Every
 // step is fsynced (file data before each rename, the directory after)
 // before the WAL loses the records the checkpoint covers: truncation
 // must never outrun the snapshot on its way to stable storage.
-func (c *Checkpointer) saveDurableLocked(g *graph.EntityGraph, epoch uint64) error {
+func (c *Checkpointer) saveLocked(g *graph.EntityGraph, epoch uint64) error {
 	snapName := checkpointSnapName(c.name, epoch)
 	if err := SaveFile(filepath.Join(c.dir, snapName), g); err != nil {
 		return err
@@ -570,7 +542,7 @@ func checkpointSnapEpoch(name, fname string) (uint64, bool) {
 	return epoch, true
 }
 
-// LoadLatestCheckpoint loads name's newest durable checkpoint from dir:
+// LoadLatestCheckpoint loads name's newest checkpoint from dir:
 // the snapshot its current-manifest names, plus the exact epoch it was
 // taken at. ok=false (with nil error) means no checkpoint exists yet.
 func LoadLatestCheckpoint(dir, name string) (*graph.EntityGraph, uint64, bool, error) {

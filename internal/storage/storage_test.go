@@ -143,7 +143,7 @@ func TestSaveLoadFile(t *testing.T) {
 
 func TestCheckpointerSkipsUnchangedEpochs(t *testing.T) {
 	dir := t.TempDir()
-	ck := storage.NewCheckpointer(filepath.Join(dir, "g.egpt"))
+	ck := storage.NewDurableCheckpointer(dir, "g", nil)
 	g := fig1.Graph()
 
 	wrote, err := ck.Save(g, 0)
@@ -159,7 +159,7 @@ func TestCheckpointerSkipsUnchangedEpochs(t *testing.T) {
 		t.Fatalf("new-epoch save: wrote=%v err=%v, want write", wrote, err)
 	}
 
-	loaded, err := storage.LoadFile(ck.Path())
+	loaded, _, _, err := storage.LoadLatestCheckpoint(dir, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,9 @@ func TestCheckpointerSkipsUnchangedEpochs(t *testing.T) {
 }
 
 func TestCheckpointerFailureStaysRetryable(t *testing.T) {
-	// A path whose parent does not exist fails; the epoch must not be
-	// recorded as saved, so a retry against a fixed path would write.
-	ck := storage.NewCheckpointer(filepath.Join(t.TempDir(), "missing", "g.egpt"))
+	// A directory that does not exist fails; the epoch must not be
+	// recorded as saved, so a retry against a fixed directory would write.
+	ck := storage.NewDurableCheckpointer(filepath.Join(t.TempDir(), "missing"), "g", nil)
 	if wrote, err := ck.Save(fig1.Graph(), 1); err == nil || wrote {
 		t.Fatalf("save into missing dir: wrote=%v err=%v, want error", wrote, err)
 	}

@@ -450,7 +450,11 @@ func (w *WAL) AlignTo(epoch uint64) error {
 }
 
 // Close closes the active segment file. The WAL must not be used after.
+// Closing a nil WAL (a volatile graph's) does nothing.
 func (w *WAL) Close() error {
+	if w == nil {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
