@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -511,6 +512,87 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPublish: graph.Derive, which replaced Freeze in every
+// publication after a live graph's first, on the same graphs as
+// BenchmarkFreeze plus the 100k-entity music graph, at batches of 1 to 256
+// new edges between entities of the right types, a tenth of them to new
+// entities (perfbench's write batches). Every iteration derives the next
+// graph from the same one: a graph derived from the frozen one by a batch
+// that gave every type a new entity, so that, as in a live graph after
+// its first batches, its tables have room to append to.
+func BenchmarkPublish(b *testing.B) {
+	big, _ := parallelBenchSetup(b)
+	for _, domain := range []string{"people", "music", "music-100k"} {
+		src := big
+		if domain != "music-100k" {
+			var err error
+			if src, err = freebase.Generate(domain, freebase.DefaultGenOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		dg, err := dynamic.FromEntityGraph(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frozen, err := dg.Freeze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		warm := graph.Delta{Rels: make([]graph.RelType, frozen.NumRelTypes())}
+		for r := range warm.Rels {
+			warm.Rels[r] = frozen.RelType(graph.RelTypeID(r))
+		}
+		for t := 0; t < frozen.NumTypes(); t++ {
+			warm.Entities = append(warm.Entities, graph.Entity{Name: fmt.Sprintf("warm-%d", t), Types: []graph.TypeID{graph.TypeID(t)}})
+		}
+		prev, err := graph.Derive(frozen, warm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int{1, 16, 128, 256} {
+			d := publishDelta(prev, size, rand.New(rand.NewSource(int64(size))))
+			b.Run(fmt.Sprintf("%s/edges=%d", domain, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := graph.Derive(prev, d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// publishDelta draws a batch of size new distinct edges on g: each picks a
+// relationship type and a source of its From type, and a target of its To
+// type or, one time in ten, a new entity of that type.
+func publishDelta(g *graph.EntityGraph, size int, rng *rand.Rand) graph.Delta {
+	d := graph.Delta{Rels: make([]graph.RelType, g.NumRelTypes())}
+	for r := range d.Rels {
+		d.Rels[r] = g.RelType(graph.RelTypeID(r))
+	}
+	seen := map[graph.Edge]bool{}
+	for len(d.Edges) < size {
+		rel := graph.RelTypeID(rng.Intn(g.NumRelTypes()))
+		rt := g.RelType(rel)
+		froms, tos := g.EntitiesOfType(rt.From), g.EntitiesOfType(rt.To)
+		if len(froms) == 0 || len(tos) == 0 {
+			continue
+		}
+		ed := graph.Edge{From: froms[rng.Intn(len(froms))], To: tos[rng.Intn(len(tos))], Rel: rel}
+		if rng.Intn(10) == 0 {
+			ed.To = graph.EntityID(g.NumEntities() + len(d.Entities))
+			d.Entities = append(d.Entities, graph.Entity{Name: fmt.Sprintf("publish-%d", ed.To), Types: []graph.TypeID{rt.To}})
+		} else if seen[ed] || slices.Contains(g.Neighbors(ed.From, rel, true), ed.To) {
+			continue
+		}
+		seen[ed] = true
+		d.Edges = append(d.Edges, ed)
+		d.Rels[rel].EdgeCount++
+	}
+	return d
 }
 
 func BenchmarkTripleMarshal(b *testing.B) {

@@ -46,6 +46,11 @@ type Graph struct {
 	coverage  []int // per type
 
 	edges int
+	// copies[rel] counts, for each (source, target) pair of rel added more
+	// than once, its parallel copies beyond the first (keyed by pairKey;
+	// nil while there are none): with the value sets, the whole multiset
+	// of edges Freeze writes out.
+	copies []map[uint64]int32
 
 	// hist[rel][dir] maintains the entropy bookkeeping of one attribute
 	// orientation: dir 0 = outgoing (tuples are source entities of the
@@ -68,6 +73,24 @@ type Graph struct {
 	epoch        uint64
 	moved        []uint64
 	structuralAt uint64
+
+	// pending records what mutations added since Live's last publication,
+	// the batch delta Live derives the next snapshot's graph from (delta).
+	// It is nil until the graph goes live, and cleared only after a
+	// successful publication (markPublished), so what a failed batch
+	// leaked lands in the next epoch, as Freeze would show it.
+	pending *pending
+}
+
+// pending is a live Graph's record of mutations since its last
+// publication: the type, relationship-type and entity counts at that
+// publication (everything past them is new), the older entities that
+// gained a type, and the edges added, split into new distinct triples
+// and parallel copies.
+type pending struct {
+	types, rels, entities int
+	retyped               []graph.EntityID // with repeats, in no order
+	edges, copies         []graph.Edge
 }
 
 type relKey struct {
@@ -86,7 +109,6 @@ type valueHist struct {
 	groups map[string]int                      // value-set key → tuple count
 	total  int                                 // Σ counts (non-empty tuples)
 	clogc  float64                             // Σ c·log10(c) over groups
-	pairs  int                                 // Σ len(values[e])
 }
 
 func newValueHist() *valueHist {
@@ -111,7 +133,6 @@ func (h *valueHist) add(e, v graph.EntityID) bool {
 	copy(vals[i+1:], vals[i:])
 	vals[i] = v
 	h.values[e] = vals
-	h.pairs++
 	h.bump(vals, +1)
 	return true
 }
@@ -193,6 +214,7 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 	id := graph.RelTypeID(len(g.rels))
 	g.rels = append(g.rels, graph.RelType{Name: name, From: from, To: to})
 	g.hist = append(g.hist, [2]*valueHist{newValueHist(), newValueHist()})
+	g.copies = append(g.copies, nil)
 	g.relByKey[k] = id
 	g.structuralAt = g.epoch
 	return id, nil
@@ -229,6 +251,9 @@ func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
 	g.entTypes[e] = ts
 	g.coverage[t]++
 	g.moved[t] = g.epoch
+	if p := g.pending; p != nil && int(e) < p.entities {
+		p.retyped = append(p.retyped, e)
+	}
 }
 
 // AddEdge inserts one relationship instance and updates every affected
@@ -248,8 +273,22 @@ func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	g.addType(to, rt.To)
 	g.rels[rel].EdgeCount++
 	g.edges++
-	g.hist[rel][0].add(from, to)
+	fresh := g.hist[rel][0].add(from, to)
 	g.hist[rel][1].add(to, from)
+	ed := graph.Edge{From: from, To: to, Rel: rel}
+	if !fresh {
+		if g.copies[rel] == nil {
+			g.copies[rel] = map[uint64]int32{}
+		}
+		g.copies[rel][pairKey(from, to)]++
+	}
+	if p := g.pending; p != nil {
+		if fresh {
+			p.edges = append(p.edges, ed)
+		} else {
+			p.copies = append(p.copies, ed)
+		}
+	}
 	// The edge moves the relationship count and both orientations'
 	// entropy — non-key inputs of exactly the two endpoint types.
 	g.moved[rt.From], g.moved[rt.To] = g.epoch, g.epoch
@@ -352,27 +391,23 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 }
 
 // Freeze materializes the current state as an immutable EntityGraph for
-// interop with rendering and tuple materialization. This is a full O(|Vd| +
-// |Ed|) rebuild — use it when you need tuples, not scores. It hands
-// graph.Assemble copies of the names, relationship types and entity type
-// lists, and one edge per distinct (source, relationship type, target),
-// ordered by relationship type, then source, then target; ids are this
-// graph's ids.
-//
-// Note: Freeze rebuilds edges from the deduplicated value sets, so parallel
-// duplicate edges collapse; every scoring measure is unaffected except
-// relationship coverage, which Freeze preserves by construction through
-// the maintained counts (the rebuilt graph re-counts, so its counts reflect
-// the deduplicated edges — documented divergence for multigraph duplicates).
+// interop with rendering and tuple materialization. This is a full
+// O(|Vd| + |Ed|) rebuild: a Live pays it once, at its first publication,
+// and derives every later snapshot's graph from the previous one
+// (graph.Derive), which must equal Freeze's. It hands graph.Assemble
+// copies of the names, relationship types and entity type lists, and
+// every edge, ordered by relationship type, then source, then target,
+// with a triple's parallel copies side by side; ids are this graph's ids.
+// So the frozen graph counts what the live counters count (NumEdges,
+// EdgeCount), and a graph streamed back from it (FromEntityGraph, as a
+// checkpoint restart does) counts the same again. Its neighbor runs hold
+// each neighbor once, in ascending id order.
 func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 	types := append([]string(nil), g.typeNames...)
 	rels := append([]graph.RelType(nil), g.rels...)
-	var slabLen, nEdges int
+	var slabLen int
 	for _, ts := range g.entTypes {
 		slabLen += len(ts)
-	}
-	for _, h := range g.hist {
-		nEdges += h[0].pairs
 	}
 	slab := make([]graph.TypeID, 0, slabLen)
 	ents := make([]graph.Entity, len(g.entNames))
@@ -381,10 +416,10 @@ func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 		slab = append(slab, g.entTypes[i]...)
 		ents[i] = graph.Entity{Name: name, Types: slab[off:len(slab):len(slab)]}
 	}
-	edges := make([]graph.Edge, 0, nEdges)
+	edges := make([]graph.Edge, 0, g.edges)
 	var srcs []graph.EntityID
 	for ri := range g.rels {
-		h := g.hist[ri][0]
+		h, copies := g.hist[ri][0], g.copies[ri]
 		srcs = srcs[:0]
 		for e := range h.values {
 			srcs = append(srcs, e)
@@ -392,9 +427,45 @@ func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 		slices.Sort(srcs)
 		for _, e := range srcs {
 			for _, v := range h.values[e] {
-				edges = append(edges, graph.Edge{From: e, To: v, Rel: graph.RelTypeID(ri)})
+				ed := graph.Edge{From: e, To: v, Rel: graph.RelTypeID(ri)}
+				edges = append(edges, ed)
+				for c := copies[pairKey(e, v)]; c > 0; c-- {
+					edges = append(edges, ed)
+				}
 			}
 		}
 	}
 	return graph.Assemble(types, rels, ents, edges)
+}
+
+// pairKey packs a (source, target) pair into one map key.
+func pairKey(from, to graph.EntityID) uint64 { return uint64(from)<<32 | uint64(uint32(to)) }
+
+// delta returns what mutations added since the last publication, in the
+// form graph.Derive takes. Its slices are g's own; Derive copies what it
+// keeps.
+func (g *Graph) delta() graph.Delta {
+	p := g.pending
+	d := graph.Delta{Types: g.typeNames[p.types:], Rels: g.rels, Edges: p.edges, Copies: p.copies}
+	for e := p.entities; e < len(g.entNames); e++ {
+		d.Entities = append(d.Entities, graph.Entity{Name: g.entNames[e], Types: g.entTypes[e]})
+	}
+	slices.Sort(p.retyped)
+	p.retyped = slices.Compact(p.retyped)
+	for _, e := range p.retyped {
+		d.Retyped = append(d.Retyped, graph.Retype{Entity: e, Types: g.entTypes[e]})
+	}
+	return d
+}
+
+// markPublished starts a new pending record at the current state: Live
+// calls it after each successful publication.
+func (g *Graph) markPublished() {
+	p := g.pending
+	if p == nil {
+		p = &pending{}
+		g.pending = p
+	}
+	p.types, p.rels, p.entities = len(g.typeNames), len(g.rels), len(g.entNames)
+	p.retyped, p.edges, p.copies = p.retyped[:0], p.edges[:0], p.copies[:0]
 }

@@ -9,15 +9,22 @@
 // through the incremental path (Graph.Scores: O(u·deg) histogram moves
 // already paid during mutation, an O(K²)-per-iteration warm-started walk
 // re-solve, and an O(K + N) assembly) instead of score.Compute's
-// O(|Vd| + |Ed|) rescan. The frozen entity graph — needed only to
-// materialize tuples — is rebuilt per publication; it is the one full-scan
-// cost of the write path, and it buys readers lock-free access to a graph
-// that can never change underneath them. What the frozen graph derives
-// lazily (graph.EntityGraph.Schema, NameOrder) starts over per snapshot,
-// except the name order: a snapshot inherits its predecessor's, when that
-// one has been derived, without keeping a pointer to it, so an old
-// snapshot is freed as soon as its last reader lets go. Each snapshot also
-// copies the graph's change stamps (O(types)) for Snapshot.DirtySince.
+// O(|Vd| + |Ed|) rescan. The immutable entity graph each snapshot carries
+// — needed to materialize tuples, and what buys readers lock-free access
+// to a graph that can never change underneath them — is frozen once, at
+// the first publication (Graph.Freeze), and every later one is derived
+// from its predecessor and the batch (graph.Derive): no validation,
+// hashing, sorting or map building of the graph, only word copies of the
+// adjacency arrays, O(|Vd| + distinct |Ed|), and O(batch) for the rest.
+// The Graph records that batch delta as mutations run and clears it only
+// after a successful publication. What the graph derives lazily
+// (graph.EntityGraph.Schema, NameOrder, and a derived graph's edge list
+// and name index) starts over per snapshot, except the name order: a
+// snapshot inherits its predecessor's, when that one has been derived.
+// A snapshot keeps no pointer to its predecessor; it shares only the
+// predecessor's append-only tables, so an old snapshot's own arrays are
+// freed as soon as its last reader lets go. Each snapshot also copies the
+// graph's change stamps (O(types)) for Snapshot.DirtySince.
 package dynamic
 
 import (
@@ -49,13 +56,12 @@ type DurabilityHook func(epoch uint64, kind byte, payload []byte) error
 // graph, its score set, and size statistics, all taken at the same
 // instant. Snapshots are immutable; readers share them freely.
 //
-// One documented asymmetry (inherited from Graph.Freeze): the entity
-// graph is a multigraph, so Stats.Edges and the coverage measures count
-// parallel duplicate edges — a client that retries an already-applied
-// batch inflates them — while Frozen and the entropy measure collapse
-// duplicates. Every other measure is unaffected. Clients wanting
-// exactly-once semantics should check the stats epoch before retrying a
-// batch whose response was lost.
+// The entity graph is a multigraph: Stats.Edges, Frozen's edge counts and
+// edge list, and the coverage measures count parallel duplicate edges —
+// a client that retries an already-applied batch inflates them — while
+// neighbor runs and the entropy measure's value sets hold each neighbor
+// once. Clients wanting exactly-once semantics should check the stats
+// epoch before retrying a batch whose response was lost.
 type Snapshot struct {
 	// Epoch counts successful mutation batches since the graph was made
 	// live. The initial load is epoch 0.
@@ -163,10 +169,9 @@ func (l *Live) Refreshes() int64 { return l.refreshes.Load() }
 // no epoch, so any mutation it already performed would silently leak into
 // the next successful epoch — and a mutation that breaks the data model
 // itself (say, an entity declared with no type) is worse still: it is
-// never rolled back, so every later publication fails at Freeze until
-// restart. The HTTP write routes uphold the contract by construction;
-// new callers must too. Concurrent Apply calls serialize; readers are
-// never blocked.
+// never rolled back, so every later publication fails until restart. The
+// HTTP write routes uphold the contract by construction; new callers must
+// too. Concurrent Apply calls serialize; readers are never blocked.
 //
 // Apply is the volatile write path: it carries no replayable payload, so
 // it refuses to run on a Live with a durability hook installed — a batch
@@ -246,21 +251,29 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 	return l.snap.Load(), nil
 }
 
-// publishLocked refreshes scores through the incremental path, freezes
-// the entity graph, carries the previous snapshot's name order into it,
-// and swaps in the new snapshot with a copy of the graph's change stamps
-// (O(types)). Every publication goes through here: NewLiveAt's, and each
-// batch of Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
+// publishLocked refreshes scores through the incremental path, makes the
+// snapshot's entity graph — Freeze at the first publication, derived from
+// the previous snapshot's and the recorded batch delta afterwards —,
+// carries the previous snapshot's name order into it, swaps in the new
+// snapshot with a copy of the graph's change stamps (O(types)), and only
+// then clears the delta. Every publication goes through here: NewLiveAt's,
+// and each batch of Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
 func (l *Live) publishLocked(epoch uint64) error {
 	scores, err := l.g.Scores(l.opts)
 	if err != nil {
 		return fmt.Errorf("dynamic: refreshing scores: %w", err)
 	}
-	frozen, err := l.g.Freeze()
+	prev := l.snap.Load()
+	var frozen *graph.EntityGraph
+	if prev == nil {
+		frozen, err = l.g.Freeze()
+	} else {
+		frozen, err = graph.Derive(prev.Frozen, l.g.delta())
+	}
 	if err != nil {
 		return fmt.Errorf("dynamic: freezing graph: %w", err)
 	}
-	if prev := l.snap.Load(); prev != nil {
+	if prev != nil {
 		// Entity ids are append-only, so the new graph's name order is
 		// the previous one's with this batch's new names merged in:
 		// carried here, at O(|Vd|) integer cost, rather than re-sorted by
@@ -280,5 +293,6 @@ func (l *Live) publishLocked(epoch uint64) error {
 		snap.Dirty, _ = snap.DirtySince(epoch - 1)
 	}
 	l.snap.Store(snap)
+	l.g.markPublished()
 	return nil
 }

@@ -31,8 +31,9 @@ func (a *adjacency) run(e EntityID, rel RelTypeID) []EntityID {
 }
 
 // Assemble makes an entity graph from its parts; it is the one place an
-// EntityGraph is made. The parts must be in canonical form, the form
-// Builder.Build produces and storage snapshots record:
+// EntityGraph is made from scratch (Derive extends one). The parts must be
+// in canonical form, the form Builder.Build produces and storage snapshots
+// record:
 //
 //   - type names are unique;
 //   - every relationship type's endpoint types exist, and no two share
@@ -50,16 +51,20 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	if len(entities) >= math.MaxInt32 || len(edges) >= math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d entities, %d edges exceed the int32 layout", len(entities), len(edges))
 	}
+	ix := &nameIndex{
+		types:    make(map[string]TypeID, len(types)),
+		entities: make(map[string]EntityID, len(entities)),
+	}
 	g := &EntityGraph{
-		types:        make([]EntityType, len(types)),
-		relTypes:     rels,
-		entities:     entities,
-		edges:        edges,
-		typeByName:   make(map[string]TypeID, len(types)),
-		entityByName: make(map[string]EntityID, len(entities)),
+		types:    make([]EntityType, len(types)),
+		relTypes: rels,
+		entities: entities,
+		edges:    edges,
+		numEdges: len(edges),
+		index:    ix,
 	}
 	for i, name := range types {
-		if g.typeByName[name] = TypeID(i); len(g.typeByName) != i+1 {
+		if ix.types[name] = TypeID(i); len(ix.types) != i+1 {
 			return nil, fmt.Errorf("graph: duplicate type %q", name)
 		}
 		g.types[i].Name = name
@@ -78,7 +83,7 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	typeCount := make([]int32, len(types)+1)
 	for i := range entities {
 		ent := &entities[i]
-		if g.entityByName[ent.Name] = EntityID(i); len(g.entityByName) != i+1 {
+		if ix.entities[ent.Name] = EntityID(i); len(ix.entities) != i+1 {
 			return nil, fmt.Errorf("graph: duplicate entity %q", ent.Name)
 		}
 		if len(ent.Types) == 0 {
@@ -139,13 +144,20 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	g.out = layout(len(entities), edges, byRel, true, mark, &stamp)
 	g.in = layout(len(entities), edges, byRel, false, mark, &stamp)
 
-	g.schemaOut = make([][]RelTypeID, len(types))
-	g.schemaIn = make([][]RelTypeID, len(types))
-	for ri, rt := range rels {
-		g.schemaOut[rt.From] = append(g.schemaOut[rt.From], RelTypeID(ri))
-		g.schemaIn[rt.To] = append(g.schemaIn[rt.To], RelTypeID(ri))
-	}
+	g.schemaOut, g.schemaIn = schemaAdjacency(len(types), rels)
 	return g, nil
+}
+
+// schemaAdjacency lists, per entity type, the relationship types leaving
+// it and those entering it.
+func schemaAdjacency(types int, rels []RelType) (out, in [][]RelTypeID) {
+	out = make([][]RelTypeID, types)
+	in = make([][]RelTypeID, types)
+	for ri, rt := range rels {
+		out[rt.From] = append(out[rt.From], RelTypeID(ri))
+		in[rt.To] = append(in[rt.To], RelTypeID(ri))
+	}
+	return out, in
 }
 
 // layout builds one direction's adjacency: outgoing lists each edge under

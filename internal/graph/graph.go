@@ -10,8 +10,9 @@
 // AWARD and from FILM DIRECTOR to AWARD) while remaining distinct.
 //
 // All identifiers are dense small integers suitable for array indexing.
-// A graph is made once, by Assemble (directly, or through Builder), and
-// then queried many times without further allocation. Its adjacency is
+// A graph is made once, by Assemble (directly, or through Builder), or
+// from its predecessor in a live graph's epochs by Derive, and then
+// queried many times without further allocation. Its adjacency is
 // flat: one compressed sparse row index per direction, grouped by
 // (entity, relationship type), so Neighbors is a binary search that
 // returns a view into graph memory. Everything a graph hands out — entity
@@ -70,16 +71,26 @@ type Edge struct {
 }
 
 // EntityGraph is an immutable directed entity multigraph together with its
-// uniquely determined schema graph. Construct one with a Builder, or from
-// canonical parts with Assemble.
+// uniquely determined schema graph. Construct one with a Builder, from
+// canonical parts with Assemble, or from a live graph's previous snapshot
+// with Derive.
 type EntityGraph struct {
 	entities []Entity
 	types    []EntityType
 	relTypes []RelType
-	edges    []Edge
+	numEdges int
 
-	entityByName map[string]EntityID
-	typeByName   map[string]TypeID
+	// edges is the edge list, parallel copies included. Assemble keeps
+	// the list it is given; a derived graph builds it from log on first
+	// use (edgeList).
+	edgesOnce sync.Once
+	edges     []Edge
+	log       *edgeLog
+
+	// index resolves names. Assemble builds it; a derived graph builds it
+	// on first use (lookup).
+	indexOnce sync.Once
+	index     *nameIndex
 
 	// out and in index each entity's outgoing and incoming neighbors: one
 	// run of distinct neighbors per (entity, relationship type).
@@ -106,8 +117,8 @@ type EntityGraph struct {
 // NumEntities returns |Vd|.
 func (g *EntityGraph) NumEntities() int { return len(g.entities) }
 
-// NumEdges returns |Ed|.
-func (g *EntityGraph) NumEdges() int { return len(g.edges) }
+// NumEdges returns |Ed|, parallel copies included.
+func (g *EntityGraph) NumEdges() int { return g.numEdges }
 
 // NumTypes returns |Vs|, the number of entity types.
 func (g *EntityGraph) NumTypes() int { return len(g.types) }
@@ -122,7 +133,11 @@ func (g *EntityGraph) Entity(id EntityID) Entity { return g.entities[id] }
 func (g *EntityGraph) EntityName(id EntityID) string { return g.entities[id].Name }
 
 // Type returns the entity type with the given id.
-func (g *EntityGraph) Type(id TypeID) EntityType { return g.types[id] }
+func (g *EntityGraph) Type(id TypeID) EntityType {
+	t := g.types[id]
+	t.Entities = capped(t.Entities)
+	return t
+}
 
 // TypeName returns the name of the entity type with the given id.
 func (g *EntityGraph) TypeName(id TypeID) string { return g.types[id].Name }
@@ -131,23 +146,66 @@ func (g *EntityGraph) TypeName(id TypeID) string { return g.types[id].Name }
 func (g *EntityGraph) RelType(id RelTypeID) RelType { return g.relTypes[id] }
 
 // Edge returns the edge with the given id.
-func (g *EntityGraph) Edge(id EdgeID) Edge { return g.edges[id] }
+func (g *EntityGraph) Edge(id EdgeID) Edge { return g.edgeList()[id] }
+
+// edgeList returns the edge list, building a derived graph's on first use.
+func (g *EntityGraph) edgeList() []Edge {
+	g.edgesOnce.Do(func() {
+		if g.log != nil {
+			g.edges = g.log.build()
+		}
+	})
+	return g.edges
+}
+
+// nameIndex maps names to ids.
+type nameIndex struct {
+	entities map[string]EntityID
+	types    map[string]TypeID
+}
+
+// lookup returns the name index, building a derived graph's on first use.
+func (g *EntityGraph) lookup() *nameIndex {
+	g.indexOnce.Do(func() {
+		if g.index != nil {
+			return
+		}
+		ix := &nameIndex{
+			entities: make(map[string]EntityID, len(g.entities)),
+			types:    make(map[string]TypeID, len(g.types)),
+		}
+		for i := range g.entities {
+			ix.entities[g.entities[i].Name] = EntityID(i)
+		}
+		for i := range g.types {
+			ix.types[g.types[i].Name] = TypeID(i)
+		}
+		g.index = ix
+	})
+	return g.index
+}
 
 // EntityByName resolves an entity by name; ok is false if absent.
 func (g *EntityGraph) EntityByName(name string) (EntityID, bool) {
-	id, ok := g.entityByName[name]
+	id, ok := g.lookup().entities[name]
 	return id, ok
 }
 
 // TypeByName resolves an entity type by name; ok is false if absent.
 func (g *EntityGraph) TypeByName(name string) (TypeID, bool) {
-	id, ok := g.typeByName[name]
+	id, ok := g.lookup().types[name]
 	return id, ok
 }
 
 // EntitiesOfType returns the entities bearing type t (shared slice; callers
-// must not mutate it).
-func (g *EntityGraph) EntitiesOfType(t TypeID) []EntityID { return g.types[t].Entities }
+// must not mutate it). Its capacity equals its length, so appending to it
+// copies.
+func (g *EntityGraph) EntitiesOfType(t TypeID) []EntityID { return capped(g.types[t].Entities) }
+
+// capped returns s with its capacity cut to its length. A derived graph's
+// per-type lists may have spare capacity that the next epoch's graph
+// appends into, so no caller may append into it.
+func capped(s []EntityID) []EntityID { return s[:len(s):len(s)] }
 
 // TypeCoverage returns |{v in Vd : v has type t}| — the coverage-based score
 // of t as a key attribute.
@@ -158,7 +216,7 @@ func (g *EntityGraph) TypeCoverage(t TypeID) int { return len(g.types[t].Entitie
 // keeps neighbors, not edge ids. Neighbors is the indexed query.
 func (g *EntityGraph) OutEdges(e EntityID) []EdgeID {
 	var ids []EdgeID
-	for i, ed := range g.edges {
+	for i, ed := range g.edgeList() {
 		if ed.From == e {
 			ids = append(ids, EdgeID(i))
 		}
@@ -171,7 +229,7 @@ func (g *EntityGraph) OutEdges(e EntityID) []EdgeID {
 // query.
 func (g *EntityGraph) InEdges(e EntityID) []EdgeID {
 	var ids []EdgeID
-	for i, ed := range g.edges {
+	for i, ed := range g.edgeList() {
 		if ed.To == e {
 			ids = append(ids, EdgeID(i))
 		}
@@ -235,7 +293,7 @@ type Stats struct {
 func (g *EntityGraph) Stats() Stats {
 	return Stats{
 		Entities: len(g.entities),
-		Edges:    len(g.edges),
+		Edges:    g.numEdges,
 		Types:    len(g.types),
 		RelTypes: len(g.relTypes),
 	}
@@ -251,12 +309,16 @@ func (s Stats) String() string {
 // exist and bear the endpoint types declared by the edge's relationship
 // type, every type's entity list is sorted and deduplicated, and the
 // schema-graph edge counts equal the actual number of entity-graph edges of
-// each relationship type. It is intended for tests; Assemble, the only
-// way a graph is made, checks the same conditions, so every graph
-// validates.
+// each relationship type. It is intended for tests; Assemble checks the
+// same conditions, and Derive extends a valid graph by a batch a live
+// graph has already checked, so every graph validates.
 func (g *EntityGraph) Validate() error {
+	edges := g.edgeList()
+	if len(edges) != g.numEdges {
+		return fmt.Errorf("edge list holds %d edges, NumEdges says %d", len(edges), g.numEdges)
+	}
 	counts := make([]int, len(g.relTypes))
-	for i, e := range g.edges {
+	for i, e := range edges {
 		if e.From < 0 || int(e.From) >= len(g.entities) || e.To < 0 || int(e.To) >= len(g.entities) {
 			return fmt.Errorf("edge %d: endpoint out of range", i)
 		}

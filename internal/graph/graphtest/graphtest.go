@@ -1,12 +1,14 @@
 // Package graphtest supplies what the adjacency-layout tests of the graph,
-// score and storage packages share: small multigraphs decoded from bytes,
-// the graphs the differentials run on, and the reference Neighbors they
-// compare against.
+// score, storage and dynamic packages share: small multigraphs decoded
+// from bytes, the graphs the differentials run on, the reference Neighbors
+// they compare against, and a comparison of two graphs through every
+// accessor.
 package graphtest
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 
 	"github.com/uta-db/previewtables/internal/fig1"
@@ -134,6 +136,70 @@ func CheckNeighbors(g *graph.EntityGraph) error {
 					return fmt.Errorf("Neighbors(%d, %d, %v): cap %d != len %d", k.e, k.rel, k.out, cap(got), len(got))
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// Equal reports the first difference between got and want: in their
+// stats, type names and per-type entity lists, relationship types, entity
+// names and type lists, name lookups, neighbor runs, schemas, name orders
+// and edge lists. Every list got hands out must be capped at its length.
+// A live graph's derived snapshot must be Equal to Freeze of the same
+// state.
+func Equal(got, want *graph.EntityGraph) error {
+	if got.Stats() != want.Stats() {
+		return fmt.Errorf("stats %v, want %v", got.Stats(), want.Stats())
+	}
+	for t := 0; t < want.NumTypes(); t++ {
+		id := graph.TypeID(t)
+		g, w := got.Type(id), want.Type(id)
+		if g.Name != w.Name || !slices.Equal(g.Entities, w.Entities) || !slices.Equal(got.EntitiesOfType(id), w.Entities) {
+			return fmt.Errorf("type %d: %q %v, want %q %v", t, g.Name, g.Entities, w.Name, w.Entities)
+		}
+		if cap(g.Entities) != len(g.Entities) || cap(got.EntitiesOfType(id)) != len(g.Entities) {
+			return fmt.Errorf("type %d: entity list not capped at its length", t)
+		}
+		if tid, ok := got.TypeByName(w.Name); !ok || tid != id {
+			return fmt.Errorf("TypeByName(%q) = %d, %v, want %d", w.Name, tid, ok, t)
+		}
+	}
+	for r := 0; r < want.NumRelTypes(); r++ {
+		if g, w := got.RelType(graph.RelTypeID(r)), want.RelType(graph.RelTypeID(r)); g != w {
+			return fmt.Errorf("relationship type %d: %+v, want %+v", r, g, w)
+		}
+	}
+	gotOrder, wantOrder := got.NameOrder(), want.NameOrder()
+	for e := 0; e < want.NumEntities(); e++ {
+		id := graph.EntityID(e)
+		g, w := got.Entity(id), want.Entity(id)
+		if g.Name != w.Name || !slices.Equal(g.Types, w.Types) {
+			return fmt.Errorf("entity %d: %q %v, want %q %v", e, g.Name, g.Types, w.Name, w.Types)
+		}
+		if eid, ok := got.EntityByName(w.Name); !ok || eid != id {
+			return fmt.Errorf("EntityByName(%q) = %d, %v, want %d", w.Name, eid, ok, e)
+		}
+		if gotOrder.Rank(id) != wantOrder.Rank(id) {
+			return fmt.Errorf("entity %d: name rank %d, want %d", e, gotOrder.Rank(id), wantOrder.Rank(id))
+		}
+		for r := 0; r < want.NumRelTypes(); r++ {
+			for _, out := range []bool{true, false} {
+				g, w := got.Neighbors(id, graph.RelTypeID(r), out), want.Neighbors(id, graph.RelTypeID(r), out)
+				if !slices.Equal(g, w) || cap(g) != len(g) {
+					return fmt.Errorf("Neighbors(%d, %d, %v) = %v (cap %d), want %v", e, r, out, g, cap(g), w)
+				}
+			}
+		}
+	}
+	if _, ok := got.EntityByName("\x00absent"); ok {
+		return fmt.Errorf("EntityByName resolved an absent name")
+	}
+	if !reflect.DeepEqual(got.Schema(), want.Schema()) {
+		return fmt.Errorf("schemas differ")
+	}
+	for i := 0; i < want.NumEdges(); i++ {
+		if g, w := got.Edge(graph.EdgeID(i)), want.Edge(graph.EdgeID(i)); g != w {
+			return fmt.Errorf("edge %d: %+v, want %+v", i, g, w)
 		}
 	}
 	return nil

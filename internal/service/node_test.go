@@ -30,6 +30,32 @@ func fig1Source(name string) GraphSource {
 	return GraphSource{Name: name, Load: func() (*graph.EntityGraph, error) { return fig1.Graph(), nil }}
 }
 
+// fig1ParallelSource registers Fig. 1 with every edge doubled under name:
+// a multigraph, whose counts a checkpoint must carry copy for copy.
+func fig1ParallelSource(name string) GraphSource {
+	return GraphSource{Name: name, Load: func() (*graph.EntityGraph, error) {
+		src := fig1.Graph()
+		var b graph.Builder
+		for t := 0; t < src.NumTypes(); t++ {
+			b.Type(src.TypeName(graph.TypeID(t)))
+		}
+		for r := 0; r < src.NumRelTypes(); r++ {
+			rt := src.RelType(graph.RelTypeID(r))
+			b.RelType(rt.Name, rt.From, rt.To)
+		}
+		for e := 0; e < src.NumEntities(); e++ {
+			ent := src.Entity(graph.EntityID(e))
+			b.Entity(ent.Name, ent.Types...)
+		}
+		for i := 0; i < src.NumEdges(); i++ {
+			ed := src.Edge(graph.EdgeID(i))
+			b.Edge(ed.From, ed.To, ed.Rel)
+			b.Edge(ed.From, ed.To, ed.Rel)
+		}
+		return b.Build()
+	}}
+}
+
 // nodeStorage lays a node out as previewd -wal-dir root/wal
 // -checkpoint-dir root/ckpt does, with test-friendly follower timings.
 func nodeStorage(root string) FollowerOptions {
@@ -109,7 +135,10 @@ func TestNodeStartupValidation(t *testing.T) {
 // persists comes back from Close and a NewNode over the same directories
 // at the same epoch with identical reads, ETags included. A restart from
 // a checkpoint re-solves the walk from the checkpoint's state, so the
-// rows that checkpoint compare count-backed surfaces only.
+// rows that checkpoint compare count-backed surfaces only. The parallel
+// rows serve Fig. 1 with every edge doubled and write one more parallel
+// copy: a restart, from a checkpoint too, counts every copy the live
+// graph counted.
 func TestNodeRoles(t *testing.T) {
 	const g = "fig1" // replBatches' and replReadURLs' graph
 	countBacked := []string{
@@ -125,6 +154,7 @@ func TestNodeRoles(t *testing.T) {
 		follow        bool // -follow a durable leader Node that takes the writes
 		write         int  // what a write to the node answers
 		restart       bool // the role persists across Close and NewNode
+		parallel      bool // a graph with parallel duplicate edges
 	}{
 		{name: "static", warm: true, write: http.StatusMethodNotAllowed},
 		{name: "volatile mutable", mutable: true, write: http.StatusOK},
@@ -133,6 +163,10 @@ func TestNodeRoles(t *testing.T) {
 		{name: "durable leader with -checkpoint-dir", mutable: true, ckpt: true, wal: true, write: http.StatusOK, restart: true},
 		{name: "volatile follower", follow: true, write: http.StatusServiceUnavailable},
 		{name: "durable follower", follow: true, ckpt: true, wal: true, write: http.StatusServiceUnavailable, restart: true},
+		{name: "volatile mutable with -checkpoint-dir, parallel edges", mutable: true, ckpt: true, write: http.StatusOK, restart: true, parallel: true},
+		{name: "durable leader, parallel edges", mutable: true, wal: true, write: http.StatusOK, restart: true, parallel: true},
+		{name: "durable leader with -checkpoint-dir, parallel edges", mutable: true, ckpt: true, wal: true, write: http.StatusOK, restart: true, parallel: true},
+		{name: "durable follower, parallel edges", follow: true, ckpt: true, wal: true, write: http.StatusServiceUnavailable, restart: true, parallel: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := nodeStorage(t.TempDir())
@@ -143,13 +177,21 @@ func TestNodeRoles(t *testing.T) {
 				opts.WALRoot = ""
 			}
 			cfg := NodeConfig{Mutable: tc.mutable, FollowerOptions: opts, Warm: tc.warm}
+			src := fig1Source(g)
+			// The batches after the first write: a parallel row repeats the
+			// first write, so the batches add a parallel copy too.
+			batches := replBatches[1:3:3]
+			if tc.parallel {
+				src = fig1ParallelSource(g)
+				batches = append(batches, replBatches[0])
+			}
 			var leader *httptest.Server
 			if tc.follow {
-				leader = httptest.NewServer(startNode(t, NodeConfig{Graphs: []GraphSource{fig1Source(g)}, Mutable: true, FollowerOptions: nodeStorage(t.TempDir())}).Server())
+				leader = httptest.NewServer(startNode(t, NodeConfig{Graphs: []GraphSource{src}, Mutable: true, FollowerOptions: nodeStorage(t.TempDir())}).Server())
 				t.Cleanup(leader.Close)
 				cfg.Leader = leader.URL
 			} else {
-				cfg.Graphs = []GraphSource{fig1Source(g)}
+				cfg.Graphs = []GraphSource{src}
 			}
 			n := startNode(t, cfg)
 			if tc.warm && n.Registry().ScoreComputes() != 1 {
@@ -171,14 +213,14 @@ func TestNodeRoles(t *testing.T) {
 			}
 			switch {
 			case tc.follow:
-				for _, b := range replBatches[:3] {
+				for _, b := range append(replBatches[:1:1], batches...) {
 					postBatch(t, leader, b.route, b.body)
 				}
-				if err := n.Registry().followers()[0].WaitCaughtUp(3, 30*time.Second); err != nil {
+				if err := n.Registry().followers()[0].WaitCaughtUp(uint64(1+len(batches)), 30*time.Second); err != nil {
 					t.Fatal(err)
 				}
 			case tc.mutable:
-				for _, b := range replBatches[1:3] {
+				for _, b := range batches {
 					postBatch(t, ts, b.route, b.body)
 				}
 			}

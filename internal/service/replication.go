@@ -27,8 +27,10 @@ package service
 // the full tail reconstructs the leader's state through the identical
 // code path, which is what makes reads byte-identical — and falls back
 // to the current frozen snapshot once truncation has moved past the
-// origin (count-exact; entropy equal to the last ulp, the same
-// asymmetry as the leader's own checkpoint recovery).
+// origin. That snapshot carries every parallel copy of an edge, so a
+// follower booted from it counts what the leader counts (count-exact);
+// its entropy sums are equal to the last ulp and its walk is re-solved,
+// the same asymmetries as the leader's own checkpoint recovery.
 //
 // Replication status deliberately lives under /v1/replication, not in
 // the graph stats document: every /v1/graphs read surface stays

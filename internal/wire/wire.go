@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -237,6 +238,20 @@ func Forward(w http.ResponseWriter, r *http.Request, c *http.Client, base string
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := copyBufs.Get().(*[]byte)
+	_, _ = io.CopyBuffer(writerOnly{w}, readerOnly{resp.Body}, *buf)
+	copyBufs.Put(buf)
 	return true
 }
+
+// copyBufs holds Forward's body-copy buffers, io.Copy's 32 KiB size, so
+// a routed response allocates none.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// writerOnly and readerOnly hide every method but Write and Read, so
+// io.CopyBuffer uses the pooled buffer instead of a ReadFrom or WriteTo
+// that allocates its own: a wrapping ResponseWriter's, or net/http's
+// TCPConn fallback behind a response with a Content-Length.
+type writerOnly struct{ io.Writer }
+
+type readerOnly struct{ io.Reader }

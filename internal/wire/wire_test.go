@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -419,4 +420,159 @@ func TestForward(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forwardBody is a deterministic body of n bytes.
+func forwardBody(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + i>>9)
+	}
+	return b
+}
+
+// forwardingPair starts a backend that answers GET /size/<n> with a body
+// of n bytes (Content-Length set, or streamed without one when the query
+// says chunked=1), HEAD with the same headers, and 304 to a matching
+// If-None-Match; and a router in front of it whose every request goes
+// through Forward. It serves the sizes TestForwardBodiesOverSocket and
+// BenchmarkForward ask for, and returns the router's URL.
+func forwardingPair(t testing.TB) string {
+	bodies := map[int][]byte{}
+	for _, n := range []int{0, 511, 512, 20 << 10, 40 << 10, 1 << 20} {
+		bodies[n] = forwardBody(n)
+	}
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/size/"))
+		body, ok := bodies[n]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		etag := `"size-` + strconv.Itoa(n) + `"`
+		w.Header().Set("ETag", etag)
+		if ETagMatches(r.Header.Get("If-None-Match"), etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		if r.URL.Query().Get("chunked") == "1" {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush() // headers go out first, so no Content-Length
+		} else {
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+		}
+		if r.Method != http.MethodHead {
+			_, _ = w.Write(body)
+		}
+	}))
+	t.Cleanup(backend.Close)
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !Forward(w, r, backend.Client(), backend.URL) {
+			WriteError(w, http.StatusBadGateway, errors.New("backend unreachable"))
+		}
+	}))
+	t.Cleanup(router.Close)
+	return router.URL
+}
+
+// TestForwardBodiesOverSocket forwards bodies around the copy buffer's
+// edges through a socket router, with and without a Content-Length: each
+// arrives byte for byte with the backend's status and length, and HEAD
+// and 304 answers arrive with their headers and no body.
+func TestForwardBodiesOverSocket(t *testing.T) {
+	router := forwardingPair(t)
+	get := func(method, path, inm string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, router+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for _, n := range []int{0, 511, 512, 40 << 10, 1 << 20} {
+		for _, chunked := range []bool{false, true} {
+			path := "/size/" + strconv.Itoa(n)
+			if chunked {
+				path += "?chunked=1"
+			}
+			resp, body := get(http.MethodGet, path, "")
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, forwardBody(n)) {
+				t.Fatalf("GET %s: status %d, %d bytes, want 200 and the backend's %d bytes", path, resp.StatusCode, len(body), n)
+			}
+			if !chunked && resp.ContentLength != int64(n) {
+				t.Errorf("GET %s: Content-Length %d, want %d", path, resp.ContentLength, n)
+			}
+		}
+		path := "/size/" + strconv.Itoa(n)
+		resp, body := get(http.MethodHead, path, "")
+		if resp.StatusCode != http.StatusOK || len(body) != 0 || resp.Header.Get("Content-Length") != strconv.Itoa(n) {
+			t.Errorf("HEAD %s: status %d, Content-Length %q, %d body bytes", path, resp.StatusCode, resp.Header.Get("Content-Length"), len(body))
+		}
+		etag := `"size-` + strconv.Itoa(n) + `"`
+		resp, body = get(http.MethodGet, path, etag)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+			t.Errorf("GET %s If-None-Match: status %d, ETag %q, %d body bytes", path, resp.StatusCode, resp.Header.Get("ETag"), len(body))
+		}
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps only its headers, the
+// shape of a wrapping middleware's writer: it has no ReadFrom.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkForward: one 20 KB response through Forward, into an
+// in-process writer and through a socket router. Run with -benchmem; the
+// bytes per op include the transport's own per-request allocations.
+func BenchmarkForward(b *testing.B) {
+	const path = "/size/20480"
+	b.Run("in-process", func(b *testing.B) {
+		body := forwardBody(20 << 10)
+		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "20480")
+			_, _ = w.Write(body)
+		}))
+		defer backend.Close()
+		c := backend.Client()
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		w := &discardResponse{h: http.Header{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range w.h {
+				delete(w.h, k)
+			}
+			if !Forward(w, r, c, backend.URL) {
+				b.Fatal("backend unreachable")
+			}
+		}
+	})
+	b.Run("socket", func(b *testing.B) {
+		router := forwardingPair(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := http.Get(router + path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	})
 }
