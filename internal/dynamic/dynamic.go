@@ -9,20 +9,23 @@
 //   - coverage scores and relationship-instance counts are plain counters;
 //   - the entropy measure's per-attribute value-set group histograms are
 //     updated in O(deg) per edge insertion (move the affected tuple from
-//     its old group to its new one);
-//   - the random-walk measure is recomputed from the maintained schema
-//     weights in O(K²) per refresh — independent of the entity graph's
-//     size, which is the expensive part.
+//     its old group to its new one, and that group from its old size to
+//     its new one in the multiset of group sizes);
+//   - the random-walk measure is solved from the maintained schema
+//     weights, by score.StationaryDistribution, in O(K²) per iteration —
+//     independent of the entity graph's size, which is the expensive part.
 //
 // Emitting a score.Set after u updates therefore costs O(u·deg + K² + K·N)
-// instead of the O(|Vd| + |Ed|) full rescan of score.Compute. The paper's
-// companion observation — "the optimal previews cannot be incrementally
-// updated" — still holds: rerun discovery on the refreshed Set.
+// instead of the O(|Vd| + |Ed|) full rescan of score.Compute, and the Set
+// is a function of the graph's state alone: it equals score.Compute of the
+// frozen graph bit for bit, whatever sequence of updates reached the
+// state. The paper's companion observation — "the optimal previews cannot
+// be incrementally updated" — still holds: rerun discovery on the
+// refreshed Set.
 package dynamic
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -56,12 +59,8 @@ type Graph struct {
 	// orientation: dir 0 = outgoing (tuples are source entities of the
 	// relationship's From type), dir 1 = incoming.
 	hist [][2]*valueHist
-
-	// walkPi is the stationary distribution of the previous Scores call,
-	// used to warm-start power iteration: one update batch perturbs the
-	// schema weights only slightly, so the old π is already near the new
-	// fixed point and re-solving takes a handful of iterations.
-	walkPi []float64
+	// sizeBuf is the scratch histogram a moved valueHist re-sums through.
+	sizeBuf []score.SizeCount
 
 	// Change stamps, read by Snapshot.DirtySince: moved[t] is the epoch of
 	// the last batch that moved type t's measure inputs (coverage counter,
@@ -99,22 +98,23 @@ type relKey struct {
 }
 
 // valueHist tracks, per tuple (entity), its current deduplicated value set
-// on one attribute, and the histogram of value sets across tuples — the
-// inputs to the entropy measure. Alongside the histogram it maintains the
-// two aggregates the entropy formula needs — the non-empty tuple count and
-// Σ c·log10(c) over group counts — so emitting the entropy is O(1) instead
-// of a scan over every group.
+// on one attribute, the histogram of value sets across tuples, and the
+// multiset of that histogram's group sizes — the entropy measure's input.
+// Entropy is a function of the size multiset alone, so emitting it sums
+// one term per distinct size, not one per group, and only after a move.
 type valueHist struct {
 	values map[graph.EntityID][]graph.EntityID // sorted, deduplicated
 	groups map[string]int                      // value-set key → tuple count
-	total  int                                 // Σ counts (non-empty tuples)
-	clogc  float64                             // Σ c·log10(c) over groups
+	sizes  map[int]int                         // group size → number of groups
+	ent    float64                             // the entropy of sizes when last summed
+	moved  bool                                // sizes changed since ent was summed
 }
 
 func newValueHist() *valueHist {
 	return &valueHist{
 		values: map[graph.EntityID][]graph.EntityID{},
 		groups: map[string]int{},
+		sizes:  map[int]int{},
 	}
 }
 
@@ -137,41 +137,51 @@ func (h *valueHist) add(e, v graph.EntityID) bool {
 	return true
 }
 
+// bump moves the group of value set vals from size c to c+delta, and so
+// one group from size c to c+delta in the size multiset: O(1) beyond the
+// key.
 func (h *valueHist) bump(vals []graph.EntityID, delta int) {
 	k := setKey(vals)
 	c := h.groups[k]
-	h.clogc += clog(c+delta) - clog(c)
-	h.total += delta
-	h.groups[k] = c + delta
-	if h.groups[k] == 0 {
+	h.count(c, -1)
+	h.count(c+delta, +1)
+	if c+delta == 0 {
 		delete(h.groups, k)
+	} else {
+		h.groups[k] = c + delta
+	}
+	h.moved = true
+}
+
+// count adds d groups of size c to the size multiset; size 0 is no group.
+func (h *valueHist) count(c, d int) {
+	if c == 0 {
+		return
+	}
+	if n := h.sizes[c] + d; n == 0 {
+		delete(h.sizes, c)
+	} else {
+		h.sizes[c] = n
 	}
 }
 
-// clog is c·log10(c) with the 0·log(0) = 0 convention.
-func clog(c int) float64 {
-	if c <= 1 {
-		return 0
+// entropy returns Sτent(γ) of h's attribute (log base 10, tuples with
+// empty values excluded — they are simply absent from the maps): the
+// cached sum, re-summed through score.HistogramEntropy, in its order and
+// with its formula, only when a move has changed the size multiset since
+// the last call.
+func (g *Graph) entropy(h *valueHist) float64 {
+	if !h.moved {
+		return h.ent
 	}
-	return float64(c) * math.Log10(float64(c))
-}
-
-// entropy computes Sτent(γ) from the maintained aggregates in O(1):
-// H = Σ (c/T)·log10(T/c) = log10(T) − (Σ c·log10 c)/T (log base 10,
-// tuples with empty values excluded — they are simply absent from the
-// maps). The running Σ c·log10 c accumulates float error on the order of
-// one ulp per histogram move, far below the measure's meaningful
-// resolution; the result is clamped at 0 so a drifted aggregate can never
-// report a (meaningless) negative entropy.
-func (h *valueHist) entropy() float64 {
-	if h.total == 0 {
-		return 0
+	hist := g.sizeBuf[:0]
+	for size, groups := range h.sizes {
+		hist = append(hist, score.SizeCount{Size: size, Groups: groups})
 	}
-	e := math.Log10(float64(h.total)) - h.clogc/float64(h.total)
-	if e < 0 {
-		return 0
-	}
-	return e
+	slices.SortFunc(hist, func(a, b score.SizeCount) int { return a.Size - b.Size })
+	h.ent, h.moved = score.HistogramEntropy(hist), false
+	g.sizeBuf = hist
+	return h.ent
 }
 
 func setKey(vals []graph.EntityID) string {
@@ -356,8 +366,9 @@ func (g *Graph) Schema() (*graph.Schema, error) {
 
 // Scores assembles a score.Set from the incrementally maintained state:
 // coverage and entropy read off the maintained counters and histograms;
-// the random walk is re-solved on the (small) schema graph. No entity or
-// edge is revisited.
+// the random walk is solved on the (small) schema graph, cold, by
+// score.StationaryDistribution. No entity or edge is revisited, and the
+// Set equals score.Compute of Freeze's graph bit for bit.
 func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 	s, err := g.Schema()
 	if err != nil {
@@ -368,8 +379,7 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 	for t := 0; t < n; t++ {
 		keyCov[t] = float64(g.coverage[t])
 	}
-	keyWalk := score.StationaryDistributionWarm(s, opts, g.walkPi)
-	g.walkPi = append(g.walkPi[:0], keyWalk...)
+	keyWalk := score.StationaryDistribution(s, opts)
 	nonKeyCov := make([][]float64, n)
 	nonKeyEnt := make([][]float64, n)
 	for t := 0; t < n; t++ {
@@ -382,7 +392,7 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 			if inc.Outgoing {
 				dir = 0
 			}
-			ent[i] = g.hist[inc.Rel][dir].entropy()
+			ent[i] = g.entropy(g.hist[inc.Rel][dir])
 		}
 		nonKeyCov[t] = cov
 		nonKeyEnt[t] = ent

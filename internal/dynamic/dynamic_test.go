@@ -82,39 +82,19 @@ func TestIncrementalMatchesBatchOnFig1(t *testing.T) {
 	assertSetsEqual(t, incSet, batchSet)
 }
 
+// assertSetsEqual fails t unless a equals b bit for bit (ScoresEqual).
 func assertSetsEqual(t *testing.T, a, b *score.Set) {
 	t.Helper()
-	sa, sb := a.Schema(), b.Schema()
-	if sa.NumTypes() != sb.NumTypes() || sa.NumRelTypes() != sb.NumRelTypes() {
-		t.Fatalf("schema sizes differ: (%d,%d) vs (%d,%d)",
-			sa.NumTypes(), sa.NumRelTypes(), sb.NumTypes(), sb.NumRelTypes())
-	}
-	for tt := 0; tt < sa.NumTypes(); tt++ {
-		tid := graph.TypeID(tt)
-		if math.Abs(a.Key(score.KeyCoverage, tid)-b.Key(score.KeyCoverage, tid)) > eps {
-			t.Errorf("type %d coverage: %v vs %v", tt,
-				a.Key(score.KeyCoverage, tid), b.Key(score.KeyCoverage, tid))
-		}
-		if math.Abs(a.Key(score.KeyRandomWalk, tid)-b.Key(score.KeyRandomWalk, tid)) > 1e-6 {
-			t.Errorf("type %d walk: %v vs %v", tt,
-				a.Key(score.KeyRandomWalk, tid), b.Key(score.KeyRandomWalk, tid))
-		}
-		for i := range sa.Incident(tid) {
-			if math.Abs(a.NonKey(score.NonKeyCoverage, tid, i)-b.NonKey(score.NonKeyCoverage, tid, i)) > eps {
-				t.Errorf("type %d inc %d coverage differs", tt, i)
-			}
-			if math.Abs(a.NonKey(score.NonKeyEntropy, tid, i)-b.NonKey(score.NonKeyEntropy, tid, i)) > eps {
-				t.Errorf("type %d inc %d entropy: %v vs %v", tt, i,
-					a.NonKey(score.NonKeyEntropy, tid, i), b.NonKey(score.NonKeyEntropy, tid, i))
-			}
-		}
+	if err := dynamic.ScoresEqual(a, b); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestIncrementalMatchesBatchProperty(t *testing.T) {
 	// Stream random graphs edge by edge, parallel duplicate edges
 	// included; the incrementally maintained Set must equal a batch
-	// recompute over the frozen graph, which counts every copy.
+	// recompute over the frozen graph, which counts every copy, bit for
+	// bit under all four measures.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var dg dynamic.Graph
@@ -156,23 +136,7 @@ func TestIncrementalMatchesBatchProperty(t *testing.T) {
 			return false
 		}
 		batch := score.Compute(frozen, score.DefaultWalkOptions())
-		// Compare a few aggregates cheaply, then spot-check entropies.
-		sa := incSet.Schema()
-		for tt := 0; tt < sa.NumTypes(); tt++ {
-			tid := graph.TypeID(tt)
-			if math.Abs(incSet.Key(score.KeyCoverage, tid)-batch.Key(score.KeyCoverage, tid)) > eps {
-				return false
-			}
-			for i := range sa.Incident(tid) {
-				if math.Abs(incSet.NonKey(score.NonKeyEntropy, tid, i)-batch.NonKey(score.NonKeyEntropy, tid, i)) > eps {
-					return false
-				}
-				if math.Abs(incSet.NonKey(score.NonKeyCoverage, tid, i)-batch.NonKey(score.NonKeyCoverage, tid, i)) > eps {
-					return false
-				}
-			}
-		}
-		return true
+		return dynamic.ScoresEqual(incSet, batch) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -111,6 +111,7 @@ func snapshotBytes(t *testing.T, g *graph.EntityGraph, err error) []byte {
 // serializes to exactly the bytes of the Builder-based reference, and the
 // snapshot a Live published, which it derived from the previous one
 // (graph.Derive), equals Freeze through every accessor and byte for byte.
+// The snapshot's scores equal score.Compute of its graph bit for bit.
 // Odd seeds write through Apply, even seeds through ApplyShipped; seeds 3
 // and 4 start the Live at epoch 40 (NewLiveAt); and every seventh batch
 // fails after mutating, so what it leaked must land in the next epoch.
@@ -160,12 +161,16 @@ func TestFreezeMatchesBuilderReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: Freeze differs from the Builder reference (%v vs %v)",
 					seed, step, frozen.Stats(), ref.Stats())
 			}
-			derived := live.Snapshot().Frozen
+			snap := live.Snapshot()
+			derived := snap.Frozen
 			if err := graphtest.Equal(derived, frozen); err != nil {
 				t.Fatalf("seed %d step %d: the derived graph differs from Freeze: %v", seed, step, err)
 			}
 			if !bytes.Equal(snapshotBytes(t, derived, nil), want) {
 				t.Fatalf("seed %d step %d: the derived graph serializes differently from Freeze", seed, step)
+			}
+			if err := ScoresEqual(snap.Scores, score.Compute(derived, score.DefaultWalkOptions())); err != nil {
+				t.Fatalf("seed %d step %d: the live scores differ from score.Compute: %v", seed, step, err)
 			}
 		}
 	}
@@ -174,7 +179,8 @@ func TestFreezeMatchesBuilderReference(t *testing.T) {
 // FuzzDerivedGraphMatchesFreeze decodes a base multigraph and a write
 // stream from its input and checks, at every epoch a Live publishes, that
 // the graph it derived equals Freeze of the same state, through every
-// accessor and in storage.Write bytes. The first byte sizes the base
+// accessor and in storage.Write bytes, and that its scores equal
+// score.Compute of that graph bit for bit. The first byte sizes the base
 // (graphtest.Multigraph of up to 63 bytes: parallel duplicate edges, self
 // loops, entities of two types); the rest is batches. A batch's first
 // byte gives its operation count (1–8), whether it fails after mutating
@@ -275,12 +281,16 @@ func FuzzDerivedGraphMatchesFreeze(f *testing.F) {
 			}
 			frozen, err := g.Freeze()
 			want := snapshotBytes(t, frozen, err)
-			derived := live.Snapshot().Frozen
+			snap := live.Snapshot()
+			derived := snap.Frozen
 			if err := graphtest.Equal(derived, frozen); err != nil {
 				t.Fatalf("batch %d: the derived graph differs from Freeze: %v", batch, err)
 			}
 			if !bytes.Equal(snapshotBytes(t, derived, nil), want) {
 				t.Fatalf("batch %d: the derived graph serializes differently from Freeze", batch)
+			}
+			if err := ScoresEqual(snap.Scores, score.Compute(derived, score.DefaultWalkOptions())); err != nil {
+				t.Fatalf("batch %d: the live scores differ from score.Compute: %v", batch, err)
 			}
 		}
 	})

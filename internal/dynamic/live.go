@@ -7,9 +7,12 @@
 //
 // Each successful batch bumps the epoch by one and refreshes the scores
 // through the incremental path (Graph.Scores: O(u·deg) histogram moves
-// already paid during mutation, an O(K²)-per-iteration warm-started walk
-// re-solve, and an O(K + N) assembly) instead of score.Compute's
-// O(|Vd| + |Ed|) rescan. The immutable entity graph each snapshot carries
+// already paid during mutation, a re-sum of each moved histogram's group
+// sizes, an O(K²)-per-iteration walk solve, and an O(K + N) assembly)
+// instead of score.Compute's O(|Vd| + |Ed|) rescan. The scores are
+// score.Compute's for the published graph, bit for bit, so a snapshot's
+// scores depend on its state, not on the batches or the restarts that
+// reached it. The immutable entity graph each snapshot carries
 // — needed to materialize tuples, and what buys readers lock-free access
 // to a graph that can never change underneath them — is frozen once, at
 // the first publication (Graph.Freeze), and every later one is derived
@@ -132,7 +135,8 @@ func NewLive(g *Graph, opts score.WalkOptions) (*Live, error) {
 // uses it to resume exactly where the durable state ends: g is the
 // checkpoint graph with the WAL tail already replayed, and epoch is the
 // last recovered epoch, so the next batch publishes epoch+1 and the
-// epoch sequence has no seam across the restart.
+// epoch sequence has no seam across the restart. Its publication solves
+// the scores once, for that state.
 func NewLiveAt(g *Graph, opts score.WalkOptions, epoch uint64) (*Live, error) {
 	l := &Live{opts: opts, g: g}
 	// The initial publication is structural by definition: nothing

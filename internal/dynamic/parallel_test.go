@@ -1,9 +1,8 @@
 package dynamic_test
 
 // The incremental refresh inherits its parallelism from the WalkOptions
-// every call already threads through; this test proves the warm-started
-// path emits bit-identical score sets at any worker count, batch after
-// batch.
+// every call already threads through; this test proves it emits
+// bit-identical score sets at any worker count, batch after batch.
 
 import (
 	"testing"

@@ -39,8 +39,7 @@ import (
 
 // leaderProc is one leader "process": the service.Node previewd builds
 // for -mutable -wal-dir -checkpoint-dir, with one durable graph per
-// name (each WAL-backed, origin-pinned for follower bootstrap), behind
-// its own listener. dead is set by crash: from then on the listener's
+// name (each WAL-backed), behind its own listener. dead is set by crash: from then on the listener's
 // handler aborts every request, as a killed process would.
 type leaderProc struct {
 	id      string
@@ -72,10 +71,8 @@ func startLeaderProc(t testing.TB, shardID string, graphs []string, root string)
 			Wait:          150 * time.Millisecond,
 			Backoff:       5 * time.Millisecond,
 		},
-		// No periodic checkpoint fires within a test: one that truncated a
-		// leader's WAL past its origin would bootstrap later followers
-		// from the current snapshot, whose entropy matches only to the
-		// last ulp, and the differentials compare bytes.
+		// No periodic checkpoint fires within a test, so a leader's WAL
+		// holds every batch the test wrote.
 		CheckpointInterval: time.Hour,
 	})
 	if err != nil {

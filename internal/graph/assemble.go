@@ -212,5 +212,11 @@ func layout(n int, edges []Edge, byRel []int32, outgoing bool, mark []uint32, st
 		}
 	}
 	start[n] = w
+	if int(w) < len(edges) {
+		// The arrays have one slot per edge: copy them to exact length, or
+		// a multigraph would hold 8 B per parallel copy for its lifetime.
+		rel = append(make([]RelTypeID, 0, w), rel[:w]...)
+		nbr = append(make([]EntityID, 0, w), nbr[:w]...)
+	}
 	return adjacency{start: start, rel: rel[:w:w], nbr: nbr[:w:w]}
 }

@@ -104,13 +104,12 @@ type WalkOptions struct {
 	MaxIter int
 	// Parallelism is the worker count for the scoring hot paths: Compute's
 	// per-type entropy/coverage fan-out and power iteration's blocked
-	// matrix-vector step (both the cold and the warm-started incremental
-	// path). Values <= 1 mean sequential. Results are bit-identical at
-	// every setting: each output slot is computed by exactly one worker
-	// with a per-slot floating-point accumulation order that does not
-	// depend on the worker count (see internal/par), and the convergence
-	// test reduces the parallel step's output on one goroutine in index
-	// order.
+	// matrix-vector step, which package dynamic's refreshes run too.
+	// Values <= 1 mean sequential. Results are bit-identical at every
+	// setting: each output slot is computed by exactly one worker with a
+	// per-slot floating-point accumulation order that does not depend on
+	// the worker count (see internal/par), and the convergence test
+	// reduces the parallel step's output on one goroutine in index order.
 	Parallelism int
 }
 
@@ -195,13 +194,14 @@ func ComputeSchemaOnly(s *graph.Schema, opts WalkOptions) *Set {
 
 // NewSet assembles a Set from externally maintained measure values — the
 // hook for incremental maintenance (package dynamic keeps coverage, edge
-// counts and entropies up to date under a stream of graph updates and
-// emits Sets without rescanning the entity graph). nonKeyCov and nonKeyEnt
-// must be index-aligned with s.Incident(t) for each type t. Every value
-// must be non-negative, as every measure computed here is: Alg. 3's search
-// (package core) skips subsets by a bound that is exact only then, which is
-// why package dynamic clamps its maintained entropy at 0. Dimensions are
-// validated, values are not, and they are not copied.
+// counts and group-size histograms up to date under a stream of graph
+// updates and emits Sets without rescanning the entity graph). nonKeyCov
+// and nonKeyEnt must be index-aligned with s.Incident(t) for each type t.
+// Every value must be non-negative, as every measure computed here is:
+// Alg. 3's search (package core) skips subsets by a bound that is exact
+// only then. Package dynamic's entropies are HistogramEntropy sums of
+// non-negative terms, so they are. Dimensions are validated, values are
+// not, and they are not copied.
 func NewSet(s *graph.Schema, keyCov, keyWalk []float64, nonKeyCov, nonKeyEnt [][]float64) (*Set, error) {
 	n := s.NumTypes()
 	if len(keyCov) != n || len(keyWalk) != n || len(nonKeyCov) != n || len(nonKeyEnt) != n {
@@ -296,22 +296,12 @@ const walkParallelThreshold = 256
 // opts.Smoothing added between every (ordered) pair of distinct types and
 // rows renormalized (the paper's convergence fix for disconnected schema
 // graphs). The result sums to 1; an empty schema returns an empty slice.
+// Iteration starts from the uniform distribution, so the result is a
+// function of the schema and opts alone.
 //
 // Iteration uses the lazy walk (M+I)/2, which has exactly the same fixed
 // point π = πM but converges even on periodic (bipartite) schema graphs,
 // where plain power iteration oscillates forever.
-func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
-	return StationaryDistributionWarm(s, opts, nil)
-}
-
-// StationaryDistributionWarm is StationaryDistribution with a warm start:
-// power iteration begins from prev (renormalized) instead of the uniform
-// distribution when prev matches the schema's type count. With positive
-// smoothing the chain is ergodic, so the fixed point is unique and the
-// starting vector only affects the iteration count — after a small
-// perturbation of the edge weights (one update batch on a live graph) the
-// old π is already near the new fixed point and convergence takes a
-// handful of iterations instead of hundreds. prev is not modified.
 //
 // The iteration step is formulated as a gather (next[j] pulls from j's
 // neighbors in adjacency order) rather than a scatter, so each row of
@@ -320,7 +310,7 @@ func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
 // worker pool; the global smoothing mass and the convergence delta are
 // reduced sequentially in index order, making the result bit-identical
 // to the sequential iteration at any worker count.
-func StationaryDistributionWarm(s *graph.Schema, opts WalkOptions, prev []float64) []float64 {
+func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
 	n := s.NumTypes()
 	if n == 0 {
 		return nil
@@ -343,27 +333,8 @@ func StationaryDistributionWarm(s *graph.Schema, opts WalkOptions, prev []float6
 
 	pi := make([]float64, n)
 	next := make([]float64, n)
-	warm := false
-	if len(prev) == n {
-		var sum float64
-		for _, p := range prev {
-			if p < 0 {
-				sum = 0
-				break
-			}
-			sum += p
-		}
-		if sum > 0 {
-			for i := range pi {
-				pi[i] = prev[i] / sum
-			}
-			warm = true
-		}
-	}
-	if !warm {
-		for i := range pi {
-			pi[i] = 1 / float64(n)
-		}
+	for i := range pi {
+		pi[i] = 1 / float64(n)
 	}
 	// Row blocks for the parallel matrix-vector step. Each row is computed
 	// independently with a fixed per-row accumulation order, so the block
@@ -381,12 +352,32 @@ func StationaryDistributionWarm(s *graph.Schema, opts WalkOptions, prev []float6
 	} else {
 		workers = 1
 	}
+	// next = pi · M, gathered per row of one span. The step is made once,
+	// not per iteration: it reads pi, next and base as the loop leaves
+	// them, and a closure made per iteration would cost an allocation each.
+	var base float64
+	step := func(si int) {
+		for j := spans[si].Lo; j < spans[si].Hi; j++ {
+			var sum float64
+			neighbors, weights := s.Neighbors(graph.TypeID(j))
+			for i, u := range neighbors {
+				if rowSum[u] > 0 {
+					sum += pi[u] * weights[i] / rowSum[u]
+				}
+			}
+			sum += base
+			if rowSum[j] > 0 {
+				sum -= pi[j] * opts.Smoothing / rowSum[j] // no self smoothing
+			}
+			next[j] = 0.5*sum + 0.5*pi[j] // lazy step
+		}
+	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		// next = pi · M, gathered per row. Sequential pre-pass: the global
-		// smoothing mass Σ_t pi[t]·σ/rowSum[t] every row receives (each row
-		// subtracts its own contribution — no self smoothing), plus the
-		// uniform share isolated vertices with zero smoothing distribute to
-		// keep the chain stochastic.
+		// Sequential pre-pass: the global smoothing mass
+		// Σ_t pi[t]·σ/rowSum[t] every row receives (each row subtracts its
+		// own contribution — no self smoothing), plus the uniform share
+		// isolated vertices with zero smoothing distribute to keep the
+		// chain stochastic.
 		var smoothTotal, isoShare float64
 		for t := 0; t < n; t++ {
 			if rowSum[t] == 0 {
@@ -395,23 +386,8 @@ func StationaryDistributionWarm(s *graph.Schema, opts WalkOptions, prev []float6
 				smoothTotal += pi[t] * opts.Smoothing / rowSum[t]
 			}
 		}
-		base := smoothTotal + isoShare
-		par.ForEach(workers, len(spans), func(si int) {
-			for j := spans[si].Lo; j < spans[si].Hi; j++ {
-				var sum float64
-				neighbors, weights := s.Neighbors(graph.TypeID(j))
-				for i, u := range neighbors {
-					if rowSum[u] > 0 {
-						sum += pi[u] * weights[i] / rowSum[u]
-					}
-				}
-				sum += base
-				if rowSum[j] > 0 {
-					sum -= pi[j] * opts.Smoothing / rowSum[j] // no self smoothing
-				}
-				next[j] = 0.5*sum + 0.5*pi[j] // lazy step
-			}
-		})
+		base = smoothTotal + isoShare
+		par.ForEach(workers, len(spans), step)
 		// Convergence delta reduced sequentially in index order, so the
 		// iteration count — and therefore the result — is independent of
 		// the worker count.
@@ -447,6 +423,36 @@ func Entropy(g *graph.EntityGraph, t graph.TypeID, inc graph.Incidence) float64 
 	return sc.entropy(g, t, inc)
 }
 
+// SizeCount is one distinct group size of a value-set histogram and the
+// number of groups of that size.
+type SizeCount struct{ Size, Groups int }
+
+// HistogramEntropy is Sτent from a table's histogram of group sizes: its
+// tuples split into groups of equal value sets, and hist lists each
+// distinct group size once, in ascending order, with the number of groups
+// of that size. The entropy depends only on that multiset, and summing it
+// in ascending size order, each term weighted by its multiplicity, fixes
+// the floating-point summation order. Summing in group discovery order
+// would let the graph's layout, or a live graph's history, pick it: enough
+// to flip score ties and to break the bit-identical guarantee the parallel
+// paths and the differential tests rely on. Compute and package dynamic's
+// maintained histograms both emit through here, so a live graph's entropy
+// equals Compute's on the same state bit for bit. Every term is
+// non-negative, and so is the sum.
+func HistogramEntropy(hist []SizeCount) float64 {
+	var n int
+	for _, sc := range hist {
+		n += sc.Size * sc.Groups
+	}
+	var h float64
+	total := float64(n)
+	for _, sc := range hist {
+		p := float64(sc.Size) / total
+		h += float64(sc.Groups) * p * math.Log10(1/p)
+	}
+	return h
+}
+
 // entropyScratch is Entropy's working memory, reused across the
 // incidences of one type by Compute.
 type entropyScratch struct {
@@ -455,17 +461,16 @@ type entropyScratch struct {
 	key     []byte           // a multi-valued set's key
 	multi   map[string]int   // multi-valued set key → index into sizes
 	sizes   []int            // group sizes
+	hist    []SizeCount      // the sizes' histogram
 }
 
 func (sc *entropyScratch) entropy(g *graph.EntityGraph, t graph.TypeID, inc graph.Incidence) float64 {
 	singles, sizes := sc.singles[:0], sc.sizes[:0]
 	clear(sc.multi)
-	var nonEmpty int
 	for _, e := range g.EntitiesOfType(t) {
 		vals := g.Neighbors(e, inc.Rel, inc.Outgoing)
 		switch len(vals) {
 		case 0:
-			continue
 		case 1:
 			// A single value is its own group, counted below by id.
 			singles = append(singles, vals[0])
@@ -488,7 +493,6 @@ func (sc *entropyScratch) entropy(g *graph.EntityGraph, t graph.TypeID, inc grap
 				sizes = append(sizes, 1)
 			}
 		}
-		nonEmpty++
 	}
 	slices.Sort(singles)
 	for i := 0; i < len(singles); {
@@ -499,28 +503,16 @@ func (sc *entropyScratch) entropy(g *graph.EntityGraph, t graph.TypeID, inc grap
 		sizes = append(sizes, j-i)
 		i = j
 	}
-	sc.singles, sc.sizes = singles, sizes
-	if nonEmpty == 0 {
-		return 0
-	}
-	// Deterministic accumulation: the entropy depends only on the multiset
-	// of group sizes, so sum over distinct sizes in increasing order, each
-	// term weighted by the size's multiplicity. Summing in group discovery
-	// order would let the graph's layout pick the floating-point summation
-	// order, enough to flip score ties and break the bit-identical
-	// guarantee the parallel paths (and the differential tests) rely on.
 	slices.Sort(sizes)
-	var h float64
-	total := float64(nonEmpty)
+	hist := sc.hist[:0]
 	for i := 0; i < len(sizes); {
-		c := sizes[i]
 		j := i + 1
-		for j < len(sizes) && sizes[j] == c {
+		for j < len(sizes) && sizes[j] == sizes[i] {
 			j++
 		}
-		p := float64(c) / total
-		h += float64(j-i) * p * math.Log10(1/p)
+		hist = append(hist, SizeCount{Size: sizes[i], Groups: j - i})
 		i = j
 	}
-	return h
+	sc.singles, sc.sizes, sc.hist = singles, sizes, hist
+	return HistogramEntropy(hist)
 }

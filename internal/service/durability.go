@@ -7,8 +7,10 @@ package service
 // published. Replay therefore runs the exact bytes through the exact
 // code path that applied them originally — applyEdgeBatch for JSON edge
 // batches, triple.Decode for native batches — against a graph in the
-// same pre-batch state, so recovery reconstructs the identical sequence
-// of states the server acknowledged before the crash.
+// same pre-batch state, so recovery reconstructs the state the server
+// acknowledged before the crash. A live graph's scores are a function
+// of its state, so recovery solves them once, at its last epoch, and a
+// recovered node serves the bytes the crashed one served.
 
 import (
 	"bytes"
@@ -53,20 +55,25 @@ func applyLogged(g *dynamic.Graph, kind byte, payload []byte) error {
 	}
 }
 
-// Recovery is an opened live graph: the resumed facade, its WAL ready
-// for further appends (nil when the graph is volatile), and the origin
-// the replay started from. Register the pieces together:
+// Recovery is an opened live graph: the resumed facade and its WAL,
+// ready for further appends (nil when the graph is volatile). Register
+// the pieces together:
 //
-//	reg.AddLive(name, rec.Live, WithDurability(rec.WAL), WithOrigin(rec.Origin, rec.OriginEpoch))
+//	reg.AddLive(name, rec.Live, WithDurability(rec.WAL))
 type Recovery struct {
 	Live *dynamic.Live
 	WAL  *storage.WAL
-	// Origin is the state the WAL tail was replayed onto — the newest
-	// checkpoint, or the caller's base graph — and OriginEpoch its epoch.
-	// The replication bootstrap endpoint serves it to fresh followers, so
-	// they reconstruct this process's state through the identical code
-	// path (see WithOrigin).
-	Origin      *graph.EntityGraph
+	// Origin is always nil; it is kept only so callers that pass it to
+	// WithOrigin compile.
+	//
+	// Deprecated: do not read it. It goes with WithOrigin, in ROADMAP
+	// item 2.
+	Origin *graph.EntityGraph
+	// OriginEpoch is always 0; it is kept only so callers that pass it to
+	// WithOrigin compile.
+	//
+	// Deprecated: do not read it. It goes with WithOrigin, in ROADMAP
+	// item 2.
 	OriginEpoch uint64
 }
 
@@ -116,14 +123,13 @@ func openLive(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, walDir s
 	if g == nil {
 		return nil, errNoState
 	}
-	origin, originEpoch := g, epoch
 	dg, err := dynamic.FromEntityGraph(g)
 	if err != nil {
 		return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 	}
 	var wal *storage.WAL
 	if walDir != "" {
-		if epoch, err = replayTail(dg, epoch, walDir, opts); err != nil {
+		if epoch, err = replayTail(dg, epoch, walDir); err != nil {
 			return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 		}
 		if wal, err = storage.OpenWAL(walDir, storage.WALOptions{}); err != nil {
@@ -139,7 +145,7 @@ func openLive(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, walDir s
 		wal.Close()
 		return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 	}
-	return &Recovery{Live: live, WAL: wal, Origin: origin, OriginEpoch: originEpoch}, nil
+	return &Recovery{Live: live, WAL: wal}, nil
 }
 
 // graphWALDir is graph name's WAL directory under root, or "" (a
@@ -152,8 +158,9 @@ func graphWALDir(root, name string) string {
 }
 
 // replayTail applies the records of the WAL under walDir that continue
-// epoch to dg, and returns the epoch it reached.
-func replayTail(dg *dynamic.Graph, epoch uint64, walDir string, opts score.WalkOptions) (uint64, error) {
+// epoch to dg, and returns the epoch it reached. It solves no scores:
+// NewLiveAt solves them once, for the state it reached.
+func replayTail(dg *dynamic.Graph, epoch uint64, walDir string) (uint64, error) {
 	recs, err := storage.ReplayWAL(walDir)
 	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
 		return 0, err
@@ -164,19 +171,6 @@ func replayTail(dg *dynamic.Graph, epoch uint64, walDir string, opts score.WalkO
 		}
 		if rec.Epoch != epoch+1 {
 			return 0, fmt.Errorf("WAL resumes at epoch %d but checkpoint is at %d; log truncated past its checkpoint", rec.Epoch, epoch)
-		}
-		// Reproduce the live path's score-solve trajectory, not just its
-		// final state: the walk measure is a warm-started power iteration,
-		// so the published scores depend on the sequence of solves (one per
-		// epoch). Solving the pre-record state here — with the final state's
-		// solve supplied by NewLiveAt's publish — yields exactly one solve
-		// per state in epoch order, the same trajectory the original
-		// process ran, which is what makes recovered (and replicated) walk
-		// scores byte-identical rather than merely converged-within-
-		// tolerance. Cost: one O(K²)-per-iteration re-solve per replayed
-		// batch, the same price the live path paid.
-		if _, err := dg.Scores(opts); err != nil {
-			return 0, fmt.Errorf("refreshing scores before epoch %d: %w", rec.Epoch, err)
 		}
 		if err := applyLogged(dg, rec.Kind, rec.Payload); err != nil {
 			return 0, fmt.Errorf("replaying epoch %d: %w", rec.Epoch, err)

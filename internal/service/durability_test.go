@@ -38,7 +38,7 @@ func startDurable(t testing.TB, ckptDir, walDir string) *durableSession {
 	live, wal := rec.Live, rec.WAL
 	t.Cleanup(func() { wal.Close() })
 	reg := NewRegistry()
-	if err := reg.AddLive("fig1", live, WithDurability(wal), WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
+	if err := reg.AddLive("fig1", live, WithDurability(wal)); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(reg)
@@ -157,8 +157,9 @@ func TestKillAndRestartWALOnly(t *testing.T) {
 // TestKillAndRestartCheckpointPlusWAL crashes after a mid-stream
 // checkpoint: recovery loads the newest snapshot, replays only the WAL
 // tail past it, resumes at the exact pre-crash epoch, and serves
-// byte-identical coverage previews. It also pins the log-bounding
-// invariant: the checkpoint truncated every WAL segment it covers.
+// byte-identical reads, entropy-keyed previews included. It also pins the
+// log-bounding invariant: the checkpoint truncated every WAL segment it
+// covers.
 func TestKillAndRestartCheckpointPlusWAL(t *testing.T) {
 	root := t.TempDir()
 	ckptDir := filepath.Join(root, "ckpt")
@@ -199,13 +200,7 @@ func TestKillAndRestartCheckpointPlusWAL(t *testing.T) {
 	if got := s2.live.Snapshot().Epoch; got != wantEpoch {
 		t.Fatalf("recovered epoch = %d, want %d (checkpoint %d + WAL tail)", got, wantEpoch, snap.Epoch)
 	}
-	// Entropy accumulates its aggregate in insertion order, and a
-	// checkpoint canonicalizes edge order — so the entropy preview is
-	// equal to the last ulp but not guaranteed bit-identical here. Every
-	// count-backed surface must be byte-identical.
-	after := snapshotResponses(t, s2.ts)
-	delete(before, "/v1/graphs/fig1/preview?k=3&n=6&tuples=2&key=coverage&nonkey=entropy")
-	assertSameResponses(t, before, after)
+	assertSameResponses(t, before, snapshotResponses(t, s2.ts))
 
 	postBatch(t, s2.ts, "edges", `{"edges":[{"from":"Men in Black","rel":"Genres","to":"Action Film"}]}`)
 	if got := s2.live.Snapshot().Epoch; got != wantEpoch+1 {

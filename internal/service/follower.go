@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/uta-db/previewtables/internal/dynamic"
@@ -100,11 +99,7 @@ type Follower struct {
 	name string
 	opts FollowerOptions
 
-	gr *Graph
-	// live is written by boot and by the replication goroutine's
-	// rebootstrap, and read by Applied() from arbitrary goroutines —
-	// hence atomic.
-	live atomic.Pointer[dynamic.Live]
+	gr   *Graph                // its Live is the facade, which a re-bootstrap replaces
 	wal  *storage.WAL          // nil when volatile
 	ckpt *storage.Checkpointer // shared with the node's checkpoint loop; nil when volatile
 
@@ -208,8 +203,11 @@ func (f *Follower) promoteGraph() error {
 // Name returns the replicated graph's name.
 func (f *Follower) Name() string { return f.name }
 
-// Applied returns the last shipped epoch applied and published.
-func (f *Follower) Applied() uint64 { return f.live.Load().Snapshot().Epoch }
+// Applied returns the last shipped epoch applied and published: the
+// epoch the follower's readers see. The facade publishes an epoch just
+// before the registry's view does, so its own epoch can run ahead of what
+// a reader is served.
+func (f *Follower) Applied() uint64 { return f.gr.view().epoch }
 
 // Status returns a copy of the replication-loop status.
 func (f *Follower) Status() FollowStatus {
@@ -263,12 +261,11 @@ func (f *Follower) boot(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	f.live.Store(rec.Live)
 	f.wal = rec.WAL
 	if f.opts.durable() {
 		f.ckpt = storage.NewDurableCheckpointer(f.opts.CheckpointDir, f.name, f.wal)
 	}
-	if err := f.reg.AddLive(f.name, rec.Live, WithDurability(f.wal), WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
+	if err := f.reg.AddLive(f.name, rec.Live, WithDurability(f.wal)); err != nil {
 		f.wal.Close()
 		return err
 	}
@@ -308,7 +305,7 @@ func (f *Follower) run(ctx context.Context) {
 
 // poll runs one wal-route request and applies everything it ships.
 func (f *Follower) poll(ctx context.Context) error {
-	applied := f.live.Load().Snapshot().Epoch
+	applied := f.gr.Live().Snapshot().Epoch
 	u := fmt.Sprintf("%s/v1/replication/%s/wal?from=%d&wait=%s",
 		f.opts.Leader, url.PathEscape(f.name), applied, f.opts.wait())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -355,7 +352,7 @@ func (f *Follower) poll(ctx context.Context) error {
 			// last verified record; re-sync from there.
 			return fmt.Errorf("shipped stream from epoch %d: %w", applied, err)
 		}
-		if rec.Epoch <= f.live.Load().Snapshot().Epoch {
+		if rec.Epoch <= f.gr.Live().Snapshot().Epoch {
 			continue // duplicate delivery after a re-sync; already applied
 		}
 		if err := f.applyRecord(rec); err != nil {
@@ -367,7 +364,7 @@ func (f *Follower) poll(ctx context.Context) error {
 // applyRecord feeds one verified shipped record through the same
 // machinery as a local write and publishes its epoch.
 func (f *Follower) applyRecord(rec storage.WALRecord) error {
-	snap, err := f.live.Load().ApplyShipped(rec.Epoch, rec.Kind, rec.Payload, func(g *dynamic.Graph) error {
+	snap, err := f.gr.Live().ApplyShipped(rec.Epoch, rec.Kind, rec.Payload, func(g *dynamic.Graph) error {
 		return applyLogged(g, rec.Kind, rec.Payload)
 	})
 	if err != nil {
@@ -396,7 +393,7 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if applied := f.live.Load().Snapshot().Epoch; e < applied {
+	if applied := f.gr.Live().Snapshot().Epoch; e < applied {
 		return fmt.Errorf("%w: leader's bootstrap epoch %d is behind our applied epoch %d", errDiverged, e, applied)
 	}
 	if f.opts.durable() {
@@ -417,8 +414,7 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	f.live.Store(rec.Live)
-	f.gr.install(rec.Live, f.wal, g, e)
+	f.gr.install(rec.Live, f.wal)
 	f.bumpBootstraps()
 	f.publishStatus(func(st *FollowStatus) { st.AppliedEpoch = e })
 	return nil

@@ -228,14 +228,14 @@ func (n *Node) load(src GraphSource) error {
 
 // addLive opens graph name from its newest checkpoint (or from base at
 // epoch 0) plus, on a durable node, the WAL tail; registers it, a durable
-// one logging every batch to that WAL and shipping it to followers from
-// the recovery origin; and creates its checkpointer.
+// one logging every batch to that WAL and shipping it to followers; and
+// creates its checkpointer.
 func (n *Node) addLive(name string, base *graph.EntityGraph) (*Recovery, error) {
 	rec, err := openLive(base, 0, name, n.cfg.CheckpointDir, graphWALDir(n.cfg.WALRoot, name), n.cfg.Walk)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.reg.AddLive(name, rec.Live, WithDurability(rec.WAL), WithOrigin(rec.Origin, rec.OriginEpoch)); err != nil {
+	if err := n.reg.AddLive(name, rec.Live, WithDurability(rec.WAL)); err != nil {
 		rec.WAL.Close()
 		return nil, err
 	}

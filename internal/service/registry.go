@@ -111,9 +111,7 @@ func (r *Registry) Add(name string, g *graph.EntityGraph) error {
 type LiveOption func(*liveConfig)
 
 type liveConfig struct {
-	wal         *storage.WAL
-	origin      *graph.EntityGraph
-	originEpoch uint64
+	wal *storage.WAL
 }
 
 // WithDurability makes the live graph durable: every batch the write
@@ -126,17 +124,15 @@ func WithDurability(w *storage.WAL) LiveOption {
 	return func(c *liveConfig) { c.wal = w }
 }
 
-// WithOrigin records the exact state this process built its live graph
-// from — the loaded base at epoch 0, or the recovered checkpoint at its
-// epoch (Recovery.Origin). The replication bootstrap endpoint serves it
-// while the WAL still reaches back that far, which is what lets a fresh
-// follower reconstruct the leader's state through the identical code
-// path and serve byte-identical reads; without it (or once truncation
-// has moved past it) bootstrap falls back to the current frozen
-// snapshot, whose replay is count-exact but entropy-equal only to the
-// last ulp (the same asymmetry as the leader's own checkpoint recovery).
-func WithOrigin(g *graph.EntityGraph, epoch uint64) LiveOption {
-	return func(c *liveConfig) { c.origin, c.originEpoch = g, epoch }
+// WithOrigin does nothing; it is kept only so callers that still pass
+// it compile. A live graph's scores are a function of its state, so the
+// replication bootstrap route serves the current snapshot and no process
+// retains the state it started from.
+//
+// Deprecated: drop the option. It goes in ROADMAP item 2, once the
+// benchmark harness stops passing it.
+func WithOrigin(*graph.EntityGraph, uint64) LiveOption {
+	return func(*liveConfig) {}
 }
 
 // AddLive registers a mutable graph under name: preview requests read
@@ -151,7 +147,7 @@ func (r *Registry) AddLive(name string, live *dynamic.Live, opts ...LiveOption) 
 		o(&cfg)
 	}
 	gr := &Graph{name: name, reg: r}
-	gr.install(live, cfg.wal, cfg.origin, cfg.originEpoch)
+	gr.install(live, cfg.wal)
 	return r.register(name, gr)
 }
 
@@ -371,15 +367,6 @@ func (v *view) Scores() *score.Set {
 	return v.scores
 }
 
-// replSource is what one graph can ship to followers: its WAL plus the
-// origin state recovery started from (see WithOrigin). Swapped as a unit
-// when a follower re-bootstraps mid-run.
-type replSource struct {
-	wal         *storage.WAL
-	origin      *graph.EntityGraph
-	originEpoch uint64
-}
-
 // FollowStatus is a follower's view of one replicated graph, published
 // by its replication loop and served by the replication status endpoint.
 type FollowStatus struct {
@@ -406,7 +393,7 @@ type Graph struct {
 	name string
 	reg  *Registry
 	live atomic.Pointer[dynamic.Live] // non-nil iff the graph is mutable
-	repl atomic.Pointer[replSource]   // non-nil iff the graph can ship its WAL
+	wal  atomic.Pointer[storage.WAL]  // non-nil iff the graph logs, and ships, its batches
 	cur  atomic.Pointer[view]
 
 	// follow is the replication-loop status of a follower's graph.
@@ -439,18 +426,9 @@ func (gr *Graph) Mutable() bool { return gr.live.Load() != nil }
 // Live returns the mutable graph's facade, or nil for static graphs.
 func (gr *Graph) Live() *dynamic.Live { return gr.live.Load() }
 
-// replSrc returns the graph's shippable state, or nil when the graph is
-// static or volatile (no WAL, nothing to ship).
-func (gr *Graph) replSrc() *replSource { return gr.repl.Load() }
-
-// WAL returns the graph's write-ahead log, or nil for static/volatile
-// graphs.
-func (gr *Graph) WAL() *storage.WAL {
-	if src := gr.repl.Load(); src != nil {
-		return src.wal
-	}
-	return nil
-}
+// WAL returns the graph's write-ahead log, which the replication routes
+// ship, or nil for static/volatile graphs.
+func (gr *Graph) WAL() *storage.WAL { return gr.wal.Load() }
 
 // FollowState returns the replication-loop status published by a
 // follower for this graph, or nil on a leader.
@@ -481,17 +459,15 @@ func (gr *Graph) broadcastEpoch() {
 // install makes live the graph's facade and publishes its snapshot. A
 // non-nil wal makes the graph durable and replicable: every batch is
 // logged to wal before its epoch publishes (see WithDurability), and the
-// graph ships wal to followers from origin (see WithOrigin). A follower's
-// re-bootstrap installs over the old facade, whose view keeps serving
-// readers until the new snapshot publishes.
-func (gr *Graph) install(live *dynamic.Live, wal *storage.WAL, origin *graph.EntityGraph, originEpoch uint64) {
-	var src *replSource
+// graph ships wal to followers. A follower's re-bootstrap installs over
+// the old facade, whose view keeps serving readers until the new
+// snapshot publishes.
+func (gr *Graph) install(live *dynamic.Live, wal *storage.WAL) {
 	if wal != nil {
 		live.SetDurability(wal.Append)
-		src = &replSource{wal: wal, origin: origin, originEpoch: originEpoch}
 	}
 	gr.live.Store(live)
-	gr.repl.Store(src)
+	gr.wal.Store(wal)
 	gr.publish(live.Snapshot())
 }
 

@@ -22,15 +22,11 @@ package service
 // following the wrong leader (or a reset one) and tailing cannot
 // reconcile them.
 //
-// The checkpoint route serves the origin state (WithOrigin) while the
-// WAL still reaches back to it — a follower restoring it and replaying
-// the full tail reconstructs the leader's state through the identical
-// code path, which is what makes reads byte-identical — and falls back
-// to the current frozen snapshot once truncation has moved past the
-// origin. That snapshot carries every parallel copy of an edge, so a
-// follower booted from it counts what the leader counts (count-exact);
-// its entropy sums are equal to the last ulp and its walk is re-solved,
-// the same asymmetries as the leader's own checkpoint recovery.
+// The checkpoint route serves the current frozen snapshot at its epoch,
+// and a follower tails the WAL from there. The snapshot carries every
+// parallel copy of an edge, so a follower booted from it counts what the
+// leader counts, and a live graph's scores are a function of its state,
+// so from its first epoch on the follower serves the leader's bytes.
 //
 // Replication status deliberately lives under /v1/replication, not in
 // the graph stats document: every /v1/graphs read surface stays
@@ -58,9 +54,9 @@ import (
 const DefaultReplicationWait = 25 * time.Second
 
 // replStatusDoc is the JSON body of GET /v1/replication/{graph}/status.
-// Pointer fields appear per role: a leader reports its durable epoch,
-// origin and horizon; a follower additionally reports its replication
-// loop's progress against the leader.
+// Pointer fields appear per role: a leader reports its durable epoch and
+// horizon; a follower additionally reports its replication loop's
+// progress against the leader.
 type replStatusDoc struct {
 	Graph string `json:"graph"`
 	// Role is "leader" for a graph shipping its own WAL, "follower" for
@@ -70,9 +66,6 @@ type replStatusDoc struct {
 	Epoch uint64 `json:"epoch"`
 	// DurableEpoch is the WAL's last epoch — what a follower can reach.
 	DurableEpoch uint64 `json:"durable_epoch"`
-	// OriginEpoch is the epoch of the bootstrap state this process
-	// started from (see WithOrigin); present when an origin is held.
-	OriginEpoch *uint64 `json:"origin_epoch,omitempty"`
 	// Horizon is the lowest `from` the wal route can serve: records with
 	// epochs <= Horizon-1 may be truncated away. A follower at or above
 	// Horizon can tail; one below it must re-bootstrap.
@@ -134,19 +127,19 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request, rest 
 	}
 	// A volatile follower has replication status but no WAL of its own to
 	// ship; only the shipping routes require one.
-	src := gr.replSrc()
-	if src == nil && !(action == "status" && gr.FollowState() != nil) {
+	wal := gr.WAL()
+	if wal == nil && !(action == "status" && gr.FollowState() != nil) {
 		wire.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("graph %q is not replicated: it has no write-ahead log (previewd -mutable -wal-dir)", name))
 		return
 	}
 	switch action {
 	case "status":
-		s.handleReplStatus(w, gr, src)
+		s.handleReplStatus(w, gr, wal)
 	case "wal":
-		s.handleReplWAL(w, r, gr, src)
+		s.handleReplWAL(w, r, gr, wal)
 	case "checkpoint":
-		s.handleReplCheckpoint(w, gr, src)
+		s.handleReplCheckpoint(w, gr, wal)
 	}
 }
 
@@ -317,27 +310,23 @@ func (s *Server) handleGraphPromote(w http.ResponseWriter, r *http.Request, gr *
 
 // walRange reads the shippable bracket: the durable epoch and the lowest
 // `from` still on disk.
-func walRange(src *replSource) (horizon, durable uint64) {
-	durable, _ = src.wal.LastEpoch()
+func walRange(wal *storage.WAL) (horizon, durable uint64) {
+	durable, _ = wal.LastEpoch()
 	horizon = durable // empty log: only a caught-up follower can tail
-	if first, ok := src.wal.FirstEpoch(); ok {
+	if first, ok := wal.FirstEpoch(); ok {
 		horizon = first - 1
 	}
 	return horizon, durable
 }
 
-func (s *Server) handleReplStatus(w http.ResponseWriter, gr *Graph, src *replSource) {
+func (s *Server) handleReplStatus(w http.ResponseWriter, gr *Graph, wal *storage.WAL) {
 	doc := replStatusDoc{
 		Graph: gr.Name(),
 		Role:  "leader",
 		Epoch: gr.view().epoch,
 	}
-	if src != nil {
-		doc.Horizon, doc.DurableEpoch = walRange(src)
-		if src.origin != nil {
-			e := src.originEpoch
-			doc.OriginEpoch = &e
-		}
+	if wal != nil {
+		doc.Horizon, doc.DurableEpoch = walRange(wal)
 	}
 	if st := gr.FollowState(); st != nil {
 		doc.Role = "follower"
@@ -360,7 +349,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, gr *Graph, src *replSou
 
 // handleReplWAL ships records with epochs in (from, durable], long-polling
 // when the follower is caught up.
-func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph, src *replSource) {
+func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph, wal *storage.WAL) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
@@ -386,7 +375,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph
 		// the select below fires and the loop re-checks — the wake-up can
 		// never slip between the check and the wait.
 		changed := gr.epochChanged()
-		horizon, durable := walRange(src)
+		horizon, durable := walRange(wal)
 		switch {
 		case from > durable:
 			wire.WriteError(w, http.StatusConflict, fmt.Errorf(
@@ -397,7 +386,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request, gr *Graph
 				"epoch %d is behind the truncation horizon %d; bootstrap from /v1/replication/%s/checkpoint", from, horizon, gr.Name()))
 			return
 		case from < durable:
-			s.shipWAL(w, gr, src, from, durable)
+			s.shipWAL(w, gr, wal, from, durable)
 			return
 		}
 		// Caught up: wait for the next publish (records are durable
@@ -424,8 +413,8 @@ const maxShipRecords = 4096
 
 // shipWAL writes the records in (from, durable] in the shipped framing,
 // chunked at maxShipRecords.
-func (s *Server) shipWAL(w http.ResponseWriter, gr *Graph, src *replSource, from, durable uint64) {
-	recs, err := storage.ReadWALAfterN(src.wal.Dir(), from, maxShipRecords)
+func (s *Server) shipWAL(w http.ResponseWriter, gr *Graph, wal *storage.WAL, from, durable uint64) {
+	recs, err := storage.ReadWALAfterN(wal.Dir(), from, maxShipRecords)
 	// Drop records past the durable cap: they may be mid-append, and a
 	// torn or damaged tail beyond the cap is not the follower's problem.
 	for len(recs) > 0 && recs[len(recs)-1].Epoch > durable {
@@ -460,20 +449,12 @@ func (s *Server) shipWAL(w http.ResponseWriter, gr *Graph, src *replSource, from
 	}
 }
 
-// handleReplCheckpoint serves a bootstrap snapshot: the origin while the
-// WAL still reaches back to it, else the current frozen snapshot.
-func (s *Server) handleReplCheckpoint(w http.ResponseWriter, gr *Graph, src *replSource) {
-	horizon, durable := walRange(src)
-	if src.origin != nil && src.originEpoch >= horizon {
-		w.Header().Set(wire.EpochHeader, strconv.FormatUint(src.originEpoch, 10))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := storage.Write(w, src.origin); err != nil {
-			return // headers are out; the follower's decoder rejects the tear
-		}
-		return
-	}
+// handleReplCheckpoint serves a bootstrap snapshot: the current frozen
+// snapshot, at its epoch.
+func (s *Server) handleReplCheckpoint(w http.ResponseWriter, gr *Graph, wal *storage.WAL) {
+	horizon, durable := walRange(wal)
 	live := gr.Live()
-	if live == nil { // unreachable: replSrc implies live
+	if live == nil { // unreachable: a WAL implies live
 		wire.WriteError(w, http.StatusInternalServerError, errors.New("replicated graph has no live facade"))
 		return
 	}
@@ -487,7 +468,7 @@ func (s *Server) handleReplCheckpoint(w http.ResponseWriter, gr *Graph, src *rep
 	}
 	w.Header().Set(wire.EpochHeader, strconv.FormatUint(snap.Epoch, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_ = storage.Write(w, snap.Frozen)
+	_ = storage.Write(w, snap.Frozen) // a tear after the headers fails the follower's decoder
 }
 
 // replicationWait returns the server's long-poll bound.
