@@ -490,38 +490,14 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkFreeze: dynamic.Graph.Freeze, which ends every write batch on
-// a leader and a follower, on the people graph and the default-scale
-// music graph ingest writes to.
-func BenchmarkFreeze(b *testing.B) {
-	for _, domain := range []string{"people", "music"} {
-		src, err := freebase.Generate(domain, freebase.DefaultGenOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		dg, err := dynamic.FromEntityGraph(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(domain, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dg.Freeze(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPublish: graph.Derive, which replaced Freeze in every
-// publication after a live graph's first, on the same graphs as
-// BenchmarkFreeze plus the 100k-entity music graph, at batches of 1 to 256
-// new edges between entities of the right types, a tenth of them to new
-// entities (perfbench's write batches). Every iteration derives the next
-// graph from the same one: a graph derived from the frozen one by a batch
-// that gave every type a new entity, so that, as in a live graph after
-// its first batches, its tables have room to append to.
+// BenchmarkPublish: graph.Derive, which makes every live snapshot's
+// graph, on the people graph, the default-scale music graph ingest writes
+// to and the 100k-entity music graph, at batches of 1 to 256 new edges
+// between entities of the right types, a tenth of them to new entities
+// (perfbench's write batches). Every iteration derives the next graph
+// from the same one: a graph derived from the frozen one by a batch that
+// gave every type a new entity, so that, as in a live graph after its
+// first batches, its tables have room to append to.
 func BenchmarkPublish(b *testing.B) {
 	big, _ := parallelBenchSetup(b)
 	for _, domain := range []string{"people", "music", "music-100k"} {
@@ -724,8 +700,9 @@ const refreshBatchSize = 16
 
 // BenchmarkIncrementalRefresh is the live write path of internal/dynamic:
 // apply one update batch to a graph and re-emit the score set through the
-// incremental machinery (O(deg) histogram moves already paid per edge, a
-// re-sum of each moved histogram's group sizes, a cold walk solve).
+// incremental machinery: the fold (graph.Derive of the next graph, which
+// a live publication makes anyway, and one histogram move per grown run),
+// a re-sum of each moved histogram's group sizes, and a cold walk solve.
 func BenchmarkIncrementalRefresh(b *testing.B) {
 	_, graphs, _ := benchSetup(b)
 	src := graphs["tv"]
@@ -1082,19 +1059,22 @@ func BenchmarkNameOrder(b *testing.B) {
 		b.Fatal(err)
 	}
 	prev.NameOrder()
-	rt := dg.Rel(0)
+	d := graph.Delta{Rels: make([]graph.RelType, prev.NumRelTypes())}
+	for r := range d.Rels {
+		d.Rels[r] = prev.RelType(graph.RelTypeID(r))
+	}
+	rt := d.Rels[0]
 	to := prev.EntitiesOfType(rt.To)
 	for i := 0; i < 16; i++ {
-		if err := dg.AddEdge(dg.Entity(fmt.Sprintf("Batch entity %02d", i), rt.From),
-			to[i*31%len(to)], 0); err != nil {
-			b.Fatal(err)
-		}
+		d.Entities = append(d.Entities, graph.Entity{Name: fmt.Sprintf("Batch entity %02d", i), Types: []graph.TypeID{rt.From}})
+		d.Edges = append(d.Edges, graph.Edge{From: graph.EntityID(prev.NumEntities() + i), To: to[i*31%len(to)], Rel: 0})
+		d.Rels[0].EdgeCount++
 	}
 	b.Run("carry/music", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			next, err := dg.Freeze()
+			next, err := graph.Derive(prev, d)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,35 +7,42 @@
 // the omitted machinery:
 //
 //   - coverage scores and relationship-instance counts are plain counters;
-//   - the entropy measure's per-attribute value-set group histograms are
-//     updated in O(deg) per edge insertion (move the affected tuple from
-//     its old group to its new one, and that group from its old size to
-//     its new one in the multiset of group sizes);
+//   - the entropy measure's per-attribute value-set group histograms move
+//     one tuple per grown neighbor run (from the group of its old run to
+//     that of its new one, and that group from its old size to its new one
+//     in the multiset of group sizes);
 //   - the random-walk measure is solved from the maintained schema
 //     weights, by score.StationaryDistribution, in O(K²) per iteration —
 //     independent of the entity graph's size, which is the expensive part.
 //
-// Emitting a score.Set after u updates therefore costs O(u·deg + K² + K·N)
-// instead of the O(|Vd| + |Ed|) full rescan of score.Compute, and the Set
-// is a function of the graph's state alone: it equals score.Compute of the
-// frozen graph bit for bit, whatever sequence of updates reached the
-// state. The paper's companion observation — "the optimal previews cannot
-// be incrementally updated" — still holds: rerun discovery on the
-// refreshed Set.
+// A Graph holds no copy of the entity graph's edges, names or entity
+// types: the immutable graph.EntityGraph it last folded into (base) holds
+// them, and an open batch holds what mutations added since. A mutation
+// costs O(1) beyond its endpoints' type lists. A fold (Freeze; Scores runs
+// one first) derives the next graph from base and the batch
+// (graph.Derive), then moves the histogram group of each tuple whose run
+// grew: O(u log u) for a batch of u edges, plus Derive's word copies of the
+// adjacency. Emitting a score.Set then costs O(K² + K·N) more, instead of
+// score.Compute's hashing of every value set in an O(|Vd| + |Ed|) rescan,
+// and the Set is a function of the graph's state alone: it equals
+// score.Compute of the frozen graph bit for bit, whatever sequence of
+// updates reached the state. The paper's companion observation — "the
+// optimal previews cannot be incrementally updated" — still holds: rerun
+// discovery on the refreshed Set.
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/score"
 )
 
 // Graph is a mutable entity graph with incrementally maintained scoring
-// state. The zero value is ready to use. It is not safe for concurrent
-// mutation.
+// state. The zero value is ready to use: it starts from the empty graph.
+// It is not safe for concurrent mutation.
 type Graph struct {
 	typeNames  []string
 	typeByName map[string]graph.TypeID
@@ -43,17 +50,11 @@ type Graph struct {
 	rels     []graph.RelType
 	relByKey map[relKey]graph.RelTypeID
 
-	entNames  []string
-	entTypes  [][]graph.TypeID
+	// entByName resolves the writer's entity names without the published
+	// graph's name index, which a derived graph builds anew per snapshot.
 	entByName map[string]graph.EntityID
 	coverage  []int // per type
-
-	edges int
-	// copies[rel] counts, for each (source, target) pair of rel added more
-	// than once, its parallel copies beyond the first (keyed by pairKey;
-	// nil while there are none): with the value sets, the whole multiset
-	// of edges Freeze writes out.
-	copies []map[uint64]int32
+	edges     int
 
 	// hist[rel][dir] maintains the entropy bookkeeping of one attribute
 	// orientation: dir 0 = outgoing (tuples are source entities of the
@@ -73,23 +74,15 @@ type Graph struct {
 	moved        []uint64
 	structuralAt uint64
 
-	// pending records what mutations added since Live's last publication,
-	// the batch delta Live derives the next snapshot's graph from (delta).
-	// It is nil until the graph goes live, and cleared only after a
-	// successful publication (markPublished), so what a failed batch
-	// leaked lands in the next epoch, as Freeze would show it.
-	pending *pending
-}
-
-// pending is a live Graph's record of mutations since its last
-// publication: the type, relationship-type and entity counts at that
-// publication (everything past them is new), the older entities that
-// gained a type, and the edges added, split into new distinct triples
-// and parallel copies.
-type pending struct {
-	types, rels, entities int
-	retyped               []graph.EntityID // with repeats, in no order
-	edges, copies         []graph.Edge
+	// base is the graph as of the last fold (nil until then: the empty
+	// graph). The open batch is what mutations added since: the entities
+	// declared, with their type lists; older entities' grown type lists;
+	// and every edge, parallel copies included. Only a fold clears it, so
+	// what a failed batch leaked lands in the next one.
+	base     *graph.EntityGraph
+	entities []graph.Entity
+	retyped  map[graph.EntityID][]graph.TypeID
+	added    []graph.Edge
 }
 
 type relKey struct {
@@ -97,44 +90,29 @@ type relKey struct {
 	from, to graph.TypeID
 }
 
-// valueHist tracks, per tuple (entity), its current deduplicated value set
-// on one attribute, the histogram of value sets across tuples, and the
-// multiset of that histogram's group sizes — the entropy measure's input.
-// Entropy is a function of the size multiset alone, so emitting it sums
-// one term per distinct size, not one per group, and only after a move.
+// valueHist tracks the histogram of one attribute's value sets across
+// tuples (entities), keyed by each tuple's neighbor run, and the multiset
+// of that histogram's group sizes — the entropy measure's input. Entropy
+// is a function of the size multiset alone, so emitting it sums one term
+// per distinct size, not one per group, and only after a move.
 type valueHist struct {
-	values map[graph.EntityID][]graph.EntityID // sorted, deduplicated
-	groups map[string]int                      // value-set key → tuple count
-	sizes  map[int]int                         // group size → number of groups
-	ent    float64                             // the entropy of sizes when last summed
-	moved  bool                                // sizes changed since ent was summed
+	groups map[string]int // value-set key → tuple count
+	sizes  map[int]int    // group size → number of groups
+	ent    float64        // the entropy of sizes when last summed
+	moved  bool           // sizes changed since ent was summed
 }
 
 func newValueHist() *valueHist {
-	return &valueHist{
-		values: map[graph.EntityID][]graph.EntityID{},
-		groups: map[string]int{},
-		sizes:  map[int]int{},
-	}
+	return &valueHist{groups: map[string]int{}, sizes: map[int]int{}}
 }
 
-// add records that tuple e gained value v; reports whether the value was
-// new for the tuple (parallel edges do not change value sets).
-func (h *valueHist) add(e, v graph.EntityID) bool {
-	vals := h.values[e]
-	i := sort.Search(len(vals), func(i int) bool { return vals[i] >= v })
-	if i < len(vals) && vals[i] == v {
-		return false
+// move records that a tuple's run grew from old (empty for a tuple new to
+// the attribute) to now.
+func (h *valueHist) move(old, now []graph.EntityID) {
+	if len(old) > 0 {
+		h.bump(old, -1)
 	}
-	if len(vals) > 0 {
-		h.bump(vals, -1)
-	}
-	vals = append(vals, 0)
-	copy(vals[i+1:], vals[i:])
-	vals[i] = v
-	h.values[e] = vals
-	h.bump(vals, +1)
-	return true
+	h.bump(now, +1)
 }
 
 // bump moves the group of value set vals from size c to c+delta, and so
@@ -224,7 +202,6 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 	id := graph.RelTypeID(len(g.rels))
 	g.rels = append(g.rels, graph.RelType{Name: name, From: from, To: to})
 	g.hist = append(g.hist, [2]*valueHist{newValueHist(), newValueHist()})
-	g.copies = append(g.copies, nil)
 	g.relByKey[k] = id
 	g.structuralAt = g.epoch
 	return id, nil
@@ -238,9 +215,8 @@ func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
 	}
 	id, ok := g.entByName[name]
 	if !ok {
-		id = graph.EntityID(len(g.entNames))
-		g.entNames = append(g.entNames, name)
-		g.entTypes = append(g.entTypes, nil)
+		id = graph.EntityID(g.numEntities())
+		g.entities = append(g.entities, graph.Entity{Name: name})
 		g.entByName[name] = id
 	}
 	for _, t := range types {
@@ -249,30 +225,52 @@ func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
 	return id
 }
 
-func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
-	ts := g.entTypes[e]
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-	if i < len(ts) && ts[i] == t {
-		return
+// last returns the graph as of the last fold: the empty graph before the
+// first.
+func (g *Graph) last() *graph.EntityGraph {
+	if g.base == nil {
+		g.base = &graph.EntityGraph{}
 	}
-	ts = append(ts, 0)
-	copy(ts[i+1:], ts[i:])
-	ts[i] = t
-	g.entTypes[e] = ts
-	g.coverage[t]++
-	g.moved[t] = g.epoch
-	if p := g.pending; p != nil && int(e) < p.entities {
-		p.retyped = append(p.retyped, e)
-	}
+	return g.base
 }
 
-// AddEdge inserts one relationship instance and updates every affected
-// measure input: the relationship's instance count (coverage measure and
-// walk weight), the endpoints' types (coverage), and both orientations'
-// value-set histograms (entropy). Cost is O(log deg + deg) for the
-// value-set maintenance of the two affected tuples.
+func (g *Graph) numEntities() int { return g.last().NumEntities() + len(g.entities) }
+
+// addType gives entity e type t. The grown list is the batch's: a fresh
+// copy, since base's lists are its readers'.
+func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
+	n := g.last().NumEntities()
+	var ts []graph.TypeID
+	if int(e) >= n {
+		ts = g.entities[int(e)-n].Types
+	} else if grown, ok := g.retyped[e]; ok {
+		ts = grown
+	} else {
+		ts = g.base.Entity(e).Types
+	}
+	i, found := slices.BinarySearch(ts, t)
+	if found {
+		return
+	}
+	ts = slices.Insert(slices.Clip(ts), i, t)
+	if int(e) >= n {
+		g.entities[int(e)-n].Types = ts
+	} else {
+		if g.retyped == nil {
+			g.retyped = map[graph.EntityID][]graph.TypeID{}
+		}
+		g.retyped[e] = ts
+	}
+	g.coverage[t]++
+	g.moved[t] = g.epoch
+}
+
+// AddEdge inserts one relationship instance and updates the counters it
+// moves: the relationship's instance count (coverage measure and walk
+// weight) and the endpoints' types (coverage). The edge joins the open
+// batch; the next fold moves the value-set histograms (entropy) it grows.
 func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
-	if int(from) >= len(g.entNames) || int(to) >= len(g.entNames) || from < 0 || to < 0 {
+	if n := g.numEntities(); int(from) >= n || int(to) >= n || from < 0 || to < 0 {
 		return fmt.Errorf("dynamic: edge endpoint out of range")
 	}
 	if int(rel) >= len(g.rels) || rel < 0 {
@@ -283,22 +281,7 @@ func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	g.addType(to, rt.To)
 	g.rels[rel].EdgeCount++
 	g.edges++
-	fresh := g.hist[rel][0].add(from, to)
-	g.hist[rel][1].add(to, from)
-	ed := graph.Edge{From: from, To: to, Rel: rel}
-	if !fresh {
-		if g.copies[rel] == nil {
-			g.copies[rel] = map[uint64]int32{}
-		}
-		g.copies[rel][pairKey(from, to)]++
-	}
-	if p := g.pending; p != nil {
-		if fresh {
-			p.edges = append(p.edges, ed)
-		} else {
-			p.copies = append(p.copies, ed)
-		}
-	}
+	g.added = append(g.added, graph.Edge{From: from, To: to, Rel: rel})
 	// The edge moves the relationship count and both orientations'
 	// entropy — non-key inputs of exactly the two endpoint types.
 	g.moved[rt.From], g.moved[rt.To] = g.epoch, g.epoch
@@ -322,7 +305,8 @@ func (g *Graph) TypeByName(name string) (graph.TypeID, bool) {
 func (g *Graph) Rel(id graph.RelTypeID) graph.RelType { return g.rels[int(id)] }
 
 // FromEntityGraph streams an immutable entity graph into a fresh mutable
-// Graph. Declaration order follows the source graph's ID order, so every
+// Graph, whose first fold builds every histogram with one group key per
+// tuple. Declaration order follows the source graph's ID order, so every
 // type, relationship-type and entity ID is preserved — a frozen view of
 // the result is interchangeable with the source.
 func FromEntityGraph(src *graph.EntityGraph) (*Graph, error) {
@@ -352,7 +336,7 @@ func FromEntityGraph(src *graph.EntityGraph) (*Graph, error) {
 // Stats returns current size statistics.
 func (g *Graph) Stats() graph.Stats {
 	return graph.Stats{
-		Entities: len(g.entNames),
+		Entities: g.numEntities(),
 		Edges:    g.edges,
 		Types:    len(g.typeNames),
 		RelTypes: len(g.rels),
@@ -364,12 +348,16 @@ func (g *Graph) Schema() (*graph.Schema, error) {
 	return graph.NewSchema(g.typeNames, g.rels)
 }
 
-// Scores assembles a score.Set from the incrementally maintained state:
-// coverage and entropy read off the maintained counters and histograms;
-// the random walk is solved on the (small) schema graph, cold, by
-// score.StationaryDistribution. No entity or edge is revisited, and the
-// Set equals score.Compute of Freeze's graph bit for bit.
+// Scores assembles a score.Set from the incrementally maintained state,
+// after a fold (see Freeze): coverage and entropy read off the maintained
+// counters and histograms; the random walk is solved on the (small)
+// schema graph, cold, by score.StationaryDistribution. No entity or edge
+// is revisited, and the Set equals score.Compute of Freeze's graph bit for
+// bit.
 func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
+	if _, err := g.Freeze(); err != nil {
+		return nil, err
+	}
 	s, err := g.Schema()
 	if err != nil {
 		return nil, err
@@ -400,82 +388,59 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 	return score.NewSet(s, keyCov, keyWalk, nonKeyCov, nonKeyEnt)
 }
 
-// Freeze materializes the current state as an immutable EntityGraph for
-// interop with rendering and tuple materialization. This is a full
-// O(|Vd| + |Ed|) rebuild: a Live pays it once, at its first publication,
-// and derives every later snapshot's graph from the previous one
-// (graph.Derive), which must equal Freeze's. It hands graph.Assemble
-// copies of the names, relationship types and entity type lists, and
-// every edge, ordered by relationship type, then source, then target,
-// with a triple's parallel copies side by side; ids are this graph's ids.
-// So the frozen graph counts what the live counters count (NumEdges,
-// EdgeCount), and a graph streamed back from it (FromEntityGraph, as a
-// checkpoint restart does) counts the same again. Its neighbor runs hold
-// each neighbor once, in ascending id order.
+// Freeze folds the open batch and returns the current state as an
+// immutable EntityGraph, for rendering and tuple materialization. The
+// fold derives the graph from base and the batch (graph.Derive), moves
+// the histogram group of each tuple whose neighbor run grew from its old
+// run's key to its new one's, makes the result base and clears the batch.
+// With nothing pending it returns base as it is, so two calls share one
+// graph. The graph's ids are this graph's ids; it counts every parallel
+// copy, as the counters do, and holds each neighbor once per run, in
+// ascending id order: it equals graph.Assemble of the whole state in
+// canonical edge order (relationship type, source, target). So a graph
+// streamed back from it (FromEntityGraph, as a checkpoint restart does)
+// counts the same again.
 func (g *Graph) Freeze() (*graph.EntityGraph, error) {
-	types := append([]string(nil), g.typeNames...)
-	rels := append([]graph.RelType(nil), g.rels...)
-	var slabLen int
-	for _, ts := range g.entTypes {
-		slabLen += len(ts)
+	prev := g.last()
+	if len(g.typeNames) == prev.NumTypes() && len(g.rels) == prev.NumRelTypes() &&
+		len(g.entities) == 0 && len(g.retyped) == 0 && len(g.added) == 0 {
+		return prev, nil
 	}
-	slab := make([]graph.TypeID, 0, slabLen)
-	ents := make([]graph.Entity, len(g.entNames))
-	for i, name := range g.entNames {
-		off := len(slab)
-		slab = append(slab, g.entTypes[i]...)
-		ents[i] = graph.Entity{Name: name, Types: slab[off:len(slab):len(slab)]}
+	d := graph.Delta{Types: g.typeNames[prev.NumTypes():], Rels: g.rels, Entities: g.entities, Edges: g.added}
+	for e, ts := range g.retyped {
+		d.Retyped = append(d.Retyped, graph.Retype{Entity: e, Types: ts})
 	}
-	edges := make([]graph.Edge, 0, g.edges)
-	var srcs []graph.EntityID
-	for ri := range g.rels {
-		h, copies := g.hist[ri][0], g.copies[ri]
-		srcs = srcs[:0]
-		for e := range h.values {
-			srcs = append(srcs, e)
+	slices.SortFunc(d.Retyped, func(a, b graph.Retype) int { return cmp.Compare(a.Entity, b.Entity) })
+	next, err := graph.Derive(prev, d)
+	if err != nil {
+		return nil, err
+	}
+	// A tuple's run grows only by the batch's edges: visit each (relationship
+	// type, entity) they touch once per direction.
+	keys := make([]uint64, len(g.added))
+	for dir, out := range [2]bool{true, false} {
+		for i, ed := range g.added {
+			e := ed.To
+			if out {
+				e = ed.From
+			}
+			keys[i] = uint64(ed.Rel)<<32 | uint64(e)
 		}
-		slices.Sort(srcs)
-		for _, e := range srcs {
-			for _, v := range h.values[e] {
-				ed := graph.Edge{From: e, To: v, Rel: graph.RelTypeID(ri)}
-				edges = append(edges, ed)
-				for c := copies[pairKey(e, v)]; c > 0; c-- {
-					edges = append(edges, ed)
-				}
+		slices.Sort(keys)
+		for i, k := range keys {
+			if i > 0 && k == keys[i-1] {
+				continue
+			}
+			e, rel := graph.EntityID(uint32(k)), graph.RelTypeID(k>>32)
+			var old []graph.EntityID
+			if int(e) < prev.NumEntities() {
+				old = prev.Neighbors(e, rel, out)
+			}
+			if now := next.Neighbors(e, rel, out); len(now) > len(old) {
+				g.hist[rel][dir].move(old, now)
 			}
 		}
 	}
-	return graph.Assemble(types, rels, ents, edges)
-}
-
-// pairKey packs a (source, target) pair into one map key.
-func pairKey(from, to graph.EntityID) uint64 { return uint64(from)<<32 | uint64(uint32(to)) }
-
-// delta returns what mutations added since the last publication, in the
-// form graph.Derive takes. Its slices are g's own; Derive copies what it
-// keeps.
-func (g *Graph) delta() graph.Delta {
-	p := g.pending
-	d := graph.Delta{Types: g.typeNames[p.types:], Rels: g.rels, Edges: p.edges, Copies: p.copies}
-	for e := p.entities; e < len(g.entNames); e++ {
-		d.Entities = append(d.Entities, graph.Entity{Name: g.entNames[e], Types: g.entTypes[e]})
-	}
-	slices.Sort(p.retyped)
-	p.retyped = slices.Compact(p.retyped)
-	for _, e := range p.retyped {
-		d.Retyped = append(d.Retyped, graph.Retype{Entity: e, Types: g.entTypes[e]})
-	}
-	return d
-}
-
-// markPublished starts a new pending record at the current state: Live
-// calls it after each successful publication.
-func (g *Graph) markPublished() {
-	p := g.pending
-	if p == nil {
-		p = &pending{}
-		g.pending = p
-	}
-	p.types, p.rels, p.entities = len(g.typeNames), len(g.rels), len(g.entNames)
-	p.retyped, p.edges, p.copies = p.retyped[:0], p.edges[:0], p.copies[:0]
+	g.base, g.entities, g.retyped, g.added = next, nil, nil, nil
+	return next, nil
 }

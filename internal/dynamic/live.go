@@ -5,29 +5,31 @@
 // whole request, so an in-flight preview sees one consistent (graph,
 // scores, epoch) triple no matter how many batches land meanwhile.
 //
-// Each successful batch bumps the epoch by one and refreshes the scores
-// through the incremental path (Graph.Scores: O(u·deg) histogram moves
-// already paid during mutation, a re-sum of each moved histogram's group
-// sizes, an O(K²)-per-iteration walk solve, and an O(K + N) assembly)
-// instead of score.Compute's O(|Vd| + |Ed|) rescan. The scores are
-// score.Compute's for the published graph, bit for bit, so a snapshot's
-// scores depend on its state, not on the batches or the restarts that
-// reached it. The immutable entity graph each snapshot carries
-// — needed to materialize tuples, and what buys readers lock-free access
-// to a graph that can never change underneath them — is frozen once, at
-// the first publication (Graph.Freeze), and every later one is derived
-// from its predecessor and the batch (graph.Derive): no validation,
-// hashing, sorting or map building of the graph, only word copies of the
-// adjacency arrays, O(|Vd| + distinct |Ed|), and O(batch) for the rest.
-// The Graph records that batch delta as mutations run and clears it only
-// after a successful publication. What the graph derives lazily
-// (graph.EntityGraph.Schema, NameOrder, and a derived graph's edge list
-// and name index) starts over per snapshot, except the name order: a
-// snapshot inherits its predecessor's, when that one has been derived.
-// A snapshot keeps no pointer to its predecessor; it shares only the
-// predecessor's append-only tables, so an old snapshot's own arrays are
-// freed as soon as its last reader lets go. Each snapshot also copies the
-// graph's change stamps (O(types)) for Snapshot.DirtySince.
+// Each successful batch bumps the epoch by one. Its publication folds the
+// batch into the next immutable entity graph (Graph.Freeze: graph.Derive
+// from the previous snapshot's graph, and one histogram move per tuple
+// whose neighbor run grew) and refreshes the scores through the
+// incremental path (Graph.Scores: a re-sum of each moved histogram's
+// group sizes, an O(K²)-per-iteration walk solve, and an O(K + N)
+// assembly) instead of score.Compute's O(|Vd| + |Ed|) rescan. The scores
+// are score.Compute's for the published graph, bit for bit, so a
+// snapshot's scores depend on its state, not on the batches or the
+// restarts that reached it. The graph — needed to materialize tuples, and
+// what buys readers lock-free access to a graph that can never change
+// underneath them — is the Graph's only copy of its edges, names and
+// entity types, and every snapshot's is made the same way, the first
+// (NewLiveAt's) from the empty graph: no validation, hashing or map
+// building of the graph, only word copies of the adjacency arrays,
+// O(|Vd| + distinct |Ed|), and O(batch log batch) for the rest. A batch
+// that adds nothing publishes the previous snapshot's graph again. What
+// the graph derives lazily (graph.EntityGraph.Schema, NameOrder, and a
+// derived graph's edge list and name index) starts over per graph, except
+// the name order: a snapshot inherits its predecessor's, when that one
+// has been derived. A snapshot keeps no pointer to its predecessor; it
+// shares only the predecessor's append-only tables, so an old snapshot's
+// own arrays are freed as soon as its last reader lets go. Each snapshot
+// also copies the graph's change stamps (O(types)) for
+// Snapshot.DirtySince.
 package dynamic
 
 import (
@@ -255,29 +257,22 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 	return l.snap.Load(), nil
 }
 
-// publishLocked refreshes scores through the incremental path, makes the
-// snapshot's entity graph — Freeze at the first publication, derived from
-// the previous snapshot's and the recorded batch delta afterwards —,
-// carries the previous snapshot's name order into it, swaps in the new
-// snapshot with a copy of the graph's change stamps (O(types)), and only
-// then clears the delta. Every publication goes through here: NewLiveAt's,
-// and each batch of Apply, ApplyBatch and ApplyShipped. Callers hold l.mu.
+// publishLocked folds the open batch into the next graph (Graph.Freeze),
+// refreshes the scores through the incremental path, carries the previous
+// snapshot's name order into the graph, and swaps in the new snapshot with
+// a copy of the graph's change stamps (O(types)). Every publication goes
+// through here: NewLiveAt's, and each batch of Apply, ApplyBatch and
+// ApplyShipped. Callers hold l.mu.
 func (l *Live) publishLocked(epoch uint64) error {
+	frozen, err := l.g.Freeze()
+	if err != nil {
+		return fmt.Errorf("dynamic: freezing graph: %w", err)
+	}
 	scores, err := l.g.Scores(l.opts)
 	if err != nil {
 		return fmt.Errorf("dynamic: refreshing scores: %w", err)
 	}
-	prev := l.snap.Load()
-	var frozen *graph.EntityGraph
-	if prev == nil {
-		frozen, err = l.g.Freeze()
-	} else {
-		frozen, err = graph.Derive(prev.Frozen, l.g.delta())
-	}
-	if err != nil {
-		return fmt.Errorf("dynamic: freezing graph: %w", err)
-	}
-	if prev != nil {
+	if prev := l.snap.Load(); prev != nil {
 		// Entity ids are append-only, so the new graph's name order is
 		// the previous one's with this batch's new names merged in:
 		// carried here, at O(|Vd|) integer cost, rather than re-sorted by
@@ -297,6 +292,5 @@ func (l *Live) publishLocked(epoch uint64) error {
 		snap.Dirty, _ = snap.DirtySince(epoch - 1)
 	}
 	l.snap.Store(snap)
-	l.g.markPublished()
 	return nil
 }

@@ -22,10 +22,10 @@ type Delta struct {
 	// Retyped are older entities whose type lists grew, in ascending id
 	// order.
 	Retyped []Retype
-	// Edges are the batch's new distinct (source, relationship type,
-	// target) triples; Copies are the rest of its edges, parallel copies
-	// of a triple already present.
-	Edges, Copies []Edge
+	// Edges is every edge the batch added, parallel copies included, in
+	// any order. A triple may repeat, and the graph Derive extends may
+	// already hold it.
+	Edges []Edge
 }
 
 // Retype is an older entity's whole type list after a batch added to it.
@@ -35,12 +35,12 @@ type Retype struct {
 }
 
 // Derive makes the graph that prev becomes with d applied, the way a live
-// graph publishes each epoch. prev must be a graph whose neighbor runs
-// ascend, as dynamic.Graph.Freeze's do, or one Derive made; d must be the
-// batch since prev, with no edge that breaks the data model. Then the
-// result equals Assemble of the whole state in canonical edge order, the
-// order Freeze emits: the same entities, per-type lists, neighbor runs,
-// counts and edge list.
+// graph makes each snapshot's. prev must be the empty graph (the zero
+// EntityGraph) or a graph whose neighbor runs ascend, as the runs of every
+// graph Derive makes do; d must be the batch since prev, with no edge that
+// breaks the data model. Then the result equals Assemble of the whole
+// state in canonical edge order (relationship type, source, target): the
+// same entities, per-type lists, neighbor runs, counts and edge list.
 //
 // Derive checks only what the batch declares: a new entity without a
 // type is an error, as in Assemble. It validates, hashes, sorts and maps
@@ -48,13 +48,15 @@ type Retype struct {
 // are shared with prev or appended to (prev keeps its own lengths);
 // a per-type list the batch inserts into is copied, and a batch that
 // retypes an older entity copies the table of entity records. Derive
-// copies the type and relationship-type tables, rebuilds each direction
-// of the adjacency by one merge of prev's with the batch's entries, and
-// leaves the edge list and the name index to be built on first use. It
-// keeps no slice of d.
+// copies the type and relationship-type tables, sorts the batch's edges,
+// drops repeated triples and those prev holds, rebuilds each direction of
+// the adjacency by one merge of prev's with the new triples, and leaves
+// the edge list and the name index to be built on first use, except that
+// a graph derived from one without edges keeps the sorted batch as its
+// edge list. It keeps no slice of d.
 func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 	nEnts := len(prev.entities) + len(d.Entities)
-	nEdges := prev.numEdges + len(d.Edges) + len(d.Copies)
+	nEdges := prev.numEdges + len(d.Edges)
 	if nEnts >= math.MaxInt32 || nEdges >= math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d entities, %d edges exceed the int32 layout", nEnts, nEdges)
 	}
@@ -126,25 +128,35 @@ func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 		g.schemaOut, g.schemaIn = schemaAdjacency(len(g.types), g.relTypes)
 	}
 
-	out := make([]entry, len(d.Edges))
-	in := make([]entry, len(d.Edges))
-	for i, ed := range d.Edges {
-		out[i] = entry{ed.From, ed.Rel, ed.To}
-		in[i] = entry{ed.To, ed.Rel, ed.From}
+	// The batch's new distinct triples are the entries each direction
+	// gains: dropping the rest before the per-direction sorts keeps a
+	// batch of parallel copies, or a whole graph's first batch, cheap.
+	edges := slices.Clone(d.Edges)
+	slices.SortFunc(edges, compareEdges)
+	out := make([]entry, 0, len(edges))
+	in := make([]entry, 0, len(edges))
+	for i, ed := range edges {
+		if i > 0 && ed == edges[i-1] || int(ed.From) < len(prev.entities) && prev.out.has(ed.From, ed.Rel, ed.To) {
+			continue
+		}
+		out = append(out, entry{ed.From, ed.Rel, ed.To})
+		in = append(in, entry{ed.To, ed.Rel, ed.From})
 	}
 	slices.SortFunc(out, compareEntries)
 	slices.SortFunc(in, compareEntries)
 	g.out = prev.out.merge(nEnts, out)
 	g.in = prev.in.merge(nEnts, in)
 
-	// prev.edges is read only when Assemble set it: a derived graph's is
-	// written by its first reader.
-	if prev.log != nil {
-		g.log = &edgeLog{base: prev.log.base, added: prev.log.added}
-	} else {
-		g.log = &edgeLog{base: prev.edges}
+	// prev.edges is read only when Assemble or Derive set it at
+	// construction: otherwise it is written by prev's first reader.
+	switch {
+	case prev.numEdges == 0:
+		g.edges = edges
+	case prev.log != nil:
+		g.log = &edgeLog{base: prev.log.base, added: append(prev.log.added, edges...)}
+	default:
+		g.log = &edgeLog{base: prev.edges, added: edges}
 	}
-	g.log.added = append(append(g.log.added, d.Edges...), d.Copies...)
 	return g, nil
 }
 
@@ -179,11 +191,20 @@ func compareEntries(a, b entry) int {
 	return cmp.Compare(a.other, b.other)
 }
 
+// has reports whether e's run of rel, which must ascend, holds other.
+func (a *adjacency) has(e EntityID, rel RelTypeID, other EntityID) bool {
+	_, ok := slices.BinarySearch(a.run(e, rel), other)
+	return ok
+}
+
 // merge returns a over n entities (at least a's) with es inserted: es are
 // new entries, none already in a, sorted by compareEntries. Each lands in
 // its run after the smaller other endpoints, so ascending runs stay
 // ascending. a's entries move in block copies between the insertions.
 func (a *adjacency) merge(n int, es []entry) adjacency {
+	if len(a.start) == 0 { // the empty graph's
+		a = &adjacency{start: []int32{0}}
+	}
 	old := len(a.start) - 1
 	at := func(e int) int { return int(a.start[min(e, old)]) }
 	m := len(a.nbr) + len(es)
@@ -214,8 +235,8 @@ func (a *adjacency) merge(n int, es []entry) adjacency {
 // edgeLog is where a derived graph's edge list comes from: the edge list
 // of the graph its chain of derivations started from, in canonical order
 // (relationship type, source, target), and every edge added since,
-// parallel copies included, in the order the batches added them. Each
-// derivation appends to added; an older graph keeps its own length.
+// parallel copies included, each batch's in that order. Each derivation
+// appends to added; an older graph keeps its own length.
 type edgeLog struct {
 	base, added []Edge
 }

@@ -10,9 +10,10 @@
 // AWARD and from FILM DIRECTOR to AWARD) while remaining distinct.
 //
 // All identifiers are dense small integers suitable for array indexing.
-// A graph is made once, by Assemble (directly, or through Builder), or
-// from its predecessor in a live graph's epochs by Derive, and then
-// queried many times without further allocation. Its adjacency is
+// A graph is made once, by Assemble (directly, or through Builder), or,
+// for each epoch of a live graph, by Derive from its predecessor (the
+// first from the empty graph), and then queried many times without
+// further allocation. Its adjacency is
 // flat: one compressed sparse row index per direction, grouped by
 // (entity, relationship type), so Neighbors is a binary search that
 // returns a view into graph memory. Everything a graph hands out — entity
@@ -73,7 +74,7 @@ type Edge struct {
 // EntityGraph is an immutable directed entity multigraph together with its
 // uniquely determined schema graph. Construct one with a Builder, from
 // canonical parts with Assemble, or from a live graph's previous snapshot
-// with Derive.
+// with Derive. The zero EntityGraph is the empty graph.
 type EntityGraph struct {
 	entities []Entity
 	types    []EntityType
@@ -81,7 +82,8 @@ type EntityGraph struct {
 	numEdges int
 
 	// edges is the edge list, parallel copies included. Assemble keeps
-	// the list it is given; a derived graph builds it from log on first
+	// the list it is given, as Derive keeps the sorted batch of a graph
+	// without edges; any other derived graph builds it from log on first
 	// use (edgeList).
 	edgesOnce sync.Once
 	edges     []Edge
@@ -210,32 +212,6 @@ func capped(s []EntityID) []EntityID { return s[:len(s):len(s)] }
 // TypeCoverage returns |{v in Vd : v has type t}| — the coverage-based score
 // of t as a key attribute.
 func (g *EntityGraph) TypeCoverage(t TypeID) int { return len(g.types[t].Entities) }
-
-// OutEdges returns the ids of the edges incident from entity e, ascending.
-// It scans every edge, O(|Ed|), into a fresh slice: the adjacency index
-// keeps neighbors, not edge ids. Neighbors is the indexed query.
-func (g *EntityGraph) OutEdges(e EntityID) []EdgeID {
-	var ids []EdgeID
-	for i, ed := range g.edgeList() {
-		if ed.From == e {
-			ids = append(ids, EdgeID(i))
-		}
-	}
-	return ids
-}
-
-// InEdges returns the ids of the edges incident to entity e, ascending. It
-// scans every edge, O(|Ed|), into a fresh slice; Neighbors is the indexed
-// query.
-func (g *EntityGraph) InEdges(e EntityID) []EdgeID {
-	var ids []EdgeID
-	for i, ed := range g.edgeList() {
-		if ed.To == e {
-			ids = append(ids, EdgeID(i))
-		}
-	}
-	return ids
-}
 
 // SchemaOut returns the relationship types whose From endpoint is t.
 func (g *EntityGraph) SchemaOut(t TypeID) []RelTypeID { return g.schemaOut[t] }

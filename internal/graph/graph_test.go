@@ -101,8 +101,8 @@ func TestMultigraphParallelEdges(t *testing.T) {
 	will := mustEntity(t, g, "Will Smith")
 	irobot := mustEntity(t, g, "I, Robot")
 	var parallel int
-	for _, eid := range g.OutEdges(will) {
-		if g.Edge(eid).To == irobot {
+	for i := 0; i < g.NumEdges(); i++ {
+		if ed := g.Edge(graph.EdgeID(i)); ed.From == will && ed.To == irobot {
 			parallel++
 		}
 	}
