@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -73,12 +74,223 @@ func checkCell(g *graph.EntityGraph, vals []graph.EntityID) error {
 		return fmt.Errorf("JSON names %q, want %q", got, wantNames)
 	}
 	want := refFormatCell(g, vals)
-	if got, want := escapeMD(formatCell(g, vals, 0)), escapeMD(want); got != want {
+	if got, want := string(escapeMDFrom(appendCell(nil, g, vals, 0, appendName), 0)), escapeMD(want); got != want {
 		return fmt.Errorf("Markdown cell %q, want %q", got, want)
 	}
 	for _, w := range cellWidths {
-		if got, want := clip(formatCell(g, vals, w), w), clip(oneLine(want), w); got != want {
+		var gr grid
+		gr.cells = appendCell(gr.cells, g, vals, w, appendOneLine)
+		gr.end(w)
+		if got, want := string(gr.cells), clip(oneLine(want), w); got != want {
 			return fmt.Errorf("text cell at width %d: %q, want %q", w, got, want)
+		}
+	}
+	return nil
+}
+
+// checkTables renders, for every entity type of g, the table keyed by it
+// with every incident relationship type as a column and every entity of
+// the type as a row, and compares its text at every cell width and its
+// Markdown with the reference renderer's bytes; then the same for the
+// preview of all those tables.
+func checkTables(g *graph.EntityGraph) error {
+	s := g.Schema()
+	var p core.Preview
+	for ty := 0; ty < g.NumTypes(); ty++ {
+		tb := core.Table{Key: graph.TypeID(ty)}
+		for _, inc := range s.Incident(tb.Key) {
+			tb.NonKeys = append(tb.NonKeys, core.Candidate{Inc: inc})
+		}
+		p.Tables = append(p.Tables, tb)
+	}
+	p.Score = float64(g.NumEntities()) / 7
+	same := func(what string, render, ref func(io.Writer) error) error {
+		var got, want bytes.Buffer
+		if err := render(&got); err != nil {
+			return err
+		}
+		if err := ref(&want); err != nil {
+			return err
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			return fmt.Errorf("%s:\n%q\nwant\n%q", what, got.Bytes(), want.Bytes())
+		}
+		return nil
+	}
+	opts := Options{Tuples: g.NumEntities()}
+	for i := range p.Tables {
+		t := &p.Tables[i]
+		name := g.TypeName(t.Key)
+		for _, w := range cellWidths {
+			opts.MaxCellWidth = w
+			if err := same(fmt.Sprintf("%s text at width %d", name, w),
+				func(b io.Writer) error { return Table(b, g, t, opts) },
+				func(b io.Writer) error { return refTable(b, g, t, opts) }); err != nil {
+				return err
+			}
+		}
+		if err := same(name+" Markdown",
+			func(b io.Writer) error { return MarkdownTable(b, g, t, opts) },
+			func(b io.Writer) error { return refMarkdownTable(b, g, t, opts) }); err != nil {
+			return err
+		}
+	}
+	opts.MaxCellWidth = 0
+	if err := same("preview text",
+		func(b io.Writer) error { return Preview(b, g, &p, opts) },
+		func(b io.Writer) error { return refPreview(b, g, &p, opts) }); err != nil {
+		return err
+	}
+	return same("preview Markdown",
+		func(b io.Writer) error { return MarkdownPreview(b, g, &p, opts) },
+		func(b io.Writer) error { return refMarkdownPreview(b, g, &p, opts) })
+}
+
+// The renderer as it was before it appended to byte slices, kept as the
+// reference the append-based writer must match byte for byte: Table,
+// Preview, MarkdownTable and MarkdownPreview through fmt, writeGrid, pad
+// and clip, with refFormatCell for the cell body.
+
+func refTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error {
+	opts = opts.withDefaults()
+	s := g.Schema()
+
+	headers := make([]string, 0, len(t.NonKeys)+1)
+	headers = append(headers, oneLine(g.TypeName(t.Key)))
+	for _, c := range t.NonKeys {
+		headers = append(headers, oneLine(ColumnHeader(s, c)))
+	}
+
+	tuples := sampleTuples(g, t, opts)
+	rows := make([][]string, 0, len(tuples))
+	for _, tu := range tuples {
+		row := make([]string, 0, len(headers))
+		row = append(row, clip(oneLine(g.EntityName(tu.Key)), opts.MaxCellWidth))
+		for _, vals := range tu.Values {
+			row = append(row, clip(oneLine(refFormatCell(g, vals)), opts.MaxCellWidth))
+		}
+		rows = append(rows, row)
+	}
+	return writeGrid(w, headers, rows, true)
+}
+
+func refPreview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	opts = opts.withDefaults()
+	fmt.Fprintf(w, "preview: %d tables, %d non-key attributes, score %.4g\n\n",
+		len(p.Tables), p.NonKeyCount(), p.Score)
+	for i := range p.Tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := refTable(w, g, &p.Tables[i], opts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clip truncates s to at most max runes — the unit writeGrid aligns by —
+// ending a truncated cell in "…". It never splits a rune.
+func clip(s string, max int) string {
+	if utf8.RuneCountInString(s) <= max {
+		return s
+	}
+	keep, ellipsis := max-1, "…"
+	if max <= 1 {
+		keep, ellipsis = max, ""
+	}
+	end := 0
+	for ; keep > 0; keep-- {
+		_, size := utf8.DecodeRuneInString(s[end:])
+		end += size
+	}
+	return s[:end] + ellipsis
+}
+
+// writeGrid renders an aligned text grid. When underlineKey is set, the
+// separator under the first column uses '=' — the ASCII stand-in for the
+// paper's underlined key attribute.
+func writeGrid(w io.Writer, headers []string, rows [][]string, underlineKey bool) error {
+	widths := make([]int, len(headers))
+	for i, h := range headers {
+		widths[i] = len([]rune(h))
+	}
+	for _, row := range rows {
+		for i, cell := range row {
+			if n := len([]rune(cell)); i < len(widths) && n > widths[i] {
+				widths[i] = n
+			}
+		}
+	}
+	line := func(cells []string) error {
+		parts := make([]string, len(cells))
+		for i, c := range cells {
+			parts[i] = pad(c, widths[i])
+		}
+		_, err := fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+		return err
+	}
+	if err := line(headers); err != nil {
+		return err
+	}
+	seps := make([]string, len(headers))
+	for i := range seps {
+		ch := "-"
+		if underlineKey && i == 0 {
+			ch = "="
+		}
+		seps[i] = strings.Repeat(ch, widths[i])
+	}
+	if err := line(seps); err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if err := line(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func pad(s string, w int) string {
+	n := len([]rune(s))
+	if n >= w {
+		return s
+	}
+	return s + strings.Repeat(" ", w-n)
+}
+
+func refMarkdownTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error {
+	opts = opts.withDefaults()
+	s := g.Schema()
+	fmt.Fprintf(w, "| **%s** |", escapeMD(g.TypeName(t.Key)))
+	for _, c := range t.NonKeys {
+		fmt.Fprintf(w, " %s |", escapeMD(ColumnHeader(s, c)))
+	}
+	fmt.Fprintln(w)
+	fmt.Fprint(w, "|---|")
+	for range t.NonKeys {
+		fmt.Fprint(w, "---|")
+	}
+	fmt.Fprintln(w)
+	for _, tu := range sampleTuples(g, t, opts) {
+		fmt.Fprintf(w, "| %s |", escapeMD(g.EntityName(tu.Key)))
+		for _, vals := range tu.Values {
+			fmt.Fprintf(w, " %s |", escapeMD(refFormatCell(g, vals)))
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func refMarkdownPreview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	opts = opts.withDefaults()
+	for i := range p.Tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := refMarkdownTable(w, g, &p.Tables[i], opts); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -86,17 +298,20 @@ func checkCell(g *graph.EntityGraph, vals []graph.EntityID) error {
 
 // craftedNames sort in ways a name order can get wrong: shared prefixes,
 // a name that is a prefix of another, case, non-ASCII and invalid UTF-8
-// bytes, a NUL, and the empty name.
+// bytes, a NUL, and the empty name. Pipes, line ends and trailing spaces
+// test the table writers' escaping, flattening and trimming.
 var craftedNames = []string{
 	"", "a", "ab", "abc", "abd", "abc d", "abc\x00", "a\x00b", "b", "B", "A",
 	"Ä", "é", "e", "ée", "日本", "日", "日本語", "\xff", "\xfe\xff", "\xe2\x82", "€uro",
 	"Men", "Men in Black", "Men in Black II", " Men", "~", "\x7f", "Ω", "Zebra", "zebra",
 	"Orquesta Sinfónica de la Ciudad de México", "東京フィルハーモニー交響楽団",
+	"trailing ", "  ", "a|b", "line\r\nend ", "日本 ",
 }
 
 // craftedGraph links hubs to the crafted names in several first-edge
 // orders, so its cells hold every name at once, disjoint halves, a
-// shuffled subset, pairs and single names.
+// shuffled subset, pairs and single names, each single name once in the
+// last column of the hubs' table.
 func craftedGraph(t testing.TB) *graph.EntityGraph {
 	t.Helper()
 	var b graph.Builder
@@ -120,6 +335,7 @@ func craftedGraph(t testing.TB) *graph.EntityGraph {
 	link("hub: second half", ids[len(ids)/2:])
 	for i := range ids {
 		link(fmt.Sprintf("hub: pair %d", i), []graph.EntityID{ids[i], ids[(i*7+3)%len(ids)]})
+		link(fmt.Sprintf("hub: name %d", i), ids[i:i+1])
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -130,7 +346,8 @@ func craftedGraph(t testing.TB) *graph.EntityGraph {
 
 // TestCellBodyMatchesStringSort: ordering cells by the graph's name rank
 // gives the bytes sorting the names gave, in JSON, Markdown and text at
-// every clip width, over the layout corpus and the crafted names.
+// every clip width, and whole tables render the reference renderer's
+// bytes, over the layout corpus and the crafted names.
 func TestCellBodyMatchesStringSort(t *testing.T) {
 	gs, err := graphtest.Corpus()
 	if err != nil {
@@ -139,6 +356,9 @@ func TestCellBodyMatchesStringSort(t *testing.T) {
 	gs = append(gs, graphtest.Named{Name: "crafted", Graph: craftedGraph(t)})
 	for _, n := range gs {
 		if err := checkCells(n.Graph); err != nil {
+			t.Errorf("%s: %v", n.Name, err)
+		}
+		if err := checkTables(n.Graph); err != nil {
 			t.Errorf("%s: %v", n.Name, err)
 		}
 	}
@@ -280,13 +500,15 @@ func TestConcurrentFirstRenders(t *testing.T) {
 
 // FuzzCellOrder decodes entity names as well as edges from its input, so
 // names of any bytes, lengths and shared prefixes meet in one cell. It
-// checks every cell against the string sort, the name order against the
-// names, and an order inherited from a prefix of the entities against a
-// fresh one.
+// checks every cell against the string sort, the whole table in text at
+// every clip width and in Markdown against the reference renderer, the
+// name order against the names, and an order inherited from a prefix of
+// the entities against a fresh one.
 func FuzzCellOrder(f *testing.F) {
 	f.Add([]byte("\x05\x02ab\x01a\x03abc\x00\x02\xff\xfe\x01\x00\x00\x01\x00\x02\x00\x03\x00\x04"))
 	f.Add([]byte("\x08\x03Men\x0cMen in Black\x02\xc3\xa9\x01e\x01\r\x02\r\n\x01\n\x05 Men\x03\x00\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00\x07"))
 	f.Add([]byte("\x10\x07"))
+	f.Add([]byte("\x06\x01\x03a|b\x04tail \x06\xe6\x97\xa5\xe6\x9c\xac\x03x\r\n\x02\xff|\x01 \x00\x01\x01\x00\x00\x02\x00\x03\x00\x04\x00\x05\x05\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -328,6 +550,9 @@ func FuzzCellOrder(f *testing.F) {
 		}
 		g := build(names, true)
 		if err := checkCells(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkTables(g); err != nil {
 			t.Fatal(err)
 		}
 		byName := make([]graph.EntityID, len(names))

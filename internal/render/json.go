@@ -3,13 +3,18 @@
 // *Doc types are the wire representation served by internal/service and
 // re-exported from the root package: names instead of internal IDs, column
 // headers disambiguated exactly like the text renderer, and deterministic
-// value ordering so responses are stable across runs.
+// value ordering so responses are stable across runs. A preview document
+// is built (PreviewDocument) and then encoded (AppendPreviewDoc) in two
+// steps; the encoder is written by hand and writes encoding/json's bytes.
 
 package render
 
 import (
+	"strconv"
+
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // GraphStatsDoc is the JSON shape of one graph's size statistics (the
@@ -161,4 +166,117 @@ func tupleDoc(g *graph.EntityGraph, tu core.Tuple) TupleDoc {
 		d.Values[i] = names
 	}
 	return d
+}
+
+// AppendPreviewDoc appends d's JSON encoding to dst: byte for byte what
+// encoding/json writes for d with HTML escaping off (wire.MarshalJSON),
+// without the trailing newline, so a response can embed it. Fields come
+// in struct order; a nil slice is null and an empty one []; tuples is
+// left out when it has none. A NaN or infinite score fails, as it fails
+// in encoding/json; the returned bytes are then incomplete.
+func AppendPreviewDoc(dst []byte, d *PreviewDoc) ([]byte, error) {
+	dst = append(dst, `{"score":`...)
+	dst, err := wire.AppendJSONFloat(dst, d.Score)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"non_key_count":`...)
+	dst = strconv.AppendInt(dst, int64(d.NonKeyCount), 10)
+	dst = append(dst, `,"tables":`...)
+	if d.Tables == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range d.Tables {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendTableDoc(dst, &d.Tables[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendTableDoc(dst []byte, t *TableDoc) ([]byte, error) {
+	dst = append(dst, `{"key":`...)
+	dst = wire.AppendJSONString(dst, t.Key)
+	dst = append(dst, `,"key_score":`...)
+	dst, err := wire.AppendJSONFloat(dst, t.KeyScore)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"score":`...)
+	if dst, err = wire.AppendJSONFloat(dst, t.Score); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"columns":`...)
+	if t.Columns == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range t.Columns {
+			c := &t.Columns[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = wire.AppendJSONString(dst, c.Name)
+			dst = append(dst, `,"rel":`...)
+			dst = wire.AppendJSONString(dst, c.Rel)
+			dst = append(dst, `,"target":`...)
+			dst = wire.AppendJSONString(dst, c.Target)
+			dst = append(dst, `,"outgoing":`...)
+			dst = strconv.AppendBool(dst, c.Outgoing)
+			dst = append(dst, `,"score":`...)
+			if dst, err = wire.AppendJSONFloat(dst, c.Score); err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(t.Tuples) > 0 {
+		dst = append(dst, `,"tuples":[`...)
+		for i := range t.Tuples {
+			tu := &t.Tuples[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"key":`...)
+			dst = wire.AppendJSONString(dst, tu.Key)
+			dst = append(dst, `,"values":`...)
+			if tu.Values == nil {
+				dst = append(dst, "null"...)
+			} else {
+				dst = append(dst, '[')
+				for j, names := range tu.Values {
+					if j > 0 {
+						dst = append(dst, ',')
+					}
+					dst = appendStrings(dst, names)
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = wire.AppendJSONString(dst, s)
+	}
+	return append(dst, ']')
 }

@@ -7,11 +7,14 @@
 package render
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"github.com/uta-db/previewtables/internal/core"
@@ -65,42 +68,32 @@ func ColumnHeader(s *graph.Schema, c core.Candidate) string {
 // Table renders one preview table as text.
 func Table(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error {
 	opts = opts.withDefaults()
-	s := g.Schema()
-
-	headers := make([]string, 0, len(t.NonKeys)+1)
-	headers = append(headers, oneLine(g.TypeName(t.Key)))
-	for _, c := range t.NonKeys {
-		headers = append(headers, oneLine(ColumnHeader(s, c)))
-	}
-
-	tuples := sampleTuples(g, t, opts)
-	rows := make([][]string, 0, len(tuples))
-	for _, tu := range tuples {
-		row := make([]string, 0, len(headers))
-		row = append(row, clip(oneLine(g.EntityName(tu.Key)), opts.MaxCellWidth))
-		for _, vals := range tu.Values {
-			row = append(row, clip(formatCell(g, vals, opts.MaxCellWidth), opts.MaxCellWidth))
-		}
-		rows = append(rows, row)
-	}
-	return writeGrid(w, headers, rows, true)
+	return writeVia(w, func(b []byte) []byte { return appendTable(b, g, t, opts) })
 }
 
 // Preview renders a whole preview: every table, separated by blank lines,
 // headed by the preview score.
 func Preview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	return writeVia(w, func(b []byte) []byte { return AppendPreview(b, g, p, opts) })
+}
+
+// AppendPreview appends the text Preview writes to dst.
+func AppendPreview(dst []byte, g *graph.EntityGraph, p *core.Preview, opts Options) []byte {
 	opts = opts.withDefaults()
-	fmt.Fprintf(w, "preview: %d tables, %d non-key attributes, score %.4g\n\n",
-		len(p.Tables), p.NonKeyCount(), p.Score)
+	dst = append(dst, "preview: "...)
+	dst = strconv.AppendInt(dst, int64(len(p.Tables)), 10)
+	dst = append(dst, " tables, "...)
+	dst = strconv.AppendInt(dst, int64(p.NonKeyCount()), 10)
+	dst = append(dst, " non-key attributes, score "...)
+	dst = strconv.AppendFloat(dst, p.Score, 'g', 4, 64)
+	dst = append(dst, "\n\n"...)
 	for i := range p.Tables {
 		if i > 0 {
-			fmt.Fprintln(w)
+			dst = append(dst, '\n')
 		}
-		if err := Table(w, g, &p.Tables[i], opts); err != nil {
-			return err
-		}
+		dst = appendTable(dst, g, &p.Tables[i], opts)
 	}
-	return nil
+	return dst
 }
 
 // sampleTuples materializes a table's display tuples per opts: none,
@@ -164,21 +157,22 @@ func byName(g *graph.EntityGraph, vals []graph.EntityID, n int, small *[16]uint6
 
 func cellID(key uint64) graph.EntityID { return graph.EntityID(uint32(key)) }
 
-// formatCell renders a value set for the text and Markdown renderers:
-// "-" when empty, the bare name for a single value, "{a, b}" for a
-// multi-valued cell (Fig. 2), each name on one line. A text cell is
-// clipped to width runes, so with width > 0 formatCell stops after the
-// first name that takes the cell past width: clip returns the same bytes
-// for that prefix as for the whole cell. Each name after the first adds
-// at least two runes, so the cell is past width by its width/2+2-th name,
-// and only that many names are put in order. A Markdown cell is not
-// clipped (width 0).
-func formatCell(g *graph.EntityGraph, vals []graph.EntityID, width int) string {
+// appendCell appends a value set's text or Markdown cell, each name
+// through name (appendOneLine for text; appendName for Markdown, whose
+// cell is escaped whole afterwards): "-" when empty, the bare name for a
+// single value, "{a, b}" for a multi-valued cell (Fig. 2). A text cell
+// is clipped to width runes, so with width > 0 appendCell stops after
+// the first name that takes the cell past width: clipping that prefix
+// gives the bytes clipping the whole cell gives. Each name after the
+// first adds at least two runes, so the cell is past width by its
+// width/2+2-th name, and only that many names are put in order. A
+// Markdown cell is not clipped (width 0).
+func appendCell(dst []byte, g *graph.EntityGraph, vals []graph.EntityID, width int, name func([]byte, string) []byte) []byte {
 	switch len(vals) {
 	case 0:
-		return "-"
+		return append(dst, '-')
 	case 1:
-		return oneLine(g.EntityName(vals[0]))
+		return name(dst, g.EntityName(vals[0]))
 	}
 	n := len(vals)
 	if width > 0 {
@@ -186,143 +180,212 @@ func formatCell(g *graph.EntityGraph, vals []graph.EntityID, width int) string {
 	}
 	var small [16]uint64
 	keys := byName(g, vals, n, &small)
-	var b strings.Builder
-	if width <= 0 {
-		size := len(keys) * 2
-		for _, k := range keys {
-			size += len(g.EntityName(cellID(k)))
-		}
-		b.Grow(size)
-	}
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	runes := 1
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 			runes += 2
 		}
-		name := oneLine(g.EntityName(cellID(k)))
-		b.WriteString(name)
+		mark := len(dst)
+		dst = name(dst, g.EntityName(cellID(k)))
 		if width > 0 {
-			if runes += utf8.RuneCountInString(name); runes > width {
-				return b.String()
+			if runes += utf8.RuneCount(dst[mark:]); runes > width {
+				return dst
 			}
 		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
-// clip truncates s to at most max runes — the unit writeGrid aligns by —
-// ending a truncated cell in "…". It never splits a rune.
-func clip(s string, max int) string {
-	if utf8.RuneCountInString(s) <= max {
-		return s
-	}
-	keep, ellipsis := max-1, "…"
-	if max <= 1 {
-		keep, ellipsis = max, ""
-	}
-	end := 0
-	for ; keep > 0; keep-- {
-		_, size := utf8.DecodeRuneInString(s[end:])
-		end += size
-	}
-	return s[:end] + ellipsis
+// grid lays out one text table before writing it, so every column's
+// width is known before the first line: cells holds the table's cells
+// back to back, headers first and then row by row, and spans[i] says
+// where cell i ends and how many runes it has. Grids are pooled, so a
+// table renders without allocating once the pool is warm.
+type grid struct {
+	cells  []byte
+	spans  []span
+	widths []int
 }
 
-// writeGrid renders an aligned text grid. When underlineKey is set, the
-// separator under the first column uses '=' — the ASCII stand-in for the
-// paper's underlined key attribute.
-func writeGrid(w io.Writer, headers []string, rows [][]string, underlineKey bool) error {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len([]rune(h))
+type span struct{ end, runes int }
+
+var grids = sync.Pool{New: func() any { return new(grid) }}
+
+// appendTable appends one table's text: the header, a separator row
+// whose key column is '=' (the ASCII stand-in for the paper's
+// underlined key attribute) and '-' elsewhere, and one row per sampled
+// tuple. Cells are aligned by rune count, two spaces apart, and every
+// line loses its trailing spaces.
+func appendTable(dst []byte, g *graph.EntityGraph, t *core.Table, opts Options) []byte {
+	gr := grids.Get().(*grid)
+	defer grids.Put(gr)
+	gr.cells, gr.spans = gr.cells[:0], gr.spans[:0]
+	s := g.Schema()
+	gr.cells = appendOneLine(gr.cells, g.TypeName(t.Key))
+	gr.end(0)
+	for _, c := range t.NonKeys {
+		gr.cells = appendOneLine(gr.cells, ColumnHeader(s, c))
+		gr.end(0)
 	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if n := len([]rune(cell)); i < len(widths) && n > widths[i] {
-				widths[i] = n
-			}
+	width := opts.MaxCellWidth
+	for _, tu := range sampleTuples(g, t, opts) {
+		gr.cells = appendOneLine(gr.cells, g.EntityName(tu.Key))
+		gr.end(width)
+		for _, vals := range tu.Values {
+			gr.cells = appendCell(gr.cells, g, vals, width, appendOneLine)
+			gr.end(width)
 		}
 	}
-	line := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = pad(c, widths[i])
+
+	cols := len(t.NonKeys) + 1
+	gr.widths = append(gr.widths[:0], make([]int, cols)...)
+	for i, sp := range gr.spans {
+		gr.widths[i%cols] = max(gr.widths[i%cols], sp.runes)
+	}
+	dst = gr.appendRow(dst, 0, cols)
+	line := len(dst)
+	for c, w := range gr.widths {
+		ch := byte('=')
+		if c > 0 {
+			dst = append(dst, "  "...)
+			ch = '-'
 		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
-		return err
+		dst = appendRepeat(dst, ch, w)
 	}
-	if err := line(headers); err != nil {
-		return err
+	dst = endLine(dst, line)
+	for first := cols; first < len(gr.spans); first += cols {
+		dst = gr.appendRow(dst, first, cols)
 	}
-	seps := make([]string, len(headers))
-	for i := range seps {
-		ch := "-"
-		if underlineKey && i == 0 {
-			ch = "="
-		}
-		seps[i] = strings.Repeat(ch, widths[i])
-	}
-	if err := line(seps); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := line(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dst
 }
 
-func pad(s string, w int) string {
-	n := len([]rune(s))
-	if n >= w {
-		return s
+// appendRow appends the line of the cols cells from cell first on, each
+// padded to its column's width and two spaces from the next.
+func (gr *grid) appendRow(dst []byte, first, cols int) []byte {
+	line, start := len(dst), 0
+	if first > 0 {
+		start = gr.spans[first-1].end
 	}
-	return s + strings.Repeat(" ", w-n)
+	for c, sp := range gr.spans[first : first+cols] {
+		if c > 0 {
+			dst = appendRepeat(dst, ' ', gr.widths[c-1]-gr.spans[first+c-1].runes+2)
+		}
+		dst = append(dst, gr.cells[start:sp.end]...)
+		start = sp.end
+	}
+	return endLine(dst, line)
+}
+
+// end closes the cell appended since the previous one, clipped to max
+// runes when max > 0: a longer cell keeps max-1 runes and ends in "…"
+// (a max of 1 keeps one rune and no ellipsis). It never splits a rune.
+func (gr *grid) end(max int) {
+	start := 0
+	if n := len(gr.spans); n > 0 {
+		start = gr.spans[n-1].end
+	}
+	runes := utf8.RuneCount(gr.cells[start:])
+	if max > 0 && runes > max {
+		keep, ellipsis := max-1, "…"
+		if max <= 1 {
+			keep, ellipsis = max, ""
+		}
+		end := start
+		for ; keep > 0; keep-- {
+			_, size := utf8.DecodeRune(gr.cells[end:])
+			end += size
+		}
+		gr.cells = append(gr.cells[:end], ellipsis...)
+		runes = max
+	}
+	gr.spans = append(gr.spans, span{len(gr.cells), runes})
 }
 
 // MarkdownTable renders one preview table as GitHub-flavored Markdown with
 // the key attribute bolded.
 func MarkdownTable(w io.Writer, g *graph.EntityGraph, t *core.Table, opts Options) error {
 	opts = opts.withDefaults()
-	s := g.Schema()
-	fmt.Fprintf(w, "| **%s** |", escapeMD(g.TypeName(t.Key)))
-	for _, c := range t.NonKeys {
-		fmt.Fprintf(w, " %s |", escapeMD(ColumnHeader(s, c)))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "|---|")
-	for range t.NonKeys {
-		fmt.Fprint(w, "---|")
-	}
-	fmt.Fprintln(w)
-	for _, tu := range sampleTuples(g, t, opts) {
-		fmt.Fprintf(w, "| %s |", escapeMD(g.EntityName(tu.Key)))
-		for _, vals := range tu.Values {
-			fmt.Fprintf(w, " %s |", escapeMD(formatCell(g, vals, 0)))
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	return writeVia(w, func(b []byte) []byte { return appendMarkdownTable(b, g, t, opts) })
 }
 
 // MarkdownPreview renders every table of a preview as Markdown,
 // separated by blank lines — the multi-table counterpart of
 // MarkdownTable, as Preview is of Table.
 func MarkdownPreview(w io.Writer, g *graph.EntityGraph, p *core.Preview, opts Options) error {
+	return writeVia(w, func(b []byte) []byte { return AppendMarkdownPreview(b, g, p, opts) })
+}
+
+// AppendMarkdownPreview appends the Markdown MarkdownPreview writes to
+// dst.
+func AppendMarkdownPreview(dst []byte, g *graph.EntityGraph, p *core.Preview, opts Options) []byte {
 	opts = opts.withDefaults()
 	for i := range p.Tables {
 		if i > 0 {
-			fmt.Fprintln(w)
+			dst = append(dst, '\n')
 		}
-		if err := MarkdownTable(w, g, &p.Tables[i], opts); err != nil {
-			return err
-		}
+		dst = appendMarkdownTable(dst, g, &p.Tables[i], opts)
 	}
-	return nil
+	return dst
+}
+
+func appendMarkdownTable(dst []byte, g *graph.EntityGraph, t *core.Table, opts Options) []byte {
+	s := g.Schema()
+	dst = append(dst, "| **"...)
+	dst = appendMD(dst, g.TypeName(t.Key))
+	dst = append(dst, "** |"...)
+	for _, c := range t.NonKeys {
+		dst = append(dst, ' ')
+		dst = appendMD(dst, ColumnHeader(s, c))
+		dst = append(dst, " |"...)
+	}
+	dst = append(dst, "\n|---|"...)
+	for range t.NonKeys {
+		dst = append(dst, "---|"...)
+	}
+	dst = append(dst, '\n')
+	for _, tu := range sampleTuples(g, t, opts) {
+		dst = append(dst, "| "...)
+		dst = appendMD(dst, g.EntityName(tu.Key))
+		dst = append(dst, " |"...)
+		for _, vals := range tu.Values {
+			dst = append(dst, ' ')
+			cell := len(dst)
+			dst = escapeMDFrom(appendCell(dst, g, vals, 0, appendName), cell)
+			dst = append(dst, " |"...)
+		}
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// bufs holds the io.Writer renderers' output buffers: each appends its
+// whole output to one and writes it in a single call.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func writeVia(w io.Writer, render func([]byte) []byte) error {
+	b := bufs.Get().(*[]byte)
+	defer bufs.Put(b)
+	*b = render((*b)[:0])
+	_, err := w.Write(*b)
+	return err
+}
+
+func appendRepeat(dst []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// endLine trims the trailing spaces of the line that starts at
+// dst[line] and ends it.
+func endLine(dst []byte, line int) []byte {
+	for len(dst) > line && dst[len(dst)-1] == ' ' {
+		dst = dst[:len(dst)-1]
+	}
+	return append(dst, '\n')
 }
 
 // SchemaDOT writes the schema graph as Graphviz DOT (Fig. 3 style):
@@ -395,3 +458,22 @@ func oneLine(s string) string {
 }
 
 func escapeMD(s string) string { return mdEscaper.Replace(strings.ReplaceAll(s, "\r\n", "\n")) }
+
+func appendOneLine(dst []byte, s string) []byte { return append(dst, oneLine(s)...) }
+
+func appendName(dst []byte, s string) []byte { return append(dst, s...) }
+
+// appendMD appends s as a Markdown cell.
+func appendMD(dst []byte, s string) []byte { return escapeMDFrom(append(dst, s...), len(dst)) }
+
+// escapeMDFrom escapes dst[start:] as escapeMD does, when it holds a pipe
+// or a line ending. Escaping a whole multi-valued cell equals escaping
+// each name: the ", " between two names holds neither, and no "\r\n"
+// pair spans it.
+func escapeMDFrom(dst []byte, start int) []byte {
+	tail := dst[start:]
+	if bytes.IndexByte(tail, '|') < 0 && bytes.IndexByte(tail, '\r') < 0 && bytes.IndexByte(tail, '\n') < 0 {
+		return dst
+	}
+	return append(dst[:start], escapeMD(string(tail))...)
+}

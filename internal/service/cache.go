@@ -40,7 +40,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -57,6 +56,25 @@ type cacheEntry struct {
 	contentType string
 	etag        string
 	body        []byte
+}
+
+// bodyBufs holds the buffers a cache miss renders its body into, as
+// wire.Forward pools its copy buffers; the entry keeps an exact-size copy,
+// so a cached body carries none of the slack the buffer grew.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// newEntry renders a body through a pooled buffer into a new entry.
+func newEntry(contentType string, render func([]byte) ([]byte, error)) (*cacheEntry, error) {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	b, err := render((*buf)[:0])
+	*buf = b
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, len(b))
+	copy(body, b)
+	return &cacheEntry{contentType: contentType, body: body}, nil
 }
 
 // respSlot is the singleflight slot for one cache key: the goroutine
@@ -164,7 +182,13 @@ func (v *view) cachedResponse(key string, build func() (*cacheEntry, error)) (*c
 // graph is and which epoch is being represented. Static graphs never
 // change, so their scope is constant for the process lifetime.
 func (v *view) etagScope(name string) string {
-	return fmt.Sprintf("%s|%d|%t", name, v.epoch, v.mutable)
+	var buf [64]byte
+	b := append(buf[:0], name...)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, v.epoch, 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, v.mutable)
+	return string(b)
 }
 
 // listCache caches the single current /v1/graphs rendering. The key is

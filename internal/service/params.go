@@ -116,22 +116,38 @@ func parsePreviewParams(q url.Values) (previewParams, error) {
 	return p, nil
 }
 
-// canonical renders validated parameters in one fixed spelling and
-// order, so every equivalent request — defaults omitted or spelled out,
-// measure aliases (key=random-walk vs key=walk), unknown parameters the
-// parser ignores — maps to the same cache key and ETag. Canonicalizing
-// from the parsed struct rather than the raw query is what makes the
-// merge safe: two requests share a key only if the handler would have
-// seen identical previewParams, and the body is a function of nothing
-// else. d is included even for concise requests (where discovery
-// ignores it) — that can only fragment the key space, never alias two
-// different bodies.
-func (p previewParams) canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d&n=%d&mode=%s&d=%d&key=%s&nonkey=%s&tuples=%d&rep=%t&anytime=%t",
-		p.Constraint.K, p.Constraint.N, strings.ToLower(p.Constraint.Mode.String()), p.Constraint.D,
-		keyMeasureName(p.Key), nonKeyMeasureName(p.NonKey), p.Tuples, p.Representative, p.Anytime)
-	return b.String()
+// cacheKey is prefix followed by the validated parameters in one fixed
+// spelling and order, so every equivalent request — defaults omitted or
+// spelled out, measure aliases (key=random-walk vs key=walk), unknown
+// parameters the parser ignores — maps to the same cache key and ETag.
+// Canonicalizing from the parsed struct rather than the raw query is
+// what makes the merge safe: two requests share a key only if the
+// handler would have seen identical previewParams, and the body is a
+// function of nothing else. d is included even for concise requests
+// (where discovery ignores it) — that can only fragment the key space,
+// never alias two different bodies.
+func (p previewParams) cacheKey(prefix string) string {
+	var buf [128]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, "k="...)
+	b = strconv.AppendInt(b, int64(p.Constraint.K), 10)
+	b = append(b, "&n="...)
+	b = strconv.AppendInt(b, int64(p.Constraint.N), 10)
+	b = append(b, "&mode="...)
+	b = append(b, modeName(p.Constraint.Mode)...)
+	b = append(b, "&d="...)
+	b = strconv.AppendInt(b, int64(p.Constraint.D), 10)
+	b = append(b, "&key="...)
+	b = append(b, keyMeasureName(p.Key)...)
+	b = append(b, "&nonkey="...)
+	b = append(b, nonKeyMeasureName(p.NonKey)...)
+	b = append(b, "&tuples="...)
+	b = strconv.AppendInt(b, int64(p.Tuples), 10)
+	b = append(b, "&rep="...)
+	b = strconv.AppendBool(b, p.Representative)
+	b = append(b, "&anytime="...)
+	b = strconv.AppendBool(b, p.Anytime)
+	return string(b)
 }
 
 // intParam parses an optional integer query parameter.
@@ -145,6 +161,20 @@ func intParam(q url.Values, name string, def int) (int, error) {
 		return 0, fmt.Errorf("invalid %s=%q: not an integer", name, v)
 	}
 	return n, nil
+}
+
+// modeName returns the lowercase wire name of a mode, the inverse of the
+// mode parameter's parse.
+func modeName(m core.Mode) string {
+	switch m {
+	case core.Concise:
+		return "concise"
+	case core.Tight:
+		return "tight"
+	case core.Diverse:
+		return "diverse"
+	}
+	return strings.ToLower(m.String())
 }
 
 // keyMeasureName returns the lowercase wire name of a key measure, the

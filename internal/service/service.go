@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -172,6 +171,42 @@ type previewResponse struct {
 	// certified exact answer. The certification bit is part of the cache
 	// key, so each keyed body stays a pure function of (epoch, params).
 	Converged *bool `json:"converged,omitempty"`
+}
+
+// appendJSON appends the response body: what wire.MarshalJSON writes for
+// r, trailing newline included, written by hand. The preview document
+// goes through render.AppendPreviewDoc, and fails as it fails.
+func (r *previewResponse) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"graph":`...)
+	dst = wire.AppendJSONString(dst, r.Graph)
+	if r.Epoch != nil {
+		dst = append(dst, `,"epoch":`...)
+		dst = strconv.AppendUint(dst, *r.Epoch, 10)
+	}
+	dst = append(dst, `,"constraint":{"k":`...)
+	dst = strconv.AppendInt(dst, int64(r.Constraint.K), 10)
+	dst = append(dst, `,"n":`...)
+	dst = strconv.AppendInt(dst, int64(r.Constraint.N), 10)
+	dst = append(dst, `,"mode":`...)
+	dst = wire.AppendJSONString(dst, r.Constraint.Mode)
+	if r.Constraint.D != nil {
+		dst = append(dst, `,"d":`...)
+		dst = strconv.AppendInt(dst, int64(*r.Constraint.D), 10)
+	}
+	dst = append(dst, `},"key_measure":`...)
+	dst = wire.AppendJSONString(dst, r.Key)
+	dst = append(dst, `,"non_key_measure":`...)
+	dst = wire.AppendJSONString(dst, r.NonKey)
+	dst = append(dst, `,"preview":`...)
+	dst, err := render.AppendPreviewDoc(dst, &r.Preview)
+	if err != nil {
+		return dst, err
+	}
+	if r.Converged != nil {
+		dst = append(dst, `,"converged":`...)
+		dst = strconv.AppendBool(dst, *r.Converged)
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -420,11 +455,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		views[i] = gr.view()
 		refined[i] = gr.anytimeRefined.Load()
-		fmt.Fprintf(&scope, "\x00%s", views[i].etagScope(name))
+		scope.WriteString("\x00" + views[i].etagScope(name))
 		if refined[i] != nil {
 			// Anytime convergence is in the body, so it must be in the
 			// key: a refinement landing between requests re-renders.
-			fmt.Fprintf(&scope, "|refined=%d", *refined[i])
+			scope.WriteString("|refined=" + strconv.FormatUint(*refined[i], 10))
 		}
 	}
 	composite := scope.String()
@@ -451,7 +486,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, gr *Graph) 
 	refined := gr.anytimeRefined.Load()
 	if refined != nil {
 		// Convergence state is in the body, so it joins the cache key.
-		key = fmt.Sprintf("stats&refined=%d", *refined)
+		key = "stats&refined=" + strconv.FormatUint(*refined, 10)
 	}
 	s.serveCached(w, r, v.etagScope(gr.Name()), key, v, func() (*cacheEntry, error) {
 		body, err := wire.MarshalJSON(statsFor(gr.Name(), v, refined))
@@ -584,7 +619,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 		return
 	}
 	v := gr.view()
-	key := "preview?" + p.canonical()
+	key := p.cacheKey("preview?")
 	var certified bool
 	if p.Anytime {
 		// The certification bit joins the cache key: the conv=false key
@@ -594,7 +629,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 		// sees the partial answer until refinement lands, then the exact
 		// one (under a new ETag).
 		certified = s.anytimeCertified(gr, v, p)
-		key += fmt.Sprintf("&converged=%t", certified)
+		key += "&converged=" + strconv.FormatBool(certified)
 	}
 	s.serveCached(w, r, v.etagScope(gr.Name()), key, v, func() (*cacheEntry, error) {
 		var (
@@ -612,7 +647,7 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 		mode := constraintDoc{
 			K:    p.Constraint.K,
 			N:    p.Constraint.N,
-			Mode: strings.ToLower(p.Constraint.Mode.String()),
+			Mode: modeName(p.Constraint.Mode),
 		}
 		if p.Constraint.Mode != core.Concise {
 			d := p.Constraint.D
@@ -633,16 +668,13 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 			epoch := v.epoch
 			resp.Epoch = &epoch
 		}
-		body, err := wire.MarshalJSON(resp)
-		if err != nil {
-			return nil, err
-		}
-		return &cacheEntry{contentType: "application/json; charset=utf-8", body: body}, nil
+		return newEntry("application/json; charset=utf-8", resp.appendJSON)
 	})
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph) {
-	format := strings.ToLower(r.URL.Query().Get("format"))
+	q := r.URL.Query()
+	format := strings.ToLower(q.Get("format"))
 	if format == "" {
 		format = "text"
 	}
@@ -651,34 +683,27 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph)
 			fmt.Errorf("unknown format %q: want text or markdown", format))
 		return
 	}
-	p, err := parsePreviewParams(r.URL.Query())
+	p, err := parsePreviewParams(q)
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	v := gr.view()
-	key := "render?format=" + format + "&" + p.canonical()
+	key := p.cacheKey("render?format=" + format + "&")
 	s.serveCached(w, r, v.etagScope(gr.Name()), key, v, func() (*cacheEntry, error) {
 		pv, err := s.discover(v, p)
 		if err != nil {
 			return nil, err
 		}
-		// Rendering into a buffer (rather than streaming to the socket)
-		// is what makes render failures reportable as 500s at all — the
-		// old streaming path had already committed the status line.
-		var buf bytes.Buffer
 		opts := renderOptions(p)
-		ct := "text/plain; charset=utf-8"
 		if format == "markdown" {
-			ct = "text/markdown; charset=utf-8"
-			err = render.MarkdownPreview(&buf, v.g, &pv, opts)
-		} else {
-			err = render.Preview(&buf, v.g, &pv, opts)
+			return newEntry("text/markdown; charset=utf-8", func(b []byte) ([]byte, error) {
+				return render.AppendMarkdownPreview(b, v.g, &pv, opts), nil
+			})
 		}
-		if err != nil {
-			return nil, err
-		}
-		return &cacheEntry{contentType: ct, body: buf.Bytes()}, nil
+		return newEntry("text/plain; charset=utf-8", func(b []byte) ([]byte, error) {
+			return render.AppendPreview(b, v.g, &pv, opts), nil
+		})
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +13,9 @@ import (
 
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/render"
 	"github.com/uta-db/previewtables/internal/score"
+	"github.com/uta-db/previewtables/internal/wire"
 )
 
 // newTestServer registers the paper's Fig. 1 graph as "fig1".
@@ -225,6 +228,52 @@ func TestConstraintEcho(t *testing.T) {
 	}
 	if _, ok := doc.Constraint["d"]; ok {
 		t.Fatalf("concise echo carries meaningless d: %v", doc.Constraint)
+	}
+}
+
+// TestPreviewResponseAppendJSON: the hand-written preview body is the
+// body encoding/json writes, for every combination of the optional
+// fields (epoch nil, 0 and n; d nil and 0; converged nil, false and
+// true), and a score JSON cannot hold fails in both.
+func TestPreviewResponseAppendJSON(t *testing.T) {
+	g := fig1.Graph()
+	d := core.New(score.Compute(g, score.DefaultWalkOptions()), core.Options{Key: score.KeyCoverage, NonKey: score.NonKeyCoverage})
+	pv, err := d.Discover(core.Constraint{K: 2, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := render.PreviewDocument(g, &pv, render.Options{Tuples: 3})
+	zero, seven, dZero := uint64(0), uint64(7), 0
+	no, yes := false, true
+	for _, epoch := range []*uint64{nil, &zero, &seven} {
+		for _, dd := range []*int{nil, &dZero} {
+			for _, conv := range []*bool{nil, &no, &yes} {
+				resp := previewResponse{
+					Graph:      "fig<1>&\xe2\x80\xa8\"",
+					Epoch:      epoch,
+					Constraint: constraintDoc{K: 2, N: 4, Mode: "tight", D: dd},
+					Key:        "walk",
+					NonKey:     "entropy",
+					Preview:    doc,
+					Converged:  conv,
+				}
+				want, err := wire.MarshalJSON(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := resp.appendJSON(nil)
+				if err != nil || string(got) != string(want) {
+					t.Errorf("epoch %v, d %v, converged %v: appendJSON = %q, %v; want %q", epoch, dd, conv, got, err, want)
+				}
+			}
+		}
+	}
+	bad := previewResponse{Preview: doc}
+	bad.Preview.Tables = append([]render.TableDoc(nil), doc.Tables...)
+	bad.Preview.Tables[1].KeyScore = math.NaN()
+	_, want := wire.MarshalJSON(bad)
+	if _, err := bad.appendJSON(nil); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("NaN key score: appendJSON error %v, encoding/json error %v", err, want)
 	}
 }
 

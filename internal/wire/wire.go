@@ -19,11 +19,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 const (
@@ -98,8 +101,11 @@ func Fence(h http.Header) (fence uint64, stamped bool, err error) {
 }
 
 // MarshalJSON serializes one document as a response body: no HTML
-// escaping, trailing newline. Cached and spliced bodies go through it,
-// so they are byte-identical to what a streaming encoder would write.
+// escaping, trailing newline, byte-identical to what WriteJSON streams.
+// It encodes the cold bodies: a node's graph list and stats, and the
+// router's merged list and fleet status. A preview body is appended by
+// hand from AppendJSONString and AppendJSONFloat instead, which write
+// the bytes MarshalJSON would; the tests hold the two to it.
 func MarshalJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -108,6 +114,85 @@ func MarshalJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// AppendJSONString appends s as a JSON string, as MarshalJSON encodes
+// it: '"', '\\' and the control bytes \b, \f, \n, \r and \t take their
+// short escapes, every other byte below 0x20 is \u00XX, an invalid UTF-8
+// byte becomes \ufffd, U+2028 and U+2029 are escaped, and '<', '>' and
+// '&' stay as they are.
+func AppendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+		case c == 0x2028 || c == 0x2029:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendJSONFloat appends f as a JSON number, as MarshalJSON encodes a
+// float64: the shortest decimal that round-trips, in 'e' notation with
+// no leading zero in a negative exponent when f is nonzero and |f| is
+// below 1e-6 or at least 1e21. NaN and ±Inf have no JSON form: they
+// return the *json.UnsupportedValueError MarshalJSON returns, and dst
+// as it was.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// e-07 → e-7
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // SetElapsed stamps the wall time since start on the response headers.

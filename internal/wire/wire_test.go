@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -130,6 +131,48 @@ func TestWriteBodies(t *testing.T) {
 				t.Errorf("body %q, want %q", rec.Body, tt.body)
 			}
 		})
+	}
+}
+
+// TestAppendJSONMatchesMarshal: the hand-written string and float
+// appenders write what MarshalJSON writes for the same value: every
+// single byte, and the runes and floats at each escape and notation
+// boundary. NaN and ±Inf fail in both, leaving dst as it was.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	strs := []string{"", "plain", `quote " and \ backslash`, "<b>&amp;</b>", "\x7f",
+		"tab\tnl\ncr\rbs\bff\f", "\x00\x01\x1f", "\xe2\x80\xa8 \xe2\x80\xa9 \xe2\x80\xaa",
+		"\xff", "a\xc3", "\xed\xa0\x80", "\xf4\x90\x80\x80", "Amélie 日本 €", "\xef\xbf\xbd"}
+	for b := 0; b < 256; b++ {
+		strs = append(strs, string([]byte{byte(b)}), "x"+string([]byte{byte(b)})+"y")
+	}
+	for _, s := range strs {
+		want, err := MarshalJSON(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString([]byte("prefix "), s); string(got) != "prefix "+strings.TrimSuffix(string(want), "\n") {
+			t.Errorf("AppendJSONString(%q) = %q, want %q", s, got, want)
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 1e20, 1e21, -1e21, 1e-6, 1e-7, -1e-7,
+		math.Nextafter(1e21, 0), math.Nextafter(1e-6, 0), 1e-300, 5e-324, math.MaxFloat64, 123456789.125,
+		1.0 / 3, 2.5e-8, 1e100, 1e-100}
+	for _, f := range floats {
+		want, err := MarshalJSON(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendJSONFloat(nil, f)
+		if err != nil || string(got) != strings.TrimSuffix(string(want), "\n") {
+			t.Errorf("AppendJSONFloat(%v) = %q, %v; want %q", f, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := MarshalJSON(f)
+		got, err := AppendJSONFloat([]byte("kept"), f)
+		if want == nil || err == nil || err.Error() != want.Error() || string(got) != "kept" {
+			t.Errorf("AppendJSONFloat(%v) = %q, %v; want dst kept and %v", f, got, err, want)
+		}
 	}
 }
 
