@@ -75,9 +75,9 @@ func main() {
 	scale := flag.Float64("scale", 0, "synthetic generation scale for -domain (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "worker count for scoring precomputation, incremental refreshes and preview search (0 = one per core, 1 = sequential); results are identical at any setting")
 	entities := flag.Int("entities", 0, "with -domain: target entity count for synthetic generation, overriding -scale (0 = use -scale)")
-	warm := flag.Bool("warm", true, "precompute scores for every graph before serving (first requests would otherwise pay it, possibly past the write timeout)")
+	warm := flag.Bool("warm", true, "precompute scores and the cell name order for every graph before serving (first requests would otherwise pay them, possibly past the write timeout)")
 	mutable := flag.Bool("mutable", false, "serve every graph as mutable: POST /v1/graphs/{name}/edges and .../triples apply live updates with epoch-versioned snapshots")
-	ckptDir := flag.String("checkpoint-dir", "", "with -mutable: directory for periodic snapshot persistence of mutated graphs (epoch-named snapshots plus a <name>.current manifest per graph; a restart resumes each graph from its newest checkpoint)")
+	ckptDir := flag.String("checkpoint-dir", "", "with -mutable: directory for periodic snapshot persistence of mutated graphs (epoch-named snapshots plus a <name>.current manifest per graph; a restart resumes each graph from its newest checkpoint; must differ from -wal-dir)")
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to checkpoint mutated graphs to -checkpoint-dir")
 	walDir := flag.String("wal-dir", "", "with -mutable: directory for per-graph write-ahead logs; every batch is logged and fsynced before its epoch is acknowledged, and startup replays checkpoint + WAL tail to resume at the exact pre-crash epoch")
 	follow := flag.String("follow", "", "run as a read replica of the leader previewd at this base URL: its replicated graphs are bootstrapped and tail-followed over WAL shipping, writes here answer 503 naming the leader; add -wal-dir and -checkpoint-dir to make the replica durable (restart resumes from local state)")

@@ -111,6 +111,31 @@ func TestRouterRouteDiscipline(t *testing.T) {
 		})
 	}
 
+	// The fence exchange is the router's own call to its leaders, not a
+	// graph's replication route: under any method the router answers 404
+	// instead of forwarding it to the owner of a graph named "fence", so
+	// a client cannot raise that leader's fence, and a routed write still
+	// lands afterwards.
+	t.Run("fence via router", func(t *testing.T) {
+		for _, method := range []string{"POST", "GET"} {
+			req, err := http.NewRequest(method, h.ts.URL+"/v1/replication/fence", strings.NewReader(`{"fence":99}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s /v1/replication/fence via the router: status %d, want 404 (body %s)", method, resp.StatusCode, body)
+			}
+		}
+		h.mustPost(g, writeBody(g, 1))
+		h.quiesce()
+	})
+
 	// Re-adding an existing shard id under a DIFFERENT leader is a
 	// conflict, not an upsert: shard ids are the ring's hash keys, and
 	// silently re-pointing one would re-home its graphs to a node that

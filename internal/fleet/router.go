@@ -223,11 +223,15 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case strings.HasPrefix(path, "/v1/graphs/"):
 		graph, _, _ := strings.Cut(strings.TrimPrefix(path, "/v1/graphs/"), "/")
 		rt.forwardGraph(w, r, graph, r.Method == http.MethodGet || r.Method == http.MethodHead)
-	case path == "/v1/replication/promote":
-		// The node-level promote action exists on follower processes, not
-		// on the router: the router is nobody's replica.
+	case path == "/v1/replication/promote" || path == "/v1/replication/fence":
+		// Node-level actions, not graph routes, and neither is the
+		// router's to take: promote exists on follower processes, and the
+		// router is nobody's replica; the fence exchange is the router's
+		// own call to each leader. Forwarded like a graph's route (to the
+		// owner of a graph named "promote" or "fence"), a client could
+		// raise that leader's fence and have every routed write refused.
 		wire.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("the router is not a follower; promote a shard's replica directly"))
+			fmt.Errorf("%s is a node's action, not a route of the router; send it to a shard's node directly", path))
 	case strings.HasPrefix(path, "/v1/replication/"):
 		graph, _, _ := strings.Cut(strings.TrimPrefix(path, "/v1/replication/"), "/")
 		rt.forwardRepl(w, r, graph)

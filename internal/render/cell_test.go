@@ -364,6 +364,33 @@ func TestCellBodyMatchesStringSort(t *testing.T) {
 	}
 }
 
+// TestDefaultWidthCellAllocs: a text cell of the default width keeps at
+// most cellKeys (22) names in order, and it keeps them on the stack, so
+// once the graph's name order exists such a cell renders without
+// allocating.
+func TestDefaultWidthCellAllocs(t *testing.T) {
+	var b graph.Builder
+	hub, name := b.Type("HUB"), b.Type("NAME")
+	rel := b.RelType("holds", hub, name)
+	from := b.Entity("hub", hub)
+	vals := make([]graph.EntityID, cellKeys)
+	for i := range vals {
+		vals[i] = b.Entity(fmt.Sprintf("name %02d", len(vals)-i), name)
+		b.Edge(from, vals[i], rel)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 1024)
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = appendCell(dst[:0], g, vals, defaultCellWidth, appendOneLine)
+	})
+	if allocs != 0 {
+		t.Fatalf("a %d-value text cell allocates %v times per render, want 0", len(vals), allocs)
+	}
+}
+
 // TestLineBreaksFlattened: names arrive unvalidated through the write
 // routes, so the text and Markdown renderers turn each "\r\n", "\r" and
 // "\n" in a cell or header into one space; otherwise the row splits.

@@ -159,7 +159,7 @@ func tupleDoc(g *graph.EntityGraph, tu core.Tuple) TupleDoc {
 	d := TupleDoc{Key: g.EntityName(tu.Key), Values: make([][]string, len(tu.Values))}
 	for i, vals := range tu.Values {
 		names := make([]string, len(vals))
-		var small [16]uint64
+		var small [cellKeys]uint64
 		for j, k := range byName(g, vals, len(vals), &small) {
 			names[j] = g.EntityName(cellID(k))
 		}

@@ -45,7 +45,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxCellWidth <= 0 {
-		o.MaxCellWidth = 40
+		o.MaxCellWidth = defaultCellWidth
 	}
 	if o.Rand == nil && o.stream == nil {
 		o.stream = newSampleStream(defaultMemo, o.Tuples)
@@ -112,6 +112,13 @@ func sampleTuples(g *graph.EntityGraph, t *core.Table, opts Options) []core.Tupl
 	return core.SampleAt(g, t, opts.stream.next(len(g.EntitiesOfType(t.Key))))
 }
 
+// defaultCellWidth is MaxCellWidth's default, in runes.
+const defaultCellWidth = 40
+
+// cellKeys is how many keys a text cell of the default width keeps
+// (appendCell), so byName sorts such a cell in its caller's stack array.
+const cellKeys = defaultCellWidth/2 + 2
+
 // byName returns the first n of a cell's entities in byte-wise name
 // order, the order sort.Strings gives their names, in small when they
 // fit. It sorts no strings: each entity's rank in the graph's name order
@@ -121,7 +128,7 @@ func sampleTuples(g *graph.EntityGraph, t *core.Table, opts Options) []core.Tupl
 // in order, as they come. A cell of one value needs no order, so it does
 // not derive one. This is the one cell body of the text, Markdown and
 // JSON renderers.
-func byName(g *graph.EntityGraph, vals []graph.EntityID, n int, small *[16]uint64) []uint64 {
+func byName(g *graph.EntityGraph, vals []graph.EntityID, n int, small *[cellKeys]uint64) []uint64 {
 	keys := small[:0]
 	if n > len(small) {
 		keys = make([]uint64, 0, n)
@@ -178,7 +185,7 @@ func appendCell(dst []byte, g *graph.EntityGraph, vals []graph.EntityID, width i
 	if width > 0 {
 		n = min(n, width/2+2)
 	}
-	var small [16]uint64
+	var small [cellKeys]uint64
 	keys := byName(g, vals, n, &small)
 	dst = append(dst, '{')
 	runes := 1

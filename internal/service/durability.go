@@ -89,13 +89,14 @@ var errNoState = errors.New("service: no base graph and no checkpoint")
 //     storage.NewDurableCheckpointer) is loaded when one exists;
 //     otherwise recovery starts from base at epoch 0. ckptDir may be ""
 //     when checkpointing is not configured.
-//   - The WAL tail under walDir is replayed on top: records at or below
-//     the checkpoint epoch are skipped (the snapshot already contains
-//     them), the rest must continue the epoch sequence without a gap. A
-//     torn final record — a crash mid-append — is an unacknowledged batch
-//     and is discarded; OpenWAL truncates it so new appends land after
-//     the last intact record. walDir "" opens the graph volatile: nothing
-//     is replayed and Recovery.WAL is nil.
+//   - The WAL under walDir is opened, which reads it once, and the tail
+//     its scan accepted is replayed on top: records at or below the
+//     checkpoint epoch are skipped (the snapshot already contains them),
+//     the rest must continue the epoch sequence without a gap. A torn
+//     final record — a crash mid-append — is an unacknowledged batch and
+//     is discarded; OpenWAL truncates it so new appends land after the
+//     last intact record. walDir "" opens the graph volatile: nothing is
+//     replayed and Recovery.WAL is nil.
 //
 // The recovered facade serves the same previews, byte for byte, that the
 // pre-crash process acknowledged at that epoch.
@@ -129,13 +130,14 @@ func openLive(base *graph.EntityGraph, baseEpoch uint64, name, ckptDir, walDir s
 	}
 	var wal *storage.WAL
 	if walDir != "" {
-		if epoch, err = replayTail(dg, epoch, walDir); err != nil {
-			return nil, fmt.Errorf("service: recovering %q: %w", name, err)
-		}
-		if wal, err = storage.OpenWAL(walDir, storage.WALOptions{}); err != nil {
+		var recs []storage.WALRecord
+		if wal, recs, err = storage.OpenWAL(walDir, storage.WALOptions{}); err != nil {
 			return nil, fmt.Errorf("service: recovering %q: opening WAL: %w", name, err)
 		}
-		if err := alignWAL(wal, epoch); err != nil {
+		if epoch, err = replayTail(dg, epoch, recs); err == nil {
+			err = alignWAL(wal, epoch)
+		}
+		if err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("service: recovering %q: %w", name, err)
 		}
@@ -157,14 +159,10 @@ func graphWALDir(root, name string) string {
 	return filepath.Join(root, name)
 }
 
-// replayTail applies the records of the WAL under walDir that continue
-// epoch to dg, and returns the epoch it reached. It solves no scores:
-// NewLiveAt solves them once, for the state it reached.
-func replayTail(dg *dynamic.Graph, epoch uint64, walDir string) (uint64, error) {
-	recs, err := storage.ReplayWAL(walDir)
-	if err != nil && !errors.Is(err, storage.ErrCorrupt) {
-		return 0, err
-	}
+// replayTail applies the records that continue epoch to dg, and returns
+// the epoch it reached. It solves no scores: NewLiveAt solves them once,
+// for the state it reached.
+func replayTail(dg *dynamic.Graph, epoch uint64, recs []storage.WALRecord) (uint64, error) {
 	for _, rec := range recs {
 		if rec.Epoch <= epoch {
 			continue // already in the checkpoint

@@ -310,7 +310,7 @@ func BenchmarkRecovery(b *testing.B) {
 	// batches against the Fig. 1 base — recovery replays all of them and
 	// rebuilds scores once.
 	walDir := filepath.Join(b.TempDir(), "wal")
-	wal, err := storage.OpenWAL(walDir, storage.WALOptions{NoSync: true})
+	wal, _, err := storage.OpenWAL(walDir, storage.WALOptions{NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -50,7 +51,7 @@ type NodeConfig struct {
 	FollowerOptions
 
 	CheckpointInterval time.Duration // -checkpoint-interval
-	Warm               bool          // -warm: compute every graph's scores before serving
+	Warm               bool          // -warm: compute every graph's scores and name order before serving
 }
 
 // validate rejects the flag combinations previewd refuses to start with,
@@ -77,6 +78,8 @@ func (c *NodeConfig) validate() error {
 		return errors.New("-follow is incompatible with -mutable: a replica accepts writes only from the replication stream")
 	case follow && (c.CheckpointDir == "") != (c.WALRoot == ""):
 		return errors.New("a durable replica needs -checkpoint-dir and -wal-dir together (the checkpoint anchors the local WAL's epoch base)")
+	case c.CheckpointDir != "" && c.WALRoot != "" && filepath.Clean(c.CheckpointDir) == filepath.Clean(c.WALRoot):
+		return errors.New("-checkpoint-dir must differ from -wal-dir: the WAL root holds the node's fence manifest, which the checkpoint manifest of a graph named fence would overwrite")
 	}
 	return nil
 }
@@ -108,9 +111,9 @@ type Node struct {
 // NewNode validates cfg, then builds its role: it arms fencing on a
 // durable node, loads or recovers every flag-named graph (or follows
 // every graph the leader ships), re-registers graphs adopted before a
-// restart, computes scores when cfg.Warm is set, and starts the
-// checkpoint loop when cfg.CheckpointDir is set. The returned node is
-// ready to serve through Server.
+// restart, computes every graph's scores and name order when cfg.Warm is
+// set, and starts the checkpoint loop when cfg.CheckpointDir is set. The
+// returned node is ready to serve through Server.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -135,7 +138,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			if gr, ok := n.reg.Get(name); ok {
 				start := time.Now()
 				gr.Scores()
-				log.Printf("graph %q: scores precomputed in %v", name, time.Since(start).Round(time.Millisecond))
+				gr.Entity().NameOrder()
+				log.Printf("graph %q: scores and name order precomputed in %v", name, time.Since(start).Round(time.Millisecond))
 			}
 		}
 	}
@@ -250,16 +254,12 @@ func (n *Node) addLive(name string, base *graph.EntityGraph) (*Recovery, error) 
 // finds them, and the checkpoint each names is the base its WAL tail
 // replays onto.
 func (n *Node) recoverAdopted() error {
-	ents, err := os.ReadDir(n.cfg.CheckpointDir)
+	names, err := storage.CheckpointedGraphs(n.cfg.CheckpointDir)
 	if err != nil {
 		return err
 	}
-	for _, e := range ents {
-		name, ok := strings.CutSuffix(e.Name(), ".current")
-		if !ok || name == "fence" || checkGraphName(name) != nil { // fence.current is the fence manifest, not a graph
-			continue
-		}
-		if _, ok := n.reg.Get(name); ok {
+	for _, name := range names {
+		if _, ok := n.reg.Get(name); ok || checkGraphName(name) != nil {
 			continue
 		}
 		rec, err := n.addLive(name, nil)

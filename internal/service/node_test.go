@@ -106,6 +106,10 @@ func TestNodeStartupValidation(t *testing.T) {
 		{"follower with graphs", NodeConfig{Graphs: graphs, FollowerOptions: FollowerOptions{Leader: leader}}, "-follow", nil},
 		{"mutable follower", NodeConfig{Mutable: true, FollowerOptions: FollowerOptions{Leader: leader}}, "-mutable", nil},
 		{"durable follower without WAL", NodeConfig{FollowerOptions: FollowerOptions{Leader: leader, CheckpointDir: dir}, CheckpointInterval: time.Second}, "-wal-dir", nil},
+		// The WAL root holds the node's fence manifest, which the
+		// checkpoint manifest of a graph named fence would overwrite.
+		{"checkpoint dir is the WAL dir", NodeConfig{Graphs: graphs, Mutable: true, FollowerOptions: FollowerOptions{CheckpointDir: dir + "/", WALRoot: filepath.Join(dir, "x", "..")}, CheckpointInterval: time.Second}, "-checkpoint-dir", nil},
+		{"follower checkpoint dir is the WAL dir", NodeConfig{FollowerOptions: FollowerOptions{Leader: leader, CheckpointDir: dir, WALRoot: dir}, CheckpointInterval: time.Second}, "-wal-dir", nil},
 		// A graph's WAL is <wal-dir>/<name>: these would be the WAL root's
 		// parent and the WAL root itself.
 		{"graph named ..", NodeConfig{Graphs: []GraphSource{{Name: "..", Load: load}}, Mutable: true, FollowerOptions: FollowerOptions{WALRoot: dir}}, "-graph", nil},
@@ -188,6 +192,9 @@ func TestNodeRoles(t *testing.T) {
 			n := startNode(t, cfg)
 			if tc.warm && n.Registry().ScoreComputes() != 1 {
 				t.Fatalf("-warm computed scores %d times before serving, want 1", n.Registry().ScoreComputes())
+			}
+			if gr, _ := n.Registry().Get(g); tc.warm && !gr.Entity().HasNameOrder() {
+				t.Fatal("-warm served before deriving the graph's name order")
 			}
 			ts := httptest.NewServer(n.Server())
 			t.Cleanup(ts.Close)
@@ -392,4 +399,46 @@ func TestNodeCheckpointLoopDuringMigration(t *testing.T) {
 	if recs, err := storage.ReplayWAL(filepath.Join(nodes[owner].cfg.WALRoot, g)); err != nil || len(recs) != 0 {
 		t.Fatalf("owner's WAL after the final checkpoint: %d records, err %v; want it truncated", len(recs), err)
 	}
+}
+
+// TestNodeAdoptsGraphNamedFence moves a graph named fence onto a
+// migration node and restarts that node. The graph's checkpoint manifest
+// has the file name of the node's fence manifest, but the fence's lives
+// in -wal-dir, which must be another directory, so the restart
+// re-registers the graph like any adopted one, at its epoch and with the
+// same bytes.
+func TestNodeAdoptsGraphNamedFence(t *testing.T) {
+	const g = "fence"
+	urls := []string{
+		"/v1/graphs/" + g + "/stats",
+		"/v1/graphs/" + g + "/preview?k=2&n=3&tuples=3&key=coverage&nonkey=entropy",
+	}
+	root := t.TempDir()
+	a := startNode(t, NodeConfig{Graphs: []GraphSource{fig1Source(g)}, Mutable: true, FollowerOptions: nodeStorage(filepath.Join(root, "a"))})
+	aTS := httptest.NewServer(a.Server())
+	t.Cleanup(aTS.Close)
+	cfgB := NodeConfig{Mutable: true, FollowerOptions: nodeStorage(filepath.Join(root, "b"))}
+	b := startNode(t, cfgB)
+	bTS := httptest.NewServer(b.Server())
+	write := func(ts *httptest.Server, i int) {
+		t.Helper()
+		if status, body := do(t, "POST", ts.URL+"/v1/graphs/"+g+"/"+replBatches[i].route, replBatches[i].body); status != http.StatusOK {
+			t.Fatalf("write %d: %d %s", i, status, body)
+		}
+	}
+	write(aTS, 0)
+	write(aTS, 1)
+	migrate(t, g, aTS, b, bTS)
+	write(bTS, 2)
+
+	want, epoch := readSurfaces(t, bTS.URL, urls), nodeEpoch(t, b, g)
+	bTS.Close()
+	b.Close()
+	b = startNode(t, cfgB)
+	bTS = httptest.NewServer(b.Server())
+	t.Cleanup(bTS.Close)
+	if got := nodeEpoch(t, b, g); got != epoch || got != 3 {
+		t.Fatalf("restarted target re-registered %q at epoch %d, want %d", g, got, epoch)
+	}
+	assertIdenticalReads(t, "target before and after restart", want, readSurfaces(t, bTS.URL, urls))
 }

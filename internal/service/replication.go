@@ -11,7 +11,7 @@ package service
 //	POST /v1/replication/{graph}/promote            complete an adoption, one graph (migration nodes)
 //
 // The wal route streams records in the shipped framing (the segment
-// record framing verbatim; see storage.EncodeWALRecord), capped at the
+// record framing verbatim; see storage.AppendWALRecord), capped at the
 // durable epoch observed when the response started. With nothing new to
 // ship it long-polls — the publish broadcast wakes it — and answers an
 // empty 200 at the wait deadline, so a quiet leader costs a follower one

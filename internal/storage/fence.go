@@ -23,24 +23,13 @@ import (
 // fenceFileName is the fence manifest inside a node's WAL root.
 const fenceFileName = "fence.current"
 
-// SaveFence durably records fence under dir, atomically: the value is
-// written to a temp file, fsynced, renamed over the manifest, and the
-// directory entry is synced — a crash leaves either the old fence or
-// the new one, never a torn file.
+// SaveFence durably records fence under dir through commitFile: a crash
+// leaves either the old fence or the new one, never a torn file.
 func SaveFence(dir string, fence uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, fenceFileName)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, []byte(strconv.FormatUint(fence, 10)+"\n")); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return commitLine(filepath.Join(dir, fenceFileName), strconv.FormatUint(fence, 10))
 }
 
 // LoadFence reads the fence persisted under dir. ok=false (with nil
@@ -67,7 +56,7 @@ func LoadFence(dir string) (uint64, bool, error) {
 // graph may never have checkpointed); the directory entry is synced so
 // the deletions survive a crash.
 func RemoveCheckpoints(dir, name string) error {
-	if err := os.Remove(filepath.Join(dir, name+".current")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := os.Remove(manifestPath(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	ents, err := os.ReadDir(dir)

@@ -69,11 +69,12 @@ func FuzzReadSnapshot(f *testing.F) {
 // classify as ErrCorrupt (a local file never produces transport errors),
 // accepted records must satisfy the contiguity invariant, and the decode
 // must be deterministic — replaying the same bytes twice yields the same
-// prefix, so recovery cannot diverge between the pre-restart scan and
-// OpenWAL's trim.
+// prefix. A durable start reads the log once, through OpenWAL, which
+// must hand back that same prefix and trim the log to exactly it, so a
+// later replay decodes it with no error.
 func FuzzReplayWAL(f *testing.F) {
 	recordDir := f.TempDir()
-	w, err := storage.OpenWAL(recordDir, storage.WALOptions{})
+	w, _, err := storage.OpenWAL(recordDir, storage.WALOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -117,6 +118,20 @@ func FuzzReplayWAL(f *testing.F) {
 		if (err == nil) != (err2 == nil) || len(again) != len(recs) {
 			t.Fatalf("replay not deterministic: %d/%v vs %d/%v", len(recs), err, len(again), err2)
 		}
+		w, opened, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
+		if err != nil {
+			t.Fatalf("OpenWAL: %v", err)
+		}
+		w.Close()
+		trimmed, err := storage.ReplayWAL(dir)
+		if err != nil || len(opened) != len(recs) || len(trimmed) != len(recs) {
+			t.Fatalf("OpenWAL handed back %d records and left %d (%v), want ReplayWAL's %d", len(opened), len(trimmed), err, len(recs))
+		}
+		for i := range recs {
+			if opened[i].Epoch != recs[i].Epoch || !bytes.Equal(opened[i].Payload, recs[i].Payload) {
+				t.Fatalf("OpenWAL's record %d differs from ReplayWAL's", i)
+			}
+		}
 	})
 }
 
@@ -125,13 +140,13 @@ func FuzzReplayWAL(f *testing.F) {
 // WALStreamReader must never panic; every failure must classify as
 // ErrCorrupt (an in-memory stream has no transport errors); accepted
 // records must be epoch-contiguous; and decoding must be idempotent:
-// re-encoding the accepted prefix with EncodeWALRecord and decoding it
+// re-encoding the accepted prefix with AppendWALRecord and decoding it
 // again yields the same records with no error, so a follower relaying a
 // feed downstream cannot alter it.
 func FuzzWALStream(f *testing.F) {
 	var valid []byte
 	for e := uint64(1); e <= 4; e++ {
-		valid = append(valid, storage.EncodeWALRecord(storage.WALRecord{
+		valid = append(valid, storage.AppendWALRecord(nil, storage.WALRecord{
 			Epoch: e, Kind: byte(e), Payload: bytes.Repeat([]byte{byte(e)}, int(e)*7),
 		})...)
 	}
@@ -141,8 +156,8 @@ func FuzzWALStream(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
-	f.Add([]byte{0x00})                                 // zero-length record stub
-	f.Add(storage.EncodeWALRecord(storage.WALRecord{})) // epoch 0, empty payload
+	f.Add([]byte{0x00})                                      // zero-length record stub
+	f.Add(storage.AppendWALRecord(nil, storage.WALRecord{})) // epoch 0, empty payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeAll := func(stream []byte) ([]storage.WALRecord, error) {
@@ -170,7 +185,7 @@ func FuzzWALStream(f *testing.F) {
 		}
 		var reenc []byte
 		for _, r := range recs {
-			reenc = append(reenc, storage.EncodeWALRecord(r)...)
+			reenc = append(reenc, storage.AppendWALRecord(nil, r)...)
 		}
 		again, err2 := decodeAll(reenc)
 		if err2 != nil || len(again) != len(recs) {

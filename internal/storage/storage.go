@@ -362,30 +362,47 @@ func (d *decoder) snapshot() (*graph.EntityGraph, error) {
 	return graph.Assemble(types, rels, ents, edges)
 }
 
-// SaveFile writes a snapshot to path, atomically via a temp file rename.
-// The data is fsynced before the rename, so the path never names a
-// snapshot whose bytes could still be lost to a power failure.
+// SaveFile writes a snapshot to path through commitFile: path never
+// names a torn snapshot, nor one whose bytes or name a power failure
+// could still take back.
 func SaveFile(path string, g *graph.EntityGraph) error {
+	return commitFile(path, func(w io.Writer) error { return Write(w, g) })
+}
+
+// commitFile is how every durable file but a WAL segment is written: the
+// bytes write produces go to a temp file beside path, which is fsynced
+// and renamed over path, and then the directory is fsynced. A crash at
+// any point leaves the old file or the new one, never a torn one, and
+// once commitFile returns the new one survives power loss.
+func commitFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, g); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	return syncDir(filepath.Dir(path))
+}
+
+// commitLine commits a one-line file through commitFile.
+func commitLine(path, line string) error {
+	return commitFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, line+"\n")
 		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // syncDir fsyncs a directory, making the renames, creates and unlinks
@@ -460,28 +477,16 @@ func (c *Checkpointer) Save(g *graph.EntityGraph, epoch uint64) (bool, error) {
 
 // saveLocked writes the epoch-named snapshot, swaps the manifest,
 // and only then cleans up — so a crash at any point leaves a manifest
-// naming a fully written snapshot whose epoch is known exactly. Every
-// step is fsynced (file data before each rename, the directory after)
-// before the WAL loses the records the checkpoint covers: truncation
-// must never outrun the snapshot on its way to stable storage.
+// naming a fully written snapshot whose epoch is known exactly. Both
+// commits are durable (commitFile) before the WAL loses the records the
+// checkpoint covers: truncation must never outrun the snapshot on its
+// way to stable storage.
 func (c *Checkpointer) saveLocked(g *graph.EntityGraph, epoch uint64) error {
 	snapName := checkpointSnapName(c.name, epoch)
 	if err := SaveFile(filepath.Join(c.dir, snapName), g); err != nil {
 		return err
 	}
-	if err := syncDir(c.dir); err != nil {
-		return err
-	}
-	manifest := filepath.Join(c.dir, c.name+".current")
-	tmp := manifest + ".tmp"
-	if err := writeFileSync(tmp, []byte(snapName+"\n")); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, manifest); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(c.dir); err != nil {
+	if err := commitLine(manifestPath(c.dir, c.name), snapName); err != nil {
 		return err
 	}
 	// Past the commit point: failures below cost disk space, not data.
@@ -504,21 +509,25 @@ func (c *Checkpointer) saveLocked(g *graph.EntityGraph, epoch uint64) error {
 	return nil
 }
 
-// writeFileSync is os.WriteFile plus an fsync before close.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// manifestSuffix ends a checkpoint manifest's name, `<name>.current`.
+const manifestSuffix = ".current"
+
+func manifestPath(dir, name string) string { return filepath.Join(dir, name+manifestSuffix) }
+
+// CheckpointedGraphs returns the names of the graphs that have a
+// checkpoint manifest in dir, in file-name order.
+func CheckpointedGraphs(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	var names []string
+	for _, e := range ents {
+		if name, ok := strings.CutSuffix(e.Name(), manifestSuffix); ok {
+			names = append(names, name)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return names, nil
 }
 
 func checkpointSnapName(name string, epoch uint64) string {
@@ -546,7 +555,7 @@ func checkpointSnapEpoch(name, fname string) (uint64, bool) {
 // the snapshot its current-manifest names, plus the exact epoch it was
 // taken at. ok=false (with nil error) means no checkpoint exists yet.
 func LoadLatestCheckpoint(dir, name string) (*graph.EntityGraph, uint64, bool, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name+".current"))
+	data, err := os.ReadFile(manifestPath(dir, name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, false, nil
 	}

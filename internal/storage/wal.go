@@ -16,12 +16,14 @@
 //	recLen uvarint | body | CRC-32C(recLen bytes + body)
 //	body := epoch uvarint | kind byte | payload
 //
-// the same crcWriter framing and ErrCorrupt discipline as the snapshot
-// codec: any byte that does not decode to exactly this shape classifies
-// as ErrCorrupt, never as a structurally-valid-but-wrong record. A crash
-// mid-append leaves a torn tail; replay stops at the last intact record
-// (the longest valid prefix) and OpenWAL truncates the tear before
-// appending anything after it.
+// held to the snapshot codec's ErrCorrupt discipline: any byte that does
+// not decode to exactly this shape classifies as ErrCorrupt, never as a
+// structurally-valid-but-wrong record. One walk (scanWAL) reads the
+// segments, decoding each record through WALStreamReader, for ReplayWAL,
+// the shipping tail read and OpenWAL. A crash mid-append leaves a torn
+// tail; replay stops at the last intact record (the longest valid
+// prefix), and OpenWAL truncates the tear before appending anything after
+// it and hands back the prefix, so a recovery reads the log once.
 //
 // Epochs are contiguous: Append enforces lastEpoch+1, replay re-verifies
 // it across segment boundaries, and TruncateThrough deletes segments
@@ -30,10 +32,11 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -101,6 +104,7 @@ type walSeg struct {
 	path        string
 	first, last uint64 // valid iff records > 0
 	records     int
+	size        int64 // bytes of the valid prefix, header included, when scanned
 }
 
 func walSegName(first uint64) string { return fmt.Sprintf("%020d.wal", first) }
@@ -124,52 +128,103 @@ func walSegFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment decodes one segment's records, appending them to recs and
-// enforcing epoch contiguity against expect (advanced as records are
-// accepted; *haveBase false means the first record establishes the
-// base). It returns the byte length of the valid prefix — header
-// included — and, when the tail does not decode, an ErrCorrupt error.
-func scanSegment(data []byte, expect *uint64, haveBase *bool, recs *[]WALRecord) (int, error) {
-	off := 0
-	if len(data) < len(walMagic) || *(*[4]byte)(data[:4]) != walMagic {
-		return 0, fmt.Errorf("%w: bad WAL segment magic", ErrCorrupt)
+// walScan is what one pass over a WAL directory found.
+type walScan struct {
+	segs []walSeg    // the segments read, in epoch order
+	rest []string    // when the scan failed, the names of the segment files after the damaged one
+	recs []WALRecord // the accepted records from the first epoch asked for on
+}
+
+// scanWAL is the one walk over a WAL directory: it reads dir's segments
+// in epoch order through one WALStreamReader, so epochs must continue
+// across segment boundaries, and keeps the records with epochs from
+// from on, at most max of them (max <= 0 means no bound). Whole segments
+// below from are skipped by name (segment names carry their first
+// epoch), and the scan stops as soon as it holds max records. A missing
+// directory is an empty log.
+//
+// The error is nil when every segment read decoded cleanly to its end.
+// It wraps ErrCorrupt when a segment's header or tail does not decode:
+// the scan stops in that segment, the last of segs, and the records are
+// still the valid prefix. Anything else is an I/O failure.
+func scanWAL(dir string, from uint64, max int) (walScan, error) {
+	var s walScan
+	names, err := walSegFiles(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return s, nil
 	}
-	off = len(walMagic)
-	ver, n := binary.Uvarint(data[off:])
+	if err != nil {
+		return s, err
+	}
+	// Skip a segment when the next one starts at or before from: every
+	// record it holds is then below from. The last segment is always read.
+	start := 0
+	for i := 1; i < len(names); i++ {
+		if first, _ := strconv.ParseUint(strings.TrimSuffix(names[i], ".wal"), 10, 64); first <= from {
+			start = i
+		}
+	}
+	sr := &WALStreamReader{}
+	for i := start; i < len(names); i++ {
+		seg, err := scanSegment(filepath.Join(dir, names[i]), sr, from, max, &s.recs)
+		s.segs = append(s.segs, seg)
+		if err != nil {
+			s.rest = names[i+1:]
+			return s, fmt.Errorf("segment %s: %w", names[i], err)
+		}
+		if max > 0 && len(s.recs) >= max {
+			break
+		}
+	}
+	return s, nil
+}
+
+// scanSegment checks the header of the segment at path, then decodes
+// its records through sr, appending the ones with epochs from from on to
+// recs until recs holds max (max <= 0 means no bound). It returns the
+// segment's record range and the length of its valid prefix.
+func scanSegment(path string, sr *WALStreamReader, from uint64, max int, recs *[]WALRecord) (walSeg, error) {
+	seg := walSeg{path: path}
+	f, err := os.Open(path)
+	if err != nil {
+		return seg, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	head, err := br.Peek(len(walMagic) + binary.MaxVarintLen64)
+	if err != nil && err != io.EOF {
+		return seg, err
+	}
+	if len(head) < len(walMagic) || [4]byte(head) != walMagic {
+		return seg, fmt.Errorf("%w: bad WAL segment magic", ErrCorrupt)
+	}
+	ver, n := binary.Uvarint(head[len(walMagic):])
 	if n <= 0 || ver != WALVersion {
-		return 0, fmt.Errorf("%w: unsupported WAL segment version", ErrCorrupt)
+		return seg, fmt.Errorf("%w: unsupported WAL segment version", ErrCorrupt)
 	}
-	off += n
-	for off < len(data) {
-		recLen, n := binary.Uvarint(data[off:])
-		if n <= 0 || recLen > maxWALRecord {
-			return off, fmt.Errorf("%w: WAL record length at offset %d", ErrCorrupt, off)
+	hdr := len(walMagic) + n
+	br.Discard(hdr) // cannot fail: Peek buffered these bytes
+	seg.size = int64(hdr)
+	sr.r, sr.n = br, 0
+	for max <= 0 || len(*recs) < max {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			break
 		}
-		end := off + n + int(recLen)
-		if end+4 > len(data) {
-			return off, fmt.Errorf("%w: torn WAL record at offset %d", ErrCorrupt, off)
+		if err != nil {
+			return seg, fmt.Errorf("at offset %d: %w", seg.size, err)
 		}
-		if crc32.Checksum(data[off:end], castagnoli) != binary.BigEndian.Uint32(data[end:end+4]) {
-			return off, fmt.Errorf("%w: WAL record checksum mismatch at offset %d", ErrCorrupt, off)
+		if seg.records == 0 {
+			seg.first = rec.Epoch
 		}
-		body := data[off+n : end]
-		epoch, n2 := binary.Uvarint(body)
-		if n2 <= 0 || n2 >= len(body) {
-			return off, fmt.Errorf("%w: WAL record body at offset %d", ErrCorrupt, off)
+		seg.last = rec.Epoch
+		seg.records++
+		seg.size = int64(hdr) + sr.n
+		if rec.Epoch >= from {
+			*recs = append(*recs, rec)
 		}
-		if *haveBase && epoch != *expect {
-			return off, fmt.Errorf("%w: WAL epoch %d at offset %d, want %d", ErrCorrupt, epoch, off, *expect)
-		}
-		*haveBase = true
-		*expect = epoch + 1
-		*recs = append(*recs, WALRecord{
-			Epoch:   epoch,
-			Kind:    body[n2],
-			Payload: append([]byte(nil), body[n2+1:]...),
-		})
-		off = end + 4
 	}
-	return off, nil
+	return seg, nil
 }
 
 // ReplayWAL reads dir's segments in epoch order and returns the longest
@@ -180,109 +235,62 @@ func scanSegment(data []byte, expect *uint64, haveBase *bool, recs *[]WALRecord)
 // the recoverable state (a torn tail is a batch that was never
 // acknowledged). Any other error is a real I/O failure.
 func ReplayWAL(dir string) ([]WALRecord, error) {
-	names, err := walSegFiles(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var (
-		recs     []WALRecord
-		expect   uint64
-		haveBase bool
-	)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return recs, err
-		}
-		if _, err := scanSegment(data, &expect, &haveBase, &recs); err != nil {
-			return recs, fmt.Errorf("segment %s: %w", name, err)
-		}
-	}
-	return recs, nil
+	s, err := scanWAL(dir, 0, 0)
+	return s.recs, err
 }
 
-// OpenWAL opens (creating if needed) the WAL directory for appending.
-// Existing segments are scanned exactly like ReplayWAL; a torn tail is
-// truncated away and any segments past the valid prefix are deleted, so
-// the next Append lands immediately after the last intact record instead
-// of after garbage no replay would ever reach.
-func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
+// OpenWAL opens (creating if needed) the WAL directory for appending,
+// and returns the records its scan of the existing segments accepted:
+// exactly ReplayWAL's prefix, so a recovery replays them without reading
+// the log again. A torn tail is truncated away and any segments past the
+// valid prefix are deleted, so the next Append lands immediately after
+// the last intact record instead of after garbage no replay would ever
+// reach.
+func OpenWAL(dir string, opts WALOptions) (*WAL, []WALRecord, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultWALSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	names, err := walSegFiles(dir)
+	s, err := scanWAL(dir, 0, 0)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		return nil, nil, err
+	}
+	w := &WAL{dir: dir, opts: opts, closed: s.segs}
 	if err != nil {
-		return nil, err
+		// The valid prefix ends in the last segment read: trim its tear (or
+		// drop it if nothing valid remains) and delete every segment after it.
+		drop, last := s.rest, len(w.closed)-1
+		if seg := w.closed[last]; seg.records == 0 {
+			w.closed, drop = w.closed[:last], append(drop, filepath.Base(seg.path))
+		} else if err := os.Truncate(seg.path, seg.size); err != nil {
+			return nil, nil, err
+		}
+		for _, name := range drop {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, nil, err
+			}
+		}
+		if !opts.NoSync {
+			if err := syncDir(dir); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	w := &WAL{dir: dir, opts: opts}
-	var (
-		expect   uint64 // next epoch the scan will accept
-		haveBase bool
-	)
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var segRecs []WALRecord
-		validLen, scanErr := scanSegment(data, &expect, &haveBase, &segRecs)
-		seg := walSeg{path: path, records: len(segRecs)}
-		if len(segRecs) > 0 {
-			seg.first, seg.last = segRecs[0].Epoch, segRecs[len(segRecs)-1].Epoch
-		}
-		if scanErr != nil {
-			// Trim the tear (or drop the segment if nothing valid remains),
-			// delete everything past it, and stop: the valid prefix ends here.
-			if len(segRecs) == 0 {
-				if err := os.Remove(path); err != nil {
-					return nil, err
-				}
-			} else {
-				if err := os.Truncate(path, int64(validLen)); err != nil {
-					return nil, err
-				}
-				w.closed = append(w.closed, seg)
-			}
-			for _, later := range names[i+1:] {
-				if err := os.Remove(filepath.Join(dir, later)); err != nil {
-					return nil, err
-				}
-			}
-			if !opts.NoSync {
-				if err := syncDir(dir); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		w.closed = append(w.closed, seg)
-	}
-	if haveBase {
-		w.last, w.hasLast = expect-1, true
+	if n := len(s.recs); n > 0 {
+		w.last, w.hasLast = s.recs[n-1].Epoch, true
 	}
 	// Reopen the final segment for appending; earlier ones stay closed.
 	if n := len(w.closed); n > 0 {
 		seg := w.closed[n-1]
 		f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.f, w.size, w.active = f, st.Size(), seg
-		w.closed = w.closed[:n-1]
+		w.f, w.size, w.active, w.closed = f, seg.size, seg, w.closed[:n-1]
 	}
-	return w, nil
+	return w, s.recs, nil
 }
 
 // Dir returns the WAL directory.
@@ -324,9 +332,9 @@ func (w *WAL) Append(epoch uint64, kind byte, payload []byte) error {
 		}
 	}
 
-	// Shared with EncodeWALRecord: the bytes in a segment are the bytes a
-	// replication stream ships, by construction.
-	buf := encodeWALRecord(nil, epoch, kind, payload)
+	// The bytes in a segment are the bytes a replication stream ships, by
+	// construction.
+	buf := AppendWALRecord(nil, WALRecord{Epoch: epoch, Kind: kind, Payload: payload})
 
 	if _, err := w.f.Write(buf); err != nil {
 		w.err = fmt.Errorf("storage: WAL append: %w", err)

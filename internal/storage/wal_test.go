@@ -15,7 +15,7 @@ import (
 // appendAll writes records to a fresh WAL in dir and closes it.
 func appendAll(t testing.TB, dir string, opts storage.WALOptions, recs []storage.WALRecord) {
 	t.Helper()
-	w, err := storage.OpenWAL(dir, opts)
+	w, _, err := storage.OpenWAL(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWALSegmentRotation(t *testing.T) {
 }
 
 func TestWALAppendEpochDiscipline(t *testing.T) {
-	w, err := storage.OpenWAL(t.TempDir(), storage.WALOptions{})
+	w, _, err := storage.OpenWAL(t.TempDir(), storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWALReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
 	appendAll(t, dir, storage.WALOptions{}, testRecords(3))
 
-	w, err := storage.OpenWAL(dir, storage.WALOptions{})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWALOpenTrimsTornTail(t *testing.T) {
 		t.Fatalf("torn tail replay error = %v, want ErrCorrupt", err)
 	}
 
-	w, err := storage.OpenWAL(dir, storage.WALOptions{})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestWALOpenDropsSegmentsPastCorruption(t *testing.T) {
 		t.Fatalf("replay error = %v, want ErrCorrupt", err)
 	}
 
-	w, err := storage.OpenWAL(dir, storage.WALOptions{})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWALOpenDropsSegmentsPastCorruption(t *testing.T) {
 
 func TestWALTruncateThrough(t *testing.T) {
 	dir := t.TempDir()
-	w, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: 1})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,10 @@ func TestWALTruncateThrough(t *testing.T) {
 // for a recorded WAL, truncating at every byte offset and flipping every
 // byte must each replay to a valid prefix of the original batches — or
 // fail with ErrCorrupt — and never to a structurally valid but wrong
-// batch. Mirrors TestReadCorruptExhaustive for the snapshot codec.
+// batch. Mirrors TestReadCorruptExhaustive for the snapshot codec. Each
+// mutation also takes the read-once path a durable start takes: OpenWAL
+// must hand back exactly ReplayWAL's prefix and append the next epoch
+// right after it, so a fresh replay returns the prefix and that epoch.
 func TestReplayWALCorruptExhaustive(t *testing.T) {
 	recordDir := t.TempDir()
 	want := testRecords(6)
@@ -340,6 +343,22 @@ func TestReplayWALCorruptExhaustive(t *testing.T) {
 		if err == nil && len(got) == len(want) && !fullOK {
 			t.Fatalf("%s: corruption decoded cleanly to the full log", what)
 		}
+
+		w, opened, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: OpenWAL: %v", what, err)
+		}
+		sameRecords(t, opened, got, what+": OpenWAL's records")
+		next := storage.WALRecord{Epoch: uint64(len(got) + 1), Kind: 1, Payload: []byte("next")}
+		if err := w.Append(next.Epoch, next.Kind, next.Payload); err != nil {
+			t.Fatalf("%s: append after OpenWAL: %v", what, err)
+		}
+		w.Close()
+		again, err := storage.ReplayWAL(dir)
+		if err != nil {
+			t.Fatalf("%s: replay after OpenWAL and append: %v", what, err)
+		}
+		sameRecords(t, again, append(got[:len(got):len(got)], next), what+": replay after OpenWAL and append")
 	}
 
 	for i := 0; i <= len(valid); i++ {
@@ -398,7 +417,7 @@ func TestDurableCheckpointerRoundTrip(t *testing.T) {
 
 func TestDurableCheckpointerTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	w, err := storage.OpenWAL(filepath.Join(dir, "wal"), storage.WALOptions{})
+	w, _, err := storage.OpenWAL(filepath.Join(dir, "wal"), storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +450,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		{"nosync", storage.WALOptions{NoSync: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			w, err := storage.OpenWAL(b.TempDir(), bc.opts)
+			w, _, err := storage.OpenWAL(b.TempDir(), bc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -449,7 +468,7 @@ func BenchmarkWALAppend(b *testing.B) {
 
 func TestWALAlignTo(t *testing.T) {
 	dir := t.TempDir()
-	w, err := storage.OpenWAL(dir, storage.WALOptions{})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,73 +1,53 @@
 // WAL shipping: the pieces that turn the write-ahead log into a
-// replication log. A leader ships the exact record framing its segments
-// use — `recLen uvarint | body | CRC-32C(recLen bytes + body)` with
-// body = `epoch uvarint | kind byte | payload` — concatenated onto an
-// HTTP response with no segment header, so a follower decodes the feed
-// with the same prefix/ErrCorrupt discipline ReplayWAL applies to a
-// segment file: any byte that does not decode to exactly this shape is
-// ErrCorrupt, a truncated record is a torn tail, and accepted records
-// are epoch-contiguous. EncodeWALRecord and WALStreamReader are the two
-// ends of that wire; ReadWALAfter is the leader-side tail read that
-// feeds it from the on-disk log.
+// replication log. A WAL frame is one record as a segment holds it —
+// `recLen uvarint | body | CRC-32C(recLen bytes + body)` with body =
+// `epoch uvarint | kind byte | payload` — and a leader ships frames
+// concatenated onto an HTTP response with no segment header.
+// AppendWALRecord writes a frame (Append writes the same bytes into a
+// segment), and WALStreamReader is the one decoder of frames: a follower
+// reads its feed through it, and the segment scan (scanWAL) reads every
+// segment's records through it once the header checks out. So a feed and
+// a segment accept exactly the same bytes: anything that does not decode
+// to exactly this shape is ErrCorrupt, a truncated frame is a torn tail,
+// and accepted records are epoch-contiguous. ReadWALAfterN is the
+// leader-side tail read that feeds a follower from the on-disk log.
 package storage
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"slices"
 )
 
-// encodeWALRecord appends one framed record to dst — the exact byte
-// sequence Append writes into a segment after the header, and the exact
-// shape a shipped stream carries.
-func encodeWALRecord(dst []byte, epoch uint64, kind byte, payload []byte) []byte {
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	bn := binary.PutUvarint(hdr[:], epoch)
-	hdr[bn] = kind
-	bodyLen := bn + 1 + len(payload)
-
-	var lenBuf [binary.MaxVarintLen64]byte
-	start := len(dst)
-	dst = append(dst, lenBuf[:binary.PutUvarint(lenBuf[:], uint64(bodyLen))]...)
-	dst = append(dst, hdr[:bn+1]...)
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], castagnoli)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], sum)
-	return append(dst, crc[:]...)
-}
-
-// EncodeWALRecord returns rec in the shipped-stream framing (identical
-// to the in-segment record framing). Concatenating encoded records
-// yields a valid stream for WALStreamReader.
-func EncodeWALRecord(rec WALRecord) []byte {
-	return AppendWALRecord(nil, rec)
-}
-
-// AppendWALRecord appends rec's shipped framing to dst and returns the
-// extended slice — EncodeWALRecord without the per-record allocation,
-// for senders framing many records through one scratch buffer.
+// AppendWALRecord appends rec's frame to dst and returns the extended
+// slice: the bytes Append writes into a segment after the header, and
+// the bytes a shipped stream carries. Concatenated frames are a valid
+// stream for WALStreamReader.
 func AppendWALRecord(dst []byte, rec WALRecord) []byte {
-	return encodeWALRecord(dst, rec.Epoch, rec.Kind, rec.Payload)
+	var hdr [binary.MaxVarintLen64 + 1]byte
+	bn := binary.PutUvarint(hdr[:], rec.Epoch)
+	hdr[bn] = rec.Kind
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(bn+1+len(rec.Payload)))
+	dst = append(dst, hdr[:bn+1]...)
+	dst = append(dst, rec.Payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// WALStreamReader decodes a shipped stream of WAL records. Next returns
-// io.EOF exactly at a record boundary; every other failure — a torn
-// record, a checksum mismatch, an epoch gap — wraps ErrCorrupt, so a
-// follower can rely on errors.Is to tell "the feed ended" from "the
-// feed is damaged; drop it and re-sync from the last applied epoch".
+// WALStreamReader decodes a sequence of WAL frames: a shipped stream, or
+// a segment's records after its header. Next returns io.EOF exactly at a
+// frame boundary; every other failure — a torn frame, a checksum
+// mismatch, an epoch gap — wraps ErrCorrupt, so a follower can rely on
+// errors.Is to tell "the feed ended" from "the feed is damaged; drop it
+// and re-sync from the last applied epoch".
 type WALStreamReader struct {
 	r      *bufio.Reader
 	expect uint64
 	has    bool
+	n      int64 // bytes of the frames accepted since r was set
 }
 
 // NewWALStreamReader returns a reader decoding records from r.
@@ -76,138 +56,99 @@ func NewWALStreamReader(r io.Reader) *WALStreamReader {
 }
 
 // Next decodes one record. io.EOF means the stream ended cleanly at a
-// record boundary; ErrCorrupt-wrapped errors mean damage (including a
-// stream torn mid-record); anything else is a transport failure.
+// frame boundary; ErrCorrupt-wrapped errors mean damage (including a
+// stream torn mid-frame); anything else is a transport failure. The
+// payload is the record's own memory.
 func (sr *WALStreamReader) Next() (WALRecord, error) {
-	// The length varint is collected byte by byte because the checksum
-	// covers it exactly as it appeared on the wire.
-	var lenBytes []byte
+	// The length varint is kept as it arrived: the checksum covers it.
+	var lenBuf [binary.MaxVarintLen64]byte
 	var recLen uint64
-	for shift := uint(0); ; shift += 7 {
+	k := 0
+	for {
 		b, err := sr.r.ReadByte()
 		if err != nil {
-			if len(lenBytes) == 0 && err == io.EOF {
+			if k == 0 && err == io.EOF {
 				return WALRecord{}, io.EOF // clean boundary
 			}
-			return WALRecord{}, sr.torn(err)
+			return WALRecord{}, torn(err)
 		}
-		lenBytes = append(lenBytes, b)
-		if shift >= 64 || (shift == 63 && b > 1) {
-			return WALRecord{}, fmt.Errorf("%w: shipped record length overflows", ErrCorrupt)
+		if k == len(lenBuf)-1 && b > 1 {
+			return WALRecord{}, fmt.Errorf("%w: WAL record length overflows", ErrCorrupt)
 		}
-		recLen |= uint64(b&0x7f) << shift
+		lenBuf[k] = b
+		recLen |= uint64(b&0x7f) << (7 * k)
+		k++
 		if b < 0x80 {
 			break
 		}
 	}
 	if recLen > maxWALRecord {
-		return WALRecord{}, fmt.Errorf("%w: shipped record length %d", ErrCorrupt, recLen)
+		return WALRecord{}, fmt.Errorf("%w: WAL record length %d", ErrCorrupt, recLen)
 	}
-	frame := make([]byte, len(lenBytes)+int(recLen)+4)
-	copy(frame, lenBytes)
-	if _, err := io.ReadFull(sr.r, frame[len(lenBytes):]); err != nil {
-		return WALRecord{}, sr.torn(err)
+	frame, err := readFull(sr.r, int(recLen)+4)
+	if err != nil {
+		return WALRecord{}, torn(err)
 	}
-	end := len(frame) - 4
-	if crc32.Checksum(frame[:end], castagnoli) != binary.BigEndian.Uint32(frame[end:]) {
-		return WALRecord{}, fmt.Errorf("%w: shipped record checksum mismatch", ErrCorrupt)
+	body := frame[:recLen]
+	if crc32.Update(crc32.Checksum(lenBuf[:k], castagnoli), castagnoli, body) != binary.BigEndian.Uint32(frame[recLen:]) {
+		return WALRecord{}, fmt.Errorf("%w: WAL record checksum mismatch", ErrCorrupt)
 	}
-	body := frame[len(lenBytes):end]
 	epoch, n := binary.Uvarint(body)
 	if n <= 0 || n >= len(body) {
-		return WALRecord{}, fmt.Errorf("%w: shipped record body", ErrCorrupt)
+		return WALRecord{}, fmt.Errorf("%w: WAL record body", ErrCorrupt)
 	}
 	if sr.has && epoch != sr.expect {
-		return WALRecord{}, fmt.Errorf("%w: shipped epoch %d, want %d", ErrCorrupt, epoch, sr.expect)
+		return WALRecord{}, fmt.Errorf("%w: WAL epoch %d, want %d", ErrCorrupt, epoch, sr.expect)
 	}
 	sr.has, sr.expect = true, epoch+1
+	sr.n += int64(k + len(frame))
 	return WALRecord{Epoch: epoch, Kind: body[n], Payload: body[n+1:]}, nil
 }
 
-// torn classifies an interrupted read: running out of bytes mid-record
-// is corruption (a torn shipped record); a real transport error passes
-// through for the caller to retry.
-func (sr *WALStreamReader) torn(err error) error {
+// readFull reads exactly n bytes from r into a buffer that grows as they
+// arrive, so a damaged length costs no more memory than the input holds.
+func readFull(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readBuffer))
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// torn classifies an interrupted read: running out of bytes mid-frame is
+// corruption (a torn frame); a real transport error passes through for
+// the caller to retry.
+func torn(err error) error {
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("%w: torn shipped record", ErrCorrupt)
+		return fmt.Errorf("%w: torn WAL record", ErrCorrupt)
 	}
 	return err
 }
 
-// ReadWALAfter reads dir's records with epochs strictly greater than
-// after, in epoch order — the leader-side tail read behind WAL shipping.
-// Whole segments older than the cut are skipped by name (segment names
-// carry their first epoch), so tailing near the head of the log does not
-// rescan history. The error discipline is ReplayWAL's: the returned
-// records are always a valid, contiguous prefix of the requested tail,
-// and a damaged or torn tail reports ErrCorrupt alongside them. A
-// missing directory is an empty log.
+// ReadWALAfterN reads dir's records with epochs strictly greater than
+// after, in epoch order, at most max of them (max <= 0 means no bound) —
+// the leader-side tail read behind WAL shipping. Whole segments older
+// than the cut are skipped by name (segment names carry their first
+// epoch), and the scan stops once it holds max records, so a sender
+// chunking a long backlog decodes one chunk's worth per call. The error
+// discipline is ReplayWAL's: the returned records are always a valid,
+// contiguous prefix of the requested tail, and a damaged or torn tail
+// before the cap reports ErrCorrupt alongside them. A missing directory
+// is an empty log.
 //
 // Concurrent appends are safe to race with: records are fsynced in
 // order, so a scan that stops at a half-written final record has still
 // returned every record some Append acknowledged before the scan began.
 // Callers cap at the durable epoch they observed and treat a shorter
 // prefix as damage.
-func ReadWALAfter(dir string, after uint64) ([]WALRecord, error) {
-	return ReadWALAfterN(dir, after, 0)
-}
-
-// ReadWALAfterN is ReadWALAfter bounded to at most max records (max <= 0
-// means unbounded). Scanning stops at the first segment boundary past
-// the cap, so a sender chunking a long backlog parses one chunk's worth
-// of segments per call instead of the whole history.
 func ReadWALAfterN(dir string, after uint64, max int) ([]WALRecord, error) {
-	names, err := walSegFiles(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Skip a segment when the next one starts at or before after+1: every
-	// record it holds is then <= after. The last segment is always read.
-	start := 0
-	for i := 0; i+1 < len(names); i++ {
-		first, err := strconv.ParseUint(strings.TrimSuffix(names[i+1], ".wal"), 10, 64)
-		if err == nil && first <= after+1 {
-			start = i + 1
-		}
-	}
-	var (
-		recs     []WALRecord
-		expect   uint64
-		haveBase bool
-	)
-	for _, name := range names[start:] {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return clampRecords(filterAfter(recs, after), max), err
-		}
-		if _, err := scanSegment(data, &expect, &haveBase, &recs); err != nil {
-			return clampRecords(filterAfter(recs, after), max), fmt.Errorf("segment %s: %w", name, err)
-		}
-		if max > 0 && len(filterAfter(recs, after)) >= max {
-			break
-		}
-	}
-	return clampRecords(filterAfter(recs, after), max), nil
-}
-
-// clampRecords truncates recs to at most max (max <= 0 = no limit).
-func clampRecords(recs []WALRecord, max int) []WALRecord {
-	if max > 0 && len(recs) > max {
-		return recs[:max]
-	}
-	return recs
-}
-
-// filterAfter drops the leading records at or below the cut.
-func filterAfter(recs []WALRecord, after uint64) []WALRecord {
-	i := 0
-	for i < len(recs) && recs[i].Epoch <= after {
-		i++
-	}
-	return recs[i:]
+	s, err := scanWAL(dir, after+1, max)
+	return s.recs, err
 }
 
 // FirstEpoch returns the oldest epoch the log still holds, and false

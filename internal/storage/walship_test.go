@@ -40,7 +40,7 @@ func appendFile(t testing.TB, path string, data []byte) {
 func shipWAL(t testing.TB, n int, segBytes int64) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
-	w, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: segBytes, NoSync: true})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: segBytes, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWALStreamRoundTrip(t *testing.T) {
 	}
 	var stream []byte
 	for _, r := range recs {
-		stream = append(stream, storage.EncodeWALRecord(r)...)
+		stream = append(stream, storage.AppendWALRecord(nil, r)...)
 	}
 	sr := storage.NewWALStreamReader(bytes.NewReader(stream))
 	for i, want := range recs {
@@ -85,7 +85,7 @@ func TestWALStreamRoundTrip(t *testing.T) {
 
 // TestWALStreamMatchesSegmentBytes pins the framing-reuse claim: the
 // bytes Append writes after the segment header are exactly the bytes
-// EncodeWALRecord produces for the same record.
+// AppendWALRecord produces for the same record.
 func TestWALStreamMatchesSegmentBytes(t *testing.T) {
 	dir := shipWAL(t, 3, storage.DefaultWALSegmentBytes)
 	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
@@ -99,7 +99,7 @@ func TestWALStreamMatchesSegmentBytes(t *testing.T) {
 	}
 	var want []byte
 	for _, r := range recs {
-		want = append(want, storage.EncodeWALRecord(r)...)
+		want = append(want, storage.AppendWALRecord(nil, r)...)
 	}
 	if !bytes.HasSuffix(data, want) {
 		t.Fatalf("segment payload bytes differ from shipped framing")
@@ -128,8 +128,8 @@ func TestWALStreamMatchesSegmentBytes(t *testing.T) {
 // panic, never a silent wrong record), after yielding at most the valid
 // prefix.
 func TestWALStreamCorruption(t *testing.T) {
-	a := storage.EncodeWALRecord(storage.WALRecord{Epoch: 5, Kind: 1, Payload: []byte("hello")})
-	b := storage.EncodeWALRecord(storage.WALRecord{Epoch: 6, Kind: 2, Payload: []byte("world")})
+	a := storage.AppendWALRecord(nil, storage.WALRecord{Epoch: 5, Kind: 1, Payload: []byte("hello")})
+	b := storage.AppendWALRecord(nil, storage.WALRecord{Epoch: 6, Kind: 2, Payload: []byte("world")})
 	stream := append(append([]byte(nil), a...), b...)
 
 	decodeAll := func(data []byte) (int, error) {
@@ -179,8 +179,8 @@ func TestWALStreamCorruption(t *testing.T) {
 // not data — the contiguity discipline of ReplayWAL applies on the wire.
 func TestWALStreamEpochGap(t *testing.T) {
 	stream := append(
-		storage.EncodeWALRecord(storage.WALRecord{Epoch: 3, Kind: 1, Payload: []byte("x")}),
-		storage.EncodeWALRecord(storage.WALRecord{Epoch: 5, Kind: 1, Payload: []byte("y")})...,
+		storage.AppendWALRecord(nil, storage.WALRecord{Epoch: 3, Kind: 1, Payload: []byte("x")}),
+		storage.AppendWALRecord(nil, storage.WALRecord{Epoch: 5, Kind: 1, Payload: []byte("y")})...,
 	)
 	sr := storage.NewWALStreamReader(bytes.NewReader(stream))
 	if _, err := sr.Next(); err != nil {
@@ -201,7 +201,7 @@ func TestReadWALAfter(t *testing.T) {
 		t.Fatalf("want several segments, got %v (%v)", segs, err)
 	}
 	for after := uint64(0); after <= n+2; after++ {
-		recs, err := storage.ReadWALAfter(dir, after)
+		recs, err := storage.ReadWALAfterN(dir, after, 0)
 		if err != nil {
 			t.Fatalf("after %d: %v", after, err)
 		}
@@ -218,7 +218,7 @@ func TestReadWALAfter(t *testing.T) {
 			}
 		}
 	}
-	if recs, err := storage.ReadWALAfter(filepath.Join(t.TempDir(), "missing"), 0); err != nil || len(recs) != 0 {
+	if recs, err := storage.ReadWALAfterN(filepath.Join(t.TempDir(), "missing"), 0, 0); err != nil || len(recs) != 0 {
 		t.Fatalf("missing dir: %d records, %v", len(recs), err)
 	}
 }
@@ -231,7 +231,7 @@ func TestReadWALAfterTornTail(t *testing.T) {
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
 	appendFile(t, segs[len(segs)-1], []byte{0x20, 'h', 'a', 'l', 'f'})
 
-	recs, err := storage.ReadWALAfter(dir, 2)
+	recs, err := storage.ReadWALAfterN(dir, 2, 0)
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("torn tail: err %v, want ErrCorrupt", err)
 	}
@@ -244,7 +244,7 @@ func TestReadWALAfterTornTail(t *testing.T) {
 // covered segments, and disappears when the log empties.
 func TestWALFirstEpoch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	w, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: 64, NoSync: true})
+	w, _, err := storage.OpenWAL(dir, storage.WALOptions{SegmentBytes: 64, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestWALFirstEpoch(t *testing.T) {
 	}
 	// Reopening recomputes the horizon from the surviving files.
 	w.Close()
-	w2, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
+	w2, _, err := storage.OpenWAL(dir, storage.WALOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestReadWALAfterN(t *testing.T) {
 		t.Fatalf("chunk before damage: %d records, %v", len(recs), err)
 	}
 	// An uncapped read still reports the damage alongside the prefix.
-	if _, err := storage.ReadWALAfter(dir, 0); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := storage.ReadWALAfterN(dir, 0, 0); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("uncapped read of damaged log: %v, want ErrCorrupt", err)
 	}
 }
