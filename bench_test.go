@@ -781,7 +781,7 @@ func parBenchWorkers() int {
 }
 
 // BenchmarkParallelScore: the full scoring precomputation — per-type
-// entropy and coverage fan-out plus the blocked parallel power iteration —
+// entropy and coverage fan-out, then the sequential power iteration —
 // sequential vs worker pool. The two arms produce bit-identical Sets
 // (TestScoreComputeParallelBitIdentical); this measures the speedup.
 func BenchmarkParallelScore(b *testing.B) {
@@ -1005,83 +1005,6 @@ func BenchmarkRenderMiss(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkNameOrder: what a graph's name order costs. derive sorts every
-// entity name, once per graph, on the first render of a multi-valued
-// cell: on the 100k-entity graph and on the default-scale music and
-// people graphs. Each iteration derives on a fresh copy of the graph,
-// loaded from a snapshot with the timer stopped. carry is the live path:
-// a snapshot published after one 16-edge write batch that adds 16
-// entities inherits its predecessor's order (dynamic.Live.publishLocked),
-// on the default-scale music graph ingest writes to.
-func BenchmarkNameOrder(b *testing.B) {
-	big, _ := parallelBenchSetup(b)
-	graphs := []struct {
-		name string
-		g    *graph.EntityGraph
-	}{{"music-100k", big}}
-	for _, d := range []string{"music", "people"} {
-		g, err := freebase.Generate(d, freebase.DefaultGenOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		graphs = append(graphs, struct {
-			name string
-			g    *graph.EntityGraph
-		}{d, g})
-	}
-	for _, c := range graphs {
-		var snap bytes.Buffer
-		if err := storage.Write(&snap, c.g); err != nil {
-			b.Fatal(err)
-		}
-		b.Run("derive/"+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g, err := storage.Read(bytes.NewReader(snap.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				g.NameOrder()
-			}
-		})
-	}
-
-	dg, err := dynamic.FromEntityGraph(graphs[1].g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev, err := dg.Freeze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev.NameOrder()
-	d := graph.Delta{Rels: make([]graph.RelType, prev.NumRelTypes())}
-	for r := range d.Rels {
-		d.Rels[r] = prev.RelType(graph.RelTypeID(r))
-	}
-	rt := d.Rels[0]
-	to := prev.EntitiesOfType(rt.To)
-	for i := 0; i < 16; i++ {
-		d.Entities = append(d.Entities, graph.Entity{Name: fmt.Sprintf("Batch entity %02d", i), Types: []graph.TypeID{rt.From}})
-		d.Edges = append(d.Edges, graph.Edge{From: graph.EntityID(prev.NumEntities() + i), To: to[i*31%len(to)], Rel: 0})
-		d.Rels[0].EdgeCount++
-	}
-	b.Run("carry/music", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			next, err := graph.Derive(prev, d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			next.InheritNameOrder(prev)
-		}
-	})
 }
 
 // --- Incremental discovery (BENCH_incremental_refresh.json) --------------

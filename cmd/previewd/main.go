@@ -1,7 +1,8 @@
 // Command previewd serves preview-table discovery over HTTP: it loads one
 // or more entity graphs into a named registry and answers JSON preview
-// queries, caching the expensive per-graph scoring precomputation across
-// requests (see internal/service).
+// queries. Each graph's scores, schema and cell name order are computed
+// once, when it is registered, before previewd serves, and every request
+// shares them (see internal/service).
 //
 // Graphs are registered with repeatable flags. File formats are inferred
 // from the extension: .nt is the N-Triples subset (literals dropped),
@@ -75,7 +76,6 @@ func main() {
 	scale := flag.Float64("scale", 0, "synthetic generation scale for -domain (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "worker count for scoring precomputation, incremental refreshes and preview search (0 = one per core, 1 = sequential); results are identical at any setting")
 	entities := flag.Int("entities", 0, "with -domain: target entity count for synthetic generation, overriding -scale (0 = use -scale)")
-	warm := flag.Bool("warm", true, "precompute scores and the cell name order for every graph before serving (first requests would otherwise pay them, possibly past the write timeout)")
 	mutable := flag.Bool("mutable", false, "serve every graph as mutable: POST /v1/graphs/{name}/edges and .../triples apply live updates with epoch-versioned snapshots")
 	ckptDir := flag.String("checkpoint-dir", "", "with -mutable: directory for periodic snapshot persistence of mutated graphs (epoch-named snapshots plus a <name>.current manifest per graph; a restart resumes each graph from its newest checkpoint; must differ from -wal-dir)")
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to checkpoint mutated graphs to -checkpoint-dir")
@@ -119,7 +119,6 @@ func main() {
 			WALRoot:       *walDir,
 		},
 		CheckpointInterval: *ckptEvery,
-		Warm:               *warm,
 	})
 	if errors.Is(err, service.ErrNoGraphs) {
 		fmt.Fprintln(os.Stderr, "previewd:", err)

@@ -11,9 +11,10 @@
 //     one tuple per grown neighbor run (from the group of its old run to
 //     that of its new one, and that group from its old size to its new one
 //     in the multiset of group sizes);
-//   - the random-walk measure is solved from the maintained schema
-//     weights, by score.StationaryDistribution, in O(K²) per iteration —
-//     independent of the entity graph's size, which is the expensive part.
+//   - the random-walk measure is solved from the schema graph that
+//     graph.Derive builds with each folded graph, by
+//     score.StationaryDistribution, in O(K²) per iteration — independent
+//     of the entity graph's size, which is the expensive part.
 //
 // A Graph holds no copy of the entity graph's edges, names or entity
 // types: the immutable graph.EntityGraph it last folded into (base) holds
@@ -50,11 +51,8 @@ type Graph struct {
 	rels     []graph.RelType
 	relByKey map[relKey]graph.RelTypeID
 
-	// entByName resolves the writer's entity names without the published
-	// graph's name index, which a derived graph builds anew per snapshot.
-	entByName map[string]graph.EntityID
-	coverage  []int // per type
-	edges     int
+	coverage []int // per type
+	edges    int
 
 	// hist[rel][dir] maintains the entropy bookkeeping of one attribute
 	// orientation: dir 0 = outgoing (tuples are source entities of the
@@ -76,11 +74,13 @@ type Graph struct {
 
 	// base is the graph as of the last fold (nil until then: the empty
 	// graph). The open batch is what mutations added since: the entities
-	// declared, with their type lists; older entities' grown type lists;
-	// and every edge, parallel copies included. Only a fold clears it, so
-	// what a failed batch leaked lands in the next one.
+	// declared, with their type lists and an index of their names (base's
+	// name order resolves the older ones); older entities' grown type
+	// lists; and every edge, parallel copies included. Only a fold clears
+	// it, so what a failed batch leaked lands in the next one.
 	base     *graph.EntityGraph
 	entities []graph.Entity
+	newNames map[string]graph.EntityID
 	retyped  map[graph.EntityID][]graph.TypeID
 	added    []graph.Edge
 }
@@ -210,14 +210,16 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 // Entity declares (or finds) an entity, adding any new types to it.
 // Coverage counters update incrementally.
 func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
-	if g.entByName == nil {
-		g.entByName = map[string]graph.EntityID{}
-	}
-	id, ok := g.entByName[name]
+	id, ok := g.last().EntityByName(name)
 	if !ok {
-		id = graph.EntityID(g.numEntities())
-		g.entities = append(g.entities, graph.Entity{Name: name})
-		g.entByName[name] = id
+		if id, ok = g.newNames[name]; !ok {
+			if g.newNames == nil {
+				g.newNames = map[string]graph.EntityID{}
+			}
+			id = graph.EntityID(g.numEntities())
+			g.entities = append(g.entities, graph.Entity{Name: name})
+			g.newNames[name] = id
+		}
 	}
 	for _, t := range types {
 		g.addType(id, t)
@@ -343,25 +345,18 @@ func (g *Graph) Stats() graph.Stats {
 	}
 }
 
-// Schema builds the current schema graph (O(K + N)).
-func (g *Graph) Schema() (*graph.Schema, error) {
-	return graph.NewSchema(g.typeNames, g.rels)
-}
-
 // Scores assembles a score.Set from the incrementally maintained state,
 // after a fold (see Freeze): coverage and entropy read off the maintained
-// counters and histograms; the random walk is solved on the (small)
-// schema graph, cold, by score.StationaryDistribution. No entity or edge
-// is revisited, and the Set equals score.Compute of Freeze's graph bit for
-// bit.
+// counters and histograms; the random walk is solved on the folded
+// graph's (small) schema graph, cold, by score.StationaryDistribution. No
+// entity or edge is revisited, and the Set equals score.Compute of
+// Freeze's graph bit for bit.
 func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
-	if _, err := g.Freeze(); err != nil {
-		return nil, err
-	}
-	s, err := g.Schema()
+	frozen, err := g.Freeze()
 	if err != nil {
 		return nil, err
 	}
+	s := frozen.Schema()
 	n := s.NumTypes()
 	keyCov := make([]float64, n)
 	for t := 0; t < n; t++ {
@@ -441,6 +436,6 @@ func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 			}
 		}
 	}
-	g.base, g.entities, g.retyped, g.added = next, nil, nil, nil
+	g.base, g.entities, g.newNames, g.retyped, g.added = next, nil, nil, nil, nil
 	return next, nil
 }

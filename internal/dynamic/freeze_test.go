@@ -466,9 +466,9 @@ func FuzzDerivedGraphMatchesFreeze(f *testing.F) {
 // 200 epochs, each graph derived from the last; every walk of a snapshot
 // reads what its first walk read.
 // Under -race it also shows that no derivation writes memory an older
-// snapshot's readers read: the graphs share their entity records, names
-// and per-type lists, append to them, and build their edge lists and name
-// indexes lazily, from whichever reader asks first.
+// snapshot's readers read: the graphs share their entity records, names,
+// per-type lists and name orders, append to them, and build their edge
+// lists lazily, from whichever reader asks first.
 func TestDerivedSnapshotsStayPut(t *testing.T) {
 	g, err := FromEntityGraph(fig1.Graph())
 	if err != nil {
@@ -557,14 +557,12 @@ func walkGraph(g *graph.EntityGraph) uint64 {
 		word(int(order.Rank(id)))
 		for _, t := range ent.Types {
 			word(int(t))
-			for _, rels := range [][]graph.RelTypeID{g.SchemaOut(t), g.SchemaIn(t)} {
-				for _, r := range rels {
-					for _, v := range g.Neighbors(id, r, true) {
-						word(int(v))
-					}
-					for _, v := range g.Neighbors(id, r, false) {
-						word(int(v))
-					}
+			for _, r := range g.IncidentRelTypes(t) {
+				for _, v := range g.Neighbors(id, r, true) {
+					word(int(v))
+				}
+				for _, v := range g.Neighbors(id, r, false) {
+					word(int(v))
 				}
 			}
 		}

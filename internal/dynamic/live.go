@@ -19,17 +19,16 @@
 // underneath them — is the Graph's only copy of its edges, names and
 // entity types, and every snapshot's is made the same way, the first
 // (NewLiveAt's) from the empty graph: no validation, hashing or map
-// building of the graph, only word copies of the adjacency arrays,
-// O(|Vd| + distinct |Ed|), and O(batch log batch) for the rest. A batch
-// that adds nothing publishes the previous snapshot's graph again. What
-// the graph derives lazily (graph.EntityGraph.Schema, NameOrder, and a
-// derived graph's edge list and name index) starts over per graph, except
-// the name order: a snapshot inherits its predecessor's, when that one
-// has been derived. A snapshot keeps no pointer to its predecessor; it
-// shares only the predecessor's append-only tables, so an old snapshot's
-// own arrays are freed as soon as its last reader lets go. Each snapshot
-// also copies the graph's change stamps (O(types)) for
-// Snapshot.DirtySince.
+// building of the graph, only word copies of the adjacency arrays and of
+// the name order, O(|Vd| + distinct |Ed|), and O(batch log batch) for the
+// rest. The graph is whole when it is published: Derive merges the
+// batch's new names into the previous graph's name order and builds the
+// schema graph, and leaves only the edge list to its first reader. A
+// batch that adds nothing publishes the previous snapshot's graph again.
+// A snapshot keeps no pointer to its predecessor; it shares only the
+// predecessor's append-only tables, so an old snapshot's own arrays are
+// freed as soon as its last reader lets go. Each snapshot also copies the
+// graph's change stamps (O(types)) for Snapshot.DirtySince.
 package dynamic
 
 import (
@@ -258,11 +257,10 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 }
 
 // publishLocked folds the open batch into the next graph (Graph.Freeze),
-// refreshes the scores through the incremental path, carries the previous
-// snapshot's name order into the graph, and swaps in the new snapshot with
-// a copy of the graph's change stamps (O(types)). Every publication goes
-// through here: NewLiveAt's, and each batch of Apply, ApplyBatch and
-// ApplyShipped. Callers hold l.mu.
+// refreshes the scores through the incremental path, and swaps in the new
+// snapshot with a copy of the graph's change stamps (O(types)). Every
+// publication goes through here: NewLiveAt's, and each batch of Apply,
+// ApplyBatch and ApplyShipped. Callers hold l.mu.
 func (l *Live) publishLocked(epoch uint64) error {
 	frozen, err := l.g.Freeze()
 	if err != nil {
@@ -271,13 +269,6 @@ func (l *Live) publishLocked(epoch uint64) error {
 	scores, err := l.g.Scores(l.opts)
 	if err != nil {
 		return fmt.Errorf("dynamic: refreshing scores: %w", err)
-	}
-	if prev := l.snap.Load(); prev != nil {
-		// Entity ids are append-only, so the new graph's name order is
-		// the previous one's with this batch's new names merged in:
-		// carried here, at O(|Vd|) integer cost, rather than re-sorted by
-		// the first render of every epoch.
-		frozen.InheritNameOrder(prev.Frozen)
 	}
 	snap := &Snapshot{
 		Epoch:        epoch,

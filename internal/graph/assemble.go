@@ -30,8 +30,9 @@ func (a *adjacency) run(e EntityID, rel RelTypeID) []EntityID {
 	return a.nbr[lo : lo+n : lo+n]
 }
 
-// Assemble makes an entity graph from its parts; it is the one place an
-// EntityGraph is made from scratch (Derive extends one). The parts must be
+// Assemble makes an entity graph from its parts, its name order and its
+// schema graph included; it is the one place an EntityGraph is made from
+// scratch (Derive extends one). The parts must be
 // in canonical form, the form Builder.Build produces and storage snapshots
 // record:
 //
@@ -51,20 +52,16 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	if len(entities) >= math.MaxInt32 || len(edges) >= math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d entities, %d edges exceed the int32 layout", len(entities), len(edges))
 	}
-	ix := &nameIndex{
-		types:    make(map[string]TypeID, len(types)),
-		entities: make(map[string]EntityID, len(entities)),
-	}
 	g := &EntityGraph{
 		types:    make([]EntityType, len(types)),
 		relTypes: rels,
 		entities: entities,
 		edges:    edges,
 		numEdges: len(edges),
-		index:    ix,
 	}
+	typeNames := make(map[string]struct{}, len(types))
 	for i, name := range types {
-		if ix.types[name] = TypeID(i); len(ix.types) != i+1 {
+		if typeNames[name] = struct{}{}; len(typeNames) != i+1 {
 			return nil, fmt.Errorf("graph: duplicate type %q", name)
 		}
 		g.types[i].Name = name
@@ -83,9 +80,6 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	typeCount := make([]int32, len(types)+1)
 	for i := range entities {
 		ent := &entities[i]
-		if ix.entities[ent.Name] = EntityID(i); len(ix.entities) != i+1 {
-			return nil, fmt.Errorf("graph: duplicate entity %q", ent.Name)
-		}
 		if len(ent.Types) == 0 {
 			return nil, fmt.Errorf("graph: entity %q has no type", ent.Name)
 		}
@@ -112,6 +106,19 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 		}
 		rt.EdgeCount++
 	}
+
+	// The name order: a duplicate name sorts next to its twin.
+	byRank := make([]EntityID, len(entities))
+	for i := range byRank {
+		byRank[i] = EntityID(i)
+	}
+	sortByName(entities, byRank)
+	for r := 1; r < len(byRank); r++ {
+		if name := entities[byRank[r]].Name; name == entities[byRank[r-1]].Name {
+			return nil, fmt.Errorf("graph: duplicate entity %q", name)
+		}
+	}
+	g.names = orderOf(byRank)
 
 	// Per-type entity lists, ascending, cut from one slab.
 	for t := range types {
@@ -144,20 +151,8 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	g.out = layout(len(entities), edges, byRel, true, mark, &stamp)
 	g.in = layout(len(entities), edges, byRel, false, mark, &stamp)
 
-	g.schemaOut, g.schemaIn = schemaAdjacency(len(types), rels)
+	g.schema = schemaOf(g.types, rels)
 	return g, nil
-}
-
-// schemaAdjacency lists, per entity type, the relationship types leaving
-// it and those entering it.
-func schemaAdjacency(types int, rels []RelType) (out, in [][]RelTypeID) {
-	out = make([][]RelTypeID, types)
-	in = make([][]RelTypeID, types)
-	for ri, rt := range rels {
-		out[rt.From] = append(out[rt.From], RelTypeID(ri))
-		in[rt.To] = append(in[rt.To], RelTypeID(ri))
-	}
-	return out, in
 }
 
 // layout builds one direction's adjacency: outgoing lists each edge under

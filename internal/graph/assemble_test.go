@@ -52,3 +52,19 @@ func TestAssembleExactAdjacency(t *testing.T) {
 		t.Errorf("Assemble retained %d B for %d edges (%d distinct), want under %d B", retained, len(edges), distinct, limit)
 	}
 }
+
+// TestDeriveSharesNameOrder: a batch that declares no entity shares its
+// predecessor's name order instead of copying it.
+func TestDeriveSharesNameOrder(t *testing.T) {
+	prev, err := Assemble([]string{"T"}, nil, []Entity{{Name: "b", Types: []TypeID{0}}, {Name: "a", Types: []TypeID{0}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := Derive(prev, Delta{Types: []string{"U"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next.names.rank[0] != &prev.names.rank[0] || &next.names.byRank[0] != &prev.names.byRank[0] {
+		t.Fatal("a batch without entities copied the name order")
+	}
+}

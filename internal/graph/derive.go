@@ -50,10 +50,12 @@ type Retype struct {
 // retypes an older entity copies the table of entity records. Derive
 // copies the type and relationship-type tables, sorts the batch's edges,
 // drops repeated triples and those prev holds, rebuilds each direction of
-// the adjacency by one merge of prev's with the new triples, and leaves
-// the edge list and the name index to be built on first use, except that
-// a graph derived from one without edges keeps the sorted batch as its
-// edge list. It keeps no slice of d.
+// the adjacency by one merge of prev's with the new triples, merges the
+// batch's new names into prev's name order (sharing it when the batch
+// declares no entity), and builds the schema graph. It leaves only the
+// edge list to be built on first use, except that a graph derived from
+// one without edges keeps the sorted batch as its edge list. It keeps no
+// slice of d.
 func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 	nEnts := len(prev.entities) + len(d.Entities)
 	nEdges := prev.numEdges + len(d.Edges)
@@ -122,11 +124,8 @@ func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 		}
 	}
 
-	if len(d.Types) == 0 && len(d.Rels) == len(prev.relTypes) {
-		g.schemaOut, g.schemaIn = prev.schemaOut, prev.schemaIn
-	} else {
-		g.schemaOut, g.schemaIn = schemaAdjacency(len(g.types), g.relTypes)
-	}
+	g.names = prev.names.extend(g.entities)
+	g.schema = schemaOf(g.types, g.relTypes)
 
 	// The batch's new distinct triples are the entries each direction
 	// gains: dropping the rest before the per-direction sorts keeps a

@@ -24,8 +24,8 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // EntityID identifies an entity (a vertex of the entity graph Gd).
@@ -81,39 +81,24 @@ type EntityGraph struct {
 	relTypes []RelType
 	numEdges int
 
-	// edges is the edge list, parallel copies included. Assemble keeps
-	// the list it is given, as Derive keeps the sorted batch of a graph
-	// without edges; any other derived graph builds it from log on first
-	// use (edgeList).
+	// edges is the edge list, parallel copies included: the one part of a
+	// graph made on first use. Assemble keeps the list it is given, as
+	// Derive keeps the sorted batch of a graph without edges; any other
+	// derived graph builds it from log (edgeList), which only checkpoints,
+	// bootstraps and edge-list readers need.
 	edgesOnce sync.Once
 	edges     []Edge
 	log       *edgeLog
-
-	// index resolves names. Assemble builds it; a derived graph builds it
-	// on first use (lookup).
-	indexOnce sync.Once
-	index     *nameIndex
 
 	// out and in index each entity's outgoing and incoming neighbors: one
 	// run of distinct neighbors per (entity, relationship type).
 	out adjacency
 	in  adjacency
 
-	// schema adjacency: relationship types incident on each entity type,
-	// outgoing (rel.From == t) and incoming (rel.To == t).
-	schemaOut [][]RelTypeID
-	schemaIn  [][]RelTypeID
-
-	// schema is the derived schema graph, built on first use (Schema).
-	schemaOnce sync.Once
-	schema     *Schema
-
-	// names is the name order, derived on first use (NameOrder) or
-	// inherited from a live graph's previous snapshot (InheritNameOrder).
-	// It is atomic so that a publisher can ask whether an order exists
-	// while readers derive it.
-	namesOnce sync.Once
-	names     atomic.Pointer[NameOrder]
+	// schema and names are the schema graph and the name order. Assemble
+	// and Derive make both with the graph, so a reader never builds them.
+	schema Schema
+	names  NameOrder
 }
 
 // NumEntities returns |Vd|.
@@ -160,44 +145,22 @@ func (g *EntityGraph) edgeList() []Edge {
 	return g.edges
 }
 
-// nameIndex maps names to ids.
-type nameIndex struct {
-	entities map[string]EntityID
-	types    map[string]TypeID
-}
-
-// lookup returns the name index, building a derived graph's on first use.
-func (g *EntityGraph) lookup() *nameIndex {
-	g.indexOnce.Do(func() {
-		if g.index != nil {
-			return
-		}
-		ix := &nameIndex{
-			entities: make(map[string]EntityID, len(g.entities)),
-			types:    make(map[string]TypeID, len(g.types)),
-		}
-		for i := range g.entities {
-			ix.entities[g.entities[i].Name] = EntityID(i)
-		}
-		for i := range g.types {
-			ix.types[g.types[i].Name] = TypeID(i)
-		}
-		g.index = ix
-	})
-	return g.index
-}
-
-// EntityByName resolves an entity by name; ok is false if absent.
+// EntityByName resolves an entity by name, by binary search of the name
+// order; ok is false if absent.
 func (g *EntityGraph) EntityByName(name string) (EntityID, bool) {
-	id, ok := g.lookup().entities[name]
-	return id, ok
+	byRank := g.names.byRank
+	r, ok := slices.BinarySearchFunc(byRank, name, func(e EntityID, name string) int {
+		return strings.Compare(g.entities[e].Name, name)
+	})
+	if !ok {
+		return None, false
+	}
+	return byRank[r], true
 }
 
-// TypeByName resolves an entity type by name; ok is false if absent.
-func (g *EntityGraph) TypeByName(name string) (TypeID, bool) {
-	id, ok := g.lookup().types[name]
-	return id, ok
-}
+// TypeByName resolves an entity type by name, by a scan of the schema's
+// type names; ok is false if absent.
+func (g *EntityGraph) TypeByName(name string) (TypeID, bool) { return g.schema.TypeByName(name) }
 
 // EntitiesOfType returns the entities bearing type t (shared slice; callers
 // must not mutate it). Its capacity equals its length, so appending to it
@@ -213,21 +176,16 @@ func capped(s []EntityID) []EntityID { return s[:len(s):len(s)] }
 // of t as a key attribute.
 func (g *EntityGraph) TypeCoverage(t TypeID) int { return len(g.types[t].Entities) }
 
-// SchemaOut returns the relationship types whose From endpoint is t.
-func (g *EntityGraph) SchemaOut(t TypeID) []RelTypeID { return g.schemaOut[t] }
-
-// SchemaIn returns the relationship types whose To endpoint is t.
-func (g *EntityGraph) SchemaIn(t TypeID) []RelTypeID { return g.schemaIn[t] }
-
 // IncidentRelTypes returns all relationship types incident on t (outgoing
-// then incoming). These are the candidate non-key attributes Γτ of a preview
-// table keyed by t. The returned slice is freshly allocated.
+// then incoming, each in id order), as the schema's Incident lists them.
+// These are the candidate non-key attributes Γτ of a preview table keyed
+// by t. The returned slice is freshly allocated.
 func (g *EntityGraph) IncidentRelTypes(t TypeID) []RelTypeID {
-	out := g.schemaOut[t]
-	in := g.schemaIn[t]
-	rs := make([]RelTypeID, 0, len(out)+len(in))
-	rs = append(rs, out...)
-	rs = append(rs, in...)
+	incs := g.schema.Incident(t)
+	rs := make([]RelTypeID, len(incs))
+	for i, inc := range incs {
+		rs[i] = inc.Rel
+	}
 	return rs
 }
 

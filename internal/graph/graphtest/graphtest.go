@@ -1,7 +1,8 @@
 // Package graphtest supplies what the adjacency-layout tests of the graph,
 // score, storage and dynamic packages share: small multigraphs decoded
 // from bytes, the graphs the differentials run on, the reference Neighbors
-// they compare against, and a comparison of two graphs through every
+// they compare against, the references a graph's name order, name lookups
+// and schema are held to, and a comparison of two graphs through every
 // accessor.
 package graphtest
 
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 
 	"github.com/uta-db/previewtables/internal/fig1"
 	"github.com/uta-db/previewtables/internal/freebase"
@@ -201,6 +203,66 @@ func Equal(got, want *graph.EntityGraph) error {
 		if g, w := got.Edge(graph.EdgeID(i)), want.Edge(graph.EdgeID(i)); g != w {
 			return fmt.Errorf("edge %d: %+v, want %+v", i, g, w)
 		}
+	}
+	return nil
+}
+
+// CheckNames compares g's name order with a sort of its entity names, and
+// its name lookups with a map of the names: EntityByName must resolve
+// every entity name, and the longest proper prefix, the empty prefix and
+// a one-byte extension of each exactly when they are names themselves;
+// TypeByName must resolve every type name and no absent one.
+func CheckNames(g *graph.EntityGraph) error {
+	byName := make([]graph.EntityID, g.NumEntities())
+	ids := make(map[string]graph.EntityID, len(byName))
+	for i := range byName {
+		byName[i] = graph.EntityID(i)
+		ids[g.EntityName(graph.EntityID(i))] = graph.EntityID(i)
+	}
+	sort.Slice(byName, func(i, j int) bool { return g.EntityName(byName[i]) < g.EntityName(byName[j]) })
+	order := g.NameOrder()
+	for r, e := range byName {
+		if got := order.Rank(e); got != int32(r) {
+			return fmt.Errorf("%q ranks %d, want %d", g.EntityName(e), got, r)
+		}
+	}
+	for e := range byName {
+		name := g.EntityName(graph.EntityID(e))
+		for _, probe := range []string{name, name[:max(len(name)-1, 0)], "", name + "\x00"} {
+			want, present := ids[probe]
+			if got, ok := g.EntityByName(probe); ok != present || ok && got != want {
+				return fmt.Errorf("EntityByName(%q) = %d, %v, want %d, %v", probe, got, ok, want, present)
+			}
+		}
+	}
+	for t := 0; t < g.NumTypes(); t++ {
+		if got, ok := g.TypeByName(g.TypeName(graph.TypeID(t))); !ok || got != graph.TypeID(t) {
+			return fmt.Errorf("TypeByName(%q) = %d, %v, want %d", g.TypeName(graph.TypeID(t)), got, ok, t)
+		}
+	}
+	if _, ok := g.TypeByName("\x00absent"); ok {
+		return fmt.Errorf("TypeByName resolved an absent name")
+	}
+	return nil
+}
+
+// CheckSchema compares g's schema graph with graph.NewSchema of its type
+// names and relationship types.
+func CheckSchema(g *graph.EntityGraph) error {
+	names := make([]string, g.NumTypes())
+	for i := range names {
+		names[i] = g.TypeName(graph.TypeID(i))
+	}
+	rels := make([]graph.RelType, g.NumRelTypes())
+	for i := range rels {
+		rels[i] = g.RelType(graph.RelTypeID(i))
+	}
+	want, err := graph.NewSchema(names, rels)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(g.Schema(), want) {
+		return fmt.Errorf("the schema differs from NewSchema of the graph's types")
 	}
 	return nil
 }

@@ -10,7 +10,8 @@ import "fmt"
 // A Schema is obtained either from an entity graph (EntityGraph.Schema,
 // in which case edge weights are relationship-instance counts) or built
 // directly with NewSchema (used by the NP-hardness reductions and tests,
-// where weights default to 1 per relationship type).
+// where weights default to 1 per relationship type). Either way it equals
+// NewSchema of its type names and relationship types.
 type Schema struct {
 	typeNames []string
 	rels      []RelType
@@ -41,20 +42,19 @@ type Incidence struct {
 }
 
 // Schema returns the schema graph of g. Undirected edge weights are the
-// relationship-instance counts of the underlying entity graph. The graph
-// is immutable, so the schema is derived once, on first use, and every
-// call returns the same shared *Schema.
-func (g *EntityGraph) Schema() *Schema {
-	g.schemaOnce.Do(func() {
-		names := make([]string, len(g.types))
-		for i := range g.types {
-			names[i] = g.types[i].Name
-		}
-		rels := make([]RelType, len(g.relTypes))
-		copy(rels, g.relTypes)
-		g.schema = buildSchema(names, rels)
-	})
-	return g.schema
+// relationship-instance counts of the underlying entity graph. Assemble
+// and Derive build it with the graph, and every call returns the same
+// shared *Schema.
+func (g *EntityGraph) Schema() *Schema { return &g.schema }
+
+// schemaOf builds the schema graph of an entity graph's type and
+// relationship-type tables.
+func schemaOf(types []EntityType, rels []RelType) Schema {
+	names := make([]string, len(types))
+	for i := range types {
+		names[i] = types[i].Name
+	}
+	return buildSchema(names, append([]RelType{}, rels...))
 }
 
 // NewSchema builds a schema graph directly from a list of entity type names
@@ -68,13 +68,13 @@ func NewSchema(typeNames []string, rels []RelType) (*Schema, error) {
 			return nil, fmt.Errorf("relationship type %q: endpoint out of range", r.Name)
 		}
 	}
-	rs := make([]RelType, len(rels))
-	copy(rs, rels)
-	return buildSchema(append([]string(nil), typeNames...), rs), nil
+	s := buildSchema(append([]string{}, typeNames...), append([]RelType{}, rels...))
+	return &s, nil
 }
 
-func buildSchema(names []string, rels []RelType) *Schema {
-	s := &Schema{typeNames: names, rels: rels}
+// buildSchema makes the schema graph of names and rels, which it keeps.
+func buildSchema(names []string, rels []RelType) Schema {
+	s := Schema{typeNames: names, rels: rels}
 	s.incident = make([][]Incidence, len(names))
 	for ri, r := range rels {
 		s.incident[r.From] = append(s.incident[r.From], Incidence{Rel: RelTypeID(ri), Outgoing: true})

@@ -161,8 +161,8 @@ func TestNewSchemaDirect(t *testing.T) {
 	}
 }
 
-// TestSchemaSharedAcrossGoroutines: a graph derives its schema once.
-// Concurrent first calls all get one pointer, and it equals a fresh
+// TestSchemaSharedAcrossGoroutines: a graph has one schema, made with
+// it. Concurrent calls all get one pointer, and it equals a fresh
 // derivation through NewSchema from the graph's types and rel types.
 func TestSchemaSharedAcrossGoroutines(t *testing.T) {
 	g := fig1.Graph()

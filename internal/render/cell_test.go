@@ -452,9 +452,9 @@ func TestLineBreaksFlattened(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstRenders: on a fresh graph, whose name order does
-// not exist yet, many goroutines render at once; the first of them
-// derives the order and every body equals one rendered alone.
+// TestConcurrentFirstRenders: on a freshly generated graph many
+// goroutines render multi-valued cells at once, and every body equals
+// one rendered alone from another copy of the graph.
 func TestConcurrentFirstRenders(t *testing.T) {
 	fresh := func() *graph.EntityGraph {
 		g, err := freebase.Generate("film", freebase.DefaultGenOptions())
@@ -501,9 +501,6 @@ func TestConcurrentFirstRenders(t *testing.T) {
 		t.Fatal("the preview renders no multi-valued cell")
 	}
 	g := fresh()
-	if g.HasNameOrder() {
-		t.Fatal("a freshly generated graph already has a name order")
-	}
 	const workers = 12
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -520,17 +517,14 @@ func TestConcurrentFirstRenders(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if !g.HasNameOrder() {
-		t.Error("rendering multi-valued cells left the graph without a name order")
-	}
 }
 
 // FuzzCellOrder decodes entity names as well as edges from its input, so
 // names of any bytes, lengths and shared prefixes meet in one cell. It
 // checks every cell against the string sort, the whole table in text at
 // every clip width and in Markdown against the reference renderer, the
-// name order against the names, and an order inherited from a prefix of
-// the entities against a fresh one.
+// name order and name lookups against the names, and the order
+// graph.Derive merges from a prefix of the entities against a fresh one.
 func FuzzCellOrder(f *testing.F) {
 	f.Add([]byte("\x05\x02ab\x01a\x03abc\x00\x02\xff\xfe\x01\x00\x00\x01\x00\x02\x00\x03\x00\x04"))
 	f.Add([]byte("\x08\x03Men\x0cMen in Black\x02\xc3\xa9\x01e\x01\r\x02\r\n\x01\n\x05 Men\x03\x00\x01\x00\x02\x00\x03\x00\x04\x00\x05\x00\x06\x00\x07"))
@@ -582,26 +576,25 @@ func FuzzCellOrder(f *testing.F) {
 		if err := checkTables(g); err != nil {
 			t.Fatal(err)
 		}
-		byName := make([]graph.EntityID, len(names))
-		for i := range byName {
-			byName[i] = graph.EntityID(i)
+		if err := graphtest.CheckNames(g); err != nil {
+			t.Fatal(err)
 		}
-		sort.Slice(byName, func(i, j int) bool { return names[byName[i]] < names[byName[j]] })
-		for r, e := range byName {
-			if got := g.NameOrder().Rank(e); got != int32(r) {
-				t.Fatalf("entity %q ranks %d, want %d", names[e], got, r)
-			}
+		cut := split % (len(names) + 1)
+		prev := build(names[:cut], false)
+		d := graph.Delta{Rels: []graph.RelType{prev.RelType(0)}}
+		for _, name := range names[cut:] {
+			d.Entities = append(d.Entities, graph.Entity{Name: name, Types: []graph.TypeID{0}})
 		}
-		prev := build(names[:split%(len(names)+1)], false)
-		prev.NameOrder()
-		inherited := build(names, false)
-		inherited.InheritNameOrder(prev)
-		if !inherited.HasNameOrder() {
-			t.Fatal("no order inherited from a graph that has one")
+		derived, err := graph.Derive(prev, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := graphtest.CheckNames(derived); err != nil {
+			t.Fatalf("derived from %d of %d entities: %v", cut, len(names), err)
 		}
 		for e := range names {
-			if got, want := inherited.NameOrder().Rank(graph.EntityID(e)), g.NameOrder().Rank(graph.EntityID(e)); got != want {
-				t.Fatalf("entity %q: inherited rank %d, fresh rank %d", names[e], got, want)
+			if got, want := derived.NameOrder().Rank(graph.EntityID(e)), g.NameOrder().Rank(graph.EntityID(e)); got != want {
+				t.Fatalf("entity %q: derived rank %d, fresh rank %d", names[e], got, want)
 			}
 		}
 	})

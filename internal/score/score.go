@@ -102,14 +102,13 @@ type WalkOptions struct {
 	Tolerance float64
 	// MaxIter caps power iteration.
 	MaxIter int
-	// Parallelism is the worker count for the scoring hot paths: Compute's
-	// per-type entropy/coverage fan-out and power iteration's blocked
-	// matrix-vector step, which package dynamic's refreshes run too.
-	// Values <= 1 mean sequential. Results are bit-identical at every
-	// setting: each output slot is computed by exactly one worker with a
-	// per-slot floating-point accumulation order that does not depend on
-	// the worker count (see internal/par), and the convergence test
-	// reduces the parallel step's output on one goroutine in index order.
+	// Parallelism is the worker count of Compute's per-type fan-out: the
+	// coverage and entropy scores of each entity type. Values <= 1 mean
+	// sequential. Results are bit-identical at every setting: each type's
+	// scores are computed by exactly one worker with an accumulation
+	// order that does not depend on the worker count (see internal/par).
+	// Power iteration (StationaryDistribution, which package dynamic's
+	// refreshes run too) is sequential at every setting.
 	Parallelism int
 }
 
@@ -286,11 +285,6 @@ func (s *Set) RankNonKeys(m NonKeyMeasure, t graph.TypeID) []RankedIncidence {
 	return rs
 }
 
-// walkParallelThreshold is the minimum type count before power iteration
-// fans its row blocks out over workers; below it the per-iteration pool
-// coordination costs more than the whole matrix-vector step.
-const walkParallelThreshold = 256
-
 // StationaryDistribution computes the random-walk scores Swalk over the
 // undirected weighted schema view: π = πM where Mij = wij / Σk wik, with
 // opts.Smoothing added between every (ordered) pair of distinct types and
@@ -305,11 +299,9 @@ const walkParallelThreshold = 256
 //
 // The iteration step is formulated as a gather (next[j] pulls from j's
 // neighbors in adjacency order) rather than a scatter, so each row of
-// next is a pure function of pi with a fixed accumulation order. With
-// opts.Parallelism > 1 rows are partitioned into blocks executed by a
-// worker pool; the global smoothing mass and the convergence delta are
-// reduced sequentially in index order, making the result bit-identical
-// to the sequential iteration at any worker count.
+// next is a pure function of pi with a fixed accumulation order. The
+// iteration runs on one goroutine whatever opts.Parallelism says: a step
+// costs ~K·deg flops, microseconds on every shipped schema (K ≤ 91).
 func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
 	n := s.NumTypes()
 	if n == 0 {
@@ -336,28 +328,23 @@ func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
-	// Row blocks for the parallel matrix-vector step. Each row is computed
-	// independently with a fixed per-row accumulation order, so the block
-	// plan affects load balance only, never the floating-point result —
-	// which is also why dropping to sequential below the threshold changes
-	// nothing but speed: per iteration the step costs ~n·deg flops, and
-	// under a few hundred rows that is microseconds of math, less than the
-	// worker pool's per-iteration spawn cost. Shipped domains (K ≤ 91)
-	// therefore run sequentially here; the blocked path engages for large
-	// schemas, where it pays.
-	workers := par.Workers(opts.Parallelism)
-	spans := []par.Span{{Lo: 0, Hi: n}}
-	if workers > 1 && n >= walkParallelThreshold {
-		spans = par.Spans(n, workers*4)
-	} else {
-		workers = 1
-	}
-	// next = pi · M, gathered per row of one span. The step is made once,
-	// not per iteration: it reads pi, next and base as the loop leaves
-	// them, and a closure made per iteration would cost an allocation each.
-	var base float64
-	step := func(si int) {
-		for j := spans[si].Lo; j < spans[si].Hi; j++ {
+	for iter := 0; iter < opts.MaxIter; iter++ {
+		// The global smoothing mass Σ_t pi[t]·σ/rowSum[t] every row
+		// receives (each row subtracts its own contribution — no self
+		// smoothing), plus the uniform share isolated vertices with zero
+		// smoothing distribute to keep the chain stochastic.
+		var smoothTotal, isoShare float64
+		for t := 0; t < n; t++ {
+			if rowSum[t] == 0 {
+				isoShare += pi[t] / float64(n)
+			} else {
+				smoothTotal += pi[t] * opts.Smoothing / rowSum[t]
+			}
+		}
+		base := smoothTotal + isoShare
+		// next = pi · M, gathered per row.
+		var delta float64
+		for j := 0; j < n; j++ {
 			var sum float64
 			neighbors, weights := s.Neighbors(graph.TypeID(j))
 			for i, u := range neighbors {
@@ -370,29 +357,6 @@ func StationaryDistribution(s *graph.Schema, opts WalkOptions) []float64 {
 				sum -= pi[j] * opts.Smoothing / rowSum[j] // no self smoothing
 			}
 			next[j] = 0.5*sum + 0.5*pi[j] // lazy step
-		}
-	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Sequential pre-pass: the global smoothing mass
-		// Σ_t pi[t]·σ/rowSum[t] every row receives (each row subtracts its
-		// own contribution — no self smoothing), plus the uniform share
-		// isolated vertices with zero smoothing distribute to keep the
-		// chain stochastic.
-		var smoothTotal, isoShare float64
-		for t := 0; t < n; t++ {
-			if rowSum[t] == 0 {
-				isoShare += pi[t] / float64(n)
-			} else {
-				smoothTotal += pi[t] * opts.Smoothing / rowSum[t]
-			}
-		}
-		base = smoothTotal + isoShare
-		par.ForEach(workers, len(spans), step)
-		// Convergence delta reduced sequentially in index order, so the
-		// iteration count — and therefore the result — is independent of
-		// the worker count.
-		var delta float64
-		for j := range next {
 			delta += math.Abs(next[j] - pi[j])
 		}
 		pi, next = next, pi

@@ -185,7 +185,7 @@ func (v *view) etagScope(name string) string {
 	var buf [64]byte
 	b := append(buf[:0], name...)
 	b = append(b, '|')
-	b = strconv.AppendUint(b, v.epoch, 10)
+	b = strconv.AppendUint(b, v.Epoch, 10)
 	b = append(b, '|')
 	b = strconv.AppendBool(b, v.mutable)
 	return string(b)

@@ -207,7 +207,7 @@ func (f *Follower) Name() string { return f.name }
 // epoch the follower's readers see. The facade publishes an epoch just
 // before the registry's view does, so its own epoch can run ahead of what
 // a reader is served.
-func (f *Follower) Applied() uint64 { return f.gr.view().epoch }
+func (f *Follower) Applied() uint64 { return f.gr.view().Epoch }
 
 // Status returns a copy of the replication-loop status.
 func (f *Follower) Status() FollowStatus {

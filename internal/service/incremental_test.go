@@ -201,9 +201,9 @@ func TestStaleViewFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gr.maintainedFor(held, p.Key, p.NonKey) != nil {
-			t.Fatalf("%s: the maintained state is not past the held view's epoch %d", q, held.epoch)
+			t.Fatalf("%s: the maintained state is not past the held view's epoch %d", q, held.Epoch)
 		}
-		cold := core.New(held.Scores(), core.Options{Key: p.Key, NonKey: p.NonKey})
+		cold := core.New(held.Scores, core.Options{Key: p.Key, NonKey: p.NonKey})
 
 		c := p.Constraint
 		c.MaxCandidates = srv.SearchBudget

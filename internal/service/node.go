@@ -51,7 +51,6 @@ type NodeConfig struct {
 	FollowerOptions
 
 	CheckpointInterval time.Duration // -checkpoint-interval
-	Warm               bool          // -warm: compute every graph's scores and name order before serving
 }
 
 // validate rejects the flag combinations previewd refuses to start with,
@@ -111,9 +110,9 @@ type Node struct {
 // NewNode validates cfg, then builds its role: it arms fencing on a
 // durable node, loads or recovers every flag-named graph (or follows
 // every graph the leader ships), re-registers graphs adopted before a
-// restart, computes every graph's scores and name order when cfg.Warm is
-// set, and starts the checkpoint loop when cfg.CheckpointDir is set. The
-// returned node is ready to serve through Server.
+// restart, and starts the checkpoint loop when cfg.CheckpointDir is set.
+// Every graph is registered whole, its scores and name order included, so
+// the returned node is ready to serve through Server.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -132,16 +131,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err := n.start(); err != nil {
 		n.Close()
 		return nil, err
-	}
-	if cfg.Warm {
-		for _, name := range n.reg.Names() {
-			if gr, ok := n.reg.Get(name); ok {
-				start := time.Now()
-				gr.Scores()
-				gr.Entity().NameOrder()
-				log.Printf("graph %q: scores and name order precomputed in %v", name, time.Since(start).Round(time.Millisecond))
-			}
-		}
 	}
 	if cfg.CheckpointDir != "" {
 		ctx, stop := context.WithCancel(context.Background())

@@ -144,15 +144,15 @@ func TestNodeStartupValidation(t *testing.T) {
 func TestNodeRoles(t *testing.T) {
 	const g = "fig1" // replBatches' and replReadURLs' graph
 	for _, tc := range []struct {
-		name          string
-		mutable, warm bool
-		ckpt, wal     bool // -checkpoint-dir, -wal-dir
-		follow        bool // -follow a durable leader Node that takes the writes
-		write         int  // what a write to the node answers
-		restart       bool // the role persists across Close and NewNode
-		parallel      bool // a graph with parallel duplicate edges
+		name      string
+		mutable   bool
+		ckpt, wal bool // -checkpoint-dir, -wal-dir
+		follow    bool // -follow a durable leader Node that takes the writes
+		write     int  // what a write to the node answers
+		restart   bool // the role persists across Close and NewNode
+		parallel  bool // a graph with parallel duplicate edges
 	}{
-		{name: "static", warm: true, write: http.StatusMethodNotAllowed},
+		{name: "static", write: http.StatusMethodNotAllowed},
 		{name: "volatile mutable", mutable: true, write: http.StatusOK},
 		{name: "volatile mutable with -checkpoint-dir", mutable: true, ckpt: true, write: http.StatusOK, restart: true},
 		{name: "durable leader", mutable: true, wal: true, write: http.StatusOK, restart: true},
@@ -172,7 +172,7 @@ func TestNodeRoles(t *testing.T) {
 			if !tc.wal {
 				opts.WALRoot = ""
 			}
-			cfg := NodeConfig{Mutable: tc.mutable, FollowerOptions: opts, Warm: tc.warm}
+			cfg := NodeConfig{Mutable: tc.mutable, FollowerOptions: opts}
 			src := fig1Source(g)
 			// The batches after the first write: a parallel row repeats the
 			// first write, so the batches add a parallel copy too.
@@ -190,12 +190,6 @@ func TestNodeRoles(t *testing.T) {
 				cfg.Graphs = []GraphSource{src}
 			}
 			n := startNode(t, cfg)
-			if tc.warm && n.Registry().ScoreComputes() != 1 {
-				t.Fatalf("-warm computed scores %d times before serving, want 1", n.Registry().ScoreComputes())
-			}
-			if gr, _ := n.Registry().Get(g); tc.warm && !gr.Entity().HasNameOrder() {
-				t.Fatal("-warm served before deriving the graph's name order")
-			}
 			ts := httptest.NewServer(n.Server())
 			t.Cleanup(ts.Close)
 

@@ -35,9 +35,7 @@ func TestParallelScoringUnderConcurrentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkOpts := score.DefaultWalkOptions()
-	walkOpts.Parallelism = 4 // every refresh runs the blocked parallel walk
-	live, err := dynamic.NewLive(dg, walkOpts)
+	live, err := dynamic.NewLive(dg, score.DefaultWalkOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

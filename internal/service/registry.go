@@ -9,12 +9,12 @@
 // is obtaining the score.Set — one pass over every edge of the entity
 // graph plus power iteration for the random-walk measure — and, for
 // tight and diverse previews, the Apriori search over it. The score set
-// is cached in the epoch view: one immutable bundle of (entity graph,
-// score set, response cache). A static graph keeps one view forever and
-// computes its score.Set at most once however many requests race for it
-// (a sync.Once); a mutable graph gets a fresh view per mutation epoch,
-// its score set produced by the incremental refresh (package dynamic)
-// rather than score.Compute. Search results are cached one level up, on
+// is held in the epoch view: one immutable bundle of (entity graph,
+// score set, response cache), complete when it is made. A static graph
+// keeps one view forever, its score.Set computed once, by Registry.Add;
+// a mutable graph gets a fresh view per mutation epoch, its score set
+// produced by the incremental refresh (package dynamic) rather than
+// score.Compute. Search results are cached one level up, on
 // the Graph: one core.Maintained per (key measure, non-key measure) pair,
 // which a static graph builds once at epoch 0 and a mutable graph carries
 // forward across epochs, however many it skips: each view's snapshot says
@@ -69,13 +69,6 @@ type Registry struct {
 	fence    atomic.Uint64
 	fenceOn  atomic.Bool
 	fenceDir string
-
-	// scoreComputes counts score.Compute runs across all static graphs.
-	// Tests and benchmarks assert on it to prove the cache-hit path never
-	// re-runs the precomputation. (Live graphs never run score.Compute at
-	// all — their sets come from the incremental refresh; see
-	// dynamic.Live.Refreshes for the equivalent counter.)
-	scoreComputes atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
@@ -84,26 +77,20 @@ func NewRegistry() *Registry {
 }
 
 // Add registers an immutable graph under name. The name must be one path
-// element (see checkGraphName) and must not already be registered.
+// element (see checkGraphName) and must not already be registered. Add
+// computes the graph's scores (score.Compute, with Parallelism workers)
+// before it returns, so no request pays for them.
 func (r *Registry) Add(name string, g *graph.EntityGraph) error {
 	if g == nil {
 		return fmt.Errorf("service: nil graph %q", name)
 	}
-	gr := &Graph{name: name, reg: r}
-	workers := r.Parallelism // captured: compute may run on a request goroutine
-	v := &view{
-		stats: g.Stats(),
-		g:     g,
-		gr:    gr,
-		par:   workers,
-		compute: func() *score.Set {
-			r.scoreComputes.Add(1)
-			opts := score.DefaultWalkOptions()
-			opts.Parallelism = workers
-			return score.Compute(g, opts)
-		},
+	if err := checkGraphName(name); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
-	gr.cur.Store(v)
+	opts := score.DefaultWalkOptions()
+	opts.Parallelism = r.Parallelism
+	gr := &Graph{name: name, reg: r}
+	gr.cur.Store(gr.newView(&dynamic.Snapshot{Stats: g.Stats(), Scores: score.Compute(g, opts), Frozen: g}))
 	return r.register(name, gr)
 }
 
@@ -306,11 +293,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// ScoreComputes reports how many times score.Compute has run across the
-// registry's static graphs. With the cache working it equals the number
-// of static graphs that have served at least one preview request.
-func (r *Registry) ScoreComputes() int64 { return r.scoreComputes.Load() }
-
 // measureKey identifies one maintained discovery state.
 type measureKey struct {
 	key    score.KeyMeasure
@@ -324,27 +306,19 @@ type measureKey struct {
 // throughout, so a request started at epoch e keeps e's graph and scores
 // even if writers publish newer epochs meanwhile.
 type view struct {
-	epoch   uint64
+	// Snapshot is the epoch's graph, scores and statistics: a live
+	// epoch's snapshot, or the one Add makes of a static graph at epoch 0,
+	// which has no change history.
+	*dynamic.Snapshot
 	mutable bool
-	stats   graph.Stats
-	g       *graph.EntityGraph
-	snap    *dynamic.Snapshot // the live epoch's snapshot; nil on a static graph
 
 	// gr points back to the owning Graph, where the discovery state lives
 	// (a view is one epoch; the maintained Discoverers outlive it).
 	gr *Graph
 
-	// par is the worker count for this view's score computation,
-	// Discoverer construction and searches (Registry.Parallelism at view
-	// creation).
+	// par is the worker count for this view's Discoverer construction and
+	// searches (Registry.Parallelism at view creation).
 	par int
-
-	// scores is set eagerly for mutable views (the incremental refresh
-	// already produced it) and computed on first use through scoreOnce for
-	// static views.
-	scoreOnce sync.Once
-	scores    *score.Set
-	compute   func() *score.Set
 
 	// resp caches rendered response bytes keyed by endpoint + canonical
 	// params (cache.go). It lives inside the view on purpose: the view
@@ -354,17 +328,6 @@ type view struct {
 	// install views through Graph.publish.
 	respMu sync.Mutex
 	resp   map[string]*respSlot
-}
-
-// Scores returns the view's score set, computing it on first use for
-// static views. Concurrent callers share one computation.
-func (v *view) Scores() *score.Set {
-	v.scoreOnce.Do(func() {
-		if v.scores == nil {
-			v.scores = v.compute()
-		}
-	})
-	return v.scores
 }
 
 // FollowStatus is a follower's view of one replicated graph, published
@@ -475,23 +438,19 @@ func (gr *Graph) install(live *dynamic.Live, wal *storage.WAL) {
 // and thread the result through, so one request never mixes epochs.
 func (gr *Graph) view() *view { return gr.cur.Load() }
 
+// newView makes gr's view of snap.
+func (gr *Graph) newView(snap *dynamic.Snapshot) *view {
+	return &view{Snapshot: snap, mutable: gr.Mutable(), gr: gr, par: gr.reg.Parallelism}
+}
+
 // publish installs a new epoch view for snap unless a newer epoch is
 // already current (concurrent writers publish out of lock order), and
 // returns the view now current.
 func (gr *Graph) publish(snap *dynamic.Snapshot) *view {
-	nv := &view{
-		epoch:   snap.Epoch,
-		mutable: true,
-		stats:   snap.Stats,
-		g:       snap.Frozen,
-		snap:    snap,
-		gr:      gr,
-		par:     gr.reg.Parallelism,
-		scores:  snap.Scores,
-	}
+	nv := gr.newView(snap)
 	for {
 		old := gr.cur.Load()
-		if old != nil && old.epoch >= nv.epoch {
+		if old != nil && old.Epoch >= nv.Epoch {
 			return old
 		}
 		if gr.cur.CompareAndSwap(old, nv) {
@@ -522,9 +481,9 @@ func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeas
 
 	epoch, ok := m.Epoch()
 	switch {
-	case ok && epoch == v.epoch:
+	case ok && epoch == v.Epoch:
 		return m
-	case ok && epoch > v.epoch:
+	case ok && epoch > v.Epoch:
 		return nil
 	}
 	// Only a live view can find the state behind it (a static graph's is
@@ -532,11 +491,11 @@ func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeas
 	var dirty []graph.TypeID
 	structural := !ok
 	if ok {
-		dirty, structural = v.snap.DirtySince(epoch)
+		dirty, structural = v.DirtySince(epoch)
 	}
 	// A concurrent refresh to a newer epoch wins benignly: Refresh
 	// ignores stale epochs, and DiscoverAt then reports ErrStaleEpoch.
-	m.Refresh(v.Scores(), v.epoch, dirty, structural)
+	m.Refresh(v.Scores, v.Epoch, dirty, structural)
 	return m
 }
 
@@ -563,7 +522,7 @@ func (gr *Graph) noteRefined(epoch uint64) {
 // view answers from its own uncached Discoverer instead.
 func (v *view) search(km score.KeyMeasure, nm score.NonKeyMeasure, c core.Constraint) (core.Preview, error) {
 	if m := v.gr.maintainedFor(v, km, nm); m != nil {
-		p, err := m.DiscoverAt(v.epoch, c)
+		p, err := m.DiscoverAt(v.Epoch, c)
 		if !errors.Is(err, core.ErrStaleEpoch) {
 			return p, err
 		}
@@ -576,15 +535,15 @@ func (v *view) search(km score.KeyMeasure, nm score.NonKeyMeasure, c core.Constr
 // maintained state. It is bit-identical to the maintained Discoverer at
 // this epoch, so it answers with the same bytes.
 func (v *view) cold(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discoverer {
-	return core.New(v.Scores(), core.Options{Key: km, NonKey: nm, Parallelism: v.par})
+	return core.New(v.Scores, core.Options{Key: km, NonKey: nm, Parallelism: v.par})
 }
 
 // Entity returns the graph behind the current view (for mutable graphs,
 // the frozen snapshot of the latest epoch).
-func (gr *Graph) Entity() *graph.EntityGraph { return gr.view().g }
+func (gr *Graph) Entity() *graph.EntityGraph { return gr.view().Frozen }
 
 // Stats returns the current view's size statistics.
-func (gr *Graph) Stats() graph.Stats { return gr.view().stats }
+func (gr *Graph) Stats() graph.Stats { return gr.view().Stats }
 
 // Scores returns the current view's score set.
-func (gr *Graph) Scores() *score.Set { return gr.view().Scores() }
+func (gr *Graph) Scores() *score.Set { return gr.view().Scores }

@@ -323,7 +323,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, gr *Graph, wal *storage
 	doc := replStatusDoc{
 		Graph: gr.Name(),
 		Role:  "leader",
-		Epoch: gr.view().epoch,
+		Epoch: gr.view().Epoch,
 	}
 	if wal != nil {
 		doc.Horizon, doc.DurableEpoch = walRange(wal)

@@ -503,12 +503,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, gr *Graph) 
 // "converged" flips false the instant a write publishes a newer epoch
 // and back true when refinement catches up.
 func statsFor(name string, v *view, refined *uint64) render.GraphStatsDoc {
-	doc := render.GraphStats(name, v.stats)
+	doc := render.GraphStats(name, v.Stats)
 	if v.mutable {
-		doc = doc.WithEpoch(v.epoch)
+		doc = doc.WithEpoch(v.Epoch)
 	}
 	if refined != nil {
-		doc = doc.WithAnytime(*refined >= v.epoch, *refined)
+		doc = doc.WithAnytime(*refined >= v.Epoch, *refined)
 	}
 	return doc
 }
@@ -551,14 +551,14 @@ func (s *Server) anytimeCertified(gr *Graph, v *view, p previewParams) bool {
 	c := p.Constraint
 	c.MaxCandidates = s.SearchBudget
 	if c.Mode == core.Concise {
-		gr.noteRefined(v.epoch)
+		gr.noteRefined(v.Epoch)
 		return true
 	}
 	m := gr.maintainedFor(v, p.Key, p.NonKey)
-	if m == nil || !m.CertifiedAt(v.epoch, c) {
+	if m == nil || !m.CertifiedAt(v.Epoch, c) {
 		return false
 	}
-	gr.noteRefined(v.epoch)
+	gr.noteRefined(v.Epoch)
 	return true
 }
 
@@ -577,7 +577,7 @@ func (s *Server) anytimeDiscover(gr *Graph, v *view, p previewParams, certified 
 		err error
 	)
 	if m := gr.maintainedFor(v, p.Key, p.NonKey); m != nil {
-		pv, _, err = m.AnytimeAt(v.epoch, ac)
+		pv, _, err = m.AnytimeAt(v.Epoch, ac)
 	} else {
 		err = core.ErrStaleEpoch
 	}
@@ -606,9 +606,9 @@ func (s *Server) refineAnytime(gr *Graph, v *view, p previewParams) {
 	if m == nil {
 		return
 	}
-	_, err := m.DiscoverAt(v.epoch, c)
+	_, err := m.DiscoverAt(v.Epoch, c)
 	if err == nil || errors.Is(err, core.ErrNoPreview) || errors.Is(err, core.ErrSearchBudget) {
-		gr.noteRefined(v.epoch)
+		gr.noteRefined(v.Epoch)
 	}
 }
 
@@ -658,14 +658,14 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request, gr *Graph
 			Constraint: mode,
 			Key:        keyMeasureName(p.Key),
 			NonKey:     nonKeyMeasureName(p.NonKey),
-			Preview:    render.PreviewDocument(v.g, &pv, renderOptions(p)),
+			Preview:    render.PreviewDocument(v.Frozen, &pv, renderOptions(p)),
 		}
 		if p.Anytime {
 			c := certified
 			resp.Converged = &c
 		}
 		if v.mutable {
-			epoch := v.epoch
+			epoch := v.Epoch
 			resp.Epoch = &epoch
 		}
 		return newEntry("application/json; charset=utf-8", resp.appendJSON)
@@ -698,11 +698,11 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, gr *Graph)
 		opts := renderOptions(p)
 		if format == "markdown" {
 			return newEntry("text/markdown; charset=utf-8", func(b []byte) ([]byte, error) {
-				return render.AppendMarkdownPreview(b, v.g, &pv, opts), nil
+				return render.AppendMarkdownPreview(b, v.Frozen, &pv, opts), nil
 			})
 		}
 		return newEntry("text/plain; charset=utf-8", func(b []byte) ([]byte, error) {
-			return render.AppendPreview(b, v.g, &pv, opts), nil
+			return render.AppendPreview(b, v.Frozen, &pv, opts), nil
 		})
 	})
 }

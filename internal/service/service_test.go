@@ -13,6 +13,7 @@ import (
 
 	"github.com/uta-db/previewtables/internal/core"
 	"github.com/uta-db/previewtables/internal/fig1"
+	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/render"
 	"github.com/uta-db/previewtables/internal/score"
 	"github.com/uta-db/previewtables/internal/wire"
@@ -380,12 +381,12 @@ func TestSearchBudgetExceeded(t *testing.T) {
 }
 
 // TestConcurrentRequestsShareOneCompute is the cache-concurrency test:
-// many goroutines race preview and render requests across measure pairs,
-// yet score.Compute runs exactly once for the graph. The tight and
-// diverse URLs come two per constraint, so distinct response-cache keys
-// race into one maintained search flight and its certificate.
+// many goroutines race preview and render requests across measure pairs
+// over the one score set Registry.Add computed. The tight and diverse
+// URLs come two per constraint, so distinct response-cache keys race into
+// one maintained search flight and its certificate.
 func TestConcurrentRequestsShareOneCompute(t *testing.T) {
-	reg, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	urls := []string{
 		ts.URL + "/v1/graphs/fig1/preview?k=2&n=3",
 		ts.URL + "/v1/graphs/fig1/preview?k=2&n=3&key=walk",
@@ -422,9 +423,6 @@ func TestConcurrentRequestsShareOneCompute(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := reg.ScoreComputes(); n != 1 {
-		t.Fatalf("score.Compute ran %d times under concurrency, want exactly 1", n)
-	}
 }
 
 // TestDiscovererIdentity pins the discovery-state contract at the
@@ -455,9 +453,6 @@ func TestDiscovererIdentity(t *testing.T) {
 			t.Errorf("static graph's maintained state at epoch %d (initialized %t), want 0", e, ok)
 		}
 	}
-	if n := reg.ScoreComputes(); n != 1 {
-		t.Fatalf("score.Compute ran %d times, want 1", n)
-	}
 }
 
 func TestRegistryAdd(t *testing.T) {
@@ -487,9 +482,44 @@ func TestRegistryAdd(t *testing.T) {
 	}
 }
 
+// TestAddComputesScores: Registry.Add returns with the view's scores in
+// place, score.Compute's for the graph bit for bit, and a rejected name
+// registers nothing.
+func TestAddComputesScores(t *testing.T) {
+	reg := NewRegistry()
+	g := fig1.Graph()
+	if err := reg.Add("g", g); err != nil {
+		t.Fatal(err)
+	}
+	gr, _ := reg.Get("g")
+	v := gr.view()
+	if v.Scores == nil || v.Epoch != 0 || v.mutable || v.Frozen != g {
+		t.Fatalf("Add registered a view without its scores: %+v", v)
+	}
+	want := score.Compute(g, score.DefaultWalkOptions())
+	for ty := 0; ty < g.NumTypes(); ty++ {
+		id := graph.TypeID(ty)
+		for _, km := range []score.KeyMeasure{score.KeyCoverage, score.KeyRandomWalk} {
+			if got, w := v.Scores.Key(km, id), want.Key(km, id); got != w {
+				t.Fatalf("type %d: key score %v, want %v", ty, got, w)
+			}
+		}
+		for i := range g.Schema().Incident(id) {
+			for _, nm := range []score.NonKeyMeasure{score.NonKeyCoverage, score.NonKeyEntropy} {
+				if got, w := v.Scores.NonKey(nm, id, i), want.NonKey(nm, id, i); got != w {
+					t.Fatalf("type %d, incidence %d: non-key score %v, want %v", ty, i, got, w)
+				}
+			}
+		}
+	}
+	if err := reg.Add("a/b", g); err == nil || len(reg.Names()) != 1 {
+		t.Fatalf("Add with a bad name: %v, registered %v", err, reg.Names())
+	}
+}
+
 // BenchmarkPreviewCacheHit measures the steady-state preview path: the
-// Discoverer is warm, so each request is parse + discover + encode with
-// no score.Compute. The benchmark fails if the precomputation re-runs.
+// scores were computed by Add and the Discoverer is warm, so each request
+// is parse + discover + encode.
 func BenchmarkPreviewCacheHit(b *testing.B) {
 	reg := NewRegistry()
 	if err := reg.Add("fig1", fig1.Graph()); err != nil {
@@ -498,9 +528,6 @@ func BenchmarkPreviewCacheHit(b *testing.B) {
 	srv := New(reg)
 	warm := httptest.NewRequest(http.MethodGet, "/v1/graphs/fig1/preview?k=2&n=3&tuples=4", nil)
 	srv.ServeHTTP(httptest.NewRecorder(), warm)
-	if n := reg.ScoreComputes(); n != 1 {
-		b.Fatalf("warmup: score.Compute ran %d times, want 1", n)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -513,10 +540,6 @@ func BenchmarkPreviewCacheHit(b *testing.B) {
 			}
 		}
 	})
-	b.StopTimer()
-	if n := reg.ScoreComputes(); n != 1 {
-		b.Fatalf("cache-hit path re-ran score.Compute: %d runs, want 1", n)
-	}
 }
 
 // BenchmarkPreviewCacheMiss is the contrast case: a fresh registry per

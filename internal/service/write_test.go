@@ -284,25 +284,25 @@ func TestNoStaleDiscovererAcrossEpochs(t *testing.T) {
 	if m != gr.maintainedFor(v1, score.KeyCoverage, score.NonKeyCoverage) {
 		t.Fatal("same epoch handed out distinct maintained states")
 	}
-	if e, ok := m.Epoch(); !ok || e != v1.epoch {
-		t.Fatalf("maintained state at epoch %d (initialized %t), want %d", e, ok, v1.epoch)
+	if e, ok := m.Epoch(); !ok || e != v1.Epoch {
+		t.Fatalf("maintained state at epoch %d (initialized %t), want %d", e, ok, v1.Epoch)
 	}
 	if status, raw := post(t, ts.URL+"/v1/graphs/fig1/edges",
 		`{"edges":[{"from":"Alex Proyas","rel":"Director","to":"Hancock"}]}`); status != http.StatusOK {
 		t.Fatalf("mutation failed: %d %s", status, raw)
 	}
 	v2 := gr.view()
-	if v2 == v1 || v2.epoch != v1.epoch+1 {
-		t.Fatalf("view not swapped: epochs %d → %d", v1.epoch, v2.epoch)
+	if v2 == v1 || v2.Epoch != v1.Epoch+1 {
+		t.Fatalf("view not swapped: epochs %d → %d", v1.Epoch, v2.Epoch)
 	}
-	if v2.Scores() == v1.Scores() {
+	if v2.Scores == v1.Scores {
 		t.Fatal("stale score set survived the epoch bump")
 	}
 	if gr.maintainedFor(v2, score.KeyCoverage, score.NonKeyCoverage) != m {
 		t.Fatal("the maintained state was not carried across the epoch bump")
 	}
-	if e, _ := m.Epoch(); e != v2.epoch {
-		t.Fatalf("maintained state stayed at epoch %d after the bump to %d", e, v2.epoch)
+	if e, _ := m.Epoch(); e != v2.Epoch {
+		t.Fatalf("maintained state stayed at epoch %d after the bump to %d", e, v2.Epoch)
 	}
 }
 
