@@ -955,8 +955,9 @@ func BenchmarkRenderMiss(b *testing.B) {
 	// GENRE (72) renders, with its incoming Release Type or Musical Genres
 	// cell: 52 runs of more than 16 values, up to 2,597, ~9k names in
 	// all. tuples=72 covers both key types, so sampling draws nothing.
-	// The name order is derived before the timer starts, as a served
-	// graph derives it once.
+	// Each cell is written straight from its graph run, which the graph
+	// holds in name order, so the arms time writing names, not ordering
+	// them.
 	var big core.Preview
 	for _, col := range []struct{ key, rel string }{
 		{"MUSICAL ALBUM TYPE", "Release Type"},

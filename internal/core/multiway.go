@@ -65,8 +65,10 @@ type ExpandedValue struct {
 
 // ExpandValues materializes the one-hop expansion of a tuple's value set on
 // a mediated attribute: for each direct value, the related entities of each
-// participant type. Plain binary attributes return values with empty
-// Linked maps.
+// participant type. Values come in the tuple's order, name order; each
+// Linked list holds what each incident relationship type of the target
+// contributes, in incidence order, each in name order. Plain binary
+// attributes return values with empty Linked maps.
 func ExpandValues(g *graph.EntityGraph, key graph.TypeID, inc graph.Incidence, tuple Tuple, attrIndex int) []ExpandedValue {
 	s := g.Schema()
 	info, mediated := Mediator(s, key, inc)

@@ -391,7 +391,7 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 // With nothing pending it returns base as it is, so two calls share one
 // graph. The graph's ids are this graph's ids; it counts every parallel
 // copy, as the counters do, and holds each neighbor once per run, in
-// ascending id order: it equals graph.Assemble of the whole state in
+// name order: it equals graph.Assemble of the whole state in
 // canonical edge order (relationship type, source, target). So a graph
 // streamed back from it (FromEntityGraph, as a checkpoint restart does)
 // counts the same again.

@@ -77,8 +77,8 @@ func (l *ledger) record(src *graph.EntityGraph) {
 }
 
 // reference builds the ledger's graph with graph.Builder, its edges in
-// canonical order (relationship type, source, target), so that every
-// neighbor run ascends.
+// canonical order (relationship type, source, target), the order of a
+// live graph's edge list.
 func (l *ledger) reference() (*graph.EntityGraph, error) {
 	var b graph.Builder
 	for _, name := range l.types {

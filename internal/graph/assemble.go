@@ -10,7 +10,7 @@ import (
 // sparse row form. The entries of entity e are start[e] up to start[e+1],
 // sorted by relationship type; the entries of one (entity, relationship
 // type) run hold the distinct other endpoints of e's edges of that type,
-// in the order of their first edge.
+// in the graph's name order, whatever order the edges came in.
 type adjacency struct {
 	start []int32     // one offset per entity, plus the end
 	rel   []RelTypeID // per entry
@@ -32,7 +32,8 @@ func (a *adjacency) run(e EntityID, rel RelTypeID) []EntityID {
 
 // Assemble makes an entity graph from its parts, its name order and its
 // schema graph included; it is the one place an EntityGraph is made from
-// scratch (Derive extends one). The parts must be
+// scratch (Derive extends one). Every neighbor run is in the name order,
+// so the order of edges sets only the edge list. The parts must be
 // in canonical form, the form Builder.Build produces and storage snapshots
 // record:
 //
@@ -146,10 +147,9 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 		byRel[relStart[ed.Rel]] = int32(i)
 		relStart[ed.Rel]++
 	}
-	mark := make([]uint32, len(entities))
-	var stamp uint32
-	g.out = layout(len(entities), edges, byRel, true, mark, &stamp)
-	g.in = layout(len(entities), edges, byRel, false, mark, &stamp)
+	sc := runScratch{mark: make([]uint32, len(entities))}
+	g.out = layout(len(entities), edges, byRel, true, g.names.rank, &sc)
+	g.in = layout(len(entities), edges, byRel, false, g.names.rank, &sc)
 
 	g.schema = schemaOf(g.types, rels)
 	return g, nil
@@ -159,10 +159,9 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 // its source, otherwise under its target. byRel orders the edges by
 // relationship type, so the second, stable counting pass, by entity,
 // leaves every entity's entries sorted by (relationship type, edge id); a
-// last pass keeps the first entry of each other endpoint in its run.
-// mark and stamp tell which endpoints a run has kept: mark[v] == *stamp
-// after v is kept, and every run takes a fresh stamp.
-func layout(n int, edges []Edge, byRel []int32, outgoing bool, mark []uint32, stamp *uint32) adjacency {
+// last pass keeps the first entry of each other endpoint in its run and
+// puts the run in name order by rank.
+func layout(n int, edges []Edge, byRel []int32, outgoing bool, rank []int32, sc *runScratch) adjacency {
 	// Counts land two slots up, so after the prefix sum start[e+1] is e's
 	// offset; filling advances it to e's end, which is e+1's offset.
 	start := make([]int32, n+2)
@@ -195,15 +194,16 @@ func layout(n int, edges []Edge, byRel []int32, outgoing bool, mark []uint32, st
 		lo, hi := start[e], start[e+1]
 		start[e] = w
 		for i := lo; i < hi; {
-			r := rel[i]
-			*stamp++
+			r, first := rel[i], w
+			sc.stamp++
 			for ; i < hi && rel[i] == r; i++ {
-				if v := nbr[i]; mark[v] != *stamp {
-					mark[v] = *stamp
+				if v := nbr[i]; sc.mark[v] != sc.stamp {
+					sc.mark[v] = sc.stamp
 					rel[w], nbr[w] = r, v
 					w++
 				}
 			}
+			sc.sortByRank(nbr[first:w], rank)
 		}
 	}
 	start[n] = w
@@ -214,4 +214,30 @@ func layout(n int, edges []Edge, byRel []int32, outgoing bool, mark []uint32, st
 		nbr = append(make([]EntityID, 0, w), nbr[:w]...)
 	}
 	return adjacency{start: start, rel: rel[:w:w], nbr: nbr[:w:w]}
+}
+
+// runScratch is what layout reuses from run to run. mark and stamp tell
+// which endpoints a run has kept: mark[v] == stamp after v is kept, and
+// every run takes a fresh stamp. keys holds a run's sort keys.
+type runScratch struct {
+	mark  []uint32
+	stamp uint32
+	keys  []uint64
+}
+
+// sortByRank puts a run of distinct entities in name order. It sorts no
+// strings: each entity's rank and its id pack into one integer key, so
+// the sort compares integers. A run of one entity is in order already.
+func (sc *runScratch) sortByRank(run []EntityID, rank []int32) {
+	if len(run) < 2 {
+		return
+	}
+	sc.keys = sc.keys[:0]
+	for _, v := range run {
+		sc.keys = append(sc.keys, uint64(rank[v])<<32|uint64(uint32(v)))
+	}
+	slices.Sort(sc.keys)
+	for i, key := range sc.keys {
+		run[i] = EntityID(uint32(key))
+	}
 }

@@ -35,12 +35,14 @@ type Retype struct {
 }
 
 // Derive makes the graph that prev becomes with d applied, the way a live
-// graph makes each snapshot's. prev must be the empty graph (the zero
-// EntityGraph) or a graph whose neighbor runs ascend, as the runs of every
-// graph Derive makes do; d must be the batch since prev, with no edge that
-// breaks the data model. Then the result equals Assemble of the whole
-// state in canonical edge order (relationship type, source, target): the
-// same entities, per-type lists, neighbor runs, counts and edge list.
+// graph makes each snapshot's. prev may be any graph, the empty graph
+// (the zero EntityGraph) included; d must be the batch since prev, with no
+// edge that breaks the data model. Then the result equals Assemble of the
+// whole state: the same entities, per-type lists, neighbor runs, counts,
+// name order and schema graph. Its edge list is prev's with the batch's
+// edges merged in canonical order (relationship type, source, target), so
+// it is Assemble's in canonical edge order when prev's is, as every live
+// graph's is.
 //
 // Derive checks only what the batch declares: a new entity without a
 // type is an error, as in Assemble. It validates, hashes, sorts and maps
@@ -48,14 +50,14 @@ type Retype struct {
 // are shared with prev or appended to (prev keeps its own lengths);
 // a per-type list the batch inserts into is copied, and a batch that
 // retypes an older entity copies the table of entity records. Derive
-// copies the type and relationship-type tables, sorts the batch's edges,
-// drops repeated triples and those prev holds, rebuilds each direction of
-// the adjacency by one merge of prev's with the new triples, merges the
-// batch's new names into prev's name order (sharing it when the batch
-// declares no entity), and builds the schema graph. It leaves only the
-// edge list to be built on first use, except that a graph derived from
-// one without edges keeps the sorted batch as its edge list. It keeps no
-// slice of d.
+// copies the type and relationship-type tables, merges the batch's new
+// names into prev's name order (sharing it when the batch declares no
+// entity), sorts the batch's edges, drops repeated triples and those prev
+// holds, rebuilds each direction of the adjacency by one merge of prev's
+// with the new triples, each placed in its run by rank, and builds the
+// schema graph. It leaves only the edge list to be built on first use,
+// except that a graph derived from one without edges keeps the sorted
+// batch as its edge list. It keeps no slice of d.
 func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 	nEnts := len(prev.entities) + len(d.Entities)
 	nEdges := prev.numEdges + len(d.Edges)
@@ -130,21 +132,34 @@ func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 	// The batch's new distinct triples are the entries each direction
 	// gains: dropping the rest before the per-direction sorts keeps a
 	// batch of parallel copies, or a whole graph's first batch, cheap.
+	// The new order only inserts the batch's names between the old ones,
+	// so prev's runs, in prev's order, are in the new order too.
+	known := len(prev.entities)
 	edges := slices.Clone(d.Edges)
 	slices.SortFunc(edges, compareEdges)
 	out := make([]entry, 0, len(edges))
 	in := make([]entry, 0, len(edges))
 	for i, ed := range edges {
-		if i > 0 && ed == edges[i-1] || int(ed.From) < len(prev.entities) && prev.out.has(ed.From, ed.Rel, ed.To) {
+		if i > 0 && ed == edges[i-1] || int(ed.From) < known && int(ed.To) < known && prev.out.has(ed.From, ed.Rel, ed.To, prev.names.rank) {
 			continue
 		}
 		out = append(out, entry{ed.From, ed.Rel, ed.To})
 		in = append(in, entry{ed.To, ed.Rel, ed.From})
 	}
-	slices.SortFunc(out, compareEntries)
-	slices.SortFunc(in, compareEntries)
-	g.out = prev.out.merge(nEnts, out)
-	g.in = prev.in.merge(nEnts, in)
+	rank := g.names.rank
+	byRank := func(a, b entry) int {
+		if c := cmp.Compare(a.e, b.e); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.rel, b.rel); c != 0 {
+			return c
+		}
+		return cmp.Compare(rank[a.other], rank[b.other])
+	}
+	slices.SortFunc(out, byRank)
+	slices.SortFunc(in, byRank)
+	g.out = prev.out.merge(nEnts, out, rank)
+	g.in = prev.in.merge(nEnts, in, rank)
 
 	// prev.edges is read only when Assemble or Derive set it at
 	// construction: otherwise it is written by prev's first reader.
@@ -180,27 +195,20 @@ type entry struct {
 	other EntityID
 }
 
-func compareEntries(a, b entry) int {
-	if c := cmp.Compare(a.e, b.e); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.rel, b.rel); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.other, b.other)
-}
-
-// has reports whether e's run of rel, which must ascend, holds other.
-func (a *adjacency) has(e EntityID, rel RelTypeID, other EntityID) bool {
-	_, ok := slices.BinarySearch(a.run(e, rel), other)
-	return ok
+// has reports whether e's run of rel holds other, by binary search of
+// the run by rank in the name order the run is in.
+func (a *adjacency) has(e EntityID, rel RelTypeID, other EntityID, rank []int32) bool {
+	run := a.run(e, rel)
+	i := sort.Search(len(run), func(j int) bool { return rank[run[j]] >= rank[other] })
+	return i < len(run) && run[i] == other
 }
 
 // merge returns a over n entities (at least a's) with es inserted: es are
-// new entries, none already in a, sorted by compareEntries. Each lands in
-// its run after the smaller other endpoints, so ascending runs stay
-// ascending. a's entries move in block copies between the insertions.
-func (a *adjacency) merge(n int, es []entry) adjacency {
+// new entries, none already in a, sorted by entity, relationship type and
+// the rank of the other endpoint. Each lands in its run after the other
+// endpoints of smaller rank, so runs in name order stay in name order.
+// a's entries move in block copies between the insertions.
+func (a *adjacency) merge(n int, es []entry, rank []int32) adjacency {
 	if len(a.start) == 0 { // the empty graph's
 		a = &adjacency{start: []int32{0}}
 	}
@@ -216,7 +224,7 @@ func (a *adjacency) merge(n int, es []entry) adjacency {
 		lo, hi := at(int(x.e)), at(int(x.e)+1)
 		p := lo + sort.Search(hi-lo, func(j int) bool {
 			r := a.rel[lo+j]
-			return r > x.rel || r == x.rel && a.nbr[lo+j] > x.other
+			return r > x.rel || r == x.rel && rank[a.nbr[lo+j]] > rank[x.other]
 		})
 		copy(out.rel[src+i:], a.rel[src:p])
 		copy(out.nbr[src+i:], a.nbr[src:p])

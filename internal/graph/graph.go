@@ -91,7 +91,8 @@ type EntityGraph struct {
 	log       *edgeLog
 
 	// out and in index each entity's outgoing and incoming neighbors: one
-	// run of distinct neighbors per (entity, relationship type).
+	// run of distinct neighbors per (entity, relationship type), in name
+	// order.
 	out adjacency
 	in  adjacency
 
@@ -202,11 +203,12 @@ func (g *EntityGraph) HasType(e EntityID, t TypeID) bool {
 //     (rel.From must be a type of v);
 //   - otherwise the entities u with an edge e(u, v) of type rel.
 //
-// The result is in the order of each entity's first such edge and
-// contains no duplicates. It is a view into the graph's adjacency index,
-// found by binary search without allocating: shared; callers must not
-// mutate it. Its capacity equals its length, so appending to it copies.
-// An empty set is nil.
+// The result is in byte-wise name order, the graph's NameOrder, whatever
+// order the edges came in, and contains no duplicates: the order every
+// renderer shows a multi-valued cell in. It is a view into the graph's
+// adjacency index, found by binary search without allocating: shared;
+// callers must not mutate it. Its capacity equals its length, so
+// appending to it copies. An empty set is nil.
 func (g *EntityGraph) Neighbors(e EntityID, rel RelTypeID, outgoing bool) []EntityID {
 	if outgoing {
 		return g.out.run(e, rel)

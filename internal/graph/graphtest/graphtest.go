@@ -99,10 +99,11 @@ func Corpus() ([]Named, error) {
 }
 
 // CheckNeighbors compares g.Neighbors, for every (entity, relationship
-// type, direction), against a reference that scans the edges in id order
-// and keeps each neighbor's first occurrence. It also checks that every
-// result's capacity equals its length, so a caller's append cannot write
-// into the next run.
+// type, direction), against a reference that scans the edges for each
+// run's distinct neighbors and orders them by sort.Strings of their
+// names, so it reads nothing of the graph's name order. It also checks
+// that every result's capacity equals its length, so a caller's append
+// cannot write into the next run.
 func CheckNeighbors(g *graph.EntityGraph) error {
 	type run struct {
 		e   graph.EntityID
@@ -113,18 +114,29 @@ func CheckNeighbors(g *graph.EntityGraph) error {
 		run
 		other graph.EntityID
 	}
-	want := map[run][]graph.EntityID{}
+	names := map[run][]string{}
 	seen := map[seenKey]bool{}
 	add := func(r run, other graph.EntityID) {
 		if k := (seenKey{r, other}); !seen[k] {
 			seen[k] = true
-			want[r] = append(want[r], other)
+			names[r] = append(names[r], g.EntityName(other))
 		}
 	}
 	for i := 0; i < g.NumEdges(); i++ {
 		ed := g.Edge(graph.EdgeID(i))
 		add(run{ed.From, ed.Rel, true}, ed.To)
 		add(run{ed.To, ed.Rel, false}, ed.From)
+	}
+	ids := make(map[string]graph.EntityID, g.NumEntities())
+	for e := 0; e < g.NumEntities(); e++ {
+		ids[g.EntityName(graph.EntityID(e))] = graph.EntityID(e)
+	}
+	want := make(map[run][]graph.EntityID, len(names))
+	for r, ns := range names {
+		sort.Strings(ns)
+		for _, n := range ns {
+			want[r] = append(want[r], ids[n])
+		}
 	}
 	for e := 0; e < g.NumEntities(); e++ {
 		for r := 0; r < g.NumRelTypes(); r++ {

@@ -11,7 +11,8 @@ import (
 // sorts before f's. Entity names are unique, so no two ranks tie and the
 // ranks of |Vd| entities are 0 … |Vd|-1. A graph makes its order when it
 // is made: Assemble sorts the names, and Derive merges a batch's new names
-// into its predecessor's order. A NameOrder is immutable and shared.
+// into its predecessor's order. Every neighbor run of the graph is in this
+// order. A NameOrder is immutable and shared.
 type NameOrder struct {
 	rank   []int32    // per entity
 	byRank []EntityID // per rank: the inverse of rank

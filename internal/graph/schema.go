@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Schema is the schema graph Gs(Vs, Es) in a form convenient for the preview
 // algorithms: entity types as vertices, relationship types as (directed)
@@ -73,58 +77,83 @@ func NewSchema(typeNames []string, rels []RelType) (*Schema, error) {
 }
 
 // buildSchema makes the schema graph of names and rels, which it keeps.
+// Each of its per-type lists is cut from one slab.
 func buildSchema(names []string, rels []RelType) Schema {
+	n := len(names)
 	s := Schema{typeNames: names, rels: rels}
-	s.incident = make([][]Incidence, len(names))
+
+	// Γτ by a counting sort: counts land two slots up, so after the prefix
+	// sum at[t+1] is t's offset, and filling advances it to t's end.
+	at := make([]int32, n+2)
+	for _, r := range rels {
+		at[r.From+2]++
+		at[r.To+2]++
+	}
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	incs := make([]Incidence, 2*len(rels))
 	for ri, r := range rels {
-		s.incident[r.From] = append(s.incident[r.From], Incidence{Rel: RelTypeID(ri), Outgoing: true})
+		incs[at[r.From+1]] = Incidence{Rel: RelTypeID(ri), Outgoing: true}
+		at[r.From+1]++
 	}
 	for ri, r := range rels {
-		s.incident[r.To] = append(s.incident[r.To], Incidence{Rel: RelTypeID(ri), Outgoing: false})
+		incs[at[r.To+1]] = Incidence{Rel: RelTypeID(ri), Outgoing: false}
+		at[r.To+1]++
+	}
+	s.incident = make([][]Incidence, n)
+	for t := range s.incident {
+		s.incident[t] = incs[at[t]:at[t+1]:at[t+1]]
 	}
 
-	// Undirected weighted adjacency, merging parallel relationship types.
-	adj := make([]map[TypeID]float64, len(names))
-	add := func(a, b TypeID, w float64) {
-		if adj[a] == nil {
-			adj[a] = make(map[TypeID]float64)
-		}
-		adj[a][b] += w
-	}
+	// The undirected weighted view, merging parallel relationship types:
+	// one (a, b, w) triple per direction of each relationship type, in
+	// relationship-id order (a self loop once), sorted stably by (a, b),
+	// so each pair's weight is summed in relationship-id order.
+	pairs := make([]weighted, 0, 2*len(rels))
 	for _, r := range rels {
 		w := float64(r.EdgeCount)
 		if r.EdgeCount == 0 {
 			w = 1
 		}
-		if r.From == r.To {
-			add(r.From, r.To, w)
+		pairs = append(pairs, weighted{r.From, r.To, w})
+		if r.From != r.To {
+			pairs = append(pairs, weighted{r.To, r.From, w})
+		}
+	}
+	slices.SortStableFunc(pairs, func(x, y weighted) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	m := 0
+	for _, p := range pairs {
+		if m > 0 && pairs[m-1].a == p.a && pairs[m-1].b == p.b {
+			pairs[m-1].w += p.w
 			continue
 		}
-		add(r.From, r.To, w)
-		add(r.To, r.From, w)
+		pairs[m] = p
+		m++
 	}
-	s.neighbors = make([][]TypeID, len(names))
-	s.weight = make([][]float64, len(names))
-	for t := range adj {
-		for u := range adj[t] {
-			s.neighbors[t] = append(s.neighbors[t], u)
+	nbrs, weights := make([]TypeID, m), make([]float64, m)
+	s.neighbors, s.weight = make([][]TypeID, n), make([][]float64, n)
+	lo := 0
+	for t := range s.neighbors {
+		hi := lo
+		for ; hi < m && pairs[hi].a == TypeID(t); hi++ {
+			nbrs[hi], weights[hi] = pairs[hi].b, pairs[hi].w
 		}
-		// Deterministic order for reproducibility.
-		sortTypeIDs(s.neighbors[t])
-		s.weight[t] = make([]float64, len(s.neighbors[t]))
-		for i, u := range s.neighbors[t] {
-			s.weight[t][i] = adj[t][TypeID(u)]
-		}
+		s.neighbors[t], s.weight[t] = nbrs[lo:hi:hi], weights[lo:hi:hi]
+		lo = hi
 	}
 	return s
 }
 
-func sortTypeIDs(ts []TypeID) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j-1] > ts[j]; j-- {
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-		}
-	}
+// weighted is a weight w between entity types a and b.
+type weighted struct {
+	a, b TypeID
+	w    float64
 }
 
 // NumTypes returns |Vs|.

@@ -1,14 +1,18 @@
 package graph_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"github.com/uta-db/previewtables/internal/fig1"
 	"github.com/uta-db/previewtables/internal/graph"
+	"github.com/uta-db/previewtables/internal/graph/graphtest"
 )
 
 func fig1Schema(t *testing.T) (*graph.EntityGraph, *graph.Schema) {
@@ -355,5 +359,110 @@ func TestSchemaWeightSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refSchema is the schema builder as it was before its lists were cut
+// from slabs: Γτ appended per type, and each type's undirected weights
+// summed in a map of its own, in relationship-id order, then listed in
+// ascending type order. It returns each type's incidences, neighbors and
+// weights.
+func refSchema(numTypes int, rels []graph.RelType) ([][]graph.Incidence, [][]graph.TypeID, [][]float64) {
+	incident := make([][]graph.Incidence, numTypes)
+	for ri, r := range rels {
+		incident[r.From] = append(incident[r.From], graph.Incidence{Rel: graph.RelTypeID(ri), Outgoing: true})
+	}
+	for ri, r := range rels {
+		incident[r.To] = append(incident[r.To], graph.Incidence{Rel: graph.RelTypeID(ri), Outgoing: false})
+	}
+	adj := make([]map[graph.TypeID]float64, numTypes)
+	add := func(a, b graph.TypeID, w float64) {
+		if adj[a] == nil {
+			adj[a] = make(map[graph.TypeID]float64)
+		}
+		adj[a][b] += w
+	}
+	for _, r := range rels {
+		w := float64(r.EdgeCount)
+		if r.EdgeCount == 0 {
+			w = 1
+		}
+		add(r.From, r.To, w)
+		if r.From != r.To {
+			add(r.To, r.From, w)
+		}
+	}
+	neighbors := make([][]graph.TypeID, numTypes)
+	weights := make([][]float64, numTypes)
+	for t := range adj {
+		for u := range adj[t] {
+			neighbors[t] = append(neighbors[t], u)
+		}
+		sort.Slice(neighbors[t], func(i, j int) bool { return neighbors[t][i] < neighbors[t][j] })
+		for _, u := range neighbors[t] {
+			weights[t] = append(weights[t], adj[t][u])
+		}
+	}
+	return incident, neighbors, weights
+}
+
+// TestSchemaMatchesMapReference: the schema of every graph of the layout
+// corpus, and of seeded random schemas with parallel relationship types,
+// self loops, zero edge counts and counts too large for a float64 to sum
+// exactly in every order, lists the reference's incidences and neighbors,
+// and its weights bit for bit (the random walk reads them).
+func TestSchemaMatchesMapReference(t *testing.T) {
+	var schemas []*graph.Schema
+	gs, err := graphtest.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range gs {
+		schemas = append(schemas, n.Graph.Schema())
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		n := rng.Intn(6) + 1
+		names := make([]string, n)
+		for j := range names {
+			names[j] = string(rune('A' + j))
+		}
+		rels := make([]graph.RelType, rng.Intn(24))
+		for j := range rels {
+			rels[j] = graph.RelType{Name: "r", From: graph.TypeID(rng.Intn(n)), To: graph.TypeID(rng.Intn(n))}
+			switch rng.Intn(3) {
+			case 1:
+				rels[j].EdgeCount = rng.Intn(10) + 1
+			case 2:
+				rels[j].EdgeCount = int(rng.Int63n(1 << 62))
+			}
+		}
+		s, err := graph.NewSchema(names, rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas = append(schemas, s)
+	}
+	for i, s := range schemas {
+		rels := make([]graph.RelType, s.NumRelTypes())
+		for r := range rels {
+			rels[r] = s.RelType(graph.RelTypeID(r))
+		}
+		incident, neighbors, weights := refSchema(s.NumTypes(), rels)
+		for ty := 0; ty < s.NumTypes(); ty++ {
+			id := graph.TypeID(ty)
+			if got := s.Incident(id); !slices.Equal(got, incident[ty]) || cap(got) != len(got) {
+				t.Fatalf("schema %d, type %d: incidences %v (cap %d), want %v", i, ty, got, cap(got), incident[ty])
+			}
+			nb, w := s.Neighbors(id)
+			if !slices.Equal(nb, neighbors[ty]) || len(w) != len(weights[ty]) {
+				t.Fatalf("schema %d, type %d: neighbors %v weights %v, want %v %v", i, ty, nb, w, neighbors[ty], weights[ty])
+			}
+			for j := range w {
+				if math.Float64bits(w[j]) != math.Float64bits(weights[ty][j]) {
+					t.Fatalf("schema %d, type %d: weight %d is %v, want %v", i, ty, j, w[j], weights[ty][j])
+				}
+			}
+		}
 	}
 }

@@ -1,17 +1,15 @@
-// Package par is the repo's worker-pool substrate: deterministic
-// partitioning of index ranges plus a pull-based pool that fans tasks out
-// over a bounded number of goroutines.
+// Package par is the repo's worker-pool substrate: a pull-based pool that
+// fans tasks out over a bounded number of goroutines.
 //
-// Every parallel hot path (score precomputation, the blocked power
-// iteration, the k-subset searches of internal/core) is built on the same
-// discipline: the WORK is partitioned into contiguous spans whose
-// boundaries do not depend on the worker count, each span's result is
-// written into a slot owned by that span, and span results are combined
-// afterwards in span order on one goroutine. Floating-point accumulation
-// order — the only way a data-race-free parallel run could diverge from
-// the sequential one — is therefore fixed by the span plan, not by
-// scheduling, which is what lets the callers promise bit-identical
-// results at any parallelism.
+// Every parallel hot path (score precomputation, the k-subset searches of
+// internal/core) runs one task per index through ForEach, and no result
+// depends on which worker ran a task or when: a task writes only slots it
+// owns, computed in an order that does not depend on the worker count,
+// and results are combined on one goroutine, in task order or by a rule
+// that breaks every tie. Floating-point accumulation order — the only way
+// a data-race-free parallel run could diverge from the sequential one —
+// is therefore fixed by the tasks, not by scheduling, which is what lets
+// the callers promise bit-identical results at any parallelism.
 package par
 
 import "runtime"
@@ -28,41 +26,6 @@ func Workers(n int) int {
 
 // Auto is the conventional "one worker per core" parallelism value.
 func Auto() int { return runtime.GOMAXPROCS(0) }
-
-// Span is one contiguous half-open index range [Lo, Hi).
-type Span struct{ Lo, Hi int }
-
-// Len returns the number of indexes in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
-
-// Spans partitions [0, n) into at most chunks contiguous spans of
-// near-equal length (the first n%chunks spans are one longer). It returns
-// nil for n <= 0 and clamps chunks to [1, n]. The partition is a pure
-// function of (n, chunks): callers that keep chunks fixed across runs get
-// identical span boundaries regardless of how many workers execute them.
-func Spans(n, chunks int) []Span {
-	if n <= 0 {
-		return nil
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > n {
-		chunks = n
-	}
-	spans := make([]Span, chunks)
-	size, rem := n/chunks, n%chunks
-	lo := 0
-	for i := range spans {
-		hi := lo + size
-		if i < rem {
-			hi++
-		}
-		spans[i] = Span{Lo: lo, Hi: hi}
-		lo = hi
-	}
-	return spans
-}
 
 // ForEach runs fn(i) for every i in [0, n), distributing indexes over up
 // to workers goroutines through a shared pull counter. With workers <= 1

@@ -5,60 +5,6 @@ import (
 	"testing"
 )
 
-func TestSpansPartition(t *testing.T) {
-	cases := []struct{ n, chunks int }{
-		{0, 4}, {-3, 2}, {1, 1}, {1, 8}, {7, 3}, {16, 4}, {5, 0}, {10, -1}, {100, 7},
-	}
-	for _, c := range cases {
-		spans := Spans(c.n, c.chunks)
-		if c.n <= 0 {
-			if spans != nil {
-				t.Fatalf("Spans(%d, %d) = %v, want nil", c.n, c.chunks, spans)
-			}
-			continue
-		}
-		// Exact cover of [0, n) in order, no empty spans.
-		lo := 0
-		for i, s := range spans {
-			if s.Lo != lo {
-				t.Fatalf("Spans(%d, %d)[%d].Lo = %d, want %d", c.n, c.chunks, i, s.Lo, lo)
-			}
-			if s.Len() < 1 {
-				t.Fatalf("Spans(%d, %d)[%d] empty: %v", c.n, c.chunks, i, s)
-			}
-			lo = s.Hi
-		}
-		if lo != c.n {
-			t.Fatalf("Spans(%d, %d) covers [0, %d), want [0, %d)", c.n, c.chunks, lo, c.n)
-		}
-		// Balanced: lengths differ by at most one.
-		min, max := spans[0].Len(), spans[0].Len()
-		for _, s := range spans {
-			if s.Len() < min {
-				min = s.Len()
-			}
-			if s.Len() > max {
-				max = s.Len()
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("Spans(%d, %d) unbalanced: min %d max %d", c.n, c.chunks, min, max)
-		}
-	}
-}
-
-func TestSpansIndependentOfWorkers(t *testing.T) {
-	// The partition is a function of (n, chunks) only — the determinism
-	// contract parallel callers rely on.
-	a := Spans(1000, 8)
-	b := Spans(1000, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("span %d differs between identical calls: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 2, 3, 8, 64} {
 		const n = 257

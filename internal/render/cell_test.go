@@ -344,10 +344,11 @@ func craftedGraph(t testing.TB) *graph.EntityGraph {
 	return g
 }
 
-// TestCellBodyMatchesStringSort: ordering cells by the graph's name rank
-// gives the bytes sorting the names gave, in JSON, Markdown and text at
-// every clip width, and whole tables render the reference renderer's
-// bytes, over the layout corpus and the crafted names.
+// TestCellBodyMatchesStringSort: a cell written straight from its graph
+// run, in the run's order, gives the bytes sorting the names gave, in
+// JSON, Markdown and text at every clip width, and whole tables render
+// the reference renderer's bytes, over the layout corpus and the crafted
+// names.
 func TestCellBodyMatchesStringSort(t *testing.T) {
 	gs, err := graphtest.Corpus()
 	if err != nil {
@@ -364,30 +365,41 @@ func TestCellBodyMatchesStringSort(t *testing.T) {
 	}
 }
 
-// TestDefaultWidthCellAllocs: a text cell of the default width keeps at
-// most cellKeys (22) names in order, and it keeps them on the stack, so
-// once the graph's name order exists such a cell renders without
-// allocating.
+// TestDefaultWidthCellAllocs: a cell is a prefix of its graph run, so a
+// text cell of the default width, a Markdown cell and a text cell clipped
+// at 400 runes, each of 100 values, render without allocating.
 func TestDefaultWidthCellAllocs(t *testing.T) {
 	var b graph.Builder
 	hub, name := b.Type("HUB"), b.Type("NAME")
 	rel := b.RelType("holds", hub, name)
 	from := b.Entity("hub", hub)
-	vals := make([]graph.EntityID, cellKeys)
-	for i := range vals {
-		vals[i] = b.Entity(fmt.Sprintf("name %02d", len(vals)-i), name)
-		b.Edge(from, vals[i], rel)
+	for i := 100; i > 0; i-- {
+		b.Edge(from, b.Entity(fmt.Sprintf("name %03d", i), name), rel)
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 0, 1024)
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = appendCell(dst[:0], g, vals, defaultCellWidth, appendOneLine)
-	})
-	if allocs != 0 {
-		t.Fatalf("a %d-value text cell allocates %v times per render, want 0", len(vals), allocs)
+	vals := g.Neighbors(from, rel, true)
+	if len(vals) != 100 {
+		t.Fatalf("the hub holds %d values, want 100", len(vals))
+	}
+	dst := make([]byte, 0, 4096)
+	for _, c := range []struct {
+		what  string
+		width int
+		name  func([]byte, string) []byte
+	}{
+		{"text cell at the default width", defaultCellWidth, appendOneLine},
+		{"Markdown cell", 0, appendName},
+		{"text cell at width 400", 400, appendOneLine},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			dst = appendCell(dst[:0], g, vals, c.width, c.name)
+		})
+		if allocs != 0 {
+			t.Errorf("a %d-value %s allocates %v times per render, want 0", len(vals), c.what, allocs)
+		}
 	}
 }
 

@@ -159,9 +159,8 @@ func tupleDoc(g *graph.EntityGraph, tu core.Tuple) TupleDoc {
 	d := TupleDoc{Key: g.EntityName(tu.Key), Values: make([][]string, len(tu.Values))}
 	for i, vals := range tu.Values {
 		names := make([]string, len(vals))
-		var small [cellKeys]uint64
-		for j, k := range byName(g, vals, len(vals), &small) {
-			names[j] = g.EntityName(cellID(k))
+		for j, v := range vals {
+			names[j] = g.EntityName(v)
 		}
 		d.Values[i] = names
 	}

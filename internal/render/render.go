@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,65 +114,17 @@ func sampleTuples(g *graph.EntityGraph, t *core.Table, opts Options) []core.Tupl
 // defaultCellWidth is MaxCellWidth's default, in runes.
 const defaultCellWidth = 40
 
-// cellKeys is how many keys a text cell of the default width keeps
-// (appendCell), so byName sorts such a cell in its caller's stack array.
-const cellKeys = defaultCellWidth/2 + 2
-
-// byName returns the first n of a cell's entities in byte-wise name
-// order, the order sort.Strings gives their names, in small when they
-// fit. It sorts no strings: each entity's rank in the graph's name order
-// and its id pack into one integer (cellID unpacks the id), so the sort
-// compares integers, and entity names are unique, so rank order is name
-// order. When n is short of the cell, only the n smallest keys are kept,
-// in order, as they come. A cell of one value needs no order, so it does
-// not derive one. This is the one cell body of the text, Markdown and
-// JSON renderers.
-func byName(g *graph.EntityGraph, vals []graph.EntityID, n int, small *[cellKeys]uint64) []uint64 {
-	keys := small[:0]
-	if n > len(small) {
-		keys = make([]uint64, 0, n)
-	}
-	if len(vals) < 2 {
-		for _, v := range vals {
-			keys = append(keys, uint64(uint32(v)))
-		}
-		return keys
-	}
-	order := g.NameOrder()
-	key := func(v graph.EntityID) uint64 { return uint64(order.Rank(v))<<32 | uint64(uint32(v)) }
-	if n >= len(vals) {
-		for _, v := range vals {
-			keys = append(keys, key(v))
-		}
-		slices.Sort(keys)
-		return keys
-	}
-	for _, v := range vals {
-		k := key(v)
-		if len(keys) == n {
-			if k > keys[n-1] {
-				continue
-			}
-			keys = keys[:n-1]
-		}
-		i, _ := slices.BinarySearch(keys, k)
-		keys = slices.Insert(keys, i, k)
-	}
-	return keys
-}
-
-func cellID(key uint64) graph.EntityID { return graph.EntityID(uint32(key)) }
-
 // appendCell appends a value set's text or Markdown cell, each name
 // through name (appendOneLine for text; appendName for Markdown, whose
 // cell is escaped whole afterwards): "-" when empty, the bare name for a
-// single value, "{a, b}" for a multi-valued cell (Fig. 2). A text cell
-// is clipped to width runes, so with width > 0 appendCell stops after
-// the first name that takes the cell past width: clipping that prefix
-// gives the bytes clipping the whole cell gives. Each name after the
-// first adds at least two runes, so the cell is past width by its
-// width/2+2-th name, and only that many names are put in order. A
-// Markdown cell is not clipped (width 0).
+// single value, "{a, b}" for a multi-valued cell (Fig. 2). vals is a
+// graph neighbor run, so its names come in byte-wise name order, the
+// order every renderer shows. A text cell is clipped to width runes, so
+// with width > 0 appendCell stops after the first name that takes the
+// cell past width: clipping that prefix gives the bytes clipping the
+// whole cell gives. Each name after the first adds at least two runes, so
+// the cell is past width by its width/2+2-th name. A Markdown cell is not
+// clipped (width 0).
 func appendCell(dst []byte, g *graph.EntityGraph, vals []graph.EntityID, width int, name func([]byte, string) []byte) []byte {
 	switch len(vals) {
 	case 0:
@@ -181,21 +132,15 @@ func appendCell(dst []byte, g *graph.EntityGraph, vals []graph.EntityID, width i
 	case 1:
 		return name(dst, g.EntityName(vals[0]))
 	}
-	n := len(vals)
-	if width > 0 {
-		n = min(n, width/2+2)
-	}
-	var small [cellKeys]uint64
-	keys := byName(g, vals, n, &small)
 	dst = append(dst, '{')
 	runes := 1
-	for i, k := range keys {
+	for i, v := range vals {
 		if i > 0 {
 			dst = append(dst, ", "...)
 			runes += 2
 		}
 		mark := len(dst)
-		dst = name(dst, g.EntityName(cellID(k)))
+		dst = name(dst, g.EntityName(v))
 		if width > 0 {
 			if runes += utf8.RuneCount(dst[mark:]); runes > width {
 				return dst

@@ -79,9 +79,10 @@ func checkEntropy(t *testing.T, name string, g *graph.EntityGraph) {
 }
 
 // TestEntropyMatchesReference: Entropy's grouping (singletons counted by
-// id, multi-valued sets keyed once sorted) gives bit-identical scores to
-// the map-and-key reference on Fig. 1, the default-scale domains and
-// seeded random multigraphs, and so does Compute's per-type scratch.
+// id, multi-valued sets keyed by their runs, which are in name order)
+// gives bit-identical scores to the map-and-key reference, which sorts
+// each set's ids, on Fig. 1, the default-scale domains and seeded random
+// multigraphs, and so does Compute's per-type scratch.
 func TestEntropyMatchesReference(t *testing.T) {
 	gs, err := graphtest.Corpus()
 	if err != nil {
@@ -105,7 +106,8 @@ func TestEntropyMatchesReference(t *testing.T) {
 
 // FuzzGraphLayout decodes its input into a multigraph of at most 12 types
 // and 64 entities (graphtest.Multigraph) and checks the flat layout from
-// three sides: Neighbors against a scan of the edges, Entropy against the
+// three sides: Neighbors against each run's neighbors found by a scan of
+// the edges and ordered by their sorted names, Entropy against the
 // reference, and the snapshot codec's Write → Read → Write, which must
 // reproduce the bytes.
 func FuzzGraphLayout(f *testing.F) {

@@ -421,7 +421,6 @@ func HistogramEntropy(hist []SizeCount) float64 {
 // incidences of one type by Compute.
 type entropyScratch struct {
 	singles []graph.EntityID // the value of each single-valued tuple
-	set     []graph.EntityID // a multi-valued set, sorted
 	key     []byte           // a multi-valued set's key
 	multi   map[string]int   // multi-valued set key → index into sizes
 	sizes   []int            // group sizes
@@ -439,12 +438,10 @@ func (sc *entropyScratch) entropy(g *graph.EntityGraph, t graph.TypeID, inc grap
 			// A single value is its own group, counted below by id.
 			singles = append(singles, vals[0])
 		default:
-			// A multi-valued set is keyed by its sorted ids, so {a,b} and
-			// {b,a} collide. Neighbors' result is shared: sort a copy.
-			sc.set = append(sc.set[:0], vals...)
-			slices.Sort(sc.set)
+			// A multi-valued set is keyed by its run, which is in the
+			// graph's name order: equal sets are equal runs.
 			sc.key = sc.key[:0]
-			for _, id := range sc.set {
+			for _, id := range vals {
 				sc.key = binary.LittleEndian.AppendUint32(sc.key, uint32(id))
 			}
 			if i, ok := sc.multi[string(sc.key)]; ok {

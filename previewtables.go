@@ -176,7 +176,8 @@ func Discover(g *EntityGraph, c Constraint) (Preview, error) {
 // fresh seed-1 stream when rng is nil. Each call makes one draw per entity
 // of the table's key type; the renderers' default stream memoizes its
 // samples instead. The tuples' value sets are read-only views of g's
-// memory: copy one before changing it.
+// memory, each in byte-wise name order (the order the renderers show),
+// not in the order of its edges: copy one before changing it.
 func SampleTuples(g *EntityGraph, t *PreviewTable, count int, rng *rand.Rand) []Tuple {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -206,7 +207,9 @@ func Mediator(s *Schema, key TypeID, t *PreviewTable, attrIndex int) (MediatorIn
 }
 
 // ExpandValues materializes the one-hop expansion of a tuple's values on a
-// multi-way attribute.
+// multi-way attribute. The values come in the tuple's order, byte-wise
+// name order, as do the linked entities each relationship type of the
+// target type contributes, one relationship type after another.
 func ExpandValues(g *EntityGraph, t *PreviewTable, tuple Tuple, attrIndex int) []ExpandedValue {
 	return core.ExpandValues(g, t.Key, t.NonKeys[attrIndex].Inc, tuple, attrIndex)
 }
