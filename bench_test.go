@@ -474,19 +474,31 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 
 // BenchmarkLoadSnapshot: storage.LoadFile of the 100k-entity music
 // snapshot, the load every previewd -graph start, checkpoint recovery and
-// follower bootstrap pays.
+// follower bootstrap pays, and of the default-scale people, books, film
+// and tv snapshots, the graphs the fleet benchmark loads and its
+// followers bootstrap from.
 func BenchmarkLoadSnapshot(b *testing.B) {
-	g, _ := parallelBenchSetup(b)
-	path := filepath.Join(b.TempDir(), "music.egpt")
-	if err := storage.SaveFile(path, g); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := storage.LoadFile(path); err != nil {
+	big, _ := parallelBenchSetup(b)
+	for _, domain := range []string{"music-100k", "people", "books", "film", "tv"} {
+		g := big
+		if domain != "music-100k" {
+			var err error
+			if g, err = freebase.Generate(domain, freebase.DefaultGenOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		path := filepath.Join(b.TempDir(), domain+".egpt")
+		if err := storage.SaveFile(path, g); err != nil {
 			b.Fatal(err)
 		}
+		b.Run(domain, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := storage.LoadFile(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"github.com/uta-db/previewtables/internal/par"
 )
 
 // adjacency is one direction of an entity graph's adjacency, in compressed
@@ -45,10 +47,18 @@ func (a *adjacency) run(e EntityID, rel RelTypeID) []EntityID {
 //   - every edge's endpoints and relationship type exist, and each
 //     endpoint bears its relationship type's endpoint type.
 //
-// Assemble reports the first violation as an error. It takes ownership of
-// its arguments: it sets each relationship type's EdgeCount from edges,
-// and the graph keeps the slices, so the caller must not touch them
+// Assemble reports the first violation as an error; any other violation
+// comes before a duplicate entity name. It takes ownership of its
+// arguments: it sets each relationship type's EdgeCount from edges, and
+// the graph keeps the slices, so the caller must not touch them
 // afterwards.
+//
+// The name sort reads only the names, and nothing else Assemble checks or
+// builds before the layout's transposes needs a rank, so the sort runs as
+// one task and the rest as the other, side by side where there is a
+// second core. Neither task writes what the other reads, and both end
+// before Assemble goes on or returns, so the graph does not depend on how
+// they were scheduled.
 func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (*EntityGraph, error) {
 	if len(entities) >= math.MaxInt32 || len(edges) >= math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d entities, %d edges exceed the int32 layout", len(entities), len(edges))
@@ -60,10 +70,46 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 		edges:    edges,
 		numEdges: len(edges),
 	}
+	byRank := make([]EntityID, len(entities))
+	var bySource adjacency
+	var err error
+	par.ForEach(par.Auto(), 2, func(task int) {
+		if task == 0 {
+			for i := range byRank {
+				byRank[i] = EntityID(i)
+			}
+			sortByName(entities, byRank)
+			return
+		}
+		bySource, err = g.checkAndScatter(types)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A duplicate name sorts next to its twin.
+	for r := 1; r < len(byRank); r++ {
+		if name := entities[byRank[r]].Name; name == entities[byRank[r-1]].Name {
+			return nil, fmt.Errorf("graph: duplicate entity %q", name)
+		}
+	}
+	g.names = orderOf(byRank)
+	scratch := make([]EntityID, 2*len(bySource.nbr))
+	g.in = transpose(bySource, byRank, len(rels), scratch)
+	g.out = transpose(g.in, byRank, len(rels), scratch)
+	g.schema = schemaOf(g.types, rels)
+	return g, nil
+}
+
+// checkAndScatter is the part of Assemble that needs no name order: it
+// checks the canonical form but for entity names, sets the type names, the
+// edge counts and the per-type entity lists, and lays the edges out under
+// their sources (scatter).
+func (g *EntityGraph) checkAndScatter(types []string) (adjacency, error) {
+	rels, entities, edges := g.relTypes, g.entities, g.edges
 	typeNames := make(map[string]struct{}, len(types))
 	for i, name := range types {
 		if typeNames[name] = struct{}{}; len(typeNames) != i+1 {
-			return nil, fmt.Errorf("graph: duplicate type %q", name)
+			return adjacency{}, fmt.Errorf("graph: duplicate type %q", name)
 		}
 		g.types[i].Name = name
 	}
@@ -71,55 +117,46 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 	for i := range rels {
 		r := &rels[i]
 		if r.From < 0 || int(r.From) >= len(types) || r.To < 0 || int(r.To) >= len(types) {
-			return nil, fmt.Errorf("graph: relationship type %q: endpoint type out of range", r.Name)
+			return adjacency{}, fmt.Errorf("graph: relationship type %q: endpoint type out of range", r.Name)
 		}
 		if relKeys[relKey{r.Name, r.From, r.To}] = struct{}{}; len(relKeys) != i+1 {
-			return nil, fmt.Errorf("graph: duplicate relationship type %q(%s, %s)", r.Name, types[r.From], types[r.To])
+			return adjacency{}, fmt.Errorf("graph: duplicate relationship type %q(%s, %s)", r.Name, types[r.From], types[r.To])
 		}
 		r.EdgeCount = 0
 	}
 	typeCount := make([]int32, len(types)+1)
+	// first holds each entity's first type, so the edge check reads no
+	// entity record for an endpoint whose first type is the one required.
+	first := make([]TypeID, len(entities))
 	for i := range entities {
 		ent := &entities[i]
 		if len(ent.Types) == 0 {
-			return nil, fmt.Errorf("graph: entity %q has no type", ent.Name)
+			return adjacency{}, fmt.Errorf("graph: entity %q has no type", ent.Name)
 		}
+		first[i] = ent.Types[0]
 		for j, t := range ent.Types {
 			if t < 0 || int(t) >= len(types) {
-				return nil, fmt.Errorf("graph: entity %q: type id %d out of range", ent.Name, t)
+				return adjacency{}, fmt.Errorf("graph: entity %q: type id %d out of range", ent.Name, t)
 			}
 			if j > 0 && ent.Types[j-1] >= t {
-				return nil, fmt.Errorf("graph: entity %q: type list not strictly ascending", ent.Name)
+				return adjacency{}, fmt.Errorf("graph: entity %q: type list not strictly ascending", ent.Name)
 			}
 			typeCount[t+1]++
 		}
 	}
 	for i, ed := range edges {
 		if ed.From < 0 || int(ed.From) >= len(entities) || ed.To < 0 || int(ed.To) >= len(entities) {
-			return nil, fmt.Errorf("graph: edge %d: endpoint out of range", i)
+			return adjacency{}, fmt.Errorf("graph: edge %d: endpoint out of range", i)
 		}
 		if ed.Rel < 0 || int(ed.Rel) >= len(rels) {
-			return nil, fmt.Errorf("graph: edge %d: relationship type out of range", i)
+			return adjacency{}, fmt.Errorf("graph: edge %d: relationship type out of range", i)
 		}
 		rt := &rels[ed.Rel]
-		if !g.HasType(ed.From, rt.From) || !g.HasType(ed.To, rt.To) {
-			return nil, fmt.Errorf("graph: edge %d: an endpoint lacks the type relationship %q requires", i, rt.Name)
+		if first[ed.From] != rt.From && !g.HasType(ed.From, rt.From) || first[ed.To] != rt.To && !g.HasType(ed.To, rt.To) {
+			return adjacency{}, fmt.Errorf("graph: edge %d: an endpoint lacks the type relationship %q requires", i, rt.Name)
 		}
 		rt.EdgeCount++
 	}
-
-	// The name order: a duplicate name sorts next to its twin.
-	byRank := make([]EntityID, len(entities))
-	for i := range byRank {
-		byRank[i] = EntityID(i)
-	}
-	sortByName(entities, byRank)
-	for r := 1; r < len(byRank); r++ {
-		if name := entities[byRank[r]].Name; name == entities[byRank[r-1]].Name {
-			return nil, fmt.Errorf("graph: duplicate entity %q", name)
-		}
-	}
-	g.names = orderOf(byRank)
 
 	// Per-type entity lists, ascending, cut from one slab.
 	for t := range types {
@@ -136,8 +173,7 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 		}
 	}
 
-	// Edge ids ordered by relationship type, stably: the first of the two
-	// counting passes behind each direction's layout.
+	// Edge ids ordered by relationship type, stably, for the scatter.
 	relStart := make([]int32, len(rels)+1)
 	for i := range rels {
 		relStart[i+1] = relStart[i] + int32(rels[i].EdgeCount)
@@ -147,30 +183,22 @@ func Assemble(types []string, rels []RelType, entities []Entity, edges []Edge) (
 		byRel[relStart[ed.Rel]] = int32(i)
 		relStart[ed.Rel]++
 	}
-	sc := runScratch{mark: make([]uint32, len(entities))}
-	g.out = layout(len(entities), edges, byRel, true, g.names.rank, &sc)
-	g.in = layout(len(entities), edges, byRel, false, g.names.rank, &sc)
-
-	g.schema = schemaOf(g.types, rels)
-	return g, nil
+	return scatter(len(entities), edges, byRel), nil
 }
 
-// layout builds one direction's adjacency: outgoing lists each edge under
-// its source, otherwise under its target. byRel orders the edges by
-// relationship type, so the second, stable counting pass, by entity,
-// leaves every entity's entries sorted by (relationship type, edge id); a
-// last pass keeps the first entry of each other endpoint in its run and
-// puts the run in name order by rank.
-func layout(n int, edges []Edge, byRel []int32, outgoing bool, rank []int32, sc *runScratch) adjacency {
+// scatter lays the edges out under their sources, the one pass of the
+// layout over every edge, parallel copies included. byRel orders the
+// edges by relationship type, so a stable counting pass by source leaves
+// each source's entries sorted by (relationship type, edge id); a last
+// pass keeps the first entry of each target in its run. The result holds
+// one entry per distinct triple, each run in the order of its targets'
+// first edges; transpose puts runs in name order.
+func scatter(n int, edges []Edge, byRel []int32) adjacency {
 	// Counts land two slots up, so after the prefix sum start[e+1] is e's
 	// offset; filling advances it to e's end, which is e+1's offset.
 	start := make([]int32, n+2)
 	for _, ed := range edges {
-		e := ed.To
-		if outgoing {
-			e = ed.From
-		}
-		start[e+2]++
+		start[ed.From+2]++
 	}
 	for i := 2; i < len(start); i++ {
 		start[i] += start[i-1]
@@ -179,65 +207,80 @@ func layout(n int, edges []Edge, byRel []int32, outgoing bool, rank []int32, sc 
 	nbr := make([]EntityID, len(edges))
 	for _, id := range byRel {
 		ed := edges[id]
-		e, other := ed.To, ed.From
-		if outgoing {
-			e, other = ed.From, ed.To
-		}
-		p := start[e+1]
-		start[e+1]++
-		rel[p], nbr[p] = ed.Rel, other
+		p := start[ed.From+1]
+		start[ed.From+1]++
+		rel[p], nbr[p] = ed.Rel, ed.To
 	}
 	start = start[:n+1]
 
+	// mark[v] == stamp once a run has kept v; every run takes a fresh stamp.
+	mark := make([]uint32, n)
+	var stamp uint32
 	var w int32
 	for e := 0; e < n; e++ {
 		lo, hi := start[e], start[e+1]
 		start[e] = w
 		for i := lo; i < hi; {
-			r, first := rel[i], w
-			sc.stamp++
+			r := rel[i]
+			stamp++
 			for ; i < hi && rel[i] == r; i++ {
-				if v := nbr[i]; sc.mark[v] != sc.stamp {
-					sc.mark[v] = sc.stamp
+				if v := nbr[i]; mark[v] != stamp {
+					mark[v] = stamp
 					rel[w], nbr[w] = r, v
 					w++
 				}
 			}
-			sc.sortByRank(nbr[first:w], rank)
 		}
 	}
 	start[n] = w
-	if int(w) < len(edges) {
-		// The arrays have one slot per edge: copy them to exact length, or
-		// a multigraph would hold 8 B per parallel copy for its lifetime.
-		rel = append(make([]RelTypeID, 0, w), rel[:w]...)
-		nbr = append(make([]EntityID, 0, w), nbr[:w]...)
-	}
-	return adjacency{start: start, rel: rel[:w:w], nbr: nbr[:w:w]}
+	return adjacency{start: start, rel: rel[:w], nbr: nbr[:w]}
 }
 
-// runScratch is what layout reuses from run to run. mark and stamp tell
-// which endpoints a run has kept: mark[v] == stamp after v is kept, and
-// every run takes a fresh stamp. keys holds a run's sort keys.
-type runScratch struct {
-	mark  []uint32
-	stamp uint32
-	keys  []uint64
-}
+// transpose returns the other direction of a: each entry (r, v) under u
+// becomes (r, u) under v. It visits a's entities in name order (byRank)
+// and places each entry stably, first by relationship type and then under
+// v: two counting passes over a's entries, which hold one entry per
+// distinct triple, and never over parallel copies. So the result's entries
+// under each entity sort by relationship type, and each run holds its
+// endpoints in name order, whatever order a's runs are in. The arrays it
+// makes are exactly as long as a's; scratch holds two entities per entry.
+func transpose(a adjacency, byRank []EntityID, nRels int, scratch []EntityID) adjacency {
+	n, w := len(byRank), len(a.nbr)
+	relPos := make([]int32, nRels)
+	start := make([]int32, n+2) // counts two slots up, as in scatter
+	for i, r := range a.rel {
+		relPos[r]++
+		start[a.nbr[i]+2]++
+	}
+	var sum int32
+	for r, c := range relPos {
+		relPos[r], sum = sum, sum+c
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
 
-// sortByRank puts a run of distinct entities in name order. It sorts no
-// strings: each entity's rank and its id pack into one integer key, so
-// the sort compares integers. A run of one entity is in order already.
-func (sc *runScratch) sortByRank(run []EntityID, rank []int32) {
-	if len(run) < 2 {
-		return
+	// By relationship type: bucket r ends at relPos[r] once filled.
+	from, to := scratch[:w], scratch[w:2*w]
+	for _, u := range byRank {
+		for i := a.start[u]; i < a.start[u+1]; i++ {
+			r := a.rel[i]
+			p := relPos[r]
+			relPos[r]++
+			from[p], to[p] = u, a.nbr[i]
+		}
 	}
-	sc.keys = sc.keys[:0]
-	for _, v := range run {
-		sc.keys = append(sc.keys, uint64(rank[v])<<32|uint64(uint32(v)))
+	// Under the other endpoint, relationship type by relationship type.
+	rel := make([]RelTypeID, w)
+	nbr := make([]EntityID, w)
+	var p int32
+	for r, end := range relPos {
+		for ; p < end; p++ {
+			v := to[p]
+			q := start[v+1]
+			start[v+1]++
+			rel[q], nbr[q] = RelTypeID(r), from[p]
+		}
 	}
-	slices.Sort(sc.keys)
-	for i, key := range sc.keys {
-		run[i] = EntityID(uint32(key))
-	}
+	return adjacency{start: start[:n+1], rel: rel, nbr: nbr}
 }

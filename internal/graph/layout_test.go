@@ -4,8 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/uta-db/previewtables/internal/graph"
 	"github.com/uta-db/previewtables/internal/graph/graphtest"
@@ -76,6 +79,81 @@ func TestRunsIgnoreEdgeOrder(t *testing.T) {
 		}
 		if err := graphtest.Equal(next, want); err != nil {
 			t.Errorf("%s: derived from the shuffled graph: %v", n.Name, err)
+		}
+	}
+}
+
+// TestAssembleTwoTasks: Assemble sorts the names on one task while the
+// other checks the rest and lays the edges out, and neither the outcome
+// nor its goroutines depend on how the two were scheduled. Parts with one
+// violation of the canonical form beside a duplicate entity name fail
+// with the violation, as they would in sequence, and after every error
+// return the goroutine count falls back to no more than it started at.
+// Assembling each corpus graph's parts ten times gives ten graphs equal
+// to it under graphtest.Equal, and the first passes
+// graphtest.CheckNeighbors.
+func TestAssembleTwoTasks(t *testing.T) {
+	// Types a and b, relationship r from a to b, entities x (a), y (b) and
+	// a second x, and one edge x -r-> y; each case breaks one more part.
+	parts := func() ([]string, []graph.RelType, []graph.Entity, []graph.Edge) {
+		return []string{"a", "b"},
+			[]graph.RelType{{Name: "r", From: 0, To: 1}},
+			[]graph.Entity{{Name: "x", Types: []graph.TypeID{0}}, {Name: "y", Types: []graph.TypeID{1}}, {Name: "x", Types: []graph.TypeID{0}}},
+			[]graph.Edge{{From: 0, To: 1, Rel: 0}}
+	}
+	cases := []struct {
+		name  string
+		spoil func([]graph.Entity, []graph.Edge)
+		want  string
+	}{
+		{"type list out of order", func(ents []graph.Entity, _ []graph.Edge) { ents[1].Types = []graph.TypeID{1, 0} }, "type list not strictly ascending"},
+		{"edge endpoint out of range", func(_ []graph.Entity, edges []graph.Edge) { edges[0].To = 3 }, "edge 0: endpoint out of range"},
+		{"endpoint lacks the relationship's type", func(_ []graph.Entity, edges []graph.Edge) { edges[0].From = 1 }, "an endpoint lacks the type"},
+		{"duplicate name alone", func([]graph.Entity, []graph.Edge) {}, "duplicate entity"},
+	}
+	start := runtime.NumGoroutine()
+	for _, c := range cases {
+		types, rels, ents, edges := parts()
+		c.spoil(ents, edges)
+		_, err := graph.Assemble(types, rels, ents, edges)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		// A goroutine that has handed back its task may still be on its
+		// way out, so give it a moment to end.
+		n := runtime.NumGoroutine()
+		for wait := 0; n > start && wait < 100; wait++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > start {
+			t.Errorf("%s: %d goroutines after Assemble returned, %d before", c.name, n, start)
+		}
+	}
+
+	gs, err := graphtest.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range gs {
+		edges := make([]graph.Edge, n.Graph.NumEdges())
+		for id := range edges {
+			edges[id] = n.Graph.Edge(graph.EdgeID(id))
+		}
+		for i := 0; i < 10; i++ {
+			g, err := assembleWith(n.Graph, edges)
+			if err != nil {
+				t.Fatalf("%s, assembly %d: %v", n.Name, i, err)
+			}
+			if err := graphtest.Equal(g, n.Graph); err != nil {
+				t.Fatalf("%s, assembly %d: %v", n.Name, i, err)
+			}
+			if i > 0 {
+				continue // equal to the first, which is held to the edges
+			}
+			if err := graphtest.CheckNeighbors(g); err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/uta-db/previewtables/internal/fig1"
@@ -74,6 +75,40 @@ func TestReadHostileCounts(t *testing.T) {
 	}
 }
 
+// TestReadRejectsBadVarints: a varint in a longer encoding than Write's,
+// and one that overflows 64 bits in its tenth byte, are ErrCorrupt
+// wherever they sit: inside the decoder's buffer, with a whole varint's
+// worth of bytes after them, which decodes in one call, and across the
+// end of its first 64 KiB, which decodes byte by byte around a refill.
+// Each is the relationship count, after a type table of one name whose
+// length places it.
+func TestReadRejectsBadVarints(t *testing.T) {
+	const buffer = 64 << 10 // the decoder's read buffer
+	bad := map[string]struct {
+		enc  []byte
+		want string
+	}{
+		"non-minimal": {[]byte{0x81, 0x00}, "non-minimal varint"},
+		"overflow":    {append(bytes.Repeat([]byte{0xff}, 9), 0x02), "varint overflows 64 bits"},
+	}
+	// The varint starts after magic, version, the type count and the
+	// name: 9 bytes plus the name for a name of 16 KiB or more.
+	places := map[string]string{
+		"inside the buffer": "a",
+		"across the refill": strings.Repeat("a", buffer-9-1),
+	}
+	for name, v := range bad {
+		for place, typeName := range places {
+			r := newRaw().uvarint(1).str(typeName)
+			data := append(append(r.b, v.enc...), make([]byte, 16)...)
+			_, err := storage.Read(bytes.NewReader(data))
+			if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), v.want) {
+				t.Errorf("%s %s: err = %v, want ErrCorrupt naming %q", name, place, err, v.want)
+			}
+		}
+	}
+}
+
 // TestReadRejectsNonCanonical: Write only ever serializes a built graph,
 // so Read rejects, as ErrCorrupt, every CRC-valid snapshot outside the
 // canonical form instead of normalizing it: re-encoding would change the
@@ -123,10 +158,11 @@ func TestReadRejectsNonCanonical(t *testing.T) {
 }
 
 // TestRoundTripByteIdentical: Write of a loaded snapshot reproduces the
-// file byte for byte, on Fig. 1, the default-scale domains and the
-// 100k-entity music graph the benchmarks load.
+// file byte for byte, on Fig. 1, the default-scale domains, the
+// 100k-entity music graph the benchmarks load, and a graph whose names
+// straddle, fill and outgrow the decoder's 64 KiB name chunks.
 func TestRoundTripByteIdentical(t *testing.T) {
-	graphs := map[string]*graph.EntityGraph{"fig1": fig1.Graph()}
+	graphs := map[string]*graph.EntityGraph{"fig1": fig1.Graph(), "long names": longNames(t)}
 	for _, d := range []string{"books", "film", "people", "tv"} {
 		g, err := freebase.Generate(d, freebase.DefaultGenOptions())
 		if err != nil {
@@ -155,4 +191,26 @@ func TestRoundTripByteIdentical(t *testing.T) {
 			t.Errorf("%s: re-encoding the loaded snapshot changed its bytes", name)
 		}
 	}
+}
+
+// longNames is a graph whose entity names, between short ones, are 0, 1
+// and 2^16-1 to 2^17+1 bytes long, each a distinct byte repeated.
+func longNames(t *testing.T) *graph.EntityGraph {
+	const chunk = 64 << 10 // the decoder's name chunk
+	var b graph.Builder
+	typ := b.Type(strings.Repeat("t", chunk))
+	rel := b.RelType("r", typ, typ)
+	prev := b.Entity("", typ)
+	for i, n := range []int{1, chunk - 1, chunk, chunk + 1, 2*chunk + 1, 3} {
+		short := b.Entity(strings.Repeat("s", i+1), typ)
+		long := b.Entity(strings.Repeat(string(rune('a'+i)), n), typ)
+		b.Edge(prev, short, rel)
+		b.Edge(short, long, rel)
+		prev = long
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

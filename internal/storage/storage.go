@@ -21,8 +21,10 @@
 // any other input as ErrCorrupt rather than normalizing it, so Write of a
 // snapshot Read accepted reproduces its bytes exactly. Read decodes
 // straight into graph.Assemble's parts and never trusts a header count
-// with memory: a table is pre-sized to at most 2^16 entries and grows
-// only as its records decode.
+// with memory: a table is pre-sized to at most 2^16 entries and doubles,
+// never past its count, only as its records decode, so an honest table
+// ends exactly as long as its count. Names are cut from shared 64 KiB
+// chunks, not allocated one by one.
 package storage
 
 import (
@@ -36,7 +38,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,19 +138,22 @@ const presizeCap = 1 << 16
 
 // grow makes room in s for one more of count declared elements. A table
 // starts at min(count, presizeCap) entries and then doubles, never past
-// count, as its records decode: an honest table reaches its full size in
-// a few copies, and a hostile count cannot allocate memory the input does
-// not back with bytes.
+// count, as its records decode: an honest table reaches its full size,
+// and no more, in a few copies, and a hostile count cannot allocate
+// memory the input does not back with bytes.
 func grow[T any](s []T, count uint64) []T {
 	if len(s) < cap(s) {
 		return s
 	}
 	n := min(max(uint64(len(s)), presizeCap), count-uint64(len(s)))
-	return slices.Grow(s, int(n))
+	return append(make([]T, 0, uint64(len(s))+n), s...)
 }
 
 // maxName bounds a decoded name's length.
 const maxName = 1 << 20
+
+// nameChunk is how many bytes of names the decoder allocates at a time.
+const nameChunk = 64 << 10
 
 // decoder reads a snapshot through one buffer: buf[:pos] holds consumed
 // bytes not yet folded into crc, buf[pos:end] unread ones. The first
@@ -164,6 +168,10 @@ type decoder struct {
 	// (anything but running out of bytes), so Read can keep it apart from
 	// data corruption.
 	ioErr error
+	// names is the chunk str cuts names from: a strings.Builder never
+	// rewrites the bytes it holds, so each name cut from its String stays
+	// as it was while later ones are appended to the same allocation.
+	names strings.Builder
 }
 
 func (d *decoder) fail(err error) {
@@ -216,8 +224,24 @@ func (d *decoder) next(n int) []byte {
 
 // uvarint decodes one unsigned varint in its shortest encoding, the only
 // one Write produces: a longer encoding of the same value would not
-// re-encode to the bytes it came from.
+// re-encode to the bytes it came from. With a whole varint's worth of
+// bytes buffered it decodes in one call; near the end of the buffer, or
+// of the input, it goes byte by byte.
 func (d *decoder) uvarint() uint64 {
+	if d.err == nil && d.end-d.pos >= binary.MaxVarintLen64 {
+		// n is 0 only for ten bytes that all continue.
+		x, n := binary.Uvarint(d.buf[d.pos : d.pos+binary.MaxVarintLen64])
+		switch {
+		case n <= 0:
+			d.corrupt("varint overflows 64 bits")
+			return 0
+		case n > 1 && d.buf[d.pos+n-1] == 0:
+			d.corrupt("non-minimal varint")
+			return 0
+		}
+		d.pos += n
+		return x
+	}
 	var x uint64
 	for i := 0; i < binary.MaxVarintLen64; i++ {
 		if d.err != nil || d.pos == d.end && !d.fill(1) {
@@ -241,13 +265,22 @@ func (d *decoder) uvarint() uint64 {
 	return 0
 }
 
+// str decodes one length-prefixed name, cut from the current name chunk;
+// a name that does not fit starts a new one.
 func (d *decoder) str() string {
 	n := d.uvarint()
 	if n > maxName {
 		d.corrupt("string length %d exceeds limit", n)
 		return ""
 	}
-	return string(d.next(int(n)))
+	b := d.next(int(n))
+	if d.names.Cap()-d.names.Len() < len(b) {
+		d.names = strings.Builder{}
+		d.names.Grow(max(nameChunk, len(b)))
+	}
+	lo := d.names.Len()
+	d.names.Write(b)
+	return d.names.String()[lo:]
 }
 
 // count decodes a table's record count, which may be at most limit.
