@@ -557,9 +557,24 @@ func BenchmarkPublish(b *testing.B) {
 // which is how every live graph starts (a leader's load, a checkpoint
 // recovery, a follower's boot or re-bootstrap, a migration's adoption),
 // on the people graph, the default-scale music graph and the
-// 100k-entity music graph.
+// 100k-entity music graph. Each is opened from two sources: the
+// generated graph, whose edges are in the generator's order, as a leader
+// opens a generated snapshot, and (the -canonical arms) a live
+// snapshot's graph, whose edges are in canonical order, as followers,
+// restarts and adoptions open a checkpoint.
 func BenchmarkOpenLive(b *testing.B) {
 	big, _ := parallelBenchSetup(b)
+	open := func(b *testing.B, src *graph.EntityGraph) *dynamic.Live {
+		dg, err := dynamic.FromEntityGraph(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		live, err := dynamic.NewLive(dg, score.DefaultWalkOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return live
+	}
 	for _, domain := range []string{"people", "music", "music-100k"} {
 		src := big
 		if domain != "music-100k" {
@@ -568,17 +583,45 @@ func BenchmarkOpenLive(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		canonical := open(b, src).Snapshot().Frozen
+		for _, arm := range []struct {
+			name string
+			src  *graph.EntityGraph
+		}{{domain, src}, {domain + "-canonical", canonical}} {
+			b.Run(arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					open(b, arm.src)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWriteSnapshot: storage.Write of the default-scale people,
+// books, film and tv graphs and of the 100k-entity music graph into a
+// buffer: the encoding every checkpoint, SaveFile and follower bootstrap
+// (the leader's checkpoint route) pays.
+func BenchmarkWriteSnapshot(b *testing.B) {
+	big, _ := parallelBenchSetup(b)
+	for _, domain := range []string{"people", "books", "film", "tv", "music-100k"} {
+		g := big
+		if domain != "music-100k" {
+			var err error
+			if g, err = freebase.Generate(domain, freebase.DefaultGenOptions()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
 		b.Run(domain, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dg, err := dynamic.FromEntityGraph(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := dynamic.NewLive(dg, score.DefaultWalkOptions()); err != nil {
+				buf.Reset()
+				if err := storage.Write(&buf, g); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.SetBytes(int64(buf.Len()))
 		})
 	}
 }

@@ -18,8 +18,11 @@
 //
 // A Graph holds no copy of the entity graph's edges, names or entity
 // types: the immutable graph.EntityGraph it last folded into (base) holds
-// them, and an open batch holds what mutations added since. A mutation
-// costs O(1) beyond its endpoints' type lists. A fold (Freeze; Scores runs
+// them, and an open batch holds what mutations added since. A Graph
+// opened on an entity graph (FromEntityGraph) starts from that graph as
+// its base, adopted as it is: it shares the source's arrays and never
+// writes them, and re-derives nothing of it. A mutation costs O(1) beyond
+// its endpoints' type lists. A fold (Freeze; Scores runs
 // one first) derives the next graph from base and the batch
 // (graph.Derive), then moves the histogram group of each tuple whose run
 // grew: O(u log u) for a batch of u edges, plus Derive's word copies of the
@@ -72,7 +75,8 @@ type Graph struct {
 	moved        []uint64
 	structuralAt uint64
 
-	// base is the graph as of the last fold (nil until then: the empty
+	// base is the graph as of the last fold, or the source FromEntityGraph
+	// adopted (nil for a zero Graph until its first fold: the empty
 	// graph). The open batch is what mutations added since: the entities
 	// declared, with their type lists and an index of their names (base's
 	// name order resolves the older ones); older entities' grown type
@@ -227,8 +231,8 @@ func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
 	return id
 }
 
-// last returns the graph as of the last fold: the empty graph before the
-// first.
+// last returns the graph as of the last fold, or the adopted source: the
+// empty graph for a zero Graph before its first fold.
 func (g *Graph) last() *graph.EntityGraph {
 	if g.base == nil {
 		g.base = &graph.EntityGraph{}
@@ -306,31 +310,35 @@ func (g *Graph) TypeByName(name string) (graph.TypeID, bool) {
 // the caller's policy.
 func (g *Graph) Rel(id graph.RelTypeID) graph.RelType { return g.rels[int(id)] }
 
-// FromEntityGraph streams an immutable entity graph into a fresh mutable
-// Graph, whose first fold builds every histogram with one group key per
-// tuple. Declaration order follows the source graph's ID order, so every
-// type, relationship-type and entity ID is preserved — a frozen view of
-// the result is interchangeable with the source.
+// FromEntityGraph opens a mutable Graph on an immutable entity graph:
+// the source, adopted as it is (graph.Adopt), is the Graph's first base,
+// so every type, relationship-type and entity id is the source's and a
+// frozen view of the result is interchangeable with it. The live graph
+// shares the source's arrays and never writes them. Coverage and the
+// relationship counts are read off the source, and each histogram gains
+// one group key per non-empty neighbor run, visited once per direction.
+// Nothing is pending: the first Freeze publishes the adopted graph as it
+// is, or derives one ordinary batch on top of it when writes (a replayed
+// WAL tail) came first.
 func FromEntityGraph(src *graph.EntityGraph) (*Graph, error) {
 	g := &Graph{}
 	for t := 0; t < src.NumTypes(); t++ {
 		g.Type(src.TypeName(graph.TypeID(t)))
+		g.coverage[t] = src.TypeCoverage(graph.TypeID(t))
 	}
 	for r := 0; r < src.NumRelTypes(); r++ {
 		rt := src.RelType(graph.RelTypeID(r))
 		if _, err := g.RelType(rt.Name, rt.From, rt.To); err != nil {
 			return nil, err
 		}
+		g.rels[r].EdgeCount = rt.EdgeCount
 	}
-	for e := 0; e < src.NumEntities(); e++ {
-		ent := src.Entity(graph.EntityID(e))
-		g.Entity(ent.Name, ent.Types...)
-	}
-	for i := 0; i < src.NumEdges(); i++ {
-		ed := src.Edge(graph.EdgeID(i))
-		if err := g.AddEdge(ed.From, ed.To, ed.Rel); err != nil {
-			return nil, err
-		}
+	g.edges = src.NumEdges()
+	g.base = graph.Adopt(src)
+	for dir, out := range [2]bool{true, false} {
+		src.Runs(out, func(_ graph.EntityID, rel graph.RelTypeID, run []graph.EntityID) {
+			g.hist[rel][dir].bump(run, +1)
+		})
 	}
 	return g, nil
 }
@@ -392,9 +400,10 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 // graph. The graph's ids are this graph's ids; it counts every parallel
 // copy, as the counters do, and holds each neighbor once per run, in
 // name order: it equals graph.Assemble of the whole state in
-// canonical edge order (relationship type, source, target). So a graph
-// streamed back from it (FromEntityGraph, as a checkpoint restart does)
-// counts the same again.
+// canonical edge order (relationship type, source, target). So a Graph
+// opened on it (FromEntityGraph, as a checkpoint restart does) counts the
+// same again. A Graph just opened has nothing pending: its first Freeze
+// returns the adopted source, which shares the source's arrays.
 func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 	prev := g.last()
 	if len(g.typeNames) == prev.NumTypes() && len(g.rels) == prev.NumRelTypes() &&

@@ -17,11 +17,13 @@
 // restarts that reached it. The graph — needed to materialize tuples, and
 // what buys readers lock-free access to a graph that can never change
 // underneath them — is the Graph's only copy of its edges, names and
-// entity types, and every snapshot's is made the same way, the first
-// (NewLiveAt's) from the empty graph: no validation, hashing or map
-// building of the graph, only word copies of the adjacency arrays and of
-// the name order, O(|Vd| + distinct |Ed|), and O(batch log batch) for the
-// rest. The graph is whole when it is published: Derive merges the
+// entity types. The first snapshot's (NewLiveAt's) is the graph the Graph
+// was opened on, adopted as it is (FromEntityGraph: it shares the
+// source's arrays and never writes them), or one batch derived on top of
+// it when a WAL tail was replayed first. Every later one is derived from
+// its predecessor: no validation, hashing or map building of the graph,
+// only word copies of the adjacency arrays and of the name order,
+// O(|Vd| + distinct |Ed|), and O(batch log batch) for the rest. The graph is whole when it is published: Derive merges the
 // batch's new names into the previous graph's name order and builds the
 // schema graph, and leaves only the edge list to its first reader. A
 // batch that adds nothing publishes the previous snapshot's graph again.

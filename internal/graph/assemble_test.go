@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -66,5 +68,89 @@ func TestDeriveSharesNameOrder(t *testing.T) {
 	}
 	if &next.names.rank[0] != &prev.names.rank[0] || &next.names.byRank[0] != &prev.names.byRank[0] {
 		t.Fatal("a batch without entities copied the name order")
+	}
+}
+
+// TestAdoptSharesCanonicalEdges: Adopt shares a source's edge list that
+// is already in canonical order, and otherwise makes a copy sorted as
+// slices.SortFunc(compareEdges) sorts, leaving the source's as it was.
+// Either way every table a Derive appends into, and a derived source's
+// edge log, is capped at its length in the copy.
+func TestAdoptSharesCanonicalEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	types := []string{"A", "B"}
+	rels := []RelType{{Name: "r", From: 0, To: 1}, {Name: "s", From: 1, To: 1}, {Name: "r", From: 0, To: 0}}
+	var ents []Entity
+	for i := 0; i < 40; i++ {
+		ents = append(ents, Entity{Name: fmt.Sprint(i), Types: []TypeID{TypeID(i % 2)}})
+	}
+	var edges []Edge
+	for len(edges) < 300 {
+		r := RelTypeID(rng.Intn(len(rels)))
+		from, to := EntityID(2*rng.Intn(20)+int(rels[r].From)), EntityID(2*rng.Intn(20)+int(rels[r].To))
+		for c := rng.Intn(3); c >= 0; c-- { // parallel copies
+			edges = append(edges, Edge{From: from, To: to, Rel: r})
+		}
+	}
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, compareEdges)
+	for _, c := range []struct {
+		name   string
+		edges  []Edge
+		shared bool
+	}{{"canonical", sorted, true}, {"in any order", edges, false}} {
+		g, err := Assemble(types, slices.Clone(rels), slices.Clone(ents), slices.Clone(c.edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := Adopt(g)
+		if !slices.Equal(a.edges, sorted) {
+			t.Errorf("%s: the adopted edge list is not in canonical order", c.name)
+		}
+		if shared := &a.edges[0] == &g.edges[0]; shared != c.shared {
+			t.Errorf("%s: the adopted edge list shared = %v, want %v", c.name, shared, c.shared)
+		}
+		if !slices.Equal(g.edges, c.edges) {
+			t.Errorf("%s: Adopt changed the source's edge list", c.name)
+		}
+		checkAdoptCapped(t, c.name, a)
+	}
+
+	g, err := Assemble(types, slices.Clone(rels), slices.Clone(ents), slices.Clone(sorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Delta{Rels: slices.Clone(g.relTypes), Entities: []Entity{{Name: "new", Types: []TypeID{0}}}}
+	for i := 0; i < 3; i++ {
+		d.Edges = append(d.Edges, Edge{From: 40, To: EntityID(2 * i), Rel: 2})
+		d.Rels[2].EdgeCount++
+	}
+	derived, err := Derive(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Rels[2].EdgeCount++
+	if derived, err = Derive(derived, Delta{Rels: d.Rels, Edges: []Edge{{From: 40, To: 40, Rel: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	a := Adopt(derived)
+	if a.log == nil || cap(a.log.added) != len(a.log.added) {
+		t.Error("derived source: the adopted edge log may be appended into")
+	}
+	if !slices.Equal(a.edgeList(), derived.edgeList()) {
+		t.Error("derived source: the adopted edge list differs from the source's")
+	}
+	checkAdoptCapped(t, "derived source", a)
+}
+
+func checkAdoptCapped(t *testing.T, what string, a *EntityGraph) {
+	t.Helper()
+	if cap(a.entities) != len(a.entities) {
+		t.Errorf("%s: the adopted entity table may be appended into", what)
+	}
+	for ty, et := range a.types {
+		if cap(et.Entities) != len(et.Entities) {
+			t.Errorf("%s: the adopted entity list of type %d may be appended into", what, ty)
+		}
 	}
 }

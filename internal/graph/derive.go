@@ -174,6 +174,83 @@ func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 	return g, nil
 }
 
+// Adopt returns a graph equal to g through every accessor that a Derive
+// chain may start from: the first base of a live graph opened on g
+// (dynamic.FromEntityGraph). It shares g's adjacency, name order, schema,
+// entity records and names, and nothing ever writes them. Every table a
+// Derive appends into, the entity table and each per-type entity list, is
+// capped at its length in the copy, so a chain's first append copies:
+// however many chains start from g, and whether or not g's own chain
+// grows on, none writes into another's spare capacity. Its edge list is
+// in canonical order (relationship type, source, target), the order a
+// derived graph's edge log assumes: g's own when it already is, as every
+// checkpoint's and bootstrap's is, and otherwise a sorted copy
+// (sortEdges). It costs O(types) and one O(|Ed|) check, plus
+// O(|Ed| + |Vd|) for a copy.
+func Adopt(g *EntityGraph) *EntityGraph {
+	a := &EntityGraph{
+		entities: g.entities[:len(g.entities):len(g.entities)],
+		types:    make([]EntityType, len(g.types)),
+		relTypes: g.relTypes,
+		numEdges: g.numEdges,
+		out:      g.out,
+		in:       g.in,
+		schema:   g.schema,
+		names:    g.names,
+	}
+	for t, ty := range g.types {
+		a.types[t] = EntityType{Name: ty.Name, Entities: capped(ty.Entities)}
+	}
+	// g.edges is read only when g.log is nil: otherwise g's first reader
+	// may be writing it.
+	switch {
+	case g.log != nil:
+		n := len(g.log.added)
+		a.log = &edgeLog{base: g.log.base, added: g.log.added[:n:n]}
+	case slices.IsSortedFunc(g.edges, compareEdges):
+		a.edges = g.edges
+	default:
+		a.edges = sortEdges(g.edges, len(g.entities), len(g.relTypes))
+	}
+	return a
+}
+
+// sortEdges returns a copy of edges in canonical order, parallel copies
+// included: three stable counting passes, by target, then source, then
+// relationship type, in O(|Ed| + |Vd|) over nEnts entities and nRels
+// relationship types.
+func sortEdges(edges []Edge, nEnts, nRels int) []Edge {
+	bufs := [2][]Edge{make([]Edge, len(edges)), make([]Edge, len(edges))}
+	count := make([]int32, max(nEnts, nRels)+1)
+	src := edges
+	for pass := 0; pass < 3; pass++ {
+		key := func(ed Edge) int32 {
+			switch pass {
+			case 0:
+				return int32(ed.To)
+			case 1:
+				return int32(ed.From)
+			}
+			return int32(ed.Rel)
+		}
+		clear(count)
+		for _, ed := range src {
+			count[key(ed)+1]++
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		dst := bufs[pass%2]
+		for _, ed := range src {
+			k := key(ed)
+			dst[count[k]] = ed
+			count[k]++
+		}
+		src = dst
+	}
+	return src
+}
+
 // mergeIDs merges two ascending, disjoint id lists into a new one.
 func mergeIDs(a, b []EntityID) []EntityID {
 	out := make([]EntityID, 0, len(a)+len(b))

@@ -11,14 +11,14 @@
 //
 // All identifiers are dense small integers suitable for array indexing.
 // A graph is made once, by Assemble (directly, or through Builder), or,
-// for each epoch of a live graph, by Derive from its predecessor (the
-// first from the empty graph), and then queried many times without
-// further allocation. Its adjacency is
-// flat: one compressed sparse row index per direction, grouped by
-// (entity, relationship type), so Neighbors is a binary search that
-// returns a view into graph memory. Everything a graph hands out — entity
-// type lists, per-type entity lists, neighbor sets — is shared and
-// read-only.
+// for each epoch of a live graph, by Derive from its predecessor, and then
+// queried many times without further allocation. A live graph's first
+// predecessor is the graph it was opened on, adopted as it is (Adopt), or
+// the empty graph. Its adjacency is flat: one compressed sparse row index
+// per direction, grouped by (entity, relationship type), so Neighbors is
+// a binary search that returns a view into graph memory. Everything a
+// graph hands out — entity type lists, per-type entity lists, neighbor
+// sets — is shared and read-only.
 package graph
 
 import (
@@ -74,7 +74,8 @@ type Edge struct {
 // EntityGraph is an immutable directed entity multigraph together with its
 // uniquely determined schema graph. Construct one with a Builder, from
 // canonical parts with Assemble, or from a live graph's previous snapshot
-// with Derive. The zero EntityGraph is the empty graph.
+// with Derive; Adopt copies one for a Derive chain to start from. The zero
+// EntityGraph is the empty graph.
 type EntityGraph struct {
 	entities []Entity
 	types    []EntityType
@@ -82,9 +83,10 @@ type EntityGraph struct {
 	numEdges int
 
 	// edges is the edge list, parallel copies included: the one part of a
-	// graph made on first use. Assemble keeps the list it is given, as
-	// Derive keeps the sorted batch of a graph without edges; any other
-	// derived graph builds it from log (edgeList), which only checkpoints,
+	// graph made on first use. Assemble keeps the list it is given, Adopt
+	// its source's in canonical order, and Derive the sorted batch of a
+	// graph without edges; any other derived graph, and Adopt's copy of
+	// one, builds it from log (edgeList), which only checkpoints,
 	// bootstraps and edge-list readers need.
 	edgesOnce sync.Once
 	edges     []Edge
@@ -97,7 +99,8 @@ type EntityGraph struct {
 	in  adjacency
 
 	// schema and names are the schema graph and the name order. Assemble
-	// and Derive make both with the graph, so a reader never builds them.
+	// and Derive make both with the graph, and Adopt shares its source's,
+	// so a reader never builds them.
 	schema Schema
 	names  NameOrder
 }
@@ -214,6 +217,28 @@ func (g *EntityGraph) Neighbors(e EntityID, rel RelTypeID, outgoing bool) []Enti
 		return g.out.run(e, rel)
 	}
 	return g.in.run(e, rel)
+}
+
+// Runs calls yield with every non-empty neighbor run of one direction,
+// each once, in entity order and under each entity in relationship-type
+// order: the entity, the relationship type and the run, which is what
+// Neighbors(e, rel, outgoing) returns, a shared view capped at its
+// length. It searches nothing.
+func (g *EntityGraph) Runs(outgoing bool, yield func(e EntityID, rel RelTypeID, run []EntityID)) {
+	a := &g.in
+	if outgoing {
+		a = &g.out
+	}
+	for e := 0; e+1 < len(a.start); e++ {
+		for i, hi := int(a.start[e]), int(a.start[e+1]); i < hi; {
+			j := i + 1
+			for j < hi && a.rel[j] == a.rel[i] {
+				j++
+			}
+			yield(EntityID(e), a.rel[i], a.nbr[i:j:j])
+			i = j
+		}
+	}
 }
 
 // Stats summarizes a graph in the shape of the paper's Table 2 row:

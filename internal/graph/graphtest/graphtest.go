@@ -1,6 +1,7 @@
 // Package graphtest supplies what the adjacency-layout tests of the graph,
 // score, storage and dynamic packages share: small multigraphs decoded
-// from bytes, the graphs the differentials run on, the reference Neighbors
+// from bytes, the graphs the differentials run on and their reassembly
+// with the edges in another order, the reference Neighbors
 // they compare against, the references a graph's name order, name lookups
 // and schema are held to, and a comparison of two graphs through every
 // accessor.
@@ -98,6 +99,25 @@ func Corpus() ([]Named, error) {
 	return gs, nil
 }
 
+// Reassemble assembles g's types, relationship types and entities again
+// with the given edges, which it copies.
+func Reassemble(g *graph.EntityGraph, edges []graph.Edge) (*graph.EntityGraph, error) {
+	types := make([]string, g.NumTypes())
+	for ty := range types {
+		types[ty] = g.TypeName(graph.TypeID(ty))
+	}
+	rels := make([]graph.RelType, g.NumRelTypes())
+	for r := range rels {
+		rels[r] = g.RelType(graph.RelTypeID(r))
+	}
+	ents := make([]graph.Entity, g.NumEntities())
+	for e := range ents {
+		ent := g.Entity(graph.EntityID(e))
+		ents[e] = graph.Entity{Name: ent.Name, Types: slices.Clone(ent.Types)}
+	}
+	return graph.Assemble(types, rels, ents, slices.Clone(edges))
+}
+
 // CheckNeighbors compares g.Neighbors, for every (entity, relationship
 // type, direction), against a reference that scans the edges for each
 // run's distinct neighbors and orders them by sort.Strings of their
@@ -157,10 +177,10 @@ func CheckNeighbors(g *graph.EntityGraph) error {
 
 // Equal reports the first difference between got and want: in their
 // stats, type names and per-type entity lists, relationship types, entity
-// names and type lists, name lookups, neighbor runs, schemas, name orders
-// and edge lists. Every list got hands out must be capped at its length.
-// A live graph's derived snapshot must be Equal to Freeze of the same
-// state.
+// names and type lists, name lookups, neighbor runs (by Neighbors and by
+// Runs), schemas, name orders and edge lists. Every list got hands out
+// must be capped at its length. A live graph's derived snapshot must be
+// Equal to Freeze of the same state.
 func Equal(got, want *graph.EntityGraph) error {
 	if got.Stats() != want.Stats() {
 		return fmt.Errorf("stats %v, want %v", got.Stats(), want.Stats())
@@ -184,6 +204,7 @@ func Equal(got, want *graph.EntityGraph) error {
 		}
 	}
 	gotOrder, wantOrder := got.NameOrder(), want.NameOrder()
+	var runs [2]int // want's non-empty runs, out and in
 	for e := 0; e < want.NumEntities(); e++ {
 		id := graph.EntityID(e)
 		g, w := got.Entity(id), want.Entity(id)
@@ -197,13 +218,19 @@ func Equal(got, want *graph.EntityGraph) error {
 			return fmt.Errorf("entity %d: name rank %d, want %d", e, gotOrder.Rank(id), wantOrder.Rank(id))
 		}
 		for r := 0; r < want.NumRelTypes(); r++ {
-			for _, out := range []bool{true, false} {
+			for dir, out := range []bool{true, false} {
 				g, w := got.Neighbors(id, graph.RelTypeID(r), out), want.Neighbors(id, graph.RelTypeID(r), out)
 				if !slices.Equal(g, w) || cap(g) != len(g) {
 					return fmt.Errorf("Neighbors(%d, %d, %v) = %v (cap %d), want %v", e, r, out, g, cap(g), w)
 				}
+				if len(w) > 0 {
+					runs[dir]++
+				}
 			}
 		}
+	}
+	if err := sameRuns(got, want, runs); err != nil {
+		return err
 	}
 	if _, ok := got.EntityByName("\x00absent"); ok {
 		return fmt.Errorf("EntityByName resolved an absent name")
@@ -214,6 +241,35 @@ func Equal(got, want *graph.EntityGraph) error {
 	for i := 0; i < want.NumEdges(); i++ {
 		if g, w := got.Edge(graph.EdgeID(i)), want.Edge(graph.EdgeID(i)); g != w {
 			return fmt.Errorf("edge %d: %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// sameRuns reports the first difference between got's Runs, in each
+// direction, and want's runs: the non-empty Neighbors, one per (entity,
+// relationship type), in that order, runs[0] outgoing and runs[1]
+// incoming, each capped at its length.
+func sameRuns(got, want *graph.EntityGraph, runs [2]int) error {
+	for dir, out := range []bool{true, false} {
+		var err error
+		n, last := 0, [2]int{-1, -1}
+		got.Runs(out, func(e graph.EntityID, rel graph.RelTypeID, run []graph.EntityID) {
+			k := [2]int{int(e), int(rel)}
+			switch {
+			case err != nil:
+			case k[0] < last[0] || k[0] == last[0] && k[1] <= last[1]:
+				err = fmt.Errorf("Runs(%v) yielded (%d, %d) after (%d, %d)", out, e, rel, last[0], last[1])
+			case !slices.Equal(run, want.Neighbors(e, rel, out)) || len(run) == 0 || cap(run) != len(run):
+				err = fmt.Errorf("Runs(%v) yielded (%d, %d) = %v (cap %d), want %v", out, e, rel, run, cap(run), want.Neighbors(e, rel, out))
+			}
+			n, last = n+1, k
+		})
+		if err != nil {
+			return err
+		}
+		if n != runs[dir] {
+			return fmt.Errorf("Runs(%v) yielded %d runs, want %d", out, n, runs[dir])
 		}
 	}
 	return nil

@@ -62,7 +62,7 @@ func TestRunsIgnoreEdgeOrder(t *testing.T) {
 			name  string
 			edges []graph.Edge
 		}{{"reversed", reversed}, {"shuffled", shuffled}} {
-			if prev, err = assembleWith(g, order.edges); err != nil {
+			if prev, err = graphtest.Reassemble(g, order.edges); err != nil {
 				t.Fatalf("%s, edges %s: %v", n.Name, order.name, err)
 			}
 			if err := sameRuns(prev, g); err != nil {
@@ -141,7 +141,7 @@ func TestAssembleTwoTasks(t *testing.T) {
 			edges[id] = n.Graph.Edge(graph.EdgeID(id))
 		}
 		for i := 0; i < 10; i++ {
-			g, err := assembleWith(n.Graph, edges)
+			g, err := graphtest.Reassemble(n.Graph, edges)
 			if err != nil {
 				t.Fatalf("%s, assembly %d: %v", n.Name, i, err)
 			}
@@ -156,25 +156,6 @@ func TestAssembleTwoTasks(t *testing.T) {
 			}
 		}
 	}
-}
-
-// assembleWith assembles g's types, relationship types and entities with
-// the given edges.
-func assembleWith(g *graph.EntityGraph, edges []graph.Edge) (*graph.EntityGraph, error) {
-	types := make([]string, g.NumTypes())
-	for ty := range types {
-		types[ty] = g.TypeName(graph.TypeID(ty))
-	}
-	rels := make([]graph.RelType, g.NumRelTypes())
-	for r := range rels {
-		rels[r] = g.RelType(graph.RelTypeID(r))
-	}
-	ents := make([]graph.Entity, g.NumEntities())
-	for e := range ents {
-		ent := g.Entity(graph.EntityID(e))
-		ents[e] = graph.Entity{Name: ent.Name, Types: slices.Clone(ent.Types)}
-	}
-	return graph.Assemble(types, rels, ents, slices.Clone(edges))
 }
 
 // sameRuns reports the first (entity, relationship type, direction) whose

@@ -10,9 +10,10 @@ import (
 // sort.Strings gives their names: Rank(e) < Rank(f) exactly when e's name
 // sorts before f's. Entity names are unique, so no two ranks tie and the
 // ranks of |Vd| entities are 0 … |Vd|-1. A graph makes its order when it
-// is made: Assemble sorts the names, and Derive merges a batch's new names
-// into its predecessor's order. Every neighbor run of the graph is in this
-// order. A NameOrder is immutable and shared.
+// is made: Assemble sorts the names, Derive merges a batch's new names
+// into its predecessor's order, and Adopt shares its source's. Every
+// neighbor run of the graph is in this order. A NameOrder is immutable
+// and shared.
 type NameOrder struct {
 	rank   []int32    // per entity
 	byRank []EntityID // per rank: the inverse of rank

@@ -2,8 +2,10 @@ package score_test
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,10 +108,13 @@ func TestEntropyMatchesReference(t *testing.T) {
 
 // FuzzGraphLayout decodes its input into a multigraph of at most 12 types
 // and 64 entities (graphtest.Multigraph) and checks the flat layout from
-// three sides: Neighbors against each run's neighbors found by a scan of
+// four sides: Neighbors against each run's neighbors found by a scan of
 // the edges and ordered by their sorted names, Entropy against the
-// reference, and the snapshot codec's Write → Read → Write, which must
-// reproduce the bytes.
+// reference, the snapshot codec's Write → Read → Write, which must
+// reproduce the bytes, and graph.Adopt, whose edge list, sorted by
+// counting passes unless it is already canonical, must be the edges in
+// the order slices.SortFunc gives them by (relationship type, source,
+// target).
 func FuzzGraphLayout(f *testing.F) {
 	f.Add([]byte{})
 	rng := rand.New(rand.NewSource(1))
@@ -140,6 +145,25 @@ func FuzzGraphLayout(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("Write → Read → Write changed the snapshot bytes")
+		}
+		edges := make([]graph.Edge, g.NumEdges())
+		for i := range edges {
+			edges[i] = g.Edge(graph.EdgeID(i))
+		}
+		slices.SortFunc(edges, func(a, b graph.Edge) int {
+			if c := cmp.Compare(a.Rel, b.Rel); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.To, b.To)
+		})
+		adopted := graph.Adopt(g)
+		for i, want := range edges {
+			if got := adopted.Edge(graph.EdgeID(i)); got != want {
+				t.Fatalf("adopted edge %d = %+v, want %+v", i, got, want)
+			}
 		}
 	})
 }

@@ -214,3 +214,94 @@ func longNames(t *testing.T) *graph.EntityGraph {
 	}
 	return g
 }
+
+// rawEncoding is g's snapshot assembled record by record with
+// rawSnapshot: the bytes Write must produce, however it chunks them.
+func rawEncoding(g *graph.EntityGraph) []byte {
+	r := newRaw().uvarint(uint64(g.NumTypes()))
+	for i := 0; i < g.NumTypes(); i++ {
+		r.str(g.TypeName(graph.TypeID(i)))
+	}
+	r.uvarint(uint64(g.NumRelTypes()))
+	for i := 0; i < g.NumRelTypes(); i++ {
+		rt := g.RelType(graph.RelTypeID(i))
+		r.str(rt.Name).uvarint(uint64(rt.From), uint64(rt.To))
+	}
+	r.uvarint(uint64(g.NumEntities()))
+	for i := 0; i < g.NumEntities(); i++ {
+		ent := g.Entity(graph.EntityID(i))
+		r.str(ent.Name).uvarint(uint64(len(ent.Types)))
+		for _, t := range ent.Types {
+			r.uvarint(uint64(t))
+		}
+	}
+	r.uvarint(uint64(g.NumEdges()))
+	for i := 0; i < g.NumEdges(); i++ {
+		ed := g.Edge(graph.EdgeID(i))
+		r.uvarint(uint64(ed.From), uint64(ed.Rel), uint64(ed.To))
+	}
+	return r.sealed()
+}
+
+var errWriterFull = errors.New("writer full")
+
+// failAfter is a writer that takes n bytes and then fails: the Write that
+// would pass n takes what fits and returns errWriterFull. ends records
+// where each Write call that succeeded left off.
+type failAfter struct {
+	n    int
+	got  []byte
+	ends []int
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if room := w.n - len(w.got); len(p) > room {
+		w.got = append(w.got, p[:room]...)
+		return room, errWriterFull
+	}
+	w.got = append(w.got, p...)
+	w.ends = append(w.ends, len(w.got))
+	return len(p), nil
+}
+
+// TestWriteChunks: Write hands its writer the record-by-record encoding
+// of the long-names graph, whose names straddle and outgrow its 64 KiB
+// chunk, and of the film domain, over many chunks. A writer that fails
+// after n bytes, for n at 0, at each chunk edge and one byte either side
+// of it, and inside the trailing checksum, makes Write return the
+// writer's error, and no byte past n was written.
+func TestWriteChunks(t *testing.T) {
+	film, err := freebase.Generate("film", freebase.DefaultGenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.EntityGraph{"long names": longNames(t), "film": film} {
+		want := rawEncoding(g)
+		all := &failAfter{n: len(want) + 1}
+		if err := storage.Write(all, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(all.got, want) {
+			t.Fatalf("%s: Write differs from the record-by-record encoding", name)
+		}
+		if len(all.ends) < 3 {
+			t.Fatalf("%s: %d Write calls, want the snapshot in several chunks", name, len(all.ends))
+		}
+		cuts := []int{0, len(want) - 2}
+		for _, end := range all.ends {
+			cuts = append(cuts, end-1, end, end+1)
+		}
+		for _, n := range cuts {
+			if n >= len(want) {
+				continue
+			}
+			w := &failAfter{n: n}
+			if err := storage.Write(w, g); !errors.Is(err, errWriterFull) {
+				t.Errorf("%s: writer failing after %d of %d bytes: Write returned %v, want its error", name, n, len(want), err)
+			}
+			if !bytes.Equal(w.got, want[:n]) {
+				t.Errorf("%s: writer failing after %d bytes was handed %d bytes that are not the snapshot's first", name, n, len(w.got))
+			}
+		}
+	}
+}

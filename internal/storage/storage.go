@@ -24,15 +24,14 @@
 // with memory: a table is pre-sized to at most 2^16 entries and doubles,
 // never past its count, only as its records decode, so an honest table
 // ends exactly as long as its count. Names are cut from shared 64 KiB
-// chunks, not allocated one by one.
+// chunks, not allocated one by one; Write, likewise, appends records into
+// one 64 KiB chunk and hands its writer a chunk at a time.
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"io/fs"
@@ -56,38 +55,59 @@ var ErrCorrupt = errors.New("storage: corrupt snapshot")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// chunkSize is the codec's buffer both ways: every chunk Write fills or
+// the decoder consumes is folded into the checksum in one crc32.Update
+// call, and Write hands each of its chunks to its writer in one call.
+const chunkSize = 64 << 10
+
+// crcWriter appends a snapshot into one chunk, buf, which it flushes
+// when the next record may not fit. The first failure sticks in err, and
+// nothing is written after it.
 type crcWriter struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	buf [binary.MaxVarintLen64]byte
+	w   io.Writer
+	buf []byte
+	crc uint32
 	err error
 }
 
-func (cw *crcWriter) write(p []byte) {
-	if cw.err != nil {
-		return
+// flush folds the chunk into the checksum and writes it out.
+func (cw *crcWriter) flush() {
+	if cw.err == nil {
+		cw.crc = crc32.Update(cw.crc, castagnoli, cw.buf)
+		_, cw.err = cw.w.Write(cw.buf)
 	}
-	if _, err := cw.w.Write(p); err != nil {
-		cw.err = err
-		return
-	}
-	cw.crc.Write(p)
+	cw.buf = cw.buf[:0]
 }
 
 func (cw *crcWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(cw.buf[:], v)
-	cw.write(cw.buf[:n])
+	if cap(cw.buf)-len(cw.buf) < binary.MaxVarintLen64 {
+		cw.flush()
+	}
+	cw.buf = binary.AppendUvarint(cw.buf, v)
 }
 
+// str appends a length-prefixed name; one longer than the chunk goes to
+// the writer straight after the chunk before it.
 func (cw *crcWriter) str(s string) {
 	cw.uvarint(uint64(len(s)))
-	cw.write([]byte(s))
+	if cap(cw.buf)-len(cw.buf) < len(s) {
+		cw.flush()
+	}
+	if len(s) <= cap(cw.buf) {
+		cw.buf = append(cw.buf, s...)
+		return
+	}
+	if cw.err == nil {
+		b := []byte(s)
+		cw.crc = crc32.Update(cw.crc, castagnoli, b)
+		_, cw.err = cw.w.Write(b)
+	}
 }
 
-// Write serializes g to w.
+// Write serializes g to w, in chunks of chunkSize bytes.
 func Write(w io.Writer, g *graph.EntityGraph) error {
-	cw := &crcWriter{w: bufio.NewWriter(w), crc: crc32.New(castagnoli)}
-	cw.write(magic[:])
+	cw := &crcWriter{w: w, buf: make([]byte, 0, chunkSize)}
+	cw.buf = append(cw.buf, magic[:]...)
 	cw.uvarint(Version)
 
 	cw.uvarint(uint64(g.NumTypes()))
@@ -120,18 +140,12 @@ func Write(w io.Writer, g *graph.EntityGraph) error {
 	if cw.err != nil {
 		return cw.err
 	}
-	// Trailing checksum (not itself checksummed).
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], cw.crc.Sum32())
-	if _, err := cw.w.Write(sum[:]); err != nil {
-		return err
-	}
-	return cw.w.Flush()
+	// The trailing checksum, not itself checksummed, goes with the last
+	// chunk.
+	sum := crc32.Update(cw.crc, castagnoli, cw.buf)
+	_, err := w.Write(binary.BigEndian.AppendUint32(cw.buf, sum))
+	return err
 }
-
-// readBuffer is the decoder's chunk size: every chunk it consumes is
-// folded into the checksum in one crc32.Update call.
-const readBuffer = 64 << 10
 
 // presizeCap bounds how many elements a header count may pre-size.
 const presizeCap = 1 << 16
@@ -303,7 +317,7 @@ func (d *decoder) count(table string, limit uint64) uint64 {
 // are not a valid snapshot and wraps ErrCorrupt, so callers (and fuzzing)
 // can rely on errors.Is.
 func Read(r io.Reader) (*graph.EntityGraph, error) {
-	d := &decoder{r: r, buf: make([]byte, readBuffer)}
+	d := &decoder{r: r, buf: make([]byte, chunkSize)}
 	g, err := d.snapshot()
 	switch {
 	case err == nil:

@@ -108,7 +108,7 @@ func (sr *WALStreamReader) Next() (WALRecord, error) {
 // readFull reads exactly n bytes from r into a buffer that grows as they
 // arrive, so a damaged length costs no more memory than the input holds.
 func readFull(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, readBuffer))
+	buf := make([]byte, 0, min(n, chunkSize))
 	for len(buf) < n {
 		buf = slices.Grow(buf, min(n-len(buf), len(buf)))
 		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
