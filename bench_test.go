@@ -528,10 +528,7 @@ func BenchmarkPublish(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		warm := graph.Delta{Rels: make([]graph.RelType, frozen.NumRelTypes())}
-		for r := range warm.Rels {
-			warm.Rels[r] = frozen.RelType(graph.RelTypeID(r))
-		}
+		var warm graph.Delta
 		for t := 0; t < frozen.NumTypes(); t++ {
 			warm.Entities = append(warm.Entities, graph.Entity{Name: fmt.Sprintf("warm-%d", t), Types: []graph.TypeID{graph.TypeID(t)}})
 		}
@@ -630,10 +627,7 @@ func BenchmarkWriteSnapshot(b *testing.B) {
 // relationship type and a source of its From type, and a target of its To
 // type or, one time in ten, a new entity of that type.
 func publishDelta(g *graph.EntityGraph, size int, rng *rand.Rand) graph.Delta {
-	d := graph.Delta{Rels: make([]graph.RelType, g.NumRelTypes())}
-	for r := range d.Rels {
-		d.Rels[r] = g.RelType(graph.RelTypeID(r))
-	}
+	var d graph.Delta
 	seen := map[graph.Edge]bool{}
 	for len(d.Edges) < size {
 		rel := graph.RelTypeID(rng.Intn(g.NumRelTypes()))
@@ -651,7 +645,6 @@ func publishDelta(g *graph.EntityGraph, size int, rng *rand.Rand) graph.Delta {
 		}
 		seen[ed] = true
 		d.Edges = append(d.Edges, ed)
-		d.Rels[rel].EdgeCount++
 	}
 	return d
 }

@@ -12,15 +12,19 @@ import (
 )
 
 // measureCounts is an independent reference for a batch's Dirty set:
-// per type, its coverage plus the instance counts of its incident
-// relationship types. Both only ever grow, and every change to a type's
-// measure inputs grows one of them, so a batch's Dirty set is exactly
-// the types whose sum moved.
-func measureCounts(g *Graph) []int {
-	c := slices.Clone(g.coverage)
-	for _, r := range g.rels {
-		c[r.From] += r.EdgeCount
-		c[r.To] += r.EdgeCount
+// per type of a snapshot's graph, its coverage plus the instance counts
+// of its incident relationship types. Both only ever grow, and every
+// change to a type's measure inputs grows one of them, so a batch's Dirty
+// set is exactly the types whose sum moved.
+func measureCounts(g *graph.EntityGraph) []int {
+	c := make([]int, g.NumTypes())
+	for t := range c {
+		c[t] = g.TypeCoverage(graph.TypeID(t))
+	}
+	for r := 0; r < g.NumRelTypes(); r++ {
+		rt := g.RelType(graph.RelTypeID(r))
+		c[rt.From] += rt.EdgeCount
+		c[rt.To] += rt.EdgeCount
 	}
 	return c
 }
@@ -35,14 +39,14 @@ func applyStream(t *testing.T, what string, live *Live, rng *rand.Rand, batches 
 	t.Helper()
 	snaps := []*Snapshot{live.Snapshot()}
 	for i := 0; i < batches; i++ {
-		before := measureCounts(live.g)
+		before := measureCounts(snaps[i].Frozen)
 		snap, err := apply(snaps[i].Epoch+1, func(g *Graph) error { return writeBatch(rng, g) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []graph.TypeID
 		if !snap.Structural {
-			for ty, c := range measureCounts(live.g) {
+			for ty, c := range measureCounts(snap.Frozen) {
 				if c != before[ty] {
 					want = append(want, graph.TypeID(ty))
 				}

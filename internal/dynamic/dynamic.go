@@ -6,7 +6,10 @@
 // graph is updated (detailed discussion omitted)". This package supplies
 // the omitted machinery:
 //
-//   - coverage scores and relationship-instance counts are plain counters;
+//   - coverage scores and relationship-instance counts are read off the
+//     graph each fold publishes: graph.Derive appends the batch's entities
+//     to the per-type lists and counts its edges on their relationship
+//     types;
 //   - the entropy measure's per-attribute value-set group histograms move
 //     one tuple per grown neighbor run (from the group of its old run to
 //     that of its new one, and that group from its old size to its new one
@@ -17,22 +20,24 @@
 //     of the entity graph's size, which is the expensive part.
 //
 // A Graph holds no copy of the entity graph's edges, names or entity
-// types: the immutable graph.EntityGraph it last folded into (base) holds
-// them, and an open batch holds what mutations added since. A Graph
+// types, and no count of them: the immutable graph.EntityGraph it last
+// folded into (base) holds them, and an open batch holds what mutations
+// added since. A Graph
 // opened on an entity graph (FromEntityGraph) starts from that graph as
 // its base, adopted as it is: it shares the source's arrays and never
 // writes them, and re-derives nothing of it. A mutation costs O(1) beyond
-// its endpoints' type lists. A fold (Freeze; Scores runs
-// one first) derives the next graph from base and the batch
-// (graph.Derive), then moves the histogram group of each tuple whose run
-// grew: O(u log u) for a batch of u edges, plus Derive's word copies of the
-// adjacency. Emitting a score.Set then costs O(K² + K·N) more, instead of
-// score.Compute's hashing of every value set in an O(|Vd| + |Ed|) rescan,
-// and the Set is a function of the graph's state alone: it equals
-// score.Compute of the frozen graph bit for bit, whatever sequence of
-// updates reached the state. The paper's companion observation — "the
-// optimal previews cannot be incrementally updated" — still holds: rerun
-// discovery on the refreshed Set.
+// its endpoints' type lists. A fold (Freeze; Scores runs one first)
+// derives the next graph from base and the batch (graph.Derive), then
+// moves the histogram group of each tuple whose run grew: O(u log u) for a
+// batch of u edges, plus Derive's word copies of the adjacency. Emitting a
+// score.Set then costs O(K² + K·N) more, through the assembly every Set
+// is made by (score.ComputeWith), instead of score.Compute's hashing of
+// every value set in an O(|Vd| + |Ed|) rescan, and the Set is a function
+// of the graph's state alone: it equals score.Compute of the frozen graph
+// bit for bit, whatever sequence of updates reached the state. The
+// paper's companion observation — "the optimal previews cannot be
+// incrementally updated" — still holds: rerun discovery on the refreshed
+// Set.
 package dynamic
 
 import (
@@ -51,11 +56,8 @@ type Graph struct {
 	typeNames  []string
 	typeByName map[string]graph.TypeID
 
-	rels     []graph.RelType
+	rels     []graph.RelType // declarations: EdgeCount is always 0
 	relByKey map[relKey]graph.RelTypeID
-
-	coverage []int // per type
-	edges    int
 
 	// hist[rel][dir] maintains the entropy bookkeeping of one attribute
 	// orientation: dir 0 = outgoing (tuples are source entities of the
@@ -65,7 +67,7 @@ type Graph struct {
 	sizeBuf []score.SizeCount
 
 	// Change stamps, read by Snapshot.DirtySince: moved[t] is the epoch of
-	// the last batch that moved type t's measure inputs (coverage counter,
+	// the last batch that moved type t's measure inputs (coverage,
 	// incident entropy histograms, incident relationship counts), and
 	// structuralAt that of the last schema change (new type or
 	// relationship type) or Live's first publication. epoch is the stamp
@@ -184,7 +186,6 @@ func (g *Graph) Type(name string) graph.TypeID {
 	}
 	id := graph.TypeID(len(g.typeNames))
 	g.typeNames = append(g.typeNames, name)
-	g.coverage = append(g.coverage, 0)
 	g.moved = append(g.moved, g.epoch)
 	g.typeByName[name] = id
 	g.structuralAt = g.epoch
@@ -212,7 +213,6 @@ func (g *Graph) RelType(name string, from, to graph.TypeID) (graph.RelTypeID, er
 }
 
 // Entity declares (or finds) an entity, adding any new types to it.
-// Coverage counters update incrementally.
 func (g *Graph) Entity(name string, types ...graph.TypeID) graph.EntityID {
 	id, ok := g.last().EntityByName(name)
 	if !ok {
@@ -267,14 +267,13 @@ func (g *Graph) addType(e graph.EntityID, t graph.TypeID) {
 		}
 		g.retyped[e] = ts
 	}
-	g.coverage[t]++
 	g.moved[t] = g.epoch
 }
 
-// AddEdge inserts one relationship instance and updates the counters it
-// moves: the relationship's instance count (coverage measure and walk
-// weight) and the endpoints' types (coverage). The edge joins the open
-// batch; the next fold moves the value-set histograms (entropy) it grows.
+// AddEdge inserts one relationship instance, giving its endpoints the
+// relationship's endpoint types. The edge joins the open batch; the next
+// fold counts it (coverage measure and walk weight) and moves the
+// value-set histograms (entropy) it grows.
 func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	if n := g.numEntities(); int(from) >= n || int(to) >= n || from < 0 || to < 0 {
 		return fmt.Errorf("dynamic: edge endpoint out of range")
@@ -285,8 +284,6 @@ func (g *Graph) AddEdge(from, to graph.EntityID, rel graph.RelTypeID) error {
 	rt := g.rels[rel]
 	g.addType(from, rt.From)
 	g.addType(to, rt.To)
-	g.rels[rel].EdgeCount++
-	g.edges++
 	g.added = append(g.added, graph.Edge{From: from, To: to, Rel: rel})
 	// The edge moves the relationship count and both orientations'
 	// entropy — non-key inputs of exactly the two endpoint types.
@@ -303,20 +300,21 @@ func (g *Graph) TypeByName(name string) (graph.TypeID, bool) {
 	return id, ok
 }
 
-// Rel returns one relationship type record (including its maintained
-// instance count). Relationship types are keyed by (name, from, to), so
-// one surface name may map to several types (the paper's "Award Winners"
-// spans both actors and directors) — resolving a bare name to a type is
-// the caller's policy.
+// Rel returns one relationship type's declaration: its name and endpoint
+// types (EdgeCount is 0; the published graph counts instances).
+// Relationship types are keyed by (name, from, to), so one surface name
+// may map to several types (the paper's "Award Winners" spans both
+// actors and directors) — resolving a bare name to a type is the
+// caller's policy.
 func (g *Graph) Rel(id graph.RelTypeID) graph.RelType { return g.rels[int(id)] }
 
 // FromEntityGraph opens a mutable Graph on an immutable entity graph:
 // the source, adopted as it is (graph.Adopt), is the Graph's first base,
 // so every type, relationship-type and entity id is the source's and a
 // frozen view of the result is interchangeable with it. The live graph
-// shares the source's arrays and never writes them. Coverage and the
-// relationship counts are read off the source, and each histogram gains
-// one group key per non-empty neighbor run, visited once per direction.
+// shares the source's arrays and never writes them. It declares the
+// source's types and relationship types, and each histogram gains one
+// group key per non-empty neighbor run, visited once per direction.
 // Nothing is pending: the first Freeze publishes the adopted graph as it
 // is, or derives one ordinary batch on top of it when writes (a replayed
 // WAL tail) came first.
@@ -324,16 +322,13 @@ func FromEntityGraph(src *graph.EntityGraph) (*Graph, error) {
 	g := &Graph{}
 	for t := 0; t < src.NumTypes(); t++ {
 		g.Type(src.TypeName(graph.TypeID(t)))
-		g.coverage[t] = src.TypeCoverage(graph.TypeID(t))
 	}
 	for r := 0; r < src.NumRelTypes(); r++ {
 		rt := src.RelType(graph.RelTypeID(r))
 		if _, err := g.RelType(rt.Name, rt.From, rt.To); err != nil {
 			return nil, err
 		}
-		g.rels[r].EdgeCount = rt.EdgeCount
 	}
-	g.edges = src.NumEdges()
 	g.base = graph.Adopt(src)
 	for dir, out := range [2]bool{true, false} {
 		src.Runs(out, func(_ graph.EntityID, rel graph.RelTypeID, run []graph.EntityID) {
@@ -343,52 +338,39 @@ func FromEntityGraph(src *graph.EntityGraph) (*Graph, error) {
 	return g, nil
 }
 
-// Stats returns current size statistics.
+// Stats returns current size statistics: the base graph's counts plus
+// the open batch.
 func (g *Graph) Stats() graph.Stats {
 	return graph.Stats{
 		Entities: g.numEntities(),
-		Edges:    g.edges,
+		Edges:    g.last().NumEdges() + len(g.added),
 		Types:    len(g.typeNames),
 		RelTypes: len(g.rels),
 	}
 }
 
-// Scores assembles a score.Set from the incrementally maintained state,
-// after a fold (see Freeze): coverage and entropy read off the maintained
-// counters and histograms; the random walk is solved on the folded
-// graph's (small) schema graph, cold, by score.StationaryDistribution. No
-// entity or edge is revisited, and the Set equals score.Compute of
-// Freeze's graph bit for bit.
+// Scores folds the open batch (see Freeze) and assembles the folded
+// graph's score.Set by score.ComputeWith: coverage and the relationship
+// counts are read off the folded graph, the entropies off the maintained
+// histograms, and the random walk is solved on its (small) schema graph,
+// cold. No entity or edge is revisited, and the Set equals score.Compute
+// of Freeze's graph bit for bit. The assembly runs on one worker, whatever
+// opts.Parallelism says: the histograms re-sum through one scratch.
 func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 	frozen, err := g.Freeze()
 	if err != nil {
 		return nil, err
 	}
-	s := frozen.Schema()
-	n := s.NumTypes()
-	keyCov := make([]float64, n)
-	for t := 0; t < n; t++ {
-		keyCov[t] = float64(g.coverage[t])
-	}
-	keyWalk := score.StationaryDistribution(s, opts)
-	nonKeyCov := make([][]float64, n)
-	nonKeyEnt := make([][]float64, n)
-	for t := 0; t < n; t++ {
-		incs := s.Incident(graph.TypeID(t))
-		cov := make([]float64, len(incs))
-		ent := make([]float64, len(incs))
+	opts.Parallelism = 1
+	return score.ComputeWith(frozen, func(_ graph.TypeID, incs []graph.Incidence, ent []float64) {
 		for i, inc := range incs {
-			cov[i] = float64(g.rels[inc.Rel].EdgeCount)
 			dir := 1
 			if inc.Outgoing {
 				dir = 0
 			}
 			ent[i] = g.entropy(g.hist[inc.Rel][dir])
 		}
-		nonKeyCov[t] = cov
-		nonKeyEnt[t] = ent
-	}
-	return score.NewSet(s, keyCov, keyWalk, nonKeyCov, nonKeyEnt)
+	}, opts), nil
 }
 
 // Freeze folds the open batch and returns the current state as an
@@ -398,9 +380,9 @@ func (g *Graph) Scores(opts score.WalkOptions) (*score.Set, error) {
 // run's key to its new one's, makes the result base and clears the batch.
 // With nothing pending it returns base as it is, so two calls share one
 // graph. The graph's ids are this graph's ids; it counts every parallel
-// copy, as the counters do, and holds each neighbor once per run, in
-// name order: it equals graph.Assemble of the whole state in
-// canonical edge order (relationship type, source, target). So a Graph
+// copy and holds each neighbor once per run, in name order: it equals
+// graph.Assemble of the whole state in canonical edge order
+// (relationship type, source, target). So a Graph
 // opened on it (FromEntityGraph, as a checkpoint restart does) counts the
 // same again. A Graph just opened has nothing pending: its first Freeze
 // returns the adopted source, which shares the source's arrays.
@@ -410,7 +392,7 @@ func (g *Graph) Freeze() (*graph.EntityGraph, error) {
 		len(g.entities) == 0 && len(g.retyped) == 0 && len(g.added) == 0 {
 		return prev, nil
 	}
-	d := graph.Delta{Types: g.typeNames[prev.NumTypes():], Rels: g.rels, Entities: g.entities, Edges: g.added}
+	d := graph.Delta{Types: g.typeNames[prev.NumTypes():], Rels: g.rels[prev.NumRelTypes():], Entities: g.entities, Edges: g.added}
 	for e, ts := range g.retyped {
 		d.Retyped = append(d.Retyped, graph.Retype{Entity: e, Types: ts})
 	}

@@ -467,8 +467,9 @@ func FuzzDerivedGraphMatchesFreeze(f *testing.F) {
 // reads what its first walk read.
 // Under -race it also shows that no derivation writes memory an older
 // snapshot's readers read: the graphs share their entity records, names,
-// per-type lists and name orders, append to them, and build their edge
-// lists lazily, from whichever reader asks first.
+// per-type lists and name orders, append to them, count each batch's
+// edges in a copy of the relationship table, and build their edge lists
+// lazily, from whichever reader asks first.
 func TestDerivedSnapshotsStayPut(t *testing.T) {
 	g, err := FromEntityGraph(fig1.Graph())
 	if err != nil {
@@ -541,9 +542,10 @@ func TestDerivedSnapshotsStayPut(t *testing.T) {
 }
 
 // walkGraph reads everything a reader of g can and digests it: entity
-// names, types, name lookups and name ranks, per-type lists, the neighbor
-// runs of every entity's incident relationship types, and the edge list.
-// The digest is never 0.
+// names, types, name lookups and name ranks, per-type lists, relationship
+// types (name, endpoint types and instance count), the neighbor runs of
+// every entity's incident relationship types, and the edge list. The
+// digest is never 0.
 func walkGraph(g *graph.EntityGraph) uint64 {
 	h := fnv.New64a()
 	word := func(v int) { binary.Write(h, binary.LittleEndian, int64(v)) }
@@ -571,6 +573,13 @@ func walkGraph(g *graph.EntityGraph) uint64 {
 		for _, e := range g.EntitiesOfType(graph.TypeID(t)) {
 			word(int(e))
 		}
+	}
+	for r := 0; r < g.NumRelTypes(); r++ {
+		rt := g.RelType(graph.RelTypeID(r))
+		h.Write([]byte(rt.Name))
+		word(int(rt.From))
+		word(int(rt.To))
+		word(rt.EdgeCount)
 	}
 	for i := 0; i < g.NumEdges(); i++ {
 		ed := g.Edge(graph.EdgeID(i))

@@ -10,27 +10,30 @@
 // from the previous snapshot's graph, and one histogram move per tuple
 // whose neighbor run grew) and refreshes the scores through the
 // incremental path (Graph.Scores: a re-sum of each moved histogram's
-// group sizes, an O(K²)-per-iteration walk solve, and an O(K + N)
-// assembly) instead of score.Compute's O(|Vd| + |Ed|) rescan. The scores
-// are score.Compute's for the published graph, bit for bit, so a
-// snapshot's scores depend on its state, not on the batches or the
-// restarts that reached it. The graph — needed to materialize tuples, and
-// what buys readers lock-free access to a graph that can never change
-// underneath them — is the Graph's only copy of its edges, names and
-// entity types. The first snapshot's (NewLiveAt's) is the graph the Graph
-// was opened on, adopted as it is (FromEntityGraph: it shares the
-// source's arrays and never writes them), or one batch derived on top of
-// it when a WAL tail was replayed first. Every later one is derived from
-// its predecessor: no validation, hashing or map building of the graph,
-// only word copies of the adjacency arrays and of the name order,
-// O(|Vd| + distinct |Ed|), and O(batch log batch) for the rest. The graph is whole when it is published: Derive merges the
-// batch's new names into the previous graph's name order and builds the
-// schema graph, and leaves only the edge list to its first reader. A
-// batch that adds nothing publishes the previous snapshot's graph again.
-// A snapshot keeps no pointer to its predecessor; it shares only the
-// predecessor's append-only tables, so an old snapshot's own arrays are
-// freed as soon as its last reader lets go. Each snapshot also copies the
-// graph's change stamps (O(types)) for Snapshot.DirtySince.
+// group sizes, an O(K²)-per-iteration walk solve, and the O(K + N)
+// assembly every score set is made by) instead of score.Compute's
+// O(|Vd| + |Ed|) rescan. The scores are score.Compute's for the published
+// graph, bit for bit, so a snapshot's scores depend on its state, not on
+// the batches or the restarts that reached it. The graph — needed to
+// materialize tuples, and what buys readers lock-free access to a graph
+// that can never change underneath them — is the Graph's only copy of its
+// edges, names and entity types, and its only count of them: statistics,
+// coverage and relationship counts are read off it. The first snapshot's
+// (NewLiveAt's) is the graph the Graph was opened on, adopted as it is
+// (FromEntityGraph: it shares the source's arrays and never writes them),
+// or one batch derived on top of it when a WAL tail was replayed first.
+// Every later one is derived from its predecessor: no validation, hashing
+// or map building of the graph, only word copies of the adjacency arrays
+// and of the name order, O(|Vd| + distinct |Ed|), and O(batch log batch)
+// for the rest. The graph is whole when it is published: Derive merges
+// the batch's new names into the previous graph's name order, counts its
+// edges and builds the schema graph, and leaves only the edge list to its
+// first reader. A batch that adds nothing publishes the previous
+// snapshot's graph again. A snapshot keeps no pointer to its predecessor;
+// it shares only the predecessor's append-only tables, so an old
+// snapshot's own arrays are freed as soon as its last reader lets go.
+// Each snapshot also copies the graph's change stamps (O(types)) for
+// Snapshot.DirtySince.
 package dynamic
 
 import (
@@ -59,10 +62,10 @@ var ErrWedged = errors.New("dynamic: live graph wedged by an earlier durability 
 type DurabilityHook func(epoch uint64, kind byte, payload []byte) error
 
 // Snapshot is one published epoch of a live graph: the frozen entity
-// graph, its score set, and size statistics, all taken at the same
-// instant. Snapshots are immutable; readers share them freely.
+// graph and its score set, taken at the same instant. Snapshots are
+// immutable; readers share them freely.
 //
-// The entity graph is a multigraph: Stats.Edges, Frozen's edge counts and
+// The entity graph is a multigraph: Frozen's statistics, edge counts and
 // edge list, and the coverage measures count parallel duplicate edges —
 // a client that retries an already-applied batch inflates them — while
 // neighbor runs and the entropy measure's value sets hold each neighbor
@@ -72,8 +75,6 @@ type Snapshot struct {
 	// Epoch counts successful mutation batches since the graph was made
 	// live. The initial load is epoch 0.
 	Epoch uint64
-	// Stats are the live graph's statistics at publication.
-	Stats graph.Stats
 	// Scores is the incrementally refreshed score set.
 	Scores *score.Set
 	// Frozen is the immutable entity graph for tuple materialization.
@@ -123,8 +124,7 @@ type Live struct {
 	hook   DurabilityHook // nil = volatile
 	wedged error          // sticky durability failure; see ErrWedged
 
-	snap      atomic.Pointer[Snapshot]
-	refreshes atomic.Int64
+	snap atomic.Pointer[Snapshot]
 }
 
 // NewLive publishes g's current state as epoch 0 and returns the facade.
@@ -164,11 +164,6 @@ func (l *Live) SetDurability(hook DurabilityHook) {
 // Snapshot returns the current published snapshot. It never blocks, not
 // even against an in-progress Apply.
 func (l *Live) Snapshot() *Snapshot { return l.snap.Load() }
-
-// Refreshes reports how many score refreshes Apply has published — with
-// the epoch discipline working it equals the number of successful batches
-// (the initial NewLive publication is not counted).
-func (l *Live) Refreshes() int64 { return l.refreshes.Load() }
 
 // Apply runs one mutation batch under the writer lock and, if it
 // succeeds, refreshes the scores incrementally and publishes the next
@@ -254,7 +249,6 @@ func (l *Live) applyLocked(kind byte, payload []byte, mutate func(*Graph) error)
 		}
 		return nil, err
 	}
-	l.refreshes.Add(1)
 	return l.snap.Load(), nil
 }
 
@@ -274,7 +268,6 @@ func (l *Live) publishLocked(epoch uint64) error {
 	}
 	snap := &Snapshot{
 		Epoch:        epoch,
-		Stats:        l.g.Stats(),
 		Scores:       scores,
 		Frozen:       frozen,
 		Structural:   l.g.structuralAt == epoch,

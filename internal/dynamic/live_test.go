@@ -27,11 +27,8 @@ func TestLivePublishesEpochs(t *testing.T) {
 	if snap.Epoch != 0 {
 		t.Fatalf("initial epoch = %d, want 0", snap.Epoch)
 	}
-	if snap.Stats.Edges != 21 || snap.Frozen.NumEdges() != 21 {
-		t.Fatalf("initial stats = %+v, frozen edges = %d", snap.Stats, snap.Frozen.NumEdges())
-	}
-	if live.Refreshes() != 0 {
-		t.Fatalf("initial publication counted as a refresh: %d", live.Refreshes())
+	if st := snap.Frozen.Stats(); st.Edges != 21 {
+		t.Fatalf("initial stats = %+v", st)
 	}
 
 	next, err := live.Apply(func(g *dynamic.Graph) error {
@@ -49,15 +46,12 @@ func TestLivePublishesEpochs(t *testing.T) {
 	if next.Epoch != 1 || live.Snapshot() != next {
 		t.Fatalf("epoch after one batch = %d (current %p, want %p)", next.Epoch, live.Snapshot(), next)
 	}
-	if next.Stats.Edges != 22 {
-		t.Fatalf("edges after batch = %d, want 22", next.Stats.Edges)
-	}
-	if live.Refreshes() != 1 {
-		t.Fatalf("refreshes = %d, want 1", live.Refreshes())
+	if st := next.Frozen.Stats(); st.Edges != 22 {
+		t.Fatalf("edges after batch = %d, want 22", st.Edges)
 	}
 	// The old snapshot is untouched: copy-on-write, not in-place.
-	if snap.Stats.Edges != 21 || snap.Frozen.NumEdges() != 21 {
-		t.Fatalf("published snapshot mutated: %+v", snap.Stats)
+	if st := snap.Frozen.Stats(); st.Edges != 21 {
+		t.Fatalf("published snapshot mutated: %+v", st)
 	}
 }
 
@@ -68,8 +62,8 @@ func TestLiveFailedBatchPublishesNothing(t *testing.T) {
 	if _, err := live.Apply(func(g *dynamic.Graph) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Apply error = %v, want %v", err, boom)
 	}
-	if live.Snapshot() != before || live.Refreshes() != 0 {
-		t.Fatal("failed batch published an epoch or counted a refresh")
+	if snap := live.Snapshot(); snap != before || snap.Epoch != 0 {
+		t.Fatal("failed batch published an epoch")
 	}
 }
 
@@ -204,8 +198,8 @@ func TestLiveConcurrentApplyAndRead(t *testing.T) {
 					return
 				}
 				last = snap.Epoch
-				if got := snap.Scores.Schema().NumTypes(); got != snap.Stats.Types {
-					errs <- fmt.Errorf("snapshot %d inconsistent: %d score types vs %d stats types", snap.Epoch, got, snap.Stats.Types)
+				if got, want := snap.Scores.Schema().NumTypes(), snap.Frozen.Stats().Types; got != want {
+					errs <- fmt.Errorf("snapshot %d inconsistent: %d score types vs %d stats types", snap.Epoch, got, want)
 					return
 				}
 			}
@@ -222,8 +216,8 @@ func TestLiveConcurrentApplyAndRead(t *testing.T) {
 	}
 
 	snap := live.Snapshot()
-	if snap.Epoch != writers*batches || live.Refreshes() != writers*batches {
-		t.Fatalf("final epoch %d, refreshes %d, want %d", snap.Epoch, live.Refreshes(), writers*batches)
+	if snap.Epoch != writers*batches {
+		t.Fatalf("final epoch %d, want %d", snap.Epoch, writers*batches)
 	}
 	batchSet := score.Compute(snap.Frozen, score.DefaultWalkOptions())
 	assertSetsEqual(t, snap.Scores, batchSet)
@@ -294,7 +288,7 @@ func TestLiveDurabilityFailureWedges(t *testing.T) {
 	if _, err := live.ApplyBatch(1, []byte("b"), addHancockGenre); !errors.Is(err, diskFull) {
 		t.Fatalf("ApplyBatch error = %v, want the hook's", err)
 	}
-	if live.Snapshot() != before || live.Refreshes() != 0 {
+	if snap := live.Snapshot(); snap != before || snap.Epoch != 0 {
 		t.Fatal("failed log write published an epoch")
 	}
 	if _, err := live.ApplyBatch(1, []byte("b2"), addHancockGenre); !errors.Is(err, dynamic.ErrWedged) {

@@ -55,7 +55,7 @@ func TestLiveNameOrderCarried(t *testing.T) {
 			if snap.Structural {
 				structural++
 			}
-			if snap.Stats.Entities == prev.Stats.Entities {
+			if snap.Frozen.NumEntities() == prev.Frozen.NumEntities() {
 				shared++
 			} else {
 				grown++

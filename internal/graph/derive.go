@@ -13,8 +13,8 @@ import (
 type Delta struct {
 	// Types names the entity types declared since, in id order.
 	Types []string
-	// Rels is every relationship type, old and new, in id order, with an
-	// EdgeCount that counts every parallel copy.
+	// Rels are the relationship types declared since, in id order. Their
+	// EdgeCount is not read: Derive counts Edges.
 	Rels []RelType
 	// Entities are the entities declared since, in id order, each with its
 	// whole type list.
@@ -46,12 +46,14 @@ type Retype struct {
 //
 // Derive checks only what the batch declares: a new entity without a
 // type is an error, as in Assemble. It validates, hashes, sorts and maps
-// nothing of prev. Entity records, their names and per-type entity lists
-// are shared with prev or appended to (prev keeps its own lengths);
-// a per-type list the batch inserts into is copied, and a batch that
-// retypes an older entity copies the table of entity records. Derive
-// copies the type and relationship-type tables, merges the batch's new
-// names into prev's name order (sharing it when the batch declares no
+// nothing of prev, and writes none of it. Entity records, their names and
+// per-type entity lists are shared with prev or appended to (prev keeps
+// its own lengths); a per-type list the batch inserts into is copied, and
+// a batch that retypes an older entity copies the table of entity
+// records. Derive copies the type and relationship-type tables and
+// appends the batch's declarations, counts every edge of the batch,
+// parallel copies included, on its relationship type, merges the batch's
+// new names into prev's name order (sharing it when the batch declares no
 // entity), sorts the batch's edges, drops repeated triples and those prev
 // holds, rebuilds each direction of the adjacency by one merge of prev's
 // with the new triples, each placed in its run by rank, and builds the
@@ -75,8 +77,15 @@ func Derive(prev *EntityGraph, d Delta) (*EntityGraph, error) {
 		slabLen += len(r.Types)
 	}
 	g := &EntityGraph{
-		relTypes: slices.Clone(d.Rels),
+		relTypes: make([]RelType, len(prev.relTypes), len(prev.relTypes)+len(d.Rels)),
 		numEdges: nEdges,
+	}
+	copy(g.relTypes, prev.relTypes)
+	for _, rt := range d.Rels {
+		g.relTypes = append(g.relTypes, RelType{Name: rt.Name, From: rt.From, To: rt.To})
+	}
+	for _, ed := range d.Edges {
+		g.relTypes[ed.Rel].EdgeCount++
 	}
 
 	// Entity records. An older record that changes is copied with the

@@ -216,18 +216,13 @@ func seededBatch(rng *rand.Rand, prev *graph.EntityGraph, edges []graph.Edge) (g
 			}
 		}
 	}
-	for r := 0; r < prev.NumRelTypes(); r++ {
-		d.Rels = append(d.Rels, prev.RelType(graph.RelTypeID(r)))
-	}
-	for _, ed := range d.Edges {
-		d.Rels[ed.Rel].EdgeCount++
-	}
 
 	var b graph.Builder
 	for ty := 0; ty < prev.NumTypes(); ty++ {
 		b.Type(prev.TypeName(graph.TypeID(ty)))
 	}
-	for _, rt := range d.Rels {
+	for r := 0; r < prev.NumRelTypes(); r++ {
+		rt := prev.RelType(graph.RelTypeID(r))
 		b.RelType(rt.Name, rt.From, rt.To)
 	}
 	for e := 0; e < prev.NumEntities(); e++ {

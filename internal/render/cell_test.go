@@ -593,7 +593,7 @@ func FuzzCellOrder(f *testing.F) {
 		}
 		cut := split % (len(names) + 1)
 		prev := build(names[:cut], false)
-		d := graph.Delta{Rels: []graph.RelType{prev.RelType(0)}}
+		var d graph.Delta
 		for _, name := range names[cut:] {
 			d.Entities = append(d.Entities, graph.Entity{Name: name, Types: []graph.TypeID{0}})
 		}

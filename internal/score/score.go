@@ -102,13 +102,13 @@ type WalkOptions struct {
 	Tolerance float64
 	// MaxIter caps power iteration.
 	MaxIter int
-	// Parallelism is the worker count of Compute's per-type fan-out: the
-	// coverage and entropy scores of each entity type. Values <= 1 mean
-	// sequential. Results are bit-identical at every setting: each type's
-	// scores are computed by exactly one worker with an accumulation
-	// order that does not depend on the worker count (see internal/par).
-	// Power iteration (StationaryDistribution, which package dynamic's
-	// refreshes run too) is sequential at every setting.
+	// Parallelism is the worker count of the per-type fan-out every Set
+	// is assembled by: the coverage and entropy scores of each entity
+	// type. Values <= 1 mean sequential. Results are bit-identical at
+	// every setting: each type's scores are computed by exactly one
+	// worker with an accumulation order that does not depend on the
+	// worker count (see internal/par). Power iteration
+	// (StationaryDistribution) is sequential at every setting.
 	Parallelism int
 }
 
@@ -120,7 +120,7 @@ func DefaultWalkOptions() WalkOptions {
 
 // Set holds every precomputed score for one entity graph: key attribute
 // scores per measure per entity type, and non-key attribute scores per
-// measure per (entity type, incidence). A Set is immutable after Compute.
+// measure per (entity type, incidence). A Set is immutable once made.
 type Set struct {
 	schema *graph.Schema
 
@@ -144,28 +144,25 @@ type Set struct {
 // written to slots only that worker touches, so the resulting Set is
 // bit-identical to a sequential Compute.
 func Compute(g *graph.EntityGraph, opts WalkOptions) *Set {
-	s := g.Schema()
-	set := &Set{schema: s}
-
-	n := g.NumTypes()
-	set.keyCov = make([]float64, n)
-	set.nonKeyCov = make([][]float64, n)
-	set.nonKeyEnt = make([][]float64, n)
-	par.ForEach(opts.Parallelism, n, func(t int) {
-		set.keyCov[t] = float64(g.TypeCoverage(graph.TypeID(t)))
-		incs := s.Incident(graph.TypeID(t))
-		cov := make([]float64, len(incs))
-		ent := make([]float64, len(incs))
+	return ComputeWith(g, func(t graph.TypeID, incs []graph.Incidence, ent []float64) {
 		var sc entropyScratch
 		for i, inc := range incs {
-			cov[i] = float64(s.RelType(inc.Rel).EdgeCount)
-			ent[i] = sc.entropy(g, graph.TypeID(t), inc)
+			ent[i] = sc.entropy(g, t, inc)
 		}
-		set.nonKeyCov[t] = cov
-		set.nonKeyEnt[t] = ent
-	})
-	set.keyWalk = StationaryDistribution(s, opts)
-	return set
+	}, opts)
+}
+
+// ComputeWith is Compute for a caller that keeps its own entropies
+// (package dynamic's maintained histograms): coverage, the relationship
+// counts and the walk come from g as in Compute, and entropy fills ent,
+// index-aligned with incs = g.Schema().Incident(t), with the entropy of
+// each of type t's incidences. It runs once per type, on one of
+// opts.Parallelism workers. Every entropy must be non-negative, as every
+// measure computed here is: Alg. 3's search (package core) skips subsets
+// by a bound that is exact only then. HistogramEntropy sums non-negative
+// terms, so its entropies are.
+func ComputeWith(g *graph.EntityGraph, entropy func(t graph.TypeID, incs []graph.Incidence, ent []float64), opts WalkOptions) *Set {
+	return assemble(g, g.Schema(), entropy, opts)
 }
 
 // ComputeSchemaOnly builds a Set for a bare schema graph (no entity graph).
@@ -174,47 +171,32 @@ func Compute(g *graph.EntityGraph, opts WalkOptions) *Set {
 // tests, where the optimization is purely structural (s = 0 in the decision
 // problems).
 func ComputeSchemaOnly(s *graph.Schema, opts WalkOptions) *Set {
-	set := &Set{schema: s}
-	set.keyCov = make([]float64, s.NumTypes())
-	set.keyWalk = StationaryDistribution(s, opts)
-	set.nonKeyCov = make([][]float64, s.NumTypes())
-	set.nonKeyEnt = make([][]float64, s.NumTypes())
-	for t := 0; t < s.NumTypes(); t++ {
-		incs := s.Incident(graph.TypeID(t))
-		cov := make([]float64, len(incs))
-		for i, inc := range incs {
-			cov[i] = float64(s.RelType(inc.Rel).EdgeCount)
-		}
-		set.nonKeyCov[t] = cov
-		set.nonKeyEnt[t] = make([]float64, len(incs))
-	}
-	return set
+	return assemble(nil, s, func(graph.TypeID, []graph.Incidence, []float64) {}, opts)
 }
 
-// NewSet assembles a Set from externally maintained measure values — the
-// hook for incremental maintenance (package dynamic keeps coverage, edge
-// counts and group-size histograms up to date under a stream of graph
-// updates and emits Sets without rescanning the entity graph). nonKeyCov
-// and nonKeyEnt must be index-aligned with s.Incident(t) for each type t.
-// Every value must be non-negative, as every measure computed here is:
-// Alg. 3's search (package core) skips subsets by a bound that is exact
-// only then. Package dynamic's entropies are HistogramEntropy sums of
-// non-negative terms, so they are. Dimensions are validated, values are
-// not, and they are not copied.
-func NewSet(s *graph.Schema, keyCov, keyWalk []float64, nonKeyCov, nonKeyEnt [][]float64) (*Set, error) {
+// assemble is the one builder of a Set. Per type, on opts.Parallelism
+// workers, it reads the type's coverage off g (zero without one), each
+// incidence's relationship count off s and the type's entropies; then it
+// solves the walk on s.
+func assemble(g *graph.EntityGraph, s *graph.Schema, entropy func(graph.TypeID, []graph.Incidence, []float64), opts WalkOptions) *Set {
 	n := s.NumTypes()
-	if len(keyCov) != n || len(keyWalk) != n || len(nonKeyCov) != n || len(nonKeyEnt) != n {
-		return nil, fmt.Errorf("score: NewSet dimension mismatch: %d types, got %d/%d/%d/%d",
-			n, len(keyCov), len(keyWalk), len(nonKeyCov), len(nonKeyEnt))
-	}
-	for t := 0; t < n; t++ {
-		incs := len(s.Incident(graph.TypeID(t)))
-		if len(nonKeyCov[t]) != incs || len(nonKeyEnt[t]) != incs {
-			return nil, fmt.Errorf("score: NewSet type %d: %d incidences, got %d/%d",
-				t, incs, len(nonKeyCov[t]), len(nonKeyEnt[t]))
+	set := &Set{schema: s, keyCov: make([]float64, n), nonKeyCov: make([][]float64, n), nonKeyEnt: make([][]float64, n)}
+	par.ForEach(opts.Parallelism, n, func(i int) {
+		t := graph.TypeID(i)
+		if g != nil {
+			set.keyCov[t] = float64(g.TypeCoverage(t))
 		}
-	}
-	return &Set{schema: s, keyCov: keyCov, keyWalk: keyWalk, nonKeyCov: nonKeyCov, nonKeyEnt: nonKeyEnt}, nil
+		incs := s.Incident(t)
+		cov := make([]float64, len(incs))
+		for j, inc := range incs {
+			cov[j] = float64(s.RelType(inc.Rel).EdgeCount)
+		}
+		ent := make([]float64, len(incs))
+		entropy(t, incs, ent)
+		set.nonKeyCov[t], set.nonKeyEnt[t] = cov, ent
+	})
+	set.keyWalk = StationaryDistribution(s, opts)
+	return set
 }
 
 // Schema returns the schema graph the scores were computed against.

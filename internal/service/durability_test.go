@@ -277,8 +277,8 @@ func TestWriteLogFailureAnswers500(t *testing.T) {
 	if stats.Epoch == nil || *stats.Epoch != 0 {
 		t.Fatalf("epoch published despite log failure: %v", stats.Epoch)
 	}
-	if live.Refreshes() != 0 {
-		t.Fatalf("refreshes = %d, want 0", live.Refreshes())
+	if e := live.Snapshot().Epoch; e != 0 {
+		t.Fatalf("live epoch = %d, want 0", e)
 	}
 
 	status, raw = post(t, ts.URL+"/v1/graphs/fig1/edges", body)

@@ -200,7 +200,7 @@ func TestStaleViewFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gr.maintainedFor(held, p.Key, p.NonKey) != nil {
+		if e, _ := gr.maintainedFor(held, p.Key, p.NonKey).Epoch(); e <= held.Epoch {
 			t.Fatalf("%s: the maintained state is not past the held view's epoch %d", q, held.Epoch)
 		}
 		cold := core.New(held.Scores, core.Options{Key: p.Key, NonKey: p.NonKey})
@@ -221,7 +221,7 @@ func TestStaleViewFallback(t *testing.T) {
 			t.Fatalf("%s anytime: got (%+v, %v), want (%+v, %v)", q, got, err, want, wantErr)
 		}
 	}
-	if gr.maintainedFor(held, score.KeyCoverage, score.NonKeyCoverage) != nil {
+	if e, _ := gr.maintainedFor(held, score.KeyCoverage, score.NonKeyCoverage).Epoch(); e <= held.Epoch {
 		t.Fatal("the stale view rolled the shared state back to its epoch")
 	}
 }

@@ -214,7 +214,7 @@ func (n *Node) load(src GraphSource) error {
 		return err
 	}
 	if snap := rec.Live.Snapshot(); snap.Epoch > 0 {
-		log.Printf("graph %q: recovered to epoch %d (%s)", src.Name, snap.Epoch, snap.Stats)
+		log.Printf("graph %q: recovered to epoch %d (%s)", src.Name, snap.Epoch, snap.Frozen.Stats())
 	}
 	return nil
 }

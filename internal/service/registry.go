@@ -84,13 +84,10 @@ func (r *Registry) Add(name string, g *graph.EntityGraph) error {
 	if g == nil {
 		return fmt.Errorf("service: nil graph %q", name)
 	}
-	if err := checkGraphName(name); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
 	opts := score.DefaultWalkOptions()
 	opts.Parallelism = r.Parallelism
 	gr := &Graph{name: name, reg: r}
-	gr.cur.Store(gr.newView(&dynamic.Snapshot{Stats: g.Stats(), Scores: score.Compute(g, opts), Frozen: g}))
+	gr.cur.Store(gr.newView(&dynamic.Snapshot{Scores: score.Compute(g, opts), Frozen: g}))
 	return r.register(name, gr)
 }
 
@@ -306,9 +303,9 @@ type measureKey struct {
 // throughout, so a request started at epoch e keeps e's graph and scores
 // even if writers publish newer epochs meanwhile.
 type view struct {
-	// Snapshot is the epoch's graph, scores and statistics: a live
-	// epoch's snapshot, or the one Add makes of a static graph at epoch 0,
-	// which has no change history.
+	// Snapshot is the epoch's graph and scores: a live epoch's snapshot,
+	// or the one Add makes of a static graph at epoch 0, which has no
+	// change history.
 	*dynamic.Snapshot
 	mutable bool
 
@@ -461,11 +458,12 @@ func (gr *Graph) publish(snap *dynamic.Snapshot) *view {
 }
 
 // maintainedFor returns the graph's maintained discovery state for a
-// measure pair, refreshed to v's epoch (creating it, cold, on first
-// use; a static graph's state is refreshed only then, at epoch 0).
-// Returns nil when the state has already moved past v's epoch — the
-// caller's view is stale and must fall back to view.cold rather than
-// roll the shared state backwards.
+// measure pair (creating it, cold, on first use), refreshed to v's epoch
+// unless it is there already or past it; a static graph's state is
+// refreshed only when it is created, at epoch 0. A state past v's epoch
+// is never rolled back: asked at v's epoch, its DiscoverAt and AnytimeAt
+// report ErrStaleEpoch and its CertifiedAt false, and the caller answers
+// from view.cold.
 func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeasure) *core.Maintained {
 	mk := measureKey{key: km, nonKey: nm}
 	gr.maintMu.Lock()
@@ -480,11 +478,8 @@ func (gr *Graph) maintainedFor(v *view, km score.KeyMeasure, nm score.NonKeyMeas
 	gr.maintMu.Unlock()
 
 	epoch, ok := m.Epoch()
-	switch {
-	case ok && epoch == v.Epoch:
+	if ok && epoch >= v.Epoch {
 		return m
-	case ok && epoch > v.Epoch:
-		return nil
 	}
 	// Only a live view can find the state behind it (a static graph's is
 	// built once, at epoch 0), and its snapshot says what moved since.
@@ -521,13 +516,11 @@ func (gr *Graph) noteRefined(epoch uint64) {
 // When the shared state has already moved past this view's epoch, the
 // view answers from its own uncached Discoverer instead.
 func (v *view) search(km score.KeyMeasure, nm score.NonKeyMeasure, c core.Constraint) (core.Preview, error) {
-	if m := v.gr.maintainedFor(v, km, nm); m != nil {
-		p, err := m.DiscoverAt(v.Epoch, c)
-		if !errors.Is(err, core.ErrStaleEpoch) {
-			return p, err
-		}
+	p, err := v.gr.maintainedFor(v, km, nm).DiscoverAt(v.Epoch, c)
+	if errors.Is(err, core.ErrStaleEpoch) {
+		return v.cold(km, nm).Discover(c)
 	}
-	return v.cold(km, nm).Discover(c)
+	return p, err
 }
 
 // cold builds an uncached Discoverer over the view's own scores: the
@@ -543,7 +536,7 @@ func (v *view) cold(km score.KeyMeasure, nm score.NonKeyMeasure) *core.Discovere
 func (gr *Graph) Entity() *graph.EntityGraph { return gr.view().Frozen }
 
 // Stats returns the current view's size statistics.
-func (gr *Graph) Stats() graph.Stats { return gr.view().Stats }
+func (gr *Graph) Stats() graph.Stats { return gr.view().Frozen.Stats() }
 
 // Scores returns the current view's score set.
 func (gr *Graph) Scores() *score.Set { return gr.view().Scores }

@@ -503,7 +503,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, gr *Graph) 
 // "converged" flips false the instant a write publishes a newer epoch
 // and back true when refinement catches up.
 func statsFor(name string, v *view, refined *uint64) render.GraphStatsDoc {
-	doc := render.GraphStats(name, v.Stats)
+	doc := render.GraphStats(name, v.Frozen.Stats())
 	if v.mutable {
 		doc = doc.WithEpoch(v.Epoch)
 	}
@@ -554,8 +554,7 @@ func (s *Server) anytimeCertified(gr *Graph, v *view, p previewParams) bool {
 		gr.noteRefined(v.Epoch)
 		return true
 	}
-	m := gr.maintainedFor(v, p.Key, p.NonKey)
-	if m == nil || !m.CertifiedAt(v.Epoch, c) {
+	if !gr.maintainedFor(v, p.Key, p.NonKey).CertifiedAt(v.Epoch, c) {
 		return false
 	}
 	gr.noteRefined(v.Epoch)
@@ -572,15 +571,7 @@ func (s *Server) anytimeDiscover(gr *Graph, v *view, p previewParams, certified 
 	}
 	ac := p.Constraint
 	ac.MaxCandidates = s.AnytimeBudget
-	var (
-		pv  core.Preview
-		err error
-	)
-	if m := gr.maintainedFor(v, p.Key, p.NonKey); m != nil {
-		pv, _, err = m.AnytimeAt(v.Epoch, ac)
-	} else {
-		err = core.ErrStaleEpoch
-	}
+	pv, _, err := gr.maintainedFor(v, p.Key, p.NonKey).AnytimeAt(v.Epoch, ac)
 	if errors.Is(err, core.ErrStaleEpoch) {
 		// The shared state moved past this view's epoch: the same
 		// fallback as view.search, with the same bytes.
@@ -602,11 +593,7 @@ func (s *Server) anytimeDiscover(gr *Graph, v *view, p previewParams, certified 
 func (s *Server) refineAnytime(gr *Graph, v *view, p previewParams) {
 	c := p.Constraint
 	c.MaxCandidates = s.SearchBudget
-	m := gr.maintainedFor(v, p.Key, p.NonKey)
-	if m == nil {
-		return
-	}
-	_, err := m.DiscoverAt(v.Epoch, c)
+	_, err := gr.maintainedFor(v, p.Key, p.NonKey).DiscoverAt(v.Epoch, c)
 	if err == nil || errors.Is(err, core.ErrNoPreview) || errors.Is(err, core.ErrSearchBudget) {
 		gr.noteRefined(v.Epoch)
 	}

@@ -68,7 +68,7 @@ type mutationDoc struct {
 
 func TestPostEdgesAppliesBatch(t *testing.T) {
 	_, live, _, ts := newMutableServer(t)
-	before := live.Snapshot().Stats
+	before := live.Snapshot().Frozen.Stats()
 
 	body := `{"edges": [
 		{"from": "Danny Elfman", "rel": "Music", "from_type": "FILM COMPOSER", "to_type": "` + fig1.Film + `", "to": "Men in Black"},
@@ -88,8 +88,8 @@ func TestPostEdgesAppliesBatch(t *testing.T) {
 	if doc.Stats.Edges != before.Edges+2 || !doc.Stats.Mutable || doc.Stats.Epoch == nil || *doc.Stats.Epoch != 1 {
 		t.Fatalf("mutation stats: %+v (before %+v)", doc.Stats, before)
 	}
-	if live.Refreshes() != 1 {
-		t.Fatalf("refreshes = %d, want 1", live.Refreshes())
+	if e := live.Snapshot().Epoch; e != 1 {
+		t.Fatalf("live epoch = %d, want 1", e)
 	}
 
 	// The untyped second edge resolved against the batch-declared rel: both
@@ -149,8 +149,8 @@ edge "Columbia Pictures" "Produced By" "STUDIO" "` + fig1.Film + `" "Hancock"
 	if _, ok := snap.Frozen.TypeByName("STUDIO"); !ok {
 		t.Fatal("triple batch did not declare STUDIO")
 	}
-	if snap.Epoch != 1 || live.Refreshes() != 1 {
-		t.Fatalf("epoch %d refreshes %d, want 1/1", snap.Epoch, live.Refreshes())
+	if snap.Epoch != 1 {
+		t.Fatalf("epoch %d, want 1", snap.Epoch)
 	}
 }
 
@@ -235,9 +235,9 @@ func TestWriteErrorPaths(t *testing.T) {
 			}
 		})
 	}
-	// None of the failures mutated anything: epoch 0, zero refreshes.
-	if snap := live.Snapshot(); snap.Epoch != 0 || live.Refreshes() != 0 {
-		t.Fatalf("failed batches mutated the graph: epoch %d, refreshes %d", snap.Epoch, live.Refreshes())
+	// None of the failures published anything: epoch 0.
+	if snap := live.Snapshot(); snap.Epoch != 0 {
+		t.Fatalf("failed batches mutated the graph: epoch %d", snap.Epoch)
 	}
 
 	// Method discipline on the write routes.
@@ -426,8 +426,8 @@ func TestConcurrentWritesAndPreviews(t *testing.T) {
 			t.Fatalf("epoch %d never answered a batch", e)
 		}
 	}
-	if got := live.Refreshes(); got != writers*batches {
-		t.Fatalf("score refreshes = %d, want exactly %d (one per batch)", got, writers*batches)
+	if got := live.Snapshot().Epoch; got != writers*batches {
+		t.Fatalf("live epoch = %d, want exactly %d (one per batch)", got, writers*batches)
 	}
 
 	// The served preview now matches a from-scratch discovery against the
